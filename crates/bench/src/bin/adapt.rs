@@ -10,7 +10,7 @@
 //!
 //! - **zero stale decisions**: every decision agrees with the policy set
 //!   of its *own* epoch (each round removes one more level, so a stale
-//!   snapshot or cache entry renders a visibly wrong decision);
+//!   snapshot renders a visibly wrong decision);
 //! - **epoch monotonicity**: no deciding thread ever observes the epoch
 //!   moving backwards;
 //! - **time-to-adoption**: per round, the time from trigger until a
@@ -169,7 +169,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if let Err(e) = agenp_bench::json::validate(&on_disk) {
+    if let Err(e) = agenp_pdpd::json::parse(&on_disk) {
         eprintln!("adapt: BENCH_adapt.json is not valid JSON: {e}");
         std::process::exit(1);
     }

@@ -149,7 +149,7 @@ fn gate(path: &PathBuf, rows: &[ScenarioRow], smoke: bool, parties: usize, chaos
             std::process::exit(1);
         }
     };
-    if let Err(e) = agenp_bench::json::validate(&on_disk) {
+    if let Err(e) = agenp_pdpd::json::parse(&on_disk) {
         eprintln!("coalition: BENCH_coalition.json is not valid JSON: {e}");
         std::process::exit(1);
     }

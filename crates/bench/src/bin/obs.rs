@@ -52,7 +52,7 @@ const REQUIRED_PREFIXES: &[&str] = &["asp.", "learn.", "ams.", "serve.", "coalit
 
 /// Enabled-mode throughput must stay above this fraction of the disabled
 /// run. Telemetry on the decide path is two monotonic clock reads, one
-/// histogram record, and two sharded counter bumps; 0.25 leaves headroom
+/// histogram record, and one sharded counter bump; 0.25 leaves headroom
 /// for noisy shared CI runners while still catching accidental locks or
 /// allocation on the hot path.
 const MIN_ENABLED_RATIO: f64 = 0.25;
@@ -121,7 +121,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if let Err(e) = agenp_bench::json::validate(&on_disk) {
+    if let Err(e) = agenp_pdpd::json::parse(&on_disk) {
         eprintln!("obs: BENCH_obs.json is not valid JSON: {e}");
         std::process::exit(1);
     }
@@ -171,8 +171,8 @@ fn output_path() -> PathBuf {
     }
 }
 
-/// A policy permitting high-clearance subjects — enough structure for the
-/// cache to discriminate requests.
+/// A policy permitting high-clearance subjects and denying low-clearance
+/// ones.
 fn clearance_policy() -> Policy {
     use agenp_policy::{Category, Cond, Effect, PolicyRule};
     Policy::new(
@@ -309,7 +309,7 @@ fn run_coalition_round(smoke: bool) {
 
 fn inspect_dump(snapshot: &ObsSnapshot, dump_line: &str) -> DumpOutcome {
     DumpOutcome {
-        json_valid: agenp_bench::json::validate(dump_line).is_ok(),
+        json_valid: agenp_pdpd::json::parse(dump_line).is_ok(),
         bytes: dump_line.len(),
         span_total: snapshot.spans.len(),
         dropped: snapshot.dropped_spans,

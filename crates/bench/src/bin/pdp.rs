@@ -4,11 +4,11 @@
 //! Drives a closed-loop multi-threaded request workload (randomized XACML
 //! requests against the scenario's ground-truth policy) through a
 //! [`PdpServer`], then writes `BENCH_pdp.json` at the repository root:
-//! threads × throughput × cache-hit-rate, a single-thread parity check of
-//! the serving tier against the legacy stateful [`Pdp`] path, and a
-//! stale-cache stress that swaps snapshots mid-stream and counts decisions
-//! served from the wrong epoch. The JSON schema is documented in
-//! `docs/SERVING.md`.
+//! threads × throughput, a single-thread parity check of the serving tier
+//! against the straight-line reference evaluator
+//! ([`reference::effects_reference`]), and a stress that swaps snapshots
+//! mid-stream and counts decisions served from the wrong epoch. The JSON
+//! schema is documented in `docs/SERVING.md`.
 //!
 //! Since schema v2 the harness also puts the PDP on the wire: it boots an
 //! in-process `agenp-pdpd` HTTP/1.1 server on an ephemeral loopback port,
@@ -22,16 +22,15 @@
 //!
 //! `--smoke` runs reduced scales suitable for CI, re-reads the emitted JSON
 //! through a validating parser, and exits nonzero on any parity mismatch,
-//! any stale-cache decision, a single-connection HTTP throughput below
+//! any stale decision, a single-connection HTTP throughput below
 //! 10k decisions/sec, or (on machines with >= 4 CPUs) a 4-thread
 //! throughput below 2x the 1-thread run.
 
 use agenp_core::arch::{DecisionSnapshot, PdpHandle, PdpServer};
 use agenp_core::scenarios::xacml::{ground_truth_policy, XacmlRequest};
 use agenp_pdpd::{run_load, LoadOptions, PdpdServer, ServerOptions};
-use agenp_policy::{
-    evaluate_policies, CombiningAlg, Decision, Pdp, Policy, PolicyRepository, PolicyRule, Request,
-};
+use agenp_policy::{evaluate_policies, CombiningAlg, Decision, Policy, PolicyRule, Request};
+use agenp_refsem::reference;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -43,12 +42,9 @@ struct ThroughputRow {
     decisions: u64,
     micros: u128,
     throughput: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-    hit_rate: f64,
 }
 
-/// The serving-tier vs legacy-PDP parity result.
+/// The serving-tier vs reference-evaluator parity result.
 struct ParityOutcome {
     requests: usize,
     mismatches: usize,
@@ -116,7 +112,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if let Err(e) = agenp_bench::json::validate(&on_disk) {
+    if let Err(e) = agenp_pdpd::json::parse(&on_disk) {
         eprintln!("pdp: BENCH_pdp.json is not valid JSON: {e}");
         std::process::exit(1);
     }
@@ -134,14 +130,14 @@ fn main() {
     }
     if parity.mismatches > 0 {
         eprintln!(
-            "pdp: serving tier disagreed with the legacy Pdp on {} of {} requests",
+            "pdp: serving tier disagreed with the reference evaluator on {} of {} requests",
             parity.mismatches, parity.requests
         );
         std::process::exit(1);
     }
     if stress.stale_served > 0 {
         eprintln!(
-            "pdp: {} decisions were served from a stale cache entry across {} snapshot swaps",
+            "pdp: {} decisions were served from a stale snapshot across {} snapshot swaps",
             stress.stale_served, stress.swaps
         );
         std::process::exit(1);
@@ -238,34 +234,26 @@ fn run_throughput(
         decisions: report.decisions,
         micros: report.elapsed.as_micros(),
         throughput: report.throughput,
-        cache_hits: report.cache_hits,
-        cache_misses: report.cache_misses,
-        hit_rate: report.hit_rate(),
     }
 }
 
-/// Single-thread parity: the serving tier (cold cache and warm cache both)
-/// must render bit-identical decisions to the legacy stateful [`Pdp`] over
-/// a fresh randomized request stream.
+/// Single-thread parity: the serving tier, through the handle and through
+/// a pin, must render effects (decision, obligations, penalty) identical to
+/// the straight-line reference evaluator over a fresh randomized request
+/// stream.
 fn run_parity(policies: &[Policy], requests: usize, seed: u64) -> ParityOutcome {
-    let mut repo = PolicyRepository::new();
-    for p in policies {
-        repo.add(p.clone());
-    }
-    let mut legacy = Pdp::new(CombiningAlg::DenyOverrides);
     let handle = PdpHandle::new();
     handle.publish(DecisionSnapshot::new(
         policies.to_vec(),
         CombiningAlg::DenyOverrides,
     ));
+    let mut pin = handle.pin();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut mismatches = 0usize;
     for _ in 0..requests {
         let req = XacmlRequest::random(&mut rng).to_request();
-        let expected = legacy.decide(&repo, &req);
-        let cold = handle.decide(&req).decision;
-        let warm = handle.decide(&req).decision; // second hit exercises the cache
-        if cold != expected || warm != expected {
+        let expected = reference::effects_reference(policies, CombiningAlg::DenyOverrides, &req);
+        if handle.decide(&req).effects() != expected || pin.decide(&req).effects() != expected {
             mismatches += 1;
         }
     }
@@ -429,21 +417,17 @@ fn print_tables(
 ) {
     println!("shared-snapshot PDP serving throughput (closed loop):");
     println!(
-        "{:>8} {:>12} {:>12} {:>14} {:>10}",
-        "threads", "decisions", "micros", "decisions/s", "hit rate"
+        "{:>8} {:>12} {:>12} {:>14}",
+        "threads", "decisions", "micros", "decisions/s"
     );
     for r in rows {
         println!(
-            "{:>8} {:>12} {:>12} {:>14.0} {:>10}",
-            r.threads,
-            r.decisions,
-            r.micros,
-            r.throughput,
-            agenp_bench::pct(r.hit_rate)
+            "{:>8} {:>12} {:>12} {:>14.0}",
+            r.threads, r.decisions, r.micros, r.throughput
         );
     }
     println!(
-        "\nparity vs legacy Pdp: {}/{} identical",
+        "\nparity vs reference evaluator: {}/{} identical",
         parity.requests - parity.mismatches,
         parity.requests
     );
@@ -486,15 +470,8 @@ fn render_json(
         .map(|r| {
             format!(
                 "{{\"threads\": {}, \"decisions\": {}, \"micros\": {}, \
-                 \"decisions_per_sec\": {:.1}, \"cache_hits\": {}, \"cache_misses\": {}, \
-                 \"hit_rate\": {:.4}}}",
-                r.threads,
-                r.decisions,
-                r.micros,
-                r.throughput,
-                r.cache_hits,
-                r.cache_misses,
-                r.hit_rate
+                 \"decisions_per_sec\": {:.1}}}",
+                r.threads, r.decisions, r.micros, r.throughput
             )
         })
         .collect();
@@ -525,7 +502,7 @@ fn render_json(
         .find(|r| r.connections == 1 && r.batch == 1)
         .map_or("null".to_string(), |r| format!("{:.1}", r.throughput));
     format!(
-        "{{\n\"schema\": \"agenp-bench/pdp/v2\",\n\"smoke\": {},\n\
+        "{{\n\"schema\": \"agenp-bench/pdp/v3\",\n\"smoke\": {},\n\
          \"throughput\": [\n{}\n],\n\
          \"parity\": {{\"requests\": {}, \"mismatches\": {}}},\n\
          \"stress\": {{\"decisions\": {}, \"swaps\": {}, \"stale_served\": {}}},\n\

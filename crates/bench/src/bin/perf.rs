@@ -76,7 +76,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if let Err(e) = agenp_bench::json::validate(&on_disk) {
+    if let Err(e) = agenp_pdpd::json::parse(&on_disk) {
         eprintln!("perf: BENCH_asp.json is not valid JSON: {e}");
         std::process::exit(1);
     }

@@ -177,8 +177,8 @@ fn fig3b() {
 
     header("E5 (Fig. 3b-3) — noisy logs: NotApplicable responses");
     println!(
-        "{:<10} {:<32} {:>10} {:>8}",
-        "noise", "handling", "accuracy", "rules"
+        "{:<10} {:<32} {:>10} {:>8} {:>12}",
+        "noise", "handling", "accuracy", "rules", "learn time"
     );
     for p_na in [0.0, 0.05, 0.1, 0.2] {
         // Deduplicate requests so the naive misinterpretation yields a
@@ -194,24 +194,29 @@ fn fig3b() {
             ("penalty (soft examples)", xacml::NoiseHandling::Penalty(5)),
         ] {
             let t = xacml::learning_task(&log, xacml::SpaceConfig::default(), handling);
-            match Learner::new().learn(&t) {
+            let start = Instant::now();
+            let learned = Learner::new().learn(&t);
+            let took = start.elapsed();
+            match learned {
                 Ok(h) => {
                     let pol = xacml::learned_policy(&h.rules);
                     println!(
-                        "{:<10} {:<32} {:>10} {:>8}",
+                        "{:<10} {:<32} {:>10} {:>8} {:>12?}",
                         pct(p_na),
                         name,
                         pct(xacml::policy_accuracy(&pol, 600, 5)),
-                        pol.rules.len()
+                        pol.rules.len(),
+                        took
                     );
                 }
                 Err(e) => {
                     println!(
-                        "{:<10} {:<32} {:>10} {:>8}",
+                        "{:<10} {:<32} {:>10} {:>8} {:>12?}",
                         pct(p_na),
                         name,
                         format!("{e}"),
-                        "-"
+                        "-",
+                        took
                     )
                 }
             }
@@ -225,22 +230,29 @@ fn curve() {
     let test = cav::samples(500, 2024);
     let test_tab = cav::to_dataset(&test);
     println!(
-        "{:>8} {:>10} {:>14} {:>12} {:>8}",
-        "n_train", "ASG-GPM", "DecisionTree", "NaiveBayes", "kNN(5)"
+        "{:>8} {:>10} {:>14} {:>12} {:>8} {:>12} {:>12}",
+        "n_train", "ASG-GPM", "DecisionTree", "NaiveBayes", "kNN(5)", "GPM fit", "DT fit"
     );
     for n in [4usize, 8, 16, 32, 64, 128, 256] {
         // Average over 3 seeds to smooth sampling noise.
         let mut accs = [0.0f64; 4];
+        let mut fit_time = [std::time::Duration::ZERO; 2];
         let seeds = [7u64, 77, 777];
         for &seed in &seeds {
             let train = cav::samples(n, seed);
             let task = cav::learning_task(&train, None);
-            accs[0] += match Learner::new().learn(&task) {
+            let t = Instant::now();
+            let learned = Learner::new().learn(&task);
+            fit_time[0] += t.elapsed();
+            accs[0] += match learned {
                 Ok(h) => cav::gpm_accuracy(&h.apply(&task.grammar), &test),
                 Err(_) => 0.5,
             };
             let tab = cav::to_dataset(&train);
-            accs[1] += DecisionTree::fit(&tab).accuracy(&test_tab);
+            let t = Instant::now();
+            let tree = DecisionTree::fit(&tab);
+            fit_time[1] += t.elapsed();
+            accs[1] += tree.accuracy(&test_tab);
             accs[2] += NaiveBayes::fit(&tab).accuracy(&test_tab);
             accs[3] += Knn::fit(&tab, 5.min(n)).accuracy(&test_tab);
         }
@@ -248,11 +260,13 @@ fn curve() {
             *a /= seeds.len() as f64;
         }
         println!(
-            "{n:>8} {:>10} {:>14} {:>12} {:>8}",
+            "{n:>8} {:>10} {:>14} {:>12} {:>8} {:>12?} {:>12?}",
             pct(accs[0]),
             pct(accs[1]),
             pct(accs[2]),
-            pct(accs[3])
+            pct(accs[3]),
+            fit_time[0] / seeds.len() as u32,
+            fit_time[1] / seeds.len() as u32
         );
     }
 }
@@ -262,8 +276,8 @@ fn scale() {
     header("E7 (§III-B / §IV-B) — performance: solving, membership, learning");
     println!("-- answer-set solving (ring coloring, all models) --");
     println!(
-        "{:>8} {:>10} {:>12} {:>12} {:>12}",
-        "nodes", "models", "ground", "solve", "decisions"
+        "{:>8} {:>10} {:>12} {:>12} {:>12} {:>12}",
+        "nodes", "models", "ground", "solve", "decisions", "first model"
     );
     let solver = Solver::new();
     for n in [6usize, 10, 14, 18] {
@@ -273,13 +287,34 @@ fn scale() {
         let ground_time = tg.elapsed();
         let ts = Instant::now();
         let r = solver.solve(&g);
+        let solve_time = ts.elapsed();
+        let tf = Instant::now();
+        let _ = solver.max_models(1).solve(&g).satisfiable();
         println!(
-            "{n:>8} {:>10} {:>12?} {:>12?} {:>12}",
+            "{n:>8} {:>10} {:>12?} {:>12?} {:>12} {:>12?}",
             r.models().len(),
             ground_time,
-            ts.elapsed(),
-            r.stats().decisions
+            solve_time,
+            r.stats().decisions,
+            tf.elapsed()
         );
+    }
+    println!("\n-- weak-constraint optimization (branch and bound, n choices) --");
+    println!("{:>8} {:>12} {:>10}", "n", "time", "cost");
+    for n in [6usize, 10, 14] {
+        let mut src = String::new();
+        for i in 0..n {
+            src.push_str(&format!(
+                "a{i} :- not b{i}. b{i} :- not a{i}. :~ a{i}. [{}]\n",
+                i + 1
+            ));
+        }
+        src.push_str(":- b0, b1.\n");
+        let g = ground(&src.parse().expect("parses")).expect("grounds");
+        let t = Instant::now();
+        let r = solver.optimize(&g);
+        let cost = r.cost().map_or("-".to_string(), ToString::to_string);
+        println!("{n:>8} {:>12?} {cost:>10}", t.elapsed());
     }
     println!("\n-- ASG membership (a^n b^n c^n) --");
     println!("{:>8} {:>12} {:>10}", "n", "time", "member");
@@ -290,6 +325,29 @@ fn scale() {
         let member = g.accepts(&s).expect("membership check succeeds");
         println!("{n:>8} {:>12?} {:>10}", t.elapsed(), member);
     }
+    // One real-time decision: membership of a policy string in a learned
+    // CAV GPM under a context (the paper's real-time concern in §IV-A).
+    let train = cav::samples(64, 7);
+    let task = cav::learning_task(&train, None);
+    let gpm = Learner::new()
+        .learn(&task)
+        .expect("CAV task is learnable")
+        .apply(&task.grammar);
+    let ctx = cav::CavContext {
+        loa: 3,
+        limit: 4,
+        rain: true,
+        emergency: false,
+    };
+    let t = Instant::now();
+    let accepted = gpm
+        .with_context(&ctx.to_program())
+        .accepts("accept overtake")
+        .expect("membership check succeeds");
+    println!(
+        "learned CAV GPM, one decision: {:?} (accepted: {accepted})",
+        t.elapsed()
+    );
     println!("\n-- symbolic learning time vs examples (CAV) --");
     println!("{:>8} {:>12} {:>10} {:>10}", "n", "time", "cost", "rules");
     for n in [8usize, 16, 32, 64, 128] {
@@ -331,6 +389,18 @@ fn quality() {
         "ground-truth set:   {}",
         checker.assess(&[xacml::ground_truth_policy()], &space)
     );
+    println!("-- PCP assessment cost vs request-space size (ground-truth set) --");
+    println!("{:>8} {:>12}", "requests", "time");
+    for n in [50usize, 200, 800] {
+        let mut rng = StdRng::seed_from_u64(42);
+        let space: Vec<agenp_policy::Request> = (0..n)
+            .map(|_| xacml::XacmlRequest::random(&mut rng).to_request())
+            .collect();
+        let policy = [xacml::ground_truth_policy()];
+        let t = Instant::now();
+        let _ = checker.assess(&policy, &space);
+        println!("{n:>8} {:>12?}", t.elapsed());
+    }
 
     // Context-dependent conflicts: the paper's Crypto-project/postdoc case.
     println!("-- context-dependent conflict detection (crypto-project vs postdoc) --");

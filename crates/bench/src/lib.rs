@@ -1,15 +1,14 @@
 //! # agenp-bench — workloads and helpers for the AGENP benchmark harness
 //!
-//! Shared workload builders used by the Criterion benches and by the
-//! `report` binary that regenerates every figure and quantitative claim of
-//! the paper (see EXPERIMENTS.md for the experiment index).
+//! Shared workload builders used by the harness binaries: `report`, which
+//! regenerates every figure and quantitative claim of the paper (see
+//! EXPERIMENTS.md for the experiment index), and `perf`, which times the
+//! ASP pipeline into `BENCH_asp.json`.
 
 #![warn(missing_docs)]
 
 use agenp_asp::Program;
 use agenp_grammar::Asg;
-
-pub mod json;
 
 /// A 2-colorable ring-coloring program over `n` nodes — a classic
 /// non-stratified benchmark with answer sets for the solver to enumerate.

@@ -98,7 +98,7 @@ impl SimParty {
     }
 
     /// Restarts the party after a crash with **full state loss**: a fresh
-    /// serving tier (the old snapshot, cache, and epochs are gone), no
+    /// serving tier (the old snapshot and epochs are gone), no
     /// adopted version, recovering and denying until a refresh lands.
     pub fn restart(&mut self) {
         self.handle = PdpHandle::new();

@@ -374,8 +374,8 @@ impl Ams {
     }
 
     /// PDP + PEP step: decides a request against the currently served
-    /// snapshot — policies, enforcement, degradation error, and cache
-    /// diagnostics in one [`DecisionOutcome`]. A `&self` method: any
+    /// snapshot — policies, enforcement, degradation error, and epoch in
+    /// one [`DecisionOutcome`]. A `&self` method: any
     /// number of threads may call it (or [`PdpHandle::decide`] on a cloned
     /// handle) concurrently with control-plane mutations. The outcome
     /// feeds the goal monitor (`grant_rate`, `gap_rate`).
@@ -395,9 +395,8 @@ impl Ams {
 
     /// Batched PDP + PEP step: every request in the slice is decided
     /// against **one** snapshot (see [`PdpHandle::decide_batch`] for the
-    /// consistency contract), duplicates answered once, and the goal
-    /// monitor fed under a single lock acquisition instead of one per
-    /// request.
+    /// consistency contract), and the goal monitor fed under a single lock
+    /// acquisition instead of one per request.
     pub fn decide_batch(&self, requests: &[Request]) -> Vec<DecisionOutcome> {
         let outcomes = self.serving.decide_batch(requests);
         let mut goals = self.goals.lock().expect("goal monitor poisoned");
@@ -652,10 +651,9 @@ mod tests {
         assert_eq!(handle.decide(&req).decision, Decision::NotApplicable);
         ams.refresh_policies().unwrap();
         // Same handle, no re-wiring: the new snapshot is already visible
-        // and the stale cached NotApplicable is not served.
+        // and the stale NotApplicable is not served.
         let outcome = handle.decide(&req);
         assert_eq!(outcome.decision, Decision::Deny);
-        assert!(!outcome.cached);
     }
 
     #[test]

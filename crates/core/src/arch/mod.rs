@@ -23,6 +23,6 @@ pub use pip::{ContextProvider, Pip, StaticContext};
 pub use prep::{CanonicalTranslator, FnTranslator, PolicyTranslator, Prep};
 pub use repr::{GpmVersion, RepresentationsRepository};
 pub use serve::{
-    DecisionCache, DecisionOutcome, DecisionSnapshot, PdpHandle, PdpPin, PdpServer, ServeStats,
-    ServerReport, SnapshotSwap,
+    DecisionOutcome, DecisionSnapshot, PdpHandle, PdpPin, PdpServer, ServeStats, ServerReport,
+    SnapshotSwap,
 };

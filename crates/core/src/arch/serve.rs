@@ -5,19 +5,19 @@
 //! side (the ROADMAP's "heavy traffic from millions of users" target; see
 //! `docs/SERVING.md`).
 //!
-//! The tier has three layers:
+//! The tier has two layers:
 //!
 //! * [`SnapshotSwap`] — one atomic slot holding an `Arc<DecisionSnapshot>`.
 //!   Readers take a momentary read lock *only* to clone the `Arc`; the
 //!   decision itself runs with no lock held. Publishing a new snapshot is a
 //!   pointer swap, never a wait-for-readers.
-//! * [`DecisionCache`] — a sharded request→decision memo keyed by
-//!   [`Request::canonical_key`] and stamped with the snapshot *epoch*; a
-//!   published snapshot bumps the epoch, which invalidates every cached
-//!   entry at once without touching the shards.
-//! * [`PdpHandle`] — a cheap `Clone` handle combining both, plus a
-//!   [`PdpServer`] that drives a closed-loop multi-threaded workload
-//!   against a handle and reports throughput and hit rates.
+//! * [`PdpHandle`] — a cheap `Clone` handle onto the slot and the PEP, with
+//!   a per-worker [`PdpPin`] and a [`PdpServer`] that drives a closed-loop
+//!   multi-threaded workload against a handle and reports throughput.
+//!
+//! Every decision evaluates the snapshot that answers it, so a publish
+//! needs no invalidation step and a stale decision cannot outlive its
+//! snapshot.
 
 use crate::arch::ams::AmsError;
 use agenp_asp::{Program, RunBudget};
@@ -26,26 +26,12 @@ use agenp_policy::{
     evaluate_policies, evaluate_policies_effects, CombiningAlg, Decision, DecisionEffects,
     Enforcement, Obligation, Pep, Policy, Request,
 };
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-/// Number of cache shards. A small power of two: enough to keep worker
-/// threads off each other's locks, few enough that per-shard maps stay
-/// dense.
-const CACHE_SHARDS: usize = 16;
-
 /// Number of stripes for the hot-path statistics counters.
 const COUNTER_STRIPES: usize = 16;
-
-/// Entry cap for one pin's private decision cache. Beyond this the pin
-/// stops memoizing new keys (it never evicts mid-epoch); the cap bounds
-/// per-worker memory for adversarial key streams while leaving realistic
-/// working sets fully resident.
-const PIN_CACHE_CAP: usize = 8192;
 
 /// The stripe this thread bumps. Threads are assigned stripes round-robin
 /// at first use, so up to [`COUNTER_STRIPES`] concurrent workers never
@@ -83,11 +69,6 @@ impl Default for StripedU64 {
 }
 
 impl StripedU64 {
-    #[inline]
-    fn incr(&self) {
-        self.add(1);
-    }
-
     #[inline]
     fn add(&self, n: u64) {
         self.stripes[counter_stripe()]
@@ -276,130 +257,24 @@ impl SnapshotSwap {
     }
 }
 
-#[derive(Clone, Debug)]
-struct CacheEntry {
-    epoch: u64,
-    effects: DecisionEffects,
-}
-
-/// A sharded request→decision memo, keyed by [`Request::canonical_key`]
-/// and invalidated wholesale by snapshot epoch: every entry is stamped
-/// with the epoch it was computed under, and a lookup under any other
-/// epoch is a miss (the stale entry is evicted on sight). Publishing a
-/// snapshot therefore invalidates the whole cache in O(1) without
-/// touching the shards.
-#[derive(Debug)]
-pub struct DecisionCache {
-    shards: Vec<RwLock<HashMap<String, CacheEntry>>>,
-    hits: StripedU64,
-    misses: StripedU64,
-    invalidations: StripedU64,
-}
-
-impl Default for DecisionCache {
-    fn default() -> DecisionCache {
-        DecisionCache::new()
-    }
-}
-
-impl DecisionCache {
-    /// An empty cache.
-    pub fn new() -> DecisionCache {
-        DecisionCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            hits: StripedU64::default(),
-            misses: StripedU64::default(),
-            invalidations: StripedU64::default(),
-        }
-    }
-
-    fn shard(&self, key: &str) -> &RwLock<HashMap<String, CacheEntry>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % CACHE_SHARDS]
-    }
-
-    /// The decision effects cached for `key` under `epoch`, if any. An
-    /// entry from a different epoch counts as a miss and is evicted.
-    pub fn get(&self, key: &str, epoch: u64) -> Option<DecisionEffects> {
-        let shard = self.shard(key);
-        let stale = {
-            let map = shard.read().expect("cache shard poisoned");
-            match map.get(key) {
-                Some(e) if e.epoch == epoch => {
-                    self.hits.incr();
-                    return Some(e.effects.clone());
-                }
-                Some(_) => true,
-                None => false,
-            }
-        };
-        if stale {
-            let mut map = shard.write().expect("cache shard poisoned");
-            // Re-check under the write lock: a racing insert may already
-            // have refreshed the entry for the current epoch.
-            if map.get(key).is_some_and(|e| e.epoch != epoch) {
-                map.remove(key);
-                self.invalidations.incr();
-            }
-        }
-        self.misses.incr();
-        None
-    }
-
-    /// Caches `effects` for `key` under `epoch`, superseding any entry
-    /// from another epoch.
-    pub fn insert(&self, key: String, epoch: u64, effects: DecisionEffects) {
-        let mut map = self.shard(&key).write().expect("cache shard poisoned");
-        map.insert(key, CacheEntry { epoch, effects });
-    }
-
-    /// Number of entries currently resident (all epochs).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("cache shard poisoned").len())
-            .sum()
-    }
-
-    /// True when no entries are resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Monotone counters for a serving handle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Decisions rendered through the handle.
     pub decisions: u64,
-    /// Decisions answered from the cache.
+    /// Always 0: the serving tier keeps no decision cache. The field stays
+    /// so readers of the earlier cached tier keep compiling.
     pub cache_hits: u64,
-    /// Decisions that had to evaluate the snapshot.
-    pub cache_misses: u64,
-    /// Stale-epoch entries evicted on lookup.
+    /// Always 0, for the same reason as
+    /// [`cache_hits`](ServeStats::cache_hits).
     pub invalidations: u64,
     /// Snapshots published.
     pub publishes: u64,
 }
 
-impl ServeStats {
-    /// Fraction of decisions answered from the cache (0.0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        if self.decisions == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.decisions as f64
-        }
-    }
-}
-
 #[derive(Debug)]
 struct PdpShared {
     swap: SnapshotSwap,
-    cache: DecisionCache,
     epoch: AtomicU64,
     decisions: StripedU64,
     publishes: AtomicU64,
@@ -407,13 +282,9 @@ struct PdpShared {
 }
 
 impl PdpShared {
-    /// Assembles the full outcome for a decision rendered under `snapshot`.
-    fn outcome(
-        &self,
-        snapshot: &DecisionSnapshot,
-        effects: DecisionEffects,
-        cached: bool,
-    ) -> DecisionOutcome {
+    /// The full outcome of `request` under `snapshot`.
+    fn outcome(&self, snapshot: &DecisionSnapshot, request: &Request) -> DecisionOutcome {
+        let effects = snapshot.decide_effects(request);
         let decision = effects.decision;
         DecisionOutcome {
             decision,
@@ -422,15 +293,44 @@ impl PdpShared {
             enforcement: Some(self.pep.enforce(decision)),
             error: snapshot.error.clone(),
             epoch: snapshot.epoch,
-            cached,
         }
+    }
+
+    /// Runs `render`, which renders `n` decisions, and accounts for them:
+    /// the handle's decision counter always, and with telemetry enabled
+    /// the global `serve.*` metrics too — one latency sample at the mean
+    /// per-decision time, so the histogram stays per-decision-scaled for
+    /// batches. With telemetry disabled the only extra cost is one relaxed
+    /// atomic load.
+    fn mirrored<T>(&self, n: usize, render: impl FnOnce() -> T) -> T {
+        self.decisions.add(n as u64);
+        if !agenp_obs::enabled() {
+            return render();
+        }
+        let start = agenp_obs::monotonic_ns();
+        let rendered = render();
+        if n > 0 {
+            let m = crate::arch::obs::ServeMetrics::global();
+            let elapsed = agenp_obs::monotonic_ns().saturating_sub(start);
+            m.decide_latency_ns.record(elapsed / n as u64);
+            m.decisions.add(n as u64);
+        }
+        rendered
+    }
+
+    /// Renders every request against one snapshot, in order.
+    fn outcomes(&self, snapshot: &DecisionSnapshot, requests: &[Request]) -> Vec<DecisionOutcome> {
+        self.mirrored(requests.len(), || {
+            requests.iter().map(|r| self.outcome(snapshot, r)).collect()
+        })
     }
 }
 
 /// The outcome of one decision through the serving tier: the decision
 /// itself, the obligations and penalty annotation it carries, the
 /// enforcement the PEP derives from it, the upstream error the serving
-/// snapshot degrades for (if any), and cache/epoch diagnostics.
+/// snapshot degrades for (if any), and the epoch of the snapshot that
+/// answered.
 ///
 /// Compare against a [`Decision`] through [`DecisionOutcome::decision`]
 /// (the field or the accessor): `assert_eq!(outcome.decision(), Decision::Deny)`.
@@ -450,8 +350,6 @@ pub struct DecisionOutcome {
     pub error: Option<AmsError>,
     /// Epoch of the snapshot that answered.
     pub epoch: u64,
-    /// True when the decision came from the cache.
-    pub cached: bool,
 }
 
 impl DecisionOutcome {
@@ -472,9 +370,9 @@ impl DecisionOutcome {
 }
 
 /// A cheap-to-clone, `Send + Sync` handle onto the serving tier: the
-/// snapshot slot, the sharded cache, and the PEP. Worker threads clone the
-/// handle and call [`PdpHandle::decide`] freely; the control loop publishes
-/// new snapshots through the same handle.
+/// snapshot slot and the PEP. Worker threads clone the handle and call
+/// [`PdpHandle::decide`] freely; the control loop publishes new snapshots
+/// through the same handle.
 #[derive(Clone, Debug)]
 pub struct PdpHandle {
     inner: Arc<PdpShared>,
@@ -496,7 +394,6 @@ impl PdpHandle {
                     Vec::new(),
                     CombiningAlg::DenyOverrides,
                 )),
-                cache: DecisionCache::new(),
                 epoch: AtomicU64::new(0),
                 decisions: StripedU64::default(),
                 publishes: AtomicU64::new(0),
@@ -507,8 +404,8 @@ impl PdpHandle {
 
     /// Publishes `snapshot` as the new current snapshot, assigning it the
     /// next epoch. Returns the assigned epoch. In-flight readers finish
-    /// against their old snapshot; the epoch bump invalidates every cached
-    /// decision.
+    /// against their old snapshot; every later decision evaluates the new
+    /// one.
     pub fn publish(&self, mut snapshot: DecisionSnapshot) -> u64 {
         // AcqRel so a pin that observes the new epoch (Acquire) also sees
         // everything sequenced before this publish.
@@ -535,153 +432,31 @@ impl PdpHandle {
         self.inner.swap.load()
     }
 
-    /// Renders a decision against the current snapshot, answering from the
-    /// sharded cache when a same-epoch entry exists.
+    /// Renders a decision against the current snapshot.
     ///
     /// When telemetry is enabled the decision is also mirrored into the
-    /// global `serve.*` metrics (including a latency histogram); with
-    /// telemetry disabled the only extra cost on this hot path is one
-    /// relaxed atomic load.
+    /// global `serve.*` metrics (including a latency histogram).
     pub fn decide(&self, request: &Request) -> DecisionOutcome {
-        if !agenp_obs::enabled() {
-            return self.decide_inner(request);
-        }
-        let start = agenp_obs::monotonic_ns();
-        let outcome = self.decide_inner(request);
-        Self::mirror_metrics(start, &outcome);
-        outcome
-    }
-
-    fn mirror_metrics(start: u64, outcome: &DecisionOutcome) {
-        let m = crate::arch::obs::ServeMetrics::global();
-        m.decide_latency_ns
-            .record(agenp_obs::monotonic_ns().saturating_sub(start));
-        m.decisions.incr();
-        if outcome.cached {
-            m.cache_hits.incr();
-        } else {
-            m.cache_misses.incr();
-        }
-    }
-
-    /// Batched mirror: one histogram sample at the batch's mean per-request
-    /// latency (so the histogram stays per-decision-scaled), counters bumped
-    /// by whole-batch deltas.
-    fn mirror_batch_metrics(start: u64, outcomes: &[DecisionOutcome]) {
-        if outcomes.is_empty() {
-            return;
-        }
-        let m = crate::arch::obs::ServeMetrics::global();
-        let elapsed = agenp_obs::monotonic_ns().saturating_sub(start);
-        m.decide_latency_ns.record(elapsed / outcomes.len() as u64);
-        let hits = outcomes.iter().filter(|o| o.cached).count() as u64;
-        m.decisions.add(outcomes.len() as u64);
-        m.cache_hits.add(hits);
-        m.cache_misses.add(outcomes.len() as u64 - hits);
-    }
-
-    fn decide_inner(&self, request: &Request) -> DecisionOutcome {
-        let snapshot = self.inner.swap.load();
-        self.decide_with(&snapshot, request)
-    }
-
-    /// The decision path proper, against an already-resolved snapshot.
-    /// [`PdpHandle::decide`] resolves the snapshot per call; a [`PdpPin`]
-    /// reuses its pinned one.
-    fn decide_with(&self, snapshot: &DecisionSnapshot, request: &Request) -> DecisionOutcome {
-        self.inner.decisions.incr();
-        let key = request.canonical_key();
-        if let Some(effects) = self.inner.cache.get(&key, snapshot.epoch) {
-            return self.inner.outcome(snapshot, effects, true);
-        }
-        let effects = snapshot.decide_effects(request);
-        self.inner
-            .cache
-            .insert(key, snapshot.epoch, effects.clone());
-        self.inner.outcome(snapshot, effects, false)
+        let inner = &self.inner;
+        inner.mirrored(1, || inner.outcome(&inner.swap.load(), request))
     }
 
     /// Renders decisions for a whole slice of requests against **one**
     /// snapshot resolved at entry: the batch is never torn across a
     /// concurrent publish — every outcome carries the same `epoch`, exactly
     /// as if the caller had pinned, decided sequentially, and no publish had
-    /// landed in between. Duplicate requests (same
-    /// [`Request::canonical_key`]) are grouped and answered once, so the
-    /// snapshot-resolution, epoch-check, and cache-probe costs amortize over
-    /// the batch.
-    ///
-    /// Element-wise, `decide_batch(reqs)[i].decision` is identical to what
-    /// sequential `decide(&reqs[i])` calls would render under the same
-    /// snapshot; only the `cached` diagnostic may differ (duplicates after
-    /// the first in a batch always report `cached: true`).
+    /// landed in between. `decide_batch(reqs)[i]` is identical to what
+    /// `decide(&reqs[i])` renders under the same snapshot.
     pub fn decide_batch(&self, requests: &[Request]) -> Vec<DecisionOutcome> {
-        let snapshot = self.inner.swap.load();
-        if !agenp_obs::enabled() {
-            return self.decide_batch_with(&snapshot, requests);
-        }
-        let start = agenp_obs::monotonic_ns();
-        let outcomes = self.decide_batch_with(&snapshot, requests);
-        Self::mirror_batch_metrics(start, &outcomes);
-        outcomes
-    }
-
-    /// The batched decision path against an already-resolved snapshot,
-    /// probing the shared sharded cache once per distinct key.
-    fn decide_batch_with(
-        &self,
-        snapshot: &DecisionSnapshot,
-        requests: &[Request],
-    ) -> Vec<DecisionOutcome> {
-        self.inner.decisions.add(requests.len() as u64);
-        let mut order: Vec<(String, usize)> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.canonical_key(), i))
-            .collect();
-        order.sort_unstable();
-        let mut out: Vec<Option<DecisionOutcome>> = vec![None; requests.len()];
-        let mut i = 0;
-        while i < order.len() {
-            let (key, first_idx) = (&order[i].0, order[i].1);
-            let (effects, first_cached) = match self.inner.cache.get(key, snapshot.epoch) {
-                Some(fx) => (fx, true),
-                None => {
-                    let fx = snapshot.decide_effects(&requests[first_idx]);
-                    self.inner
-                        .cache
-                        .insert(key.clone(), snapshot.epoch, fx.clone());
-                    (fx, false)
-                }
-            };
-            let mut j = i;
-            while j < order.len() && order[j].0 == *key {
-                out[order[j].1] = Some(self.inner.outcome(
-                    snapshot,
-                    effects.clone(),
-                    j != i || first_cached,
-                ));
-                j += 1;
-            }
-            // Duplicates were answered from the batch group, not evaluated:
-            // account for them as hits so hits + misses == decisions holds.
-            self.inner.cache.hits.add((j - i - 1) as u64);
-            i = j;
-        }
-        out.into_iter()
-            .map(|o| o.expect("every request index is assigned exactly once"))
-            .collect()
+        self.inner.outcomes(&self.inner.swap.load(), requests)
     }
 
     /// Pins the current snapshot for one worker's decision loop (see
     /// [`PdpPin`]). Cheap: one `Arc` clone at pin time.
     pub fn pin(&self) -> PdpPin {
-        let snapshot = self.inner.swap.load();
-        let local_epoch = snapshot.epoch();
         PdpPin {
-            snapshot,
+            snapshot: self.inner.swap.load(),
             handle: self.clone(),
-            local: HashMap::new(),
-            local_epoch,
         }
     }
 
@@ -689,16 +464,16 @@ impl PdpHandle {
     pub fn stats(&self) -> ServeStats {
         ServeStats {
             decisions: self.inner.decisions.sum(),
-            cache_hits: self.inner.cache.hits.sum(),
-            cache_misses: self.inner.cache.misses.sum(),
-            invalidations: self.inner.cache.invalidations.sum(),
+            cache_hits: 0,
+            invalidations: 0,
             publishes: self.inner.publishes.load(Ordering::Relaxed),
         }
     }
 
-    /// Entries resident in the decision cache (all epochs).
+    /// Always 0: the serving tier keeps no decision cache. Kept so readers
+    /// of the earlier cached tier keep compiling.
     pub fn cache_len(&self) -> usize {
-        self.inner.cache.len()
+        0
     }
 }
 
@@ -711,8 +486,8 @@ impl PdpHandle {
 /// refcount). That contention is what flattened the serving tier's
 /// multi-thread scaling. A `PdpPin` keeps the snapshot `Arc` pinned in
 /// the worker and revalidates it with a single `Acquire` load of the
-/// epoch counter per decision, touching the shared slot only when a
-/// publish actually moved the epoch.
+/// epoch counter per call, touching the shared slot only when a publish
+/// actually moved the epoch.
 ///
 /// Freshness: a pinned decision can race a concurrent publish (exactly
 /// like a decision that resolved the snapshot just before the publish
@@ -721,133 +496,34 @@ impl PdpHandle {
 /// outcome's `epoch` is always the epoch of the snapshot that actually
 /// answered. Pins are cheap to create and single-threaded by design
 /// (`&mut self`); clone the handle and pin per worker.
-///
-/// Beyond the pinned `Arc`, each pin keeps a **private epoch-stamped
-/// decision cache**: a plain (unsynchronized) map from
-/// [`Request::canonical_key`] to the decision rendered under the pinned
-/// snapshot. A warm pinned decision therefore touches *no shared mutable
-/// state at all* — no snapshot-slot lock, no cache-shard lock, only the
-/// one `Acquire` epoch load (plus core-local striped counter bumps) —
-/// which removes the 16-shard cache lock as the last shared write on the
-/// hot path. The private cache self-invalidates: whenever revalidation
-/// observes a different snapshot epoch than the one the cache was filled
-/// under, the map is cleared before any probe, so a stale entry can never
-/// survive a publish. Entries are capped at `PIN_CACHE_CAP` (8192); past
-/// the cap the pin keeps deciding correctly but stops memoizing new keys.
 #[derive(Clone, Debug)]
 pub struct PdpPin {
     snapshot: Arc<DecisionSnapshot>,
     handle: PdpHandle,
-    /// Private request→decision-effects memo, valid only for `local_epoch`.
-    local: HashMap<String, DecisionEffects>,
-    /// The snapshot epoch `local` was filled under.
-    local_epoch: u64,
 }
 
 impl PdpPin {
-    /// Re-resolves the pinned snapshot if a publish moved the epoch, and
-    /// drops the private cache if it was filled under another epoch.
+    /// Re-resolves the pinned snapshot if a publish moved the epoch.
     fn revalidate(&mut self) {
         if self.snapshot.epoch() != self.handle.inner.epoch.load(Ordering::Acquire) {
             self.snapshot = self.handle.inner.swap.load();
         }
-        if self.local_epoch != self.snapshot.epoch() {
-            self.local.clear();
-            self.local_epoch = self.snapshot.epoch();
-        }
     }
 
     /// Renders a decision against the pinned snapshot, re-resolving it
-    /// first if a publish has moved the epoch. Warm calls are answered
-    /// from the pin's private cache without touching any shared lock.
+    /// first if a publish has moved the epoch.
     pub fn decide(&mut self, request: &Request) -> DecisionOutcome {
         self.revalidate();
-        if !agenp_obs::enabled() {
-            return self.decide_local(request);
-        }
-        let start = agenp_obs::monotonic_ns();
-        let outcome = self.decide_local(request);
-        PdpHandle::mirror_metrics(start, &outcome);
-        outcome
+        let shared = &self.handle.inner;
+        shared.mirrored(1, || shared.outcome(&self.snapshot, request))
     }
 
     /// Batched pinned decisions: one epoch check and one revalidation for
     /// the whole slice, every outcome under the same snapshot (same
-    /// consistency contract as [`PdpHandle::decide_batch`]), duplicates
-    /// answered once from the private cache.
+    /// consistency contract as [`PdpHandle::decide_batch`]).
     pub fn decide_batch(&mut self, requests: &[Request]) -> Vec<DecisionOutcome> {
         self.revalidate();
-        if !agenp_obs::enabled() {
-            return self.decide_batch_local(requests);
-        }
-        let start = agenp_obs::monotonic_ns();
-        let outcomes = self.decide_batch_local(requests);
-        PdpHandle::mirror_batch_metrics(start, &outcomes);
-        outcomes
-    }
-
-    /// One decision through the private cache (no shared locks).
-    fn decide_local(&mut self, request: &Request) -> DecisionOutcome {
-        let shared = &self.handle.inner;
-        shared.decisions.incr();
-        let key = request.canonical_key();
-        if let Some(effects) = self.local.get(&key) {
-            shared.cache.hits.incr();
-            return shared.outcome(&self.snapshot, effects.clone(), true);
-        }
-        let effects = self.snapshot.decide_effects(request);
-        shared.cache.misses.incr();
-        if self.local.len() < PIN_CACHE_CAP {
-            self.local.insert(key, effects.clone());
-        }
-        shared.outcome(&self.snapshot, effects, false)
-    }
-
-    /// The batched path against the private cache.
-    fn decide_batch_local(&mut self, requests: &[Request]) -> Vec<DecisionOutcome> {
-        self.handle.inner.decisions.add(requests.len() as u64);
-        let mut order: Vec<(String, usize)> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.canonical_key(), i))
-            .collect();
-        order.sort_unstable();
-        let mut out: Vec<Option<DecisionOutcome>> = vec![None; requests.len()];
-        let mut i = 0;
-        while i < order.len() {
-            let (key, first_idx) = (&order[i].0, order[i].1);
-            let shared = &self.handle.inner;
-            let (effects, first_cached) = match self.local.get(key) {
-                Some(fx) => {
-                    shared.cache.hits.incr();
-                    (fx.clone(), true)
-                }
-                None => {
-                    let fx = self.snapshot.decide_effects(&requests[first_idx]);
-                    shared.cache.misses.incr();
-                    if self.local.len() < PIN_CACHE_CAP {
-                        self.local.insert(key.clone(), fx.clone());
-                    }
-                    (fx, false)
-                }
-            };
-            let mut j = i;
-            while j < order.len() && order[j].0 == *key {
-                out[order[j].1] =
-                    Some(shared.outcome(&self.snapshot, effects.clone(), j != i || first_cached));
-                j += 1;
-            }
-            shared.cache.hits.add((j - i - 1) as u64);
-            i = j;
-        }
-        out.into_iter()
-            .map(|o| o.expect("every request index is assigned exactly once"))
-            .collect()
-    }
-
-    /// Entries resident in this pin's private cache.
-    pub fn local_cache_len(&self) -> usize {
-        self.local.len()
+        self.handle.inner.outcomes(&self.snapshot, requests)
     }
 
     /// The snapshot currently pinned (as of the last [`PdpPin::decide`]).
@@ -881,10 +557,6 @@ pub struct ServerReport {
     pub elapsed: Duration,
     /// Decisions per second (0.0 for an empty run).
     pub throughput: f64,
-    /// Cache hits during the run (delta, not lifetime).
-    pub cache_hits: u64,
-    /// Cache misses during the run (delta, not lifetime).
-    pub cache_misses: u64,
     /// Permits rendered.
     pub permits: u64,
     /// Denies rendered.
@@ -893,23 +565,10 @@ pub struct ServerReport {
     pub gaps: u64,
 }
 
-impl ServerReport {
-    /// Fraction of this run's decisions answered from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// Drives a closed-loop request workload against a [`PdpHandle`]: `threads`
 /// workers each render `decisions_per_thread` back-to-back decisions,
 /// cycling through the workload from a per-thread offset (so threads hit
-/// overlapping but phase-shifted request streams, exercising both cache
-/// hits and shard contention).
+/// overlapping but phase-shifted request streams).
 #[derive(Clone, Debug)]
 pub struct PdpServer {
     handle: PdpHandle,
@@ -935,7 +594,6 @@ impl PdpServer {
 
     /// Runs the closed loop and reports aggregate throughput.
     pub fn run(&self, workload: &[Request], decisions_per_thread: usize) -> ServerReport {
-        let before = self.handle.stats();
         let start = Instant::now();
         let mut tallies: Vec<WorkerTally> = Vec::with_capacity(self.threads);
         if workload.is_empty() || decisions_per_thread == 0 {
@@ -972,7 +630,6 @@ impl PdpServer {
             });
         }
         let elapsed = start.elapsed();
-        let after = self.handle.stats();
         let decisions: u64 = tallies.iter().map(|t| t.decisions).sum();
         let throughput = if elapsed.as_secs_f64() > 0.0 {
             decisions as f64 / elapsed.as_secs_f64()
@@ -984,8 +641,6 @@ impl PdpServer {
             decisions,
             elapsed,
             throughput,
-            cache_hits: after.cache_hits - before.cache_hits,
-            cache_misses: after.cache_misses - before.cache_misses,
             permits: tallies.iter().map(|t| t.permits).sum(),
             denies: tallies.iter().map(|t| t.denies).sum(),
             gaps: tallies.iter().map(|t| t.gaps).sum(),
@@ -1015,7 +670,6 @@ mod tests {
         assert_send_sync::<DecisionSnapshot>();
         assert_send_sync::<PdpHandle>();
         assert_send_sync::<SnapshotSwap>();
-        assert_send_sync::<DecisionCache>();
         let snap = DecisionSnapshot::new(permit_dba_policies(), CombiningAlg::DenyOverrides);
         assert_eq!(
             snap.decide(&Request::new().subject("role", "dba")),
@@ -1049,17 +703,11 @@ mod tests {
         ));
         let req = Request::new().subject("role", "dba");
         let first = handle.decide(&req);
-        assert!(!first.cached);
         assert_eq!(first.decision, Decision::Permit);
         let second = handle.decide(&req);
-        assert!(second.cached);
         assert_eq!(second.decision, Decision::Permit);
         assert_eq!(second.epoch, first.epoch);
-        let stats = handle.stats();
-        assert_eq!(stats.decisions, 2);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.cache_misses, 1);
-        assert!(stats.hit_rate() > 0.4);
+        assert_eq!(handle.stats().decisions, 2);
     }
 
     #[test]
@@ -1071,8 +719,7 @@ mod tests {
         ));
         let req = Request::new().subject("role", "dba");
         assert_eq!(handle.decide(&req).decision, Decision::Permit);
-        assert!(handle.decide(&req).cached);
-        // New snapshot with no policies: the cached Permit must not
+        // New snapshot with no policies: the earlier Permit must not
         // survive the swap.
         let e2 = handle.publish(DecisionSnapshot::new(
             Vec::new(),
@@ -1080,10 +727,8 @@ mod tests {
         ));
         assert_eq!(e2, e1 + 1);
         let outcome = handle.decide(&req);
-        assert!(!outcome.cached, "stale entry served across epochs");
         assert_eq!(outcome.decision, Decision::NotApplicable);
         assert_eq!(outcome.epoch, e2);
-        assert!(handle.stats().invalidations >= 1);
     }
 
     #[test]
@@ -1132,9 +777,7 @@ mod tests {
                 });
             }
         });
-        let stats = handle.stats();
-        assert_eq!(stats.decisions, 800);
-        assert_eq!(stats.cache_hits + stats.cache_misses, 800);
+        assert_eq!(handle.stats().decisions, 800);
     }
 
     #[test]
@@ -1161,11 +804,6 @@ mod tests {
         assert_eq!(report.decisions, 200);
         assert_eq!(report.permits + report.denies + report.gaps, 200);
         assert_eq!(report.permits, 100); // half the workload matches
-        assert!(report.cache_hits > 0, "repeat requests must hit");
-        assert!(
-            report.hit_rate() > 0.5,
-            "8 distinct keys over 200 decisions"
-        );
         assert!(report.throughput >= 0.0);
     }
 
@@ -1178,21 +816,18 @@ mod tests {
         ));
         let mut pin = handle.pin();
         let req = Request::new().subject("role", "dba");
-        assert!(!pin.decide(&req).cached);
-        assert_eq!(pin.local_cache_len(), 1);
+        pin.decide(&req);
         let warm = pin.decide(&req);
-        assert!(warm.cached);
         assert_eq!(warm.decision, Decision::Permit);
-        // A publish must clear the private cache before the next probe.
+        // The next decision after a publish must answer from the new
+        // snapshot.
         let e2 = handle.publish(DecisionSnapshot::new(
             Vec::new(),
             CombiningAlg::DenyOverrides,
         ));
         let post = pin.decide(&req);
-        assert!(!post.cached, "stale private entry survived a publish");
         assert_eq!(post.epoch, e2);
         assert_eq!(post.decision, Decision::NotApplicable);
-        assert_eq!(pin.local_cache_len(), 1); // refilled under the new epoch
     }
 
     #[test]
@@ -1223,9 +858,8 @@ mod tests {
             assert_eq!(a.decision, b.decision);
             assert_eq!(a.epoch, b.epoch);
         }
-        // 2 distinct keys over 20 requests: duplicates were answered once.
-        let stats = handle.stats();
-        assert_eq!(stats.cache_hits + stats.cache_misses, stats.decisions);
+        // Both batches and the 20 single decides count per request.
+        assert_eq!(handle.stats().decisions, 60);
     }
 
     #[test]
@@ -1255,37 +889,31 @@ mod tests {
         handle.publish(DecisionSnapshot::new(policies, CombiningAlg::DenyOverrides));
         let dba = Request::new().subject("role", "dba");
         let guest = Request::new().subject("role", "guest");
-        let check = |o: &DecisionOutcome, cached: bool, what: &str| {
-            assert_eq!(o.cached, cached, "{what}");
-            match o.decision {
-                Decision::Permit => {
-                    assert_eq!(o.obligations.len(), 1, "{what}");
-                    assert_eq!(o.obligations[0].id, "audit", "{what}");
-                    assert_eq!(o.obligations[0].deadline, 10, "{what}");
-                    assert_eq!(o.penalty, 0, "{what}");
-                }
-                Decision::Deny => {
-                    assert!(o.obligations.is_empty(), "{what}");
-                    assert_eq!(o.penalty, 7, "{what}");
-                }
-                other => panic!("{what}: unexpected {other}"),
+        let check = |o: &DecisionOutcome, what: &str| match o.decision {
+            Decision::Permit => {
+                assert_eq!(o.obligations.len(), 1, "{what}");
+                assert_eq!(o.obligations[0].id, "audit", "{what}");
+                assert_eq!(o.obligations[0].deadline, 10, "{what}");
+                assert_eq!(o.penalty, 0, "{what}");
             }
+            Decision::Deny => {
+                assert!(o.obligations.is_empty(), "{what}");
+                assert_eq!(o.penalty, 7, "{what}");
+            }
+            other => panic!("{what}: unexpected {other}"),
         };
-        // Handle decide: cold then cached.
-        check(&handle.decide(&dba), false, "handle cold");
-        check(&handle.decide(&dba), true, "handle warm");
-        // Handle batch (guest is cold, dba cached, duplicate is a hit).
+        check(&handle.decide(&dba), "handle first");
+        check(&handle.decide(&dba), "handle repeat");
         let batch = handle.decide_batch(&[guest.clone(), dba.clone(), guest.clone()]);
-        check(&batch[0], false, "batch cold");
-        check(&batch[1], true, "batch from shared cache");
-        check(&batch[2], true, "batch duplicate");
-        // Pin decide + pin batch through the private cache.
+        check(&batch[0], "batch guest");
+        check(&batch[1], "batch dba");
+        check(&batch[2], "batch duplicate");
         let mut pin = handle.pin();
-        check(&pin.decide(&dba), false, "pin cold");
-        check(&pin.decide(&dba), true, "pin warm");
+        check(&pin.decide(&dba), "pin first");
+        check(&pin.decide(&dba), "pin repeat");
         let pinned = pin.decide_batch(&[dba.clone(), guest.clone()]);
-        check(&pinned[0], true, "pin batch warm");
-        check(&pinned[1], false, "pin batch cold");
+        check(&pinned[0], "pin batch dba");
+        check(&pinned[1], "pin batch guest");
         // effects() reconstructs the ledger-facing value.
         let fx = handle.decide(&guest).effects();
         assert_eq!(fx.decision, Decision::Deny);
@@ -1316,6 +944,5 @@ mod tests {
             .with_threads(4)
             .run(&[], 100);
         assert_eq!(report.decisions, 0);
-        assert_eq!(report.hit_rate(), 0.0);
     }
 }

@@ -1,7 +1,7 @@
 //! Snapshot export: one [`ObsSnapshot`] value combining the metrics
 //! registry and the flight recorder, a hand-rolled JSON rendering (the
 //! workspace deliberately has no JSON dependency — the harness re-reads
-//! dumps through `agenp_bench::json::validate`), and the pluggable
+//! dumps through `agenp_pdpd::json::parse`), and the pluggable
 //! [`Exporter`] trait with JSON-lines and in-memory implementations.
 
 use crate::metrics::{MetricSample, MetricValue};

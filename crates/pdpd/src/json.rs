@@ -1,8 +1,9 @@
-//! A minimal value-producing JSON parser and encoder for the wire
-//! protocol, hand-rolled against RFC 8259 in the same spirit as the
-//! validating parser in `agenp_bench::json` (the workspace deliberately
-//! carries no JSON dependency). Integers that fit `i64` are kept exact;
-//! other numbers fall back to `f64`.
+//! A minimal value-producing JSON parser and encoder, hand-rolled against
+//! RFC 8259 (the workspace deliberately carries no JSON dependency). It
+//! serves the wire protocol and is the one parser the workspace has: the
+//! bench binaries validate their `BENCH_*.json` output and `agenp-obs`
+//! dumps with it. Integers that fit `i64` are kept exact; other numbers
+//! fall back to `f64`.
 
 use std::fmt::Write as _;
 
@@ -401,8 +402,35 @@ mod tests {
     }
 
     #[test]
+    fn accepts_well_formed_documents() {
+        for ok in [
+            "{}",
+            "[]",
+            "{\"a\": [1, 2.5, -3e2, true, false, null, \"s\\n\"]}",
+            "  {\"nested\": {\"x\": []}}  ",
+        ] {
+            assert!(parse(ok).is_ok(), "{ok:?} should parse");
+        }
+    }
+
+    #[test]
     fn rejects_malformed_input() {
         for bad in ["", "{", "[1,]", "{\"a\":}", "1 2", "{'a': 1}", "nul"] {
+            assert!(parse(bad).is_err(), "{bad:?} should be rejected");
+        }
+    }
+
+    #[test]
+    fn rejects_malformed_documents() {
+        for bad in [
+            "",
+            "{",
+            "{\"a\": }",
+            "[1, ]",
+            "{\"a\": 1} trailing",
+            "{'single': 1}",
+            "{\"n\": 01e}",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
         }
     }

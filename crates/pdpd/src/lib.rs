@@ -2,8 +2,8 @@
 //!
 //! A from-scratch HTTP/1.1 serving tier over the shared-snapshot PDP:
 //! no external dependencies, blocking `std::net` sockets, a fixed worker
-//! pool where each worker owns a [`agenp_core::arch::PdpPin`] (the
-//! per-thread epoch-stamped decision cache), keep-alive and pipelining,
+//! pool where each worker owns a [`agenp_core::arch::PdpPin`] (a
+//! per-thread pinned snapshot), keep-alive and pipelining,
 //! and a built-in load client that doubles as a wire-path differential
 //! test. Protocol shapes are documented in `docs/SERVING.md`.
 //!

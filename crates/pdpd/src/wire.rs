@@ -12,14 +12,14 @@
 //! ```
 //!
 //! An outcome carries the decision, its obligations and penalty
-//! annotation, the PEP enforcement, the serving epoch, cache provenance,
-//! and degradation status:
+//! annotation, the PEP enforcement, the serving epoch, and degradation
+//! status:
 //!
 //! ```json
 //! {"decision": "Permit", "enforcement": "Granted",
 //!  "obligations": [{"id": "audit", "action": "audit-log",
 //!                   "deadline": 10, "penalty": 2}],
-//!  "penalty": 0, "epoch": 7, "cached": false, "degraded": false}
+//!  "penalty": 0, "epoch": 7, "degraded": false}
 //! ```
 
 use crate::json::{self, Json};
@@ -126,10 +126,9 @@ pub fn outcome_to_json(outcome: &DecisionOutcome) -> String {
     }
     let _ = write!(
         out,
-        "], \"penalty\": {}, \"epoch\": {}, \"cached\": {}, \"degraded\": {}}}",
+        "], \"penalty\": {}, \"epoch\": {}, \"degraded\": {}}}",
         outcome.penalty,
         outcome.epoch,
-        outcome.cached,
         outcome.error.is_some()
     );
     out
@@ -202,7 +201,6 @@ mod tests {
             enforcement: Some(Enforcement::Granted),
             error: None,
             epoch: 7,
-            cached: false,
         };
         let encoded = outcome_to_json(&outcome);
         let v = json::parse(&encoded).unwrap();
@@ -233,7 +231,6 @@ mod tests {
             enforcement: Some(Enforcement::Blocked),
             error: None,
             epoch: 7,
-            cached: true,
         };
         let bare_json = outcome_to_json(&bare);
         assert!(bare_json.contains("\"obligations\": []"));

@@ -165,15 +165,15 @@ impl Request {
     }
 
     /// An injective, deterministic encoding of the request, suitable as a
-    /// cache key: `BTreeMap` iteration fixes the order, names are
+    /// map key: `BTreeMap` iteration fixes the order, names are
     /// length-prefixed, and values carry a type tag plus length prefix so
     /// no two distinct requests share a key (unlike the `Display` form,
     /// where `Str("true")` and `Bool(true)` collide).
     pub fn canonical_key(&self) -> String {
         use std::fmt::Write as _;
-        // Pre-size so the serving hot path does one allocation per key:
-        // worst-case fixed overhead per attribute is ~26 bytes of tags,
-        // prefixes, and digits on top of the name/value payload.
+        // Pre-size so building a key is one allocation: worst-case fixed
+        // overhead per attribute is ~26 bytes of tags, prefixes, and digits
+        // on top of the name/value payload.
         let payload: usize = self
             .iter()
             .map(|(c, n, v)| {

@@ -2,23 +2,23 @@
 //!
 //! The conventional policy-based-management substrate the AGENP architecture
 //! builds on (paper §III): an XACML-style attribute/request model, policy
-//! rules with effects and conditions, combining algorithms, a Policy
-//! Decision Point with decision monitoring, a Policy Enforcement Point, a
-//! versioned policy repository, the Policy Checking Point's quality metrics
+//! rules with effects and conditions, combining algorithms, the pure
+//! decision kernel a Policy Decision Point evaluates, a Policy Enforcement
+//! Point, a versioned policy repository, the Policy Checking Point's quality metrics
 //! (consistency, relevance, minimality, completeness \[14\]), and bridges to
 //! the symbolic layer (requests as ASP context programs, policies as
 //! strings of a canonical policy language).
 //!
 //! ```
-//! use agenp_policy::{Category, Cond, Decision, Effect, Pdp, Policy, PolicyRepository,
-//!                    PolicyRule, Request};
+//! use agenp_policy::{evaluate_policies, Category, CombiningAlg, Cond, Decision, Effect,
+//!                    Policy, PolicyRepository, PolicyRule, Request};
 //!
 //! let mut repo = PolicyRepository::new();
 //! repo.add(Policy::new("p", vec![PolicyRule::new(
 //!     "allow-dba", Effect::Permit, Cond::eq(Category::Subject, "role", "dba"),
 //! )]));
-//! let mut pdp = Pdp::default();
-//! let d = pdp.decide(&repo, &Request::new().subject("role", "dba"));
+//! let request = Request::new().subject("role", "dba");
+//! let d = evaluate_policies(repo.policies(), CombiningAlg::DenyOverrides, &request);
 //! assert_eq!(d, Decision::Permit);
 //! ```
 
@@ -45,5 +45,5 @@ pub use ledger::{
 pub use minimize::minimize_policies;
 pub use model::{CombiningAlg, Cond, CondOp, Decision, Effect, Policy, PolicyRule};
 pub use obligation::{evaluate_policies_effects, DecisionEffects, Obligation, ObligationSpec};
-pub use pdp::{evaluate_policies, DecisionRecord, Enforcement, Pdp, Pep, PolicyRepository};
+pub use pdp::{evaluate_policies, Enforcement, Pep, PolicyRepository};
 pub use quality::{Conflict, QualityChecker, QualityReport, ResolutionStrategy};

@@ -1,8 +1,10 @@
-//! Policy Decision Point, Policy Enforcement Point, and the policy
+//! The decision kernel, the Policy Enforcement Point, and the policy
 //! repository — the conventional-PBMS components of the AGENP architecture
 //! (paper §III-A: "The PEP, PDP, and Policy Repository operate in a manner
-//! similar to conventional PBMS", with decision monitoring feeding the
-//! adaptation loop).
+//! similar to conventional PBMS"). The PDP itself is `agenp-core`'s
+//! serving tier, which evaluates each request with [`evaluate_policies`];
+//! decision monitoring for the adaptation loop is `agenp-adapt`'s
+//! `DecisionLog`.
 
 use crate::attr::Request;
 use crate::model::{CombiningAlg, Decision, Policy};
@@ -66,121 +68,15 @@ impl PolicyRepository {
 }
 
 /// Evaluates a request against a policy slice under a combining algorithm —
-/// the pure decision kernel shared by the stateful [`Pdp`] and the
-/// shared-snapshot serving tier (`agenp-core`'s `DecisionSnapshot`), which
-/// must render decisions from an immutable policy set without a repository
-/// or history.
+/// the pure decision kernel behind the shared-snapshot serving tier
+/// (`agenp-core`'s `DecisionSnapshot`), which renders decisions from an
+/// immutable policy set with no repository or history.
 pub fn evaluate_policies(
     policies: &[Policy],
     combining: CombiningAlg,
     request: &Request,
 ) -> Decision {
     combining.combine(policies.iter().map(|p| p.evaluate(request)))
-}
-
-/// One monitored decision, kept for the PAdaP's adaptation loop.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct DecisionRecord {
-    /// The evaluated request.
-    pub request: Request,
-    /// The decision rendered.
-    pub decision: Decision,
-    /// Repository version at decision time.
-    pub policy_version: u64,
-}
-
-/// The Policy Decision Point: evaluates requests against the repository and
-/// records a decision history.
-#[derive(Clone, Debug)]
-pub struct Pdp {
-    combining: CombiningAlg,
-    history: Vec<DecisionRecord>,
-}
-
-impl Default for Pdp {
-    fn default() -> Pdp {
-        Pdp::new(CombiningAlg::DenyOverrides)
-    }
-}
-
-impl Pdp {
-    /// A PDP combining policy decisions with `combining`.
-    pub fn new(combining: CombiningAlg) -> Pdp {
-        Pdp {
-            combining,
-            history: Vec::new(),
-        }
-    }
-
-    /// The combining algorithm this PDP applies across policies.
-    pub fn combining(&self) -> CombiningAlg {
-        self.combining
-    }
-
-    /// Evaluates a request against a repository and records the outcome.
-    pub fn decide(&mut self, repo: &PolicyRepository, request: &Request) -> Decision {
-        let decision = evaluate_policies(repo.policies(), self.combining, request);
-        self.history.push(DecisionRecord {
-            request: request.clone(),
-            decision,
-            policy_version: repo.version(),
-        });
-        record_decision(decision);
-        decision
-    }
-
-    /// Degraded-mode decision: renders an unconditional [`Decision::Deny`]
-    /// and records it against the current repository version. Used when the
-    /// policy pipeline upstream of the PDP failed (budget exhaustion, a
-    /// deadline overrun) and a fail-safe answer is needed without
-    /// evaluating possibly-stale policies as if they were fresh.
-    pub fn decide_degraded(&mut self, repo: &PolicyRepository, request: &Request) -> Decision {
-        let decision = Decision::Deny;
-        self.history.push(DecisionRecord {
-            request: request.clone(),
-            decision,
-            policy_version: repo.version(),
-        });
-        if agenp_obs::enabled() {
-            agenp_obs::registry()
-                .counter("policy.pdp.degraded_decisions")
-                .incr();
-        }
-        record_decision(decision);
-        decision
-    }
-
-    /// Evaluates without recording (pure query).
-    pub fn peek(&self, repo: &PolicyRepository, request: &Request) -> Decision {
-        evaluate_policies(repo.policies(), self.combining, request)
-    }
-
-    /// The decision history (oldest first).
-    pub fn history(&self) -> &[DecisionRecord] {
-        &self.history
-    }
-
-    /// Drains the history, handing it to the adaptation layer.
-    pub fn take_history(&mut self) -> Vec<DecisionRecord> {
-        std::mem::take(&mut self.history)
-    }
-}
-
-/// Bumps the global `policy.pdp.*` outcome counters (no-op when telemetry
-/// is disabled).
-fn record_decision(decision: Decision) {
-    if !agenp_obs::enabled() {
-        return;
-    }
-    let r = agenp_obs::registry();
-    r.counter("policy.pdp.decisions").incr();
-    r.counter(match decision {
-        Decision::Permit => "policy.pdp.permit",
-        Decision::Deny => "policy.pdp.deny",
-        Decision::NotApplicable => "policy.pdp.not_applicable",
-        Decision::Indeterminate => "policy.pdp.indeterminate",
-    })
-    .incr();
 }
 
 /// The action the PEP performs after a decision.
@@ -257,44 +153,6 @@ mod tests {
             )],
         ));
         r
-    }
-
-    #[test]
-    fn pdp_decides_and_records() {
-        let repo = repo();
-        let mut pdp = Pdp::default();
-        let req = Request::new().subject("role", "dba");
-        assert_eq!(pdp.decide(&repo, &req), Decision::Permit);
-        let req2 = Request::new().subject("role", "guest");
-        assert_eq!(pdp.decide(&repo, &req2), Decision::NotApplicable);
-        assert_eq!(pdp.history().len(), 2);
-        assert_eq!(pdp.history()[0].decision, Decision::Permit);
-        let drained = pdp.take_history();
-        assert_eq!(drained.len(), 2);
-        assert!(pdp.history().is_empty());
-    }
-
-    #[test]
-    fn degraded_decisions_deny_and_record() {
-        let repo = repo();
-        let mut pdp = Pdp::default();
-        // Even a request a Permit rule matches is denied in degraded mode.
-        let req = Request::new().subject("role", "dba");
-        assert_eq!(pdp.decide_degraded(&repo, &req), Decision::Deny);
-        assert_eq!(pdp.history().len(), 1);
-        assert_eq!(pdp.history()[0].decision, Decision::Deny);
-        assert_eq!(pdp.history()[0].policy_version, repo.version());
-    }
-
-    #[test]
-    fn peek_does_not_record() {
-        let repo = repo();
-        let pdp = Pdp::default();
-        assert_eq!(
-            pdp.peek(&repo, &Request::new().subject("role", "dba")),
-            Decision::Permit
-        );
-        assert!(pdp.history().is_empty());
     }
 
     #[test]

@@ -180,10 +180,10 @@ pub fn decisions_via_all_paths(
 
 /// Differential PDP case: generated policy set (obligation- and
 /// penalty-bearing) and duplicate-bearing request stream; every serving
-/// path (shared cache hot and cold, pin caches, batch dedup) must match
-/// the straight-line reference [`reference::effects_reference`] on the
-/// full decision-plus-obligations-plus-penalty effects. Any mismatch is
-/// shrunk to a minimal failing case before the repro line prints.
+/// path (handle and pin, single and batch) must match the straight-line
+/// reference [`reference::effects_reference`] on the full
+/// decision-plus-obligations-plus-penalty effects. Any mismatch is shrunk
+/// to a minimal failing case before the repro line prints.
 pub fn run_pdp_case(seed: u64) -> Result<(), String> {
     let ctx = |msg: String| format!("seed={seed} kind=pdp: {msg} (repro: run_pdp_case({seed}))");
     let mut rng = gen::rng_for(seed);
@@ -224,7 +224,7 @@ fn pdp_mismatch(policies: &[Policy], combining: CombiningAlg, stream: &[Request]
 }
 
 /// Binary-searches a mismatching PDP case down: the request stream first
-/// (the cheapest axis — duplicates and cache warm-up usually drop out),
+/// (the cheapest axis — duplicates usually drop out),
 /// then whole policies, then the rules inside each surviving policy, each
 /// axis shrunk while the others are held fixed.
 fn shrunk_pdp_repro(policies: &[Policy], combining: CombiningAlg, stream: &[Request]) -> String {

@@ -14,7 +14,7 @@
 //! * Policy conditions cover every [`Cond`] constructor, including the
 //!   three-valued `Indeterminate` paths (missing attributes, type-mismatched
 //!   comparisons), and request streams contain deliberate duplicates to
-//!   exercise the batch-dedup and cache paths of the serving tier.
+//!   exercise repeated requests through every path of the serving tier.
 
 use agenp_asp::{Atom, CmpOp, Literal, Program, Rule, Symbol, Term};
 use agenp_grammar::{nt, t, Asg, CfgBuilder};
@@ -328,8 +328,7 @@ pub fn request(rng: &mut StdRng) -> Request {
 }
 
 /// A request stream with deliberate duplicates: roughly a third of the
-/// entries repeat an earlier request, exercising batch dedup and both cache
-/// tiers.
+/// entries repeat an earlier request, inside one batch and across calls.
 pub fn request_stream(rng: &mut StdRng, len: usize) -> Vec<Request> {
     let mut out: Vec<Request> = Vec::with_capacity(len);
     for _ in 0..len {

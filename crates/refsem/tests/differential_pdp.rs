@@ -1,7 +1,7 @@
 //! Differential suite: every serving path of the PDP tier (handle singles,
-//! handle batch, pin singles, pin batch — cache-cold and cache-hot) vs the
-//! straight-line reference `decide` on seeded generated policy sets and
-//! duplicate-bearing request streams.
+//! handle batch, pin singles, pin batch) vs the straight-line reference
+//! `decide` on seeded generated policy sets and duplicate-bearing request
+//! streams.
 
 use agenp_refsem::run_pdp_case;
 

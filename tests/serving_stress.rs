@@ -2,7 +2,7 @@
 //! threads hammer an AMS's serving handle while the control thread adopts
 //! a new GPM and refreshes mid-stream. Every decision must agree with the
 //! policy set of the epoch that served it — a single disagreement means a
-//! stale cache entry crossed a snapshot swap.
+//! stale decision crossed a snapshot swap.
 
 use agenp_core::arch::Ams;
 use agenp_grammar::Asg;
@@ -13,8 +13,8 @@ use rand::{Rng, SeedableRng};
 use std::thread;
 
 /// A counting front for the system allocator, installed only in debug
-/// builds: the warm-path allocation-budget test reads it to prove the
-/// per-thread cache really did eliminate hot-path allocation churn.
+/// builds: the allocation-budget test reads it to prove the pinned
+/// decision path stays free of hot-path allocation churn.
 #[cfg(debug_assertions)]
 mod alloc_count {
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -88,6 +88,9 @@ fn no_stale_decision_survives_a_mid_stream_gpm_swap() {
     let other = Request::new().subject("clearance", "low");
     assert_eq!(ams.decide(&matching).decision(), Decision::Permit);
 
+    // Even workers decide through the handle (one snapshot load per
+    // call), odd ones through a pin (one epoch check per call), so both
+    // the load path and the pin's revalidation cross the swap.
     const WORKERS: usize = 4;
     const MAX_ITERS: usize = 200_000;
     let observed: Vec<Vec<(u64, bool, Decision)>> = thread::scope(|s| {
@@ -97,6 +100,7 @@ fn no_stale_decision_survives_a_mid_stream_gpm_swap() {
                 let (matching, other) = (matching.clone(), other.clone());
                 s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(0xD15C0 + w as u64);
+                    let mut pin = (w % 2 == 1).then(|| h.pin());
                     let mut seen = Vec::new();
                     // Run until the post-swap snapshot has been observed, so
                     // every worker crosses the swap; MAX_ITERS only guards
@@ -104,7 +108,10 @@ fn no_stale_decision_survives_a_mid_stream_gpm_swap() {
                     for _ in 0..MAX_ITERS {
                         let pick_matching = rng.gen_bool(0.7);
                         let req = if pick_matching { &matching } else { &other };
-                        let outcome = h.decide(req);
+                        let outcome = match pin.as_mut() {
+                            Some(pin) => pin.decide(req),
+                            None => h.decide(req),
+                        };
                         let done = outcome.epoch >= final_epoch;
                         seen.push((outcome.epoch, pick_matching, outcome.decision));
                         if done && seen.len() >= 100 {
@@ -150,11 +157,7 @@ fn no_stale_decision_survives_a_mid_stream_gpm_swap() {
     // The stream genuinely crossed the swap: both regimes were served.
     assert!(permits > 0, "no pre-swap Permit observed");
     assert!(denies > 0, "no post-swap Deny observed");
-    // And the cache did real work across the swap without serving stale
-    // entries.
-    let stats = handle.stats();
-    assert!(stats.cache_hits > 0);
-    assert!(stats.publishes >= 3);
+    assert!(handle.stats().publishes >= 3);
 }
 
 #[test]
@@ -165,23 +168,20 @@ fn cached_and_uncached_decisions_agree_across_epochs() {
     let req = Request::new().subject("clearance", "high");
     let cold = handle.decide(&req);
     let warm = handle.decide(&req);
-    assert!(!cold.cached);
-    assert!(warm.cached);
     assert_eq!(cold.decision, warm.decision);
-    // After a swap the first decision is recomputed, not replayed.
+    // After a swap the decision comes from the new policy set.
     ams.adopt_gpm(grammar("deny"), "swap");
     ams.refresh_policies().unwrap();
     let post = handle.decide(&req);
-    assert!(!post.cached, "stale entry replayed across the swap");
     assert_eq!(post.decision, Decision::Deny);
 }
 
-/// The warm pinned path must be allocation-light: after the per-thread
-/// cache is warm, a decide should cost little more than rendering the
-/// canonical key. The bound is amortized and deliberately loose — the
+/// The pinned path must be allocation-light: once the pin holds the
+/// current snapshot, a decide should cost little more than evaluating the
+/// policy set. The bound is amortized and deliberately loose — the
 /// counter is process-global and other tests in this binary run
 /// concurrently — but it would still catch a per-decide clone of the
-/// policy set, the snapshot error, or a cache rebuild regression, each
+/// policy set, the snapshot error, or a per-call snapshot rebuild, each
 /// of which costs tens of allocations per call.
 #[cfg(debug_assertions)]
 #[test]
@@ -200,7 +200,7 @@ fn warm_pin_decides_stay_within_allocation_budget() {
                 .subject("id", i as i64)
         })
         .collect();
-    // Warm the private cache: every distinct key computed once.
+    // Warm up: every distinct request decided once.
     for req in &workload {
         pin.decide(req);
     }
@@ -209,8 +209,7 @@ fn warm_pin_decides_stay_within_allocation_budget() {
     const MAX_ALLOCS_PER_DECIDE: u64 = 8;
     let before = alloc_count::ALLOCS.load(Ordering::Relaxed);
     for i in 0..DECIDES {
-        let outcome = pin.decide(&workload[(i % 16) as usize]);
-        assert!(outcome.cached, "warm decide missed the private cache");
+        pin.decide(&workload[(i % 16) as usize]);
     }
     let spent = alloc_count::ALLOCS.load(Ordering::Relaxed) - before;
     assert!(
