@@ -18,23 +18,35 @@
 //! response against the oracle, so the HTTP rows double as a wire-path
 //! parity gate.
 //!
+//! Since schema v4 the `"kernel"` section says what one decision costs as
+//! the policy set grows: `DecisionSnapshot::decide_effects`, timed in
+//! process on unique requests against generated sets of 24 to 1536 rules
+//! under deny-overrides and permit-overrides, with every decision checked
+//! against the reference evaluator.
+//!
 //! Usage: `cargo run -p agenp-bench --bin pdp --release [-- --smoke]`
 //!
-//! `--smoke` runs reduced scales suitable for CI, re-reads the emitted JSON
-//! through a validating parser, and exits nonzero on any parity mismatch,
-//! any stale decision, a single-connection HTTP throughput below
+//! `--smoke` runs reduced scales suitable for CI (the kernel section at its
+//! two smallest sizes), re-reads the emitted JSON through a validating
+//! parser, and exits nonzero on any parity mismatch (kernel rows
+//! included), any stale decision, a single-connection HTTP throughput below
 //! 10k decisions/sec, or (on machines with >= 4 CPUs) a 4-thread
 //! throughput below 2x the 1-thread run.
 
 use agenp_core::arch::{DecisionSnapshot, PdpHandle, PdpServer};
 use agenp_core::scenarios::xacml::{ground_truth_policy, XacmlRequest};
 use agenp_pdpd::{run_load, LoadOptions, PdpdServer, ServerOptions};
-use agenp_policy::{evaluate_policies, CombiningAlg, Decision, Policy, PolicyRule, Request};
-use agenp_refsem::reference;
+use agenp_policy::{
+    evaluate_policies, Category, CombiningAlg, Decision, DecisionEffects, Effect, Policy,
+    PolicyRule, Request,
+};
+use agenp_refsem::{gen, reference};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Instant;
 
 /// One closed-loop throughput measurement.
 struct ThroughputRow {
@@ -55,6 +67,19 @@ struct StressOutcome {
     decisions: u64,
     swaps: u64,
     stale_served: u64,
+}
+
+/// One policy-kernel measurement: `decide_effects` on one generated set.
+struct KernelRow {
+    rules: usize,
+    policies: usize,
+    combining: CombiningAlg,
+    requests: usize,
+    compile_us: f64,
+    p50_ns: u64,
+    p99_ns: u64,
+    settled_index_p50: usize,
+    mismatches: usize,
 }
 
 /// One HTTP load-client measurement against the in-process daemon.
@@ -88,15 +113,25 @@ fn main() {
 
     let parity = run_parity(&policies, if smoke { 1000 } else { 5000 }, 7);
     let stress = run_stress(&policies, if smoke { 64 } else { 256 }, 4);
+    let kernel_rows = run_kernel(smoke);
     let http_rows = run_http(&policies, smoke);
 
-    print_tables(&rows, &parity, &stress, &http_rows);
+    print_tables(&rows, &parity, &stress, &kernel_rows, &http_rows);
 
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     // A thread-scaling claim measured on hardware that cannot run the
     // threads in parallel is noise, not evidence — record null there.
     let speedup_4t = if cpus >= 4 { speedup(&rows, 4) } else { None };
-    let json = render_json(smoke, &rows, &parity, &stress, &http_rows, speedup_4t, cpus);
+    let json = render_json(
+        smoke,
+        &rows,
+        &parity,
+        &stress,
+        &kernel_rows,
+        &http_rows,
+        speedup_4t,
+        cpus,
+    );
     let path = output_path();
     if let Err(e) = std::fs::write(&path, &json) {
         eprintln!("pdp: cannot write {}: {e}", path.display());
@@ -120,6 +155,7 @@ fn main() {
         "\"throughput\"",
         "\"parity\"",
         "\"stress\"",
+        "\"kernel\"",
         "\"http\"",
         "\"claims\"",
     ] {
@@ -134,6 +170,19 @@ fn main() {
             parity.mismatches, parity.requests
         );
         std::process::exit(1);
+    }
+    for row in &kernel_rows {
+        if row.mismatches > 0 {
+            eprintln!(
+                "pdp: the policy kernel disagreed with the reference evaluator on {} of {} \
+                 requests ({} rules, {})",
+                row.mismatches,
+                row.requests,
+                row.rules,
+                alg_name(row.combining)
+            );
+            std::process::exit(1);
+        }
     }
     if stress.stale_served > 0 {
         eprintln!(
@@ -336,6 +385,144 @@ fn run_stress(policies: &[Policy], swaps: u64, threads: usize) -> StressOutcome 
     }
 }
 
+/// Policy-set sizes of the kernel section, in rules; `--smoke` runs the
+/// first two.
+const KERNEL_RULES: [usize; 4] = [24, 96, 384, 1536];
+const KERNEL_RULES_PER_POLICY: usize = 3;
+
+/// The kernel section: for each size and each overrides algorithm, times
+/// `DecisionSnapshot::decide_effects` on unique requests, one decision per
+/// timing, then checks every decision against the reference evaluator.
+fn run_kernel(smoke: bool) -> Vec<KernelRow> {
+    let sizes = if smoke {
+        &KERNEL_RULES[..2]
+    } else {
+        &KERNEL_RULES[..]
+    };
+    let requests = if smoke { 2_000 } else { 20_000 };
+    let mut rows = Vec::new();
+    for &rules in sizes {
+        for combining in [CombiningAlg::DenyOverrides, CombiningAlg::PermitOverrides] {
+            rows.push(kernel_row(rules, combining, requests));
+        }
+    }
+    rows
+}
+
+fn kernel_row(rules: usize, combining: CombiningAlg, requests: usize) -> KernelRow {
+    let mut rng = gen::rng_for(0x6b65_726e ^ rules as u64);
+    let policies = kernel_policies(&mut rng, rules / KERNEL_RULES_PER_POLICY, combining);
+    // Compiling happens in `DecisionSnapshot::new`; the median of five
+    // builds, each from its own copy of the set.
+    let mut compile_ns: Vec<u64> = (0..5)
+        .map(|_| {
+            let copy = policies.clone();
+            let started = Instant::now();
+            black_box(DecisionSnapshot::new(copy, combining));
+            nanos(started)
+        })
+        .collect();
+    compile_ns.sort_unstable();
+    let snapshot = DecisionSnapshot::new(policies.clone(), combining);
+    let reqs: Vec<Request> = (0..requests)
+        .map(|i| {
+            let mut r = gen::request(&mut rng);
+            r.set(Category::Subject, "id", format!("u{i}"));
+            r
+        })
+        .collect();
+    for r in reqs.iter().take(256) {
+        black_box(snapshot.decide_effects(r));
+    }
+    let mut outs: Vec<DecisionEffects> = Vec::with_capacity(requests);
+    let mut ns: Vec<u64> = Vec::with_capacity(requests);
+    for r in &reqs {
+        let started = Instant::now();
+        let out = snapshot.decide_effects(black_box(r));
+        ns.push(nanos(started));
+        outs.push(out);
+    }
+    ns.sort_unstable();
+    let mismatches = reqs
+        .iter()
+        .zip(&outs)
+        .filter(|(r, out)| **out != reference::effects_reference(&policies, combining, r))
+        .count();
+    let mut settled: Vec<usize> = reqs
+        .iter()
+        .map(|r| settled_index(&policies, combining, r))
+        .collect();
+    settled.sort_unstable();
+    KernelRow {
+        rules,
+        policies: policies.len(),
+        combining,
+        requests,
+        compile_us: compile_ns[compile_ns.len() / 2] as f64 / 1000.0,
+        p50_ns: percentile(&ns, 50.0),
+        p99_ns: percentile(&ns, 99.0),
+        settled_index_p50: percentile(&settled, 50.0),
+        mismatches,
+    }
+}
+
+/// `count` generated policies of three rules each, combining with
+/// `combining` inside each policy as across them.
+fn kernel_policies(rng: &mut StdRng, count: usize, combining: CombiningAlg) -> Vec<Policy> {
+    (0..count)
+        .map(|p| {
+            let rules = (0..KERNEL_RULES_PER_POLICY)
+                .map(|r| {
+                    let effect = if rng.gen_bool(0.5) {
+                        Effect::Permit
+                    } else {
+                        Effect::Deny
+                    };
+                    PolicyRule::new(&format!("p{p}r{r}"), effect, gen::cond(rng, 2))
+                })
+                .collect();
+            Policy::new(&format!("p{p}"), rules).with_combining(combining)
+        })
+        .collect()
+}
+
+/// The index of the policy that settled `request`: the first whose own
+/// decision is the algorithm's absorbing one, or the last policy when none
+/// is. Computed with `Policy::evaluate`, outside the kernel.
+fn settled_index(policies: &[Policy], combining: CombiningAlg, request: &Request) -> usize {
+    let absorbing = match combining {
+        CombiningAlg::DenyOverrides => Decision::Deny,
+        CombiningAlg::PermitOverrides => Decision::Permit,
+        CombiningAlg::FirstApplicable => unreachable!("the kernel section runs overrides only"),
+    };
+    policies
+        .iter()
+        .position(|p| p.evaluate(request) == absorbing)
+        .unwrap_or(policies.len().saturating_sub(1))
+}
+
+/// Nanoseconds since `started`.
+fn nanos(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The nearest-rank `pct` percentile of ascending `sorted` (0 when empty).
+fn percentile<T: Copy + Default>(sorted: &[T], pct: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+fn alg_name(alg: CombiningAlg) -> &'static str {
+    match alg {
+        CombiningAlg::DenyOverrides => "deny-overrides",
+        CombiningAlg::PermitOverrides => "permit-overrides",
+        CombiningAlg::FirstApplicable => "first-applicable",
+    }
+}
+
 /// Boots the `agenp-pdpd` HTTP server in-process on an ephemeral loopback
 /// port and drives it with the crate's own load client: one connection
 /// (the smoke-gated row), `cpus.min(4)` connections, and a batched run.
@@ -413,6 +600,7 @@ fn print_tables(
     rows: &[ThroughputRow],
     parity: &ParityOutcome,
     stress: &StressOutcome,
+    kernel_rows: &[KernelRow],
     http_rows: &[HttpRow],
 ) {
     println!("shared-snapshot PDP serving throughput (closed loop):");
@@ -435,6 +623,33 @@ fn print_tables(
         "snapshot-swap stress: {} decisions across {} swaps, {} stale",
         stress.decisions, stress.swaps, stress.stale_served
     );
+    println!("\npolicy kernel (DecisionSnapshot::decide_effects, unique requests):");
+    println!(
+        "{:>6} {:>9} {:>17} {:>9} {:>11} {:>9} {:>9} {:>8} {:>10}",
+        "rules",
+        "policies",
+        "combining",
+        "requests",
+        "compile us",
+        "p50 ns",
+        "p99 ns",
+        "settled",
+        "mismatches"
+    );
+    for r in kernel_rows {
+        println!(
+            "{:>6} {:>9} {:>17} {:>9} {:>11.1} {:>9} {:>9} {:>8} {:>10}",
+            r.rules,
+            r.policies,
+            alg_name(r.combining),
+            r.requests,
+            r.compile_us,
+            r.p50_ns,
+            r.p99_ns,
+            r.settled_index_p50,
+            r.mismatches
+        );
+    }
     println!("\nHTTP serving (in-process pdpd, loopback):");
     println!(
         "{:>6} {:>6} {:>12} {:>14} {:>9} {:>9} {:>9} {:>9}",
@@ -461,6 +676,7 @@ fn render_json(
     rows: &[ThroughputRow],
     parity: &ParityOutcome,
     stress: &StressOutcome,
+    kernel_rows: &[KernelRow],
     http_rows: &[HttpRow],
     speedup_4t: Option<f64>,
     cpus: usize,
@@ -472,6 +688,25 @@ fn render_json(
                 "{{\"threads\": {}, \"decisions\": {}, \"micros\": {}, \
                  \"decisions_per_sec\": {:.1}}}",
                 r.threads, r.decisions, r.micros, r.throughput
+            )
+        })
+        .collect();
+    let kernel: Vec<String> = kernel_rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"rules\": {}, \"policies\": {}, \"combining\": \"{}\", \
+                 \"requests\": {}, \"compile_us\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {}, \
+                 \"settled_index_p50\": {}, \"mismatches\": {}}}",
+                r.rules,
+                r.policies,
+                alg_name(r.combining),
+                r.requests,
+                r.compile_us,
+                r.p50_ns,
+                r.p99_ns,
+                r.settled_index_p50,
+                r.mismatches
             )
         })
         .collect();
@@ -502,10 +737,11 @@ fn render_json(
         .find(|r| r.connections == 1 && r.batch == 1)
         .map_or("null".to_string(), |r| format!("{:.1}", r.throughput));
     format!(
-        "{{\n\"schema\": \"agenp-bench/pdp/v3\",\n\"smoke\": {},\n\
+        "{{\n\"schema\": \"agenp-bench/pdp/v4\",\n\"smoke\": {},\n\
          \"throughput\": [\n{}\n],\n\
          \"parity\": {{\"requests\": {}, \"mismatches\": {}}},\n\
          \"stress\": {{\"decisions\": {}, \"swaps\": {}, \"stale_served\": {}}},\n\
+         \"kernel\": [\n{}\n],\n\
          \"http\": [\n{}\n],\n\
          \"claims\": {{\"speedup_4t_over_1t\": {}, \
          \"http_single_conn_decisions_per_sec\": {}, \"cpus\": {}}}\n}}\n",
@@ -516,6 +752,7 @@ fn render_json(
         stress.decisions,
         stress.swaps,
         stress.stale_served,
+        kernel.join(",\n"),
         http.join(",\n"),
         match speedup_4t {
             Some(s) => format!("{s:.3}"),

@@ -23,8 +23,8 @@ use crate::arch::ams::AmsError;
 use agenp_asp::{Program, RunBudget};
 use agenp_grammar::Asg;
 use agenp_policy::{
-    evaluate_policies, evaluate_policies_effects, CombiningAlg, Decision, DecisionEffects,
-    Enforcement, Obligation, Pep, Policy, Request,
+    CombiningAlg, CompiledPolicies, Decision, DecisionEffects, Enforcement, Obligation, Pep,
+    Policy, Request,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
@@ -91,8 +91,9 @@ impl std::fmt::Debug for StripedU64 {
 }
 
 /// An immutable, consistent view of everything the PDP needs to answer a
-/// request: the translated policy set, the combining algorithm, and the
-/// compiled GPM plus grounded context the policies were generated from.
+/// request: the translated policy set and combining algorithm, compiled
+/// once into a [`CompiledPolicies`] kernel, and the compiled GPM plus
+/// grounded context the policies were generated from.
 ///
 /// Snapshots are built by the control loop ([`Ams::refresh_policies`],
 /// `adopt_gpm`, `set_context`) and published through a [`PdpHandle`]; they
@@ -104,8 +105,7 @@ impl std::fmt::Debug for StripedU64 {
 #[derive(Clone, Debug)]
 pub struct DecisionSnapshot {
     epoch: u64,
-    policies: Vec<Policy>,
-    combining: CombiningAlg,
+    policies: CompiledPolicies,
     gpm: Option<Asg>,
     context: Program,
     error: Option<AmsError>,
@@ -114,11 +114,12 @@ pub struct DecisionSnapshot {
 impl DecisionSnapshot {
     /// A snapshot serving `policies` under `combining`, with no GPM or
     /// context attached and epoch 0 (the epoch is assigned on publish).
+    /// Compiles the policy set here, once, for every decision the snapshot
+    /// will serve.
     pub fn new(policies: Vec<Policy>, combining: CombiningAlg) -> DecisionSnapshot {
         DecisionSnapshot {
             epoch: 0,
-            policies,
-            combining,
+            policies: CompiledPolicies::new(policies, combining),
             gpm: None,
             context: Program::new(),
             error: None,
@@ -152,12 +153,12 @@ impl DecisionSnapshot {
 
     /// The policy set served by this snapshot.
     pub fn policies(&self) -> &[Policy] {
-        &self.policies
+        self.policies.policies()
     }
 
     /// The combining algorithm applied across policies.
     pub fn combining(&self) -> CombiningAlg {
-        self.combining
+        self.policies.combining()
     }
 
     /// The GPM the policies were generated from, if attached.
@@ -188,7 +189,7 @@ impl DecisionSnapshot {
         if self.error.is_some() {
             return Decision::Deny;
         }
-        evaluate_policies(&self.policies, self.combining, request)
+        self.policies.decide(request)
     }
 
     /// Renders the full [`DecisionEffects`]: the same decision as
@@ -200,7 +201,7 @@ impl DecisionSnapshot {
         if self.error.is_some() {
             return DecisionEffects::bare(Decision::Deny);
         }
-        evaluate_policies_effects(&self.policies, self.combining, request)
+        self.policies.decide_effects(request)
     }
 
     /// Does the snapshot's GPM admit `policy` under the snapshot's
@@ -413,7 +414,7 @@ impl PdpHandle {
         snapshot.epoch = epoch;
         let degraded = snapshot.is_degraded();
         let mut span = agenp_obs::span!("serve.publish", epoch = epoch, degraded = degraded);
-        span.record("policies", snapshot.policies.len());
+        span.record("policies", snapshot.policies().len());
         self.inner.swap.store(snapshot);
         self.inner.publishes.fetch_add(1, Ordering::Relaxed);
         if span.is_live() {

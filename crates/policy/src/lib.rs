@@ -3,7 +3,9 @@
 //! The conventional policy-based-management substrate the AGENP architecture
 //! builds on (paper §III): an XACML-style attribute/request model, policy
 //! rules with effects and conditions, combining algorithms, the pure
-//! decision kernel a Policy Decision Point evaluates, a Policy Enforcement
+//! decision kernel a Policy Decision Point evaluates (and its compiled form,
+//! [`CompiledPolicies`], which the serving tier builds once per snapshot),
+//! a Policy Enforcement
 //! Point, a versioned policy repository, the Policy Checking Point's quality metrics
 //! (consistency, relevance, minimality, completeness \[14\]), and bridges to
 //! the symbolic layer (requests as ASP context programs, policies as
@@ -27,6 +29,7 @@
 
 mod attr;
 mod bridge;
+mod kernel;
 mod ledger;
 mod minimize;
 mod model;
@@ -39,6 +42,7 @@ pub use bridge::{
     attr_value_to_term, obligation_to_atom, obligations_to_program, parse_value,
     request_to_context, rule_from_text, rule_to_text, PolicyTextError,
 };
+pub use kernel::CompiledPolicies;
 pub use ledger::{
     ComplianceAdvice, ComplianceEvaluator, LedgerEntry, ObligationLedger, ObligationStatus,
 };

@@ -5,6 +5,7 @@
 
 use crate::attr::Request;
 use crate::model::{CombiningAlg, Decision, Policy};
+use crate::pdp::evaluate_policies;
 
 /// Removes redundant rules from `policies` in place: a rule is redundant if
 /// dropping it leaves every decision on `space` unchanged (under
@@ -12,7 +13,10 @@ use crate::model::{CombiningAlg, Decision, Policy};
 /// reverse order so earlier (higher-priority) rules are preferred keepers.
 /// Returns the removed `(policy_id, rule_id)` pairs.
 pub fn minimize_policies(policies: &mut Vec<Policy>, space: &[Request]) -> Vec<(String, String)> {
-    let baseline: Vec<Decision> = space.iter().map(|r| decide(policies, r)).collect();
+    let baseline: Vec<Decision> = space
+        .iter()
+        .map(|r| evaluate_policies(policies, CombiningAlg::DenyOverrides, r))
+        .collect();
     let mut removed = Vec::new();
     loop {
         let mut changed = false;
@@ -26,10 +30,9 @@ pub fn minimize_policies(policies: &mut Vec<Policy>, space: &[Request]) -> Vec<(
         for (pi, ri) in positions {
             let rule = policies[pi].rules[ri].clone();
             policies[pi].rules.remove(ri);
-            let same = space
-                .iter()
-                .zip(&baseline)
-                .all(|(r, base)| decide(policies, r) == *base);
+            let same = space.iter().zip(&baseline).all(|(r, base)| {
+                evaluate_policies(policies, CombiningAlg::DenyOverrides, r) == *base
+            });
             if same {
                 removed.push((policies[pi].id.clone(), rule.id));
                 changed = true;
@@ -44,10 +47,6 @@ pub fn minimize_policies(policies: &mut Vec<Policy>, space: &[Request]) -> Vec<(
     // Drop now-empty policies.
     policies.retain(|p| !p.rules.is_empty());
     removed
-}
-
-fn decide(policies: &[Policy], request: &Request) -> Decision {
-    CombiningAlg::DenyOverrides.combine(policies.iter().map(|p| p.evaluate(request)))
 }
 
 #[cfg(test)]

@@ -164,49 +164,15 @@ impl Cond {
                 attr,
                 op,
                 value,
-            } => {
-                let actual = request.get(*category, attr)?;
-                compare(actual, *op, value)
-            }
+            } => compare(request.get(*category, attr)?, *op, value),
             Cond::In {
                 category,
                 attr,
                 values,
-            } => {
-                let actual = request.get(*category, attr)?;
-                Some(values.contains(actual))
-            }
-            Cond::And(cs) => {
-                let mut all = true;
-                for c in cs {
-                    match c.eval(request) {
-                        Some(true) => {}
-                        Some(false) => return Some(false),
-                        None => all = false, // keep scanning for a definite false
-                    }
-                }
-                if all {
-                    Some(true)
-                } else {
-                    None
-                }
-            }
-            Cond::Or(cs) => {
-                let mut any_unknown = false;
-                for c in cs {
-                    match c.eval(request) {
-                        Some(true) => return Some(true),
-                        Some(false) => {}
-                        None => any_unknown = true,
-                    }
-                }
-                if any_unknown {
-                    None
-                } else {
-                    Some(false)
-                }
-            }
-            Cond::Not(c) => c.eval(request).map(|b| !b),
+            } => member(request.get(*category, attr)?, values),
+            Cond::And(cs) => all3(cs.iter().map(|c| c.eval(request))),
+            Cond::Or(cs) => any3(cs.iter().map(|c| c.eval(request))),
+            Cond::Not(c) => not3(c.eval(request)),
         }
     }
 
@@ -235,7 +201,52 @@ impl Cond {
     }
 }
 
-fn compare(actual: &AttrValue, op: CondOp, value: &AttrValue) -> Option<bool> {
+// The leaf tests and connectives below are the condition semantics written
+// once: `Cond::eval` and the compiled kernel (`crate::kernel`) both call
+// them and differ only in how a leaf finds its attribute.
+
+/// Three-valued conjunction: false if any part is definitely false,
+/// unknown if any part is unknown, true otherwise. Stops at the first
+/// definite false; an unknown part keeps the scan going, since a later
+/// definite false still decides.
+pub(crate) fn all3(parts: impl IntoIterator<Item = Option<bool>>) -> Option<bool> {
+    let mut all = Some(true);
+    for part in parts {
+        match part {
+            Some(true) => {}
+            Some(false) => return Some(false),
+            None => all = None,
+        }
+    }
+    all
+}
+
+/// Three-valued disjunction, the dual of [`all3`]: stops at the first
+/// definite true.
+pub(crate) fn any3(parts: impl IntoIterator<Item = Option<bool>>) -> Option<bool> {
+    let mut any = Some(false);
+    for part in parts {
+        match part {
+            Some(true) => return Some(true),
+            Some(false) => {}
+            None => any = None,
+        }
+    }
+    any
+}
+
+/// Three-valued negation: unknown stays unknown.
+pub(crate) fn not3(part: Option<bool>) -> Option<bool> {
+    part.map(|b| !b)
+}
+
+/// The `In` leaf test: is `actual` one of `values`?
+pub(crate) fn member(actual: &AttrValue, values: &[AttrValue]) -> Option<bool> {
+    Some(values.contains(actual))
+}
+
+/// The `Cmp` leaf test; `None` when the two values have different types.
+pub(crate) fn compare(actual: &AttrValue, op: CondOp, value: &AttrValue) -> Option<bool> {
     use std::cmp::Ordering;
     let ord = match (actual, value) {
         (AttrValue::Int(a), AttrValue::Int(b)) => a.cmp(b),
@@ -354,12 +365,18 @@ impl PolicyRule {
     pub fn evaluate(&self, request: &Request) -> Decision {
         match &self.condition {
             None => self.effect.into(),
-            Some(c) => match c.eval(request) {
-                Some(true) => self.effect.into(),
-                Some(false) => Decision::NotApplicable,
-                None => Decision::Indeterminate,
-            },
+            Some(c) => rule_decision(self.effect, c.eval(request)),
         }
+    }
+}
+
+/// The decision of a rule with `effect` whose condition evaluated to
+/// `holds`.
+pub(crate) fn rule_decision(effect: Effect, holds: Option<bool>) -> Decision {
+    match holds {
+        Some(true) => effect.into(),
+        Some(false) => Decision::NotApplicable,
+        None => Decision::Indeterminate,
     }
 }
 
@@ -391,60 +408,31 @@ pub enum CombiningAlg {
 }
 
 impl CombiningAlg {
-    /// Combines a sequence of decisions.
+    /// Combines a sequence of decisions, pulling from `decisions` only
+    /// until the algorithm's absorbing decision appears: deny-overrides
+    /// returns at the first Deny, permit-overrides at the first Permit,
+    /// and first-applicable at the first Permit or Deny. Fed a lazy
+    /// iterator, later rules or policies are never evaluated; the result
+    /// is the same as combining the whole sequence.
     pub fn combine(self, decisions: impl IntoIterator<Item = Decision>) -> Decision {
-        let mut saw_permit = false;
-        let mut saw_deny = false;
-        let mut saw_indeterminate = false;
+        // Without an absorbing decision: Indeterminate beats the
+        // non-absorbing effect, which beats NotApplicable.
+        let mut fallback = Decision::NotApplicable;
         for d in decisions {
-            match d {
-                Decision::Permit => {
-                    if self == CombiningAlg::FirstApplicable {
-                        return Decision::Permit;
+            match (self, d) {
+                (CombiningAlg::DenyOverrides, Decision::Deny)
+                | (CombiningAlg::PermitOverrides, Decision::Permit)
+                | (CombiningAlg::FirstApplicable, Decision::Permit | Decision::Deny) => return d,
+                (_, Decision::Indeterminate) => fallback = Decision::Indeterminate,
+                (_, Decision::NotApplicable) => {}
+                (_, Decision::Permit | Decision::Deny) => {
+                    if fallback == Decision::NotApplicable {
+                        fallback = d;
                     }
-                    saw_permit = true;
-                }
-                Decision::Deny => {
-                    if self == CombiningAlg::FirstApplicable {
-                        return Decision::Deny;
-                    }
-                    saw_deny = true;
-                }
-                Decision::Indeterminate => saw_indeterminate = true,
-                Decision::NotApplicable => {}
-            }
-        }
-        match self {
-            CombiningAlg::DenyOverrides => {
-                if saw_deny {
-                    Decision::Deny
-                } else if saw_indeterminate {
-                    Decision::Indeterminate
-                } else if saw_permit {
-                    Decision::Permit
-                } else {
-                    Decision::NotApplicable
-                }
-            }
-            CombiningAlg::PermitOverrides => {
-                if saw_permit {
-                    Decision::Permit
-                } else if saw_indeterminate {
-                    Decision::Indeterminate
-                } else if saw_deny {
-                    Decision::Deny
-                } else {
-                    Decision::NotApplicable
-                }
-            }
-            CombiningAlg::FirstApplicable => {
-                if saw_indeterminate {
-                    Decision::Indeterminate
-                } else {
-                    Decision::NotApplicable
                 }
             }
         }
+        fallback
     }
 }
 
@@ -609,6 +597,37 @@ mod tests {
             CombiningAlg::FirstApplicable.combine([Indeterminate, Permit]),
             Permit
         );
+    }
+
+    /// `prefix`, then a panic if `combine` pulls one decision more.
+    fn then_panic(prefix: &[Decision]) -> impl Iterator<Item = Decision> + '_ {
+        prefix
+            .iter()
+            .copied()
+            .chain(std::iter::from_fn(|| -> Option<Decision> {
+                panic!("combine pulled past the absorbing decision")
+            }))
+    }
+
+    #[test]
+    fn deny_overrides_stops_at_the_first_deny() {
+        use Decision::*;
+        let ds = then_panic(&[Permit, Indeterminate, NotApplicable, Deny]);
+        assert_eq!(CombiningAlg::DenyOverrides.combine(ds), Deny);
+    }
+
+    #[test]
+    fn permit_overrides_stops_at_the_first_permit() {
+        use Decision::*;
+        let ds = then_panic(&[Deny, Indeterminate, NotApplicable, Permit]);
+        assert_eq!(CombiningAlg::PermitOverrides.combine(ds), Permit);
+    }
+
+    #[test]
+    fn first_applicable_stops_at_the_first_definite_decision() {
+        use Decision::*;
+        let ds = then_panic(&[NotApplicable, Indeterminate, Deny]);
+        assert_eq!(CombiningAlg::FirstApplicable.combine(ds), Deny);
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! A Framework for Reasoning About Penalties"; obligations follow "An ASP
 //! Framework for the Refinement of Authorization and Obligation Policies").
 //!
-//! Collection semantics are deterministic and order-insensitive to
-//! combining-algorithm short-circuits, so the serving tier and the naive
-//! reference PDP (`agenp-refsem`) can mirror them exactly:
+//! Collection semantics are deterministic, so the serving tier and the
+//! naive reference PDP (`agenp-refsem`) can mirror them exactly. They do
+//! not depend on where [`CombiningAlg::combine`] stops: the short-circuit
+//! at the absorbing decision leaves every combined decision unchanged, and
+//! contribution is judged per policy and per rule below, so it does not
+//! change which policies and rules contribute.
 //!
 //! 1. The final [`Decision`] is computed exactly as [`evaluate_policies`]
 //!    does today; obligations never change a decision.
@@ -156,36 +159,53 @@ pub fn evaluate_policies_effects(
     combining: CombiningAlg,
     request: &Request,
 ) -> DecisionEffects {
-    let decision = evaluate_policies(policies, combining, request);
+    collect_effects(
+        policies,
+        (0..policies.len()).filter(|&pi| policies[pi].has_annotations()),
+        evaluate_policies(policies, combining, request),
+        |pi| policies[pi].evaluate(request),
+        |pi, ri| policies[pi].rules[ri].evaluate(request),
+    )
+}
+
+/// The obligation-collection loop behind [`evaluate_policies_effects`] and
+/// the compiled kernel: attaches to `decision` the annotations of the
+/// policies at the `annotated` indices (ascending; every policy that
+/// carries annotations) that contribute to it. `policy(pi)` and
+/// `rule(pi, ri)` evaluate one policy or rule of `policies`.
+pub(crate) fn collect_effects(
+    policies: &[Policy],
+    annotated: impl IntoIterator<Item = usize>,
+    decision: Decision,
+    policy: impl Fn(usize) -> Decision,
+    rule: impl Fn(usize, usize) -> Decision,
+) -> DecisionEffects {
     let mut effects = DecisionEffects::bare(decision);
     let Some(final_effect) = decision.effect() else {
         return effects;
     };
-    for policy in policies {
-        // The annotation-free common case costs one scan, no evaluation.
-        if !policy.has_annotations() {
+    for pi in annotated {
+        if policy(pi) != decision {
             continue;
         }
-        if policy.evaluate(request) != decision {
-            continue;
-        }
-        for spec in &policy.obligations {
+        let p = &policies[pi];
+        for spec in &p.obligations {
             if spec.on == final_effect {
                 push_deduped(&mut effects.obligations, &spec.obligation);
             }
         }
-        for rule in &policy.rules {
-            if !rule.has_annotations() || rule.evaluate(request) != decision {
+        for (ri, r) in p.rules.iter().enumerate() {
+            if !r.has_annotations() || rule(pi, ri) != decision {
                 continue;
             }
-            for spec in &rule.obligations {
+            for spec in &r.obligations {
                 if spec.on == final_effect {
                     push_deduped(&mut effects.obligations, &spec.obligation);
                 }
             }
             if decision == Decision::Deny {
-                if let Some(p) = rule.penalty {
-                    effects.penalty = effects.penalty.max(p);
+                if let Some(penalty) = r.penalty {
+                    effects.penalty = effects.penalty.max(penalty);
                 }
             }
         }

@@ -2,7 +2,8 @@
 //! repository — the conventional-PBMS components of the AGENP architecture
 //! (paper §III-A: "The PEP, PDP, and Policy Repository operate in a manner
 //! similar to conventional PBMS"). The PDP itself is `agenp-core`'s
-//! serving tier, which evaluates each request with [`evaluate_policies`];
+//! serving tier, which evaluates each request with the compiled form of
+//! [`evaluate_policies`], [`CompiledPolicies`](crate::CompiledPolicies);
 //! decision monitoring for the adaptation loop is `agenp-adapt`'s
 //! `DecisionLog`.
 
@@ -67,10 +68,12 @@ impl PolicyRepository {
     }
 }
 
-/// Evaluates a request against a policy slice under a combining algorithm —
-/// the pure decision kernel behind the shared-snapshot serving tier
-/// (`agenp-core`'s `DecisionSnapshot`), which renders decisions from an
-/// immutable policy set with no repository or history.
+/// Evaluates a request against a policy slice under a combining algorithm:
+/// the tree walk of the pure decision kernel. The shared-snapshot serving
+/// tier (`agenp-core`'s `DecisionSnapshot`) renders the same decisions from
+/// a [`CompiledPolicies`](crate::CompiledPolicies) built once per snapshot.
+/// Policies and rules after the combining algorithm's absorbing decision
+/// are never evaluated.
 pub fn evaluate_policies(
     policies: &[Policy],
     combining: CombiningAlg,

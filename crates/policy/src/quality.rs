@@ -18,6 +18,7 @@
 
 use crate::attr::Request;
 use crate::model::{CombiningAlg, Cond, Decision, Effect, Policy, PolicyRule};
+use crate::pdp::evaluate_policies;
 use std::fmt;
 
 /// A pair of rules that rendered contradictory effects on a witness request.
@@ -165,15 +166,17 @@ impl QualityChecker {
 
         // Minimality: a rule is redundant if removing it leaves every
         // decision on the space unchanged.
-        let baseline: Vec<Decision> = space.iter().map(|r| combine_all(policies, r)).collect();
+        let baseline: Vec<Decision> = space
+            .iter()
+            .map(|r| evaluate_policies(policies, CombiningAlg::DenyOverrides, r))
+            .collect();
         let mut redundant = Vec::new();
         for &(pi, ri) in &index {
             let mut reduced: Vec<Policy> = policies.to_vec();
             reduced[pi].rules.remove(ri);
-            let same = space
-                .iter()
-                .zip(&baseline)
-                .all(|(req, base)| combine_all(&reduced, req) == *base);
+            let same = space.iter().zip(&baseline).all(|(req, base)| {
+                evaluate_policies(&reduced, CombiningAlg::DenyOverrides, req) == *base
+            });
             if same {
                 redundant.push((policies[pi].id.clone(), policies[pi].rules[ri].id.clone()));
             }
@@ -234,10 +237,6 @@ impl QualityChecker {
         }
         out
     }
-}
-
-fn combine_all(policies: &[Policy], request: &Request) -> Decision {
-    CombiningAlg::DenyOverrides.combine(policies.iter().map(|p| p.evaluate(request)))
 }
 
 /// Conservative syntactic disjointness: true only if the two rules contain

@@ -1,8 +1,10 @@
 //! Property tests for the policy substrate: combining-algebra laws, serde
-//! round-trips, and quality-metric bounds.
+//! round-trips, quality-metric bounds, and the compiled kernel against the
+//! tree walk.
 
 use agenp_policy::{
-    AttrValue, Category, CombiningAlg, Cond, CondOp, Decision, Effect, Policy, PolicyRule,
+    evaluate_policies, evaluate_policies_effects, AttrValue, Category, CombiningAlg,
+    CompiledPolicies, Cond, CondOp, Decision, Effect, Obligation, Policy, PolicyRule,
     QualityChecker, Request,
 };
 use proptest::prelude::*;
@@ -76,6 +78,177 @@ fn arb_rule() -> impl Strategy<Value = PolicyRule> {
                 .prop_map(|(k, op)| Cond::cmp(Category::Subject, "age", op, k)),
         ];
     (effect, cond, 0u32..1000).prop_map(|(e, c, i)| PolicyRule::new(&format!("r{i}"), e, c))
+}
+
+/// Attribute names for the kernel property: with four categories, 20
+/// distinct `(category, attr)` pairs, more than the compiled kernel's
+/// stack slot table holds (16).
+const KERNEL_ATTRS: [&str; 5] = ["a", "b", "c", "d", "e"];
+
+fn arb_category() -> impl Strategy<Value = Category> {
+    prop_oneof![
+        Just(Category::Subject),
+        Just(Category::Resource),
+        Just(Category::Action),
+        Just(Category::Environment),
+    ]
+}
+
+/// A value of any of the three types, so leaves and requests disagree on
+/// type often enough to reach the type-mismatch paths of `Cmp` and `In`.
+fn arb_value() -> impl Strategy<Value = AttrValue> {
+    prop_oneof![
+        prop_oneof![Just("x"), Just("y")].prop_map(AttrValue::from),
+        (0i64..3).prop_map(AttrValue::Int),
+        any::<bool>().prop_map(AttrValue::Bool),
+    ]
+}
+
+fn arb_op() -> impl Strategy<Value = CondOp> {
+    prop_oneof![
+        Just(CondOp::Eq),
+        Just(CondOp::Ne),
+        Just(CondOp::Lt),
+        Just(CondOp::Le),
+        Just(CondOp::Gt),
+        Just(CondOp::Ge),
+    ]
+}
+
+fn arb_attr() -> impl Strategy<Value = (Category, &'static str)> {
+    (
+        arb_category(),
+        (0..KERNEL_ATTRS.len()).prop_map(|i| KERNEL_ATTRS[i]),
+    )
+}
+
+/// `Cmp` and `In` leaves; `In` lists may be empty.
+fn arb_leaf() -> impl Strategy<Value = Cond> {
+    prop_oneof![
+        (arb_attr(), arb_op(), arb_value()).prop_map(|((c, a), op, v)| Cond::cmp(c, a, op, v)),
+        (arb_attr(), proptest::collection::vec(arb_value(), 0..3)).prop_map(|((c, a), values)| {
+            Cond::In {
+                category: c,
+                attr: a.to_owned(),
+                values,
+            }
+        }),
+    ]
+}
+
+/// One level of connectives over `inner`; `And`/`Or` may be empty.
+fn arb_connective(inner: impl Strategy<Value = Cond> + 'static) -> impl Strategy<Value = Cond> {
+    prop_oneof![
+        inner.clone(),
+        proptest::collection::vec(inner.clone(), 0..4).prop_map(Cond::And),
+        proptest::collection::vec(inner.clone(), 0..4).prop_map(Cond::Or),
+        inner.prop_map(|c| Cond::Not(Box::new(c))),
+    ]
+}
+
+fn arb_alg() -> impl Strategy<Value = CombiningAlg> {
+    prop_oneof![
+        Just(CombiningAlg::DenyOverrides),
+        Just(CombiningAlg::PermitOverrides),
+        Just(CombiningAlg::FirstApplicable),
+    ]
+}
+
+fn arb_effect() -> impl Strategy<Value = Effect> {
+    prop_oneof![Just(Effect::Permit), Just(Effect::Deny)]
+}
+
+/// Obligation specs from a three-id pool, so ids repeat across rules and
+/// policies and deduplication matters.
+fn arb_specs() -> impl Strategy<Value = Vec<(Effect, Obligation)>> {
+    proptest::collection::vec(
+        (arb_effect(), 0usize..3, 1u64..9).prop_map(|(on, id, deadline)| {
+            let id = ["ob-a", "ob-b", "ob-c"][id];
+            (on, Obligation::new(id, "act", deadline))
+        }),
+        0..3,
+    )
+}
+
+/// Rules with conditions up to two connectives deep (or none), obligation
+/// specs and penalties.
+fn arb_kernel_rule() -> impl Strategy<Value = PolicyRule> {
+    let cond = proptest::option::weighted(0.85, arb_connective(arb_connective(arb_leaf())));
+    (
+        arb_effect(),
+        cond,
+        arb_specs(),
+        proptest::option::of(1u32..9),
+    )
+        .prop_map(|(effect, cond, specs, penalty)| {
+            let mut rule = match cond {
+                Some(c) => PolicyRule::new("r", effect, c),
+                None => PolicyRule::unconditional("r", effect),
+            };
+            for (on, ob) in specs {
+                rule = rule.with_obligation(on, ob);
+            }
+            rule.penalty = penalty;
+            rule
+        })
+}
+
+fn arb_kernel_policy() -> impl Strategy<Value = Policy> {
+    (
+        proptest::collection::vec(arb_kernel_rule(), 0..4),
+        arb_alg(),
+        arb_specs(),
+    )
+        .prop_map(|(rules, alg, specs)| {
+            let mut policy = Policy::new("p", rules).with_combining(alg);
+            for (on, ob) in specs {
+                policy = policy.with_obligation(on, ob);
+            }
+            policy
+        })
+}
+
+/// A policy with one rule whose condition reads every `(category, attr)`
+/// pair, so the set it joins needs more slots than the stack table holds.
+fn arb_wide_policy() -> impl Strategy<Value = Policy> {
+    let n = 4 * KERNEL_ATTRS.len();
+    (
+        arb_effect(),
+        any::<bool>(),
+        proptest::collection::vec((arb_op(), arb_value()), n..n + 1),
+    )
+        .prop_map(|(effect, conjunction, tests)| {
+            let pairs = Category::ALL
+                .iter()
+                .flat_map(|c| KERNEL_ATTRS.iter().map(move |a| (*c, *a)));
+            let leaves = pairs
+                .zip(tests)
+                .map(|((c, a), (op, v))| Cond::cmp(c, a, op, v))
+                .collect();
+            let cond = if conjunction {
+                Cond::And(leaves)
+            } else {
+                Cond::Or(leaves)
+            };
+            Policy::new(
+                "wide",
+                vec![PolicyRule::new("w", effect, cond).with_penalty(3)],
+            )
+        })
+}
+
+/// Requests over the kernel's attribute pool plus one name no condition
+/// reads, with values of every type.
+fn arb_kernel_request() -> impl Strategy<Value = Request> {
+    let name =
+        (0..KERNEL_ATTRS.len() + 1).prop_map(|i| KERNEL_ATTRS.get(i).copied().unwrap_or("z"));
+    proptest::collection::vec((arb_category(), name, arb_value()), 0..10).prop_map(|attrs| {
+        let mut req = Request::new();
+        for (c, n, v) in attrs {
+            req.set(c, n, v);
+        }
+        req
+    })
 }
 
 proptest! {
@@ -194,6 +367,39 @@ proptest! {
             a,
             b
         );
+    }
+
+    /// The compiled kernel renders exactly what the tree walk renders:
+    /// the same decision, obligations and penalty, with stack-sized and
+    /// heap-sized slot tables alike.
+    #[test]
+    fn compiled_kernel_matches_the_tree_walk(
+        mut policies in proptest::collection::vec(arb_kernel_policy(), 0..6),
+        wide in proptest::option::of(arb_wide_policy()),
+        at in 0usize..6,
+        combining in arb_alg(),
+        requests in proptest::collection::vec(arb_kernel_request(), 1..9),
+    ) {
+        if let Some(w) = wide {
+            policies.insert(at.min(policies.len()), w);
+        }
+        let set = CompiledPolicies::new(policies.clone(), combining);
+        prop_assert_eq!(set.policies(), &policies[..]);
+        prop_assert_eq!(set.combining(), combining);
+        for r in &requests {
+            prop_assert_eq!(
+                set.decide(r),
+                evaluate_policies(&policies, combining, r),
+                "decision for {}",
+                r
+            );
+            prop_assert_eq!(
+                set.decide_effects(r),
+                evaluate_policies_effects(&policies, combining, r),
+                "effects for {}",
+                r
+            );
+        }
     }
 
     /// Minimization never changes decisions on the assessed space.
