@@ -9,7 +9,7 @@
 //! 2. **Enabled overhead** — the same workload with telemetry on; reports
 //!    the enabled/disabled throughput ratio and gates on it.
 //! 3. **Autonomic-loop dump** — a full learn → adopt → decide-under-load
-//!    run plus a supervised coalition round with telemetry enabled, dumped
+//!    run plus a coalition learning round with telemetry enabled, dumped
 //!    through the exporter; the dump must validate as JSON and contain
 //!    spans from the asp, learn, core/serve, and coalition layers.
 //!
@@ -18,8 +18,7 @@
 //! `--smoke` runs reduced scales suitable for CI and exits nonzero on any
 //! gate failure (the gates run in both modes; smoke only shrinks scales).
 
-use agenp_coalition::resilience::FaultInjector;
-use agenp_coalition::{supervised_cav_learning, CoalitionConfig};
+use agenp_coalition::{sim, CoalitionConfig};
 use agenp_core::arch::{Ams, DecisionSnapshot, Feedback, PdpHandle, PdpServer};
 use agenp_grammar::{Asg, ProdId};
 use agenp_learn::HypothesisSpace;
@@ -298,13 +297,12 @@ fn run_autonomic_loop(smoke: bool) {
         .run(&requests, per_thread);
 }
 
-/// One fault-free supervised coalition round, small enough for CI.
+/// One fault-free coalition learning round, small enough for CI.
 fn run_coalition_round(smoke: bool) {
     let samples = if smoke { 40 } else { 120 };
     let cfg = CoalitionConfig::new(2, samples, 7);
     let wiki = agenp_coalition::CasWiki::new();
-    supervised_cav_learning(&cfg, &wiki, &FaultInjector::none())
-        .expect("fault-free coalition round succeeds");
+    sim::learning_round(&cfg, &wiki).expect("fault-free coalition round succeeds");
 }
 
 fn inspect_dump(snapshot: &ObsSnapshot, dump_line: &str) -> DumpOutcome {

@@ -6,12 +6,9 @@
 //! knowledge learned from the application of policies in different
 //! contexts."
 
-use crate::resilience::{panic_message, FaultInjector};
 use agenp_asp::Program;
 use agenp_learn::Example;
-use std::fmt;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::thread;
 
 /// One contributed experience: a policy string, the context, and whether
 /// the policy proved valid there.
@@ -38,33 +35,6 @@ impl Contribution {
         e
     }
 }
-
-/// A contributor failed to deliver its batch — its thread panicked midway.
-/// The wiki stays consistent (writes are all-or-nothing per batch handed to
-/// [`CasWiki::contribute_all`]); the failed batch is simply absent.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ContributionError {
-    /// The contributor whose batch failed.
-    pub contributor: String,
-    /// Why it failed (the panic message).
-    pub reason: String,
-}
-
-impl fmt::Display for ContributionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "contribution from {} failed: {}",
-            self.contributor, self.reason
-        )
-    }
-}
-
-impl std::error::Error for ContributionError {}
-
-/// A deferred producer of one contributor's batch, run on its own thread by
-/// [`CasWiki::contribute_concurrently`].
-pub type ContributionProducer = Box<dyn FnOnce() -> Vec<Contribution> + Send>;
 
 /// The shared, thread-safe knowledge base.
 #[derive(Clone, Debug, Default)]
@@ -97,61 +67,6 @@ impl CasWiki {
     /// Contributes a batch.
     pub fn contribute_all(&self, contributions: impl IntoIterator<Item = Contribution>) {
         self.write().extend(contributions);
-    }
-
-    /// Contributes a batch through a fault injector acting as the "link"
-    /// from `node` to the wiki: when the injector corrupts that node, every
-    /// contribution's validity flag is flipped in transit (the corrupted
-    /// write the trust layer is meant to catch).
-    pub fn contribute_all_via(
-        &self,
-        injector: &FaultInjector,
-        node: usize,
-        contributions: impl IntoIterator<Item = Contribution>,
-    ) {
-        let corrupt = injector.corrupts(node);
-        self.contribute_all(contributions.into_iter().map(|mut c| {
-            if corrupt {
-                c.valid = !c.valid;
-            }
-            c
-        }));
-    }
-
-    /// Runs each contributor's producer closure on its own thread and
-    /// contributes the resulting batch, collecting one result per
-    /// contributor in input order. A producer that panics yields a
-    /// [`ContributionError`] (with the panic message as the reason) instead
-    /// of poisoning the wiki or tearing down the caller; successful entries
-    /// report how many contributions they stored.
-    pub fn contribute_concurrently(
-        &self,
-        contributors: Vec<(String, ContributionProducer)>,
-    ) -> Vec<Result<usize, ContributionError>> {
-        thread::scope(|s| {
-            let handles: Vec<_> = contributors
-                .into_iter()
-                .map(|(name, produce)| {
-                    let wiki = self.clone();
-                    let handle = s.spawn(move || {
-                        let batch = produce();
-                        let n = batch.len();
-                        wiki.contribute_all(batch);
-                        n
-                    });
-                    (name, handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(name, handle)| {
-                    handle.join().map_err(|payload| ContributionError {
-                        contributor: name,
-                        reason: panic_message(payload.as_ref()),
-                    })
-                })
-                .collect()
-        })
     }
 
     /// Number of stored contributions.
@@ -217,58 +132,14 @@ mod tests {
     #[test]
     fn wiki_is_shared_across_clones_and_threads() {
         let wiki = CasWiki::new();
-        let results = wiki.contribute_concurrently(vec![
-            (
-                "bg".to_owned(),
-                Box::new(|| (0..10).map(|_| contribution("bg", true)).collect()),
-            ),
-            (
-                "fg".to_owned(),
-                Box::new(|| (0..10).map(|_| contribution("fg", true)).collect()),
-            ),
-        ]);
-        assert_eq!(results, vec![Ok(10), Ok(10)]);
+        std::thread::scope(|s| {
+            for who in ["bg", "fg"] {
+                let clone = wiki.clone();
+                s.spawn(move || clone.contribute_all((0..10).map(|_| contribution(who, true))));
+            }
+        });
         assert_eq!(wiki.len(), 20);
-    }
-
-    #[test]
-    fn panicked_contributor_surfaces_as_error_not_panic() {
-        let wiki = CasWiki::new();
-        let results = wiki.contribute_concurrently(vec![
-            (
-                "steady".to_owned(),
-                Box::new(|| vec![contribution("steady", true)]),
-            ),
-            (
-                "flaky".to_owned(),
-                Box::new(|| panic!("contributor process died")),
-            ),
-        ]);
-        assert_eq!(results[0], Ok(1));
-        assert_eq!(
-            results[1],
-            Err(ContributionError {
-                contributor: "flaky".to_owned(),
-                reason: "contributor process died".to_owned(),
-            })
-        );
-        // Only the surviving contributor's batch landed.
-        assert_eq!(wiki.len(), 1);
-        assert_eq!(wiki.retrieve(|c| c == "flaky").len(), 0);
-    }
-
-    #[test]
-    fn corrupting_link_flips_validity_in_transit() {
-        use crate::resilience::{Fault, FaultPlan};
-        let wiki = CasWiki::new();
-        let injector = FaultInjector::new(
-            1,
-            FaultPlan::new().with(Fault::CorruptContribution { node: 0 }),
-        );
-        wiki.contribute_all_via(&injector, 0, vec![contribution("bad-link", true)]);
-        wiki.contribute_all_via(&injector, 1, vec![contribution("good-link", true)]);
-        let all = wiki.retrieve_all();
-        assert!(!all[0].valid, "node 0's contribution must be corrupted");
-        assert!(all[1].valid, "node 1's contribution must pass untouched");
+        assert_eq!(wiki.retrieve(|c| c == "bg").len(), 10);
+        assert_eq!(wiki.retrieve(|c| c == "fg").len(), 10);
     }
 }

@@ -1,29 +1,19 @@
-//! The coalition fabric: multiple AMS parties learning concurrently,
-//! contributing experiences to the shared [`CasWiki`](crate::CasWiki), and
-//! warm-starting newcomers from trusted contributions (paper §III-A-3 and
-//! §IV-A's "collaborative policy management" direction).
-//!
-//! The coalition "network" is an in-process simulation: each party runs on
-//! its own thread, which preserves the architectural shape (asynchronous
-//! parties, shared repository, trust-filtered exchange) without a real
-//! transport. The fabric *supervises* its parties: a panicking, slow, or
-//! lossy party is caught, retried with seeded exponential backoff, and —
-//! if it keeps failing — reported as a per-node failure inside a degraded
-//! [`CoalitionOutcome`] rather than tearing the whole coalition down.
-//! Failure modes are injected deterministically through a
-//! [`FaultInjector`](crate::resilience::FaultInjector).
+//! The coalition fabric's public face (paper §III-A-3 and §IV-A's
+//! "collaborative policy management" direction): the decision plane every
+//! party serves through, the configuration and outcomes of the learning
+//! round ([`sim::learning_round`](crate::sim::learning_round)), which runs
+//! under a [`ChaosPlan`] on the deterministic simulation substrate, and
+//! the CASWiki workflows built on it — newcomers warm-start from trusted
+//! contributions through [`warm_start_comparison`].
 
-use crate::caswiki::{CasWiki, Contribution};
-use crate::resilience::{panic_message, FaultInjector, RetryPolicy};
+use crate::caswiki::CasWiki;
+use crate::sim::{self, ChaosPlan};
 use crate::trust::TrustModel;
-use agenp_asp::Deadline;
 use agenp_core::arch::{Ams, AmsError, DecisionOutcome, DegradedMode, PdpHandle};
 use agenp_core::scenarios::cav;
-use agenp_learn::{LearnOptions, Learner, LearningTask};
+use agenp_learn::{Learner, LearningTask};
 use agenp_policy::Request;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::thread;
 
 /// One coalition party's decision plane: an [`Ams`] pinned to
 /// [`DegradedMode::ServeLastGood`] so that while the coalition is degraded
@@ -123,7 +113,7 @@ impl DecisionPlane {
 }
 
 /// The report one coalition party produces after a local learning round.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NodeReport {
     /// Party name.
     pub name: String,
@@ -135,14 +125,16 @@ pub struct NodeReport {
     pub accuracy: f64,
 }
 
-/// How one supervised party fared, including the retries it took.
-#[derive(Clone, Debug)]
+/// How one party fared in a learning round, read from the repository's
+/// side.
+#[derive(Clone, Debug, PartialEq)]
 pub enum NodeOutcome {
-    /// Succeeded on the first attempt.
+    /// The report of its first attempt reached the wiki.
     Ok(NodeReport),
-    /// Succeeded after the given number of retries.
+    /// The report of a later attempt reached the wiki; the count is the
+    /// attempts before it.
     Retried(NodeReport, u32),
-    /// Exhausted its retries (or the run deadline) without a report.
+    /// Exhausted its attempts without its report reaching the wiki.
     Failed {
         /// Party name.
         name: String,
@@ -168,7 +160,7 @@ impl NodeOutcome {
         }
     }
 
-    /// Retries consumed before the outcome was reached.
+    /// Attempts made before the delivered one (0 for a failed party).
     pub fn retries(&self) -> u32 {
         match self {
             NodeOutcome::Retried(_, n) => *n,
@@ -182,16 +174,19 @@ impl NodeOutcome {
     }
 }
 
-/// The supervised coalition's aggregate result: one outcome per party (in
-/// spawn order) plus the quorum that was required of them.
+/// A learning round's aggregate result: one outcome per party (indexed
+/// by party) plus the quorum that was required of them.
 #[derive(Clone, Debug)]
 pub struct CoalitionOutcome {
-    /// Per-party outcomes, indexed by spawn order.
+    /// Per-party outcomes, indexed by party.
     pub nodes: Vec<NodeOutcome>,
     /// Minimum number of successful parties that was required.
     pub quorum: usize,
     /// True if at least one party failed — the result is partial.
     pub degraded: bool,
+    /// FNV-1a hash over the round's `(tick, event)` trace. Equal
+    /// configurations replay to equal hashes.
+    pub trace_hash: u64,
 }
 
 impl CoalitionOutcome {
@@ -211,7 +206,7 @@ impl CoalitionOutcome {
     }
 }
 
-/// Why a supervised coalition run failed outright.
+/// Why a learning round failed outright.
 #[derive(Clone, Debug)]
 pub enum CoalitionError {
     /// Fewer parties succeeded than the configured quorum requires. The
@@ -221,7 +216,7 @@ pub enum CoalitionError {
         successes: usize,
         /// Minimum successes required.
         quorum: usize,
-        /// Per-party outcomes, indexed by spawn order.
+        /// Per-party outcomes, indexed by party.
         nodes: Vec<NodeOutcome>,
     },
 }
@@ -241,36 +236,36 @@ impl fmt::Display for CoalitionError {
 
 impl std::error::Error for CoalitionError {}
 
-/// Configuration for a supervised coalition learning round.
-#[derive(Clone, Copy, Debug)]
+/// Configuration for a coalition learning round.
+#[derive(Clone, Debug)]
 pub struct CoalitionConfig {
     /// Number of parties to run.
     pub n_nodes: usize,
     /// Local training samples per party.
     pub samples_per_node: usize,
-    /// Base seed; party `i` samples with `seed + i * 101`.
+    /// Base seed; party `i` samples with `seed + i * 101`, and the chaos
+    /// layer rolls from it.
     pub seed: u64,
-    /// Retry/backoff policy applied to each failing party.
-    pub retry: RetryPolicy,
     /// Minimum successful parties for the run to count at all.
     pub quorum: usize,
-    /// Wall-clock deadline for the whole run; threaded into each party's
-    /// learner and checked before every attempt.
-    pub deadline: Deadline,
+    /// Attempts a party makes after its first before it gives up.
+    pub max_retries: u32,
+    /// The faults the round runs under.
+    pub plan: ChaosPlan,
 }
 
 impl CoalitionConfig {
-    /// A config with default retry policy, no deadline, and a full quorum
-    /// (every party must succeed for a non-degraded outcome; the quorum can
-    /// be lowered with [`CoalitionConfig::quorum`]).
+    /// A faultless round with two retries and a full quorum (every party
+    /// must succeed for a non-degraded outcome; the quorum can be lowered
+    /// with [`CoalitionConfig::quorum`]).
     pub fn new(n_nodes: usize, samples_per_node: usize, seed: u64) -> CoalitionConfig {
         CoalitionConfig {
             n_nodes,
             samples_per_node,
             seed,
-            retry: RetryPolicy::default(),
             quorum: n_nodes,
-            deadline: Deadline::none(),
+            max_retries: 2,
+            plan: ChaosPlan::none(),
         }
     }
 
@@ -280,199 +275,18 @@ impl CoalitionConfig {
         self
     }
 
-    /// Sets the retry/backoff policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> CoalitionConfig {
-        self.retry = retry;
-        self
-    }
-
-    /// Sets the run deadline.
-    pub fn deadline(mut self, deadline: Deadline) -> CoalitionConfig {
-        self.deadline = deadline;
+    /// Sets the faults the round runs under.
+    pub fn plan(mut self, plan: ChaosPlan) -> CoalitionConfig {
+        self.plan = plan;
         self
     }
 }
 
-/// Runs a supervised CAV coalition: each party samples local experience,
-/// learns a GPM, evaluates it on a shared test distribution, and
-/// contributes its labelled experiences to the wiki. Parties that panic,
-/// lose their report, or overrun the deadline are retried per
-/// `cfg.retry` and reported as [`NodeOutcome::Failed`] when they stay
-/// down. The run succeeds — possibly `degraded` — whenever at least
-/// `cfg.quorum` parties succeed, and fails with
-/// [`CoalitionError::QuorumNotMet`] otherwise.
-///
-/// With a fixed `cfg` and `injector` the outcome is deterministic: faults
-/// fire purely on `(node, attempt)`, outcomes are joined in spawn order,
-/// and backoff jitter derives from the injector's seed.
-pub fn supervised_cav_learning(
-    cfg: &CoalitionConfig,
-    wiki: &CasWiki,
-    injector: &FaultInjector,
-) -> Result<CoalitionOutcome, CoalitionError> {
-    let nodes: Vec<NodeOutcome> = thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.n_nodes)
-            .map(|i| s.spawn(move || run_party(cfg, wiki, injector, i)))
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| match h.join() {
-                Ok(outcome) => outcome,
-                // run_party catches panics itself; this is a belt-and-braces
-                // path for panics outside catch_unwind (e.g. in the retry
-                // loop machinery).
-                Err(payload) => NodeOutcome::Failed {
-                    name: format!("party-{i}"),
-                    reason: panic_message(payload.as_ref()),
-                },
-            })
-            .collect()
-    });
-    let successes = nodes.iter().filter(|o| o.is_ok()).count();
-    if successes < cfg.quorum {
-        return Err(CoalitionError::QuorumNotMet {
-            successes,
-            quorum: cfg.quorum,
-            nodes,
-        });
-    }
-    Ok(CoalitionOutcome {
-        degraded: successes < cfg.n_nodes,
-        quorum: cfg.quorum,
-        nodes,
-    })
-}
-
-/// One supervised party: attempt the learning round up to
-/// `1 + max_retries` times, sleeping the backoff delay between attempts.
-fn run_party(
-    cfg: &CoalitionConfig,
-    wiki: &CasWiki,
-    injector: &FaultInjector,
-    i: usize,
-) -> NodeOutcome {
-    let mut span = agenp_obs::span!("coalition.party", party = i);
-    let outcome = run_party_inner(cfg, wiki, injector, i);
-    if span.is_live() {
-        let r = agenp_obs::registry();
-        match &outcome {
-            NodeOutcome::Ok(_) => span.record("outcome", "ok"),
-            NodeOutcome::Retried(_, attempts) => {
-                span.record("outcome", "retried");
-                span.record("retries", *attempts as u64);
-                r.counter("coalition.party_retries").add(*attempts as u64);
-            }
-            NodeOutcome::Failed { reason, .. } => {
-                span.record("outcome", "failed");
-                span.record("reason", reason.as_str());
-                r.counter("coalition.party_failures").incr();
-            }
-        }
-    }
-    outcome
-}
-
-fn run_party_inner(
-    cfg: &CoalitionConfig,
-    wiki: &CasWiki,
-    injector: &FaultInjector,
-    i: usize,
-) -> NodeOutcome {
-    let name = format!("party-{i}");
-    let mut last_reason = String::from("no attempt made");
-    for attempt in 0..=cfg.retry.max_retries {
-        if attempt > 0 {
-            thread::sleep(
-                cfg.retry
-                    .backoff
-                    .delay(attempt - 1, injector.seed() ^ i as u64),
-            );
-        }
-        if cfg.deadline.expired() {
-            return NodeOutcome::Failed {
-                name,
-                reason: format!("deadline expired before attempt {attempt}"),
-            };
-        }
-        match catch_unwind(AssertUnwindSafe(|| {
-            party_round(cfg, wiki, injector, i, attempt, &name)
-        })) {
-            Ok(Ok(report)) => {
-                return if attempt == 0 {
-                    NodeOutcome::Ok(report)
-                } else {
-                    NodeOutcome::Retried(report, attempt)
-                };
-            }
-            Ok(Err(reason)) => last_reason = reason,
-            Err(payload) => {
-                last_reason = format!("panicked: {}", panic_message(payload.as_ref()));
-            }
-        }
-    }
-    NodeOutcome::Failed {
-        name,
-        reason: last_reason,
-    }
-}
-
-/// One attempt of a party's learning round. Contributions reach the wiki
-/// only on a successful attempt (after the drop-report check), so a
-/// retried party never double-contributes.
-fn party_round(
-    cfg: &CoalitionConfig,
-    wiki: &CasWiki,
-    injector: &FaultInjector,
-    i: usize,
-    attempt: u32,
-    name: &str,
-) -> Result<NodeReport, String> {
-    if injector.panics(i, attempt) {
-        panic!("injected fault: {name} crashed on attempt {attempt}");
-    }
-    if let Some(delay) = injector.slow_down(i) {
-        thread::sleep(delay);
-    }
-    let local = cav::samples(cfg.samples_per_node, cfg.seed.wrapping_add(i as u64 * 101));
-    let task = cav::learning_task(&local, None);
-    let learner = Learner::with_options(LearnOptions::default().with_deadline(cfg.deadline));
-    let h = learner
-        .learn(&task)
-        .map_err(|e| format!("learning failed: {e}"))?;
-    let gpm = h.apply(&task.grammar);
-    let test = cav::samples(150, 999_999);
-    let accuracy = cav::gpm_accuracy(&gpm, &test);
-    if let Some(delay) = injector.report_delay(i) {
-        thread::sleep(delay);
-    }
-    if injector.drops_report(i, attempt) {
-        return Err(format!("report dropped in transit on attempt {attempt}"));
-    }
-    wiki.contribute_all_via(
-        injector,
-        i,
-        local.iter().map(|s| Contribution {
-            contributor: name.to_owned(),
-            policy: cav::policy_text(s.task),
-            context: s.context.to_program(),
-            valid: s.accept,
-        }),
-    );
-    Ok(NodeReport {
-        name: name.to_owned(),
-        local_examples: local.len(),
-        learned_rules: h.rules.len(),
-        accuracy,
-    })
-}
-
-/// Runs `n_nodes` CAV parties concurrently and returns one report per
-/// party, sorted by name. Convenience wrapper over
-/// [`supervised_cav_learning`] with no faults, default retries, and a
-/// quorum of zero: it never fails, and a party that stays down after its
-/// retries yields a zeroed report (no learned rules, accuracy 0.0)
-/// instead of panicking the caller.
+/// Runs a faultless CAV learning round over `n_nodes` parties and returns
+/// one report per party, sorted by name. A convenience wrapper over
+/// [`sim::learning_round`] with a quorum of zero: it never fails, and a
+/// party whose learner errors on every attempt yields a zeroed report (no
+/// learned rules, accuracy 0.0) instead of panicking the caller.
 pub fn distributed_cav_learning(
     n_nodes: usize,
     samples_per_node: usize,
@@ -480,7 +294,7 @@ pub fn distributed_cav_learning(
     wiki: &CasWiki,
 ) -> Vec<NodeReport> {
     let cfg = CoalitionConfig::new(n_nodes, samples_per_node, seed).quorum(0);
-    let nodes = match supervised_cav_learning(&cfg, wiki, &FaultInjector::none()) {
+    let nodes = match sim::learning_round(&cfg, wiki) {
         Ok(outcome) => outcome.nodes,
         Err(CoalitionError::QuorumNotMet { nodes, .. }) => nodes,
     };
@@ -556,10 +370,12 @@ fn accuracy_of(task: &LearningTask, test: &[cav::Sample]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::caswiki::Contribution;
     use agenp_asp::RunBudget;
     use agenp_grammar::Asg;
     use agenp_learn::HypothesisSpace;
     use agenp_policy::Decision;
+    use std::thread;
 
     fn clearance_ams(name: &str) -> Ams {
         let g: Asg = r#"
@@ -652,8 +468,8 @@ mod tests {
     fn supervised_run_without_faults_is_clean() {
         let wiki = CasWiki::new();
         let cfg = CoalitionConfig::new(3, 30, 5);
-        let outcome = supervised_cav_learning(&cfg, &wiki, &FaultInjector::none())
-            .expect("full quorum reachable without faults");
+        let outcome =
+            sim::learning_round(&cfg, &wiki).expect("full quorum reachable without faults");
         assert!(!outcome.degraded);
         assert_eq!(outcome.successes(), 3);
         assert_eq!(outcome.total_retries(), 0);

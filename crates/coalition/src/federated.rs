@@ -4,7 +4,6 @@
 //! *reject* it — based on the source's trust, the model's estimated
 //! accuracy gain, and its staleness.
 
-use crate::resilience::FaultInjector;
 use agenp_asp::{CmpOp, Program, Term};
 use agenp_grammar::{Asg, ProdId};
 #[cfg(test)]
@@ -201,26 +200,11 @@ pub struct FederationOutcome {
 /// the learned GPM; the ungoverned node adopts anything that reports an
 /// improvement.
 pub fn simulate_federation(gpm: &Asg, rounds: usize, seed: u64) -> FederationOutcome {
-    simulate_federation_with_faults(gpm, rounds, seed, &FaultInjector::none())
-}
-
-/// [`simulate_federation`] with deterministic fault injection: a
-/// `CorruptContribution` fault on round `r` makes that round's offer
-/// overreport its accuracy by 25 points regardless of the source's trust —
-/// a corrupted (or adversarial) accuracy claim the governance policy must
-/// absorb. The RNG call sequence is identical to the fault-free
-/// simulation, so an empty injector reproduces it exactly.
-pub fn simulate_federation_with_faults(
-    gpm: &Asg,
-    rounds: usize,
-    seed: u64,
-    injector: &FaultInjector,
-) -> FederationOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut governed = 70.0f64;
     let mut ungoverned = 70.0f64;
     let mut adoptions = 0;
-    for round in 0..rounds {
+    for _ in 0..rounds {
         let src_trust = rng.gen_range(0..=3);
         // Untrusted sources have worse models *and* overreport their
         // accuracy; stale models decay.
@@ -230,14 +214,11 @@ pub fn simulate_federation_with_faults(
             rng.gen_range(30..=70) as f64
         };
         let staleness = rng.gen_range(0..=5);
-        let mut reported = if src_trust <= 1 {
+        let reported = if src_trust <= 1 {
             true_acc + 25.0
         } else {
             true_acc
         };
-        if injector.corrupts(round) {
-            reported = true_acc + 25.0;
-        }
         let effective = true_acc - 3.0 * staleness as f64;
 
         let offer_for = |local: f64| ModelOffer {
@@ -340,6 +321,23 @@ mod tests {
             "governed {governed} vs ungoverned {ungoverned}"
         );
         assert!(adoptions > 0);
+    }
+
+    #[test]
+    fn unknown_governance_action_is_an_error_not_a_panic() {
+        let offer = ModelOffer {
+            src_trust: 3,
+            remote_acc: 90,
+            local_acc: 70,
+            staleness: 0,
+        };
+        assert_eq!(
+            try_valid(offer, "teleport"),
+            Err(GovernanceError::UnknownAction("teleport".to_owned()))
+        );
+        // The infallible wrapper denies by default.
+        assert!(!valid(offer, "teleport"));
+        assert!(valid(offer, "adopt"));
     }
 
     #[test]

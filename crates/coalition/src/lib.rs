@@ -7,14 +7,15 @@
 //! party — data sharing with helper microservices (§IV-D, \[33\]) and
 //! federated-learning governance (§IV-E).
 //!
-//! The coalition "network" is an in-process simulation (threads and a
-//! shared wiki); the paper's coalition is an architectural abstraction, not
-//! a measured testbed, so this preserves the relevant behaviour. The fabric
-//! is *supervised*: party failures — crashes, lost or delayed reports,
-//! corrupted contributions, deadline overruns — are injected
-//! deterministically via [`resilience::FaultInjector`], retried with seeded
-//! backoff, and surfaced as degraded [`CoalitionOutcome`]s instead of
-//! panics (see `docs/RESILIENCE.md`).
+//! The coalition "network" is a seeded discrete-event simulation
+//! ([`sim`]); the paper's coalition is an architectural abstraction, not
+//! a measured testbed, so this preserves the relevant behaviour. Parties
+//! learn with the real learner in [`sim::learning_round`], and one fault
+//! vocabulary, [`sim::ChaosPlan`], drives every failure — lost,
+//! duplicated, delayed or partitioned reports, crash waves, degraded
+//! waves. Failures are retried at a fixed interval and surfaced as
+//! degraded [`CoalitionOutcome`]s instead of panics; equal configurations
+//! replay to equal trace hashes (see `docs/RESILIENCE.md`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -26,13 +27,12 @@ pub mod cav_services;
 pub mod datashare;
 mod fabric;
 pub mod federated;
-pub mod resilience;
 pub mod sim;
 mod trust;
 
-pub use caswiki::{CasWiki, Contribution, ContributionError, ContributionProducer};
+pub use caswiki::{CasWiki, Contribution};
 pub use fabric::{
-    distributed_cav_learning, supervised_cav_learning, warm_start_comparison, CoalitionConfig,
-    CoalitionError, CoalitionOutcome, DecisionPlane, NodeOutcome, NodeReport, WarmStartOutcome,
+    distributed_cav_learning, warm_start_comparison, CoalitionConfig, CoalitionError,
+    CoalitionOutcome, DecisionPlane, NodeOutcome, NodeReport, WarmStartOutcome,
 };
 pub use trust::TrustModel;

@@ -1,17 +1,15 @@
-//! The chaos layer: scheduled network- and process-level faults for the
-//! deterministic simulation fabric (`crate::sim`).
+//! The chaos layer: the one fault vocabulary of the coalition crate.
 //!
-//! Where the original [`FaultInjector`](super::FaultInjector) answers
-//! point queries about one party's learning attempts, a [`ChaosInjector`]
-//! extends the same seed into *fabric-wide* failure modes: message loss,
-//! duplication, and delay-induced reordering decided per message id;
-//! named network partitions with heal events; coordinated crash-restart
-//! waves with state loss; and degraded-mode waves during which refreshes
-//! fail. Every answer is a pure function of `(seed, plan, query)` — no
-//! RNG state advances — so a chaos run replays exactly from its seed.
+//! A [`ChaosPlan`] names the faults of a run and a [`ChaosInjector`]
+//! applies them from a seed: message loss, duplication, and
+//! delay-induced reordering decided per message id; named network
+//! partitions with heal events; coordinated crash-restart waves with
+//! state loss; and degraded-mode waves during which refreshes (and
+//! learning attempts) fail. Every answer is a pure function of
+//! `(seed, plan, query)` — no RNG state advances — so a chaos run replays
+//! exactly from its seed.
 
-use super::faults::FaultInjector;
-use crate::sim::rng::{mix, unit};
+use super::rng::{mix, unit};
 
 // Disjoint hash streams so e.g. the loss roll for message 7 cannot
 // correlate with its delay roll.
@@ -38,8 +36,9 @@ pub struct PartitionSpec {
 
 /// A coordinated crash wave: at tick `at`, every party with
 /// `party % modulo == phase` crashes with full state loss (its serving
-/// snapshot and adopted policy version are gone); all of them restart
-/// `restart_after` ticks later in recovering (deny-by-default) state.
+/// snapshot and adopted policy version are gone; in a learning round, its
+/// learned report); all of them restart `restart_after` ticks later in
+/// recovering (deny-by-default) state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashWave {
     /// Tick the wave crashes its victims.
@@ -63,7 +62,8 @@ impl CrashWave {
 /// (exclusive), every refresh attempt by a party with
 /// `party % modulo == phase` fails, driving `DenyByDefault` parties into
 /// degraded denying snapshots and `ServeLastGood` parties into sanctioned
-/// staleness until the wave passes.
+/// staleness until the wave passes. In a learning round the wave fails
+/// the party's learning attempts instead: a slow or failed solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DegradedWave {
     /// Tick the wave starts.
@@ -146,45 +146,33 @@ impl ChaosPlan {
     }
 }
 
-/// A [`FaultInjector`] extended with a [`ChaosPlan`]: the same seed now
-/// also drives fabric-wide message chaos, partitions, crash waves, and
-/// degraded waves. Obtained via [`FaultInjector::chaos`].
+/// How the fabric carries one message that it does not lose. Each delay
+/// is `(ticks, straggler)`, as [`ChaosInjector::message_delay`] returns it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Transit {
+    /// The message's delivery delay.
+    pub(crate) delay: (u64, bool),
+    /// The delay of the duplicate chaos made, if any.
+    pub(crate) copy: Option<(u64, bool)>,
+}
+
+/// Applies a [`ChaosPlan`] from a seed: fabric-wide message chaos,
+/// partitions, crash waves, and degraded waves.
 #[derive(Clone, Debug)]
 pub struct ChaosInjector {
-    injector: FaultInjector,
+    seed: u64,
     plan: ChaosPlan,
 }
 
-impl FaultInjector {
-    /// Extends this injector into a fabric-wide chaos layer driven by the
-    /// same seed.
-    pub fn chaos(self, plan: ChaosPlan) -> ChaosInjector {
-        ChaosInjector {
-            injector: self,
-            plan,
-        }
-    }
-}
-
 impl ChaosInjector {
-    /// The underlying point-fault injector (and the shared seed).
-    pub fn injector(&self) -> &FaultInjector {
-        &self.injector
-    }
-
-    /// The run seed.
-    pub fn seed(&self) -> u64 {
-        self.injector.seed()
-    }
-
-    /// The chaos schedule.
-    pub fn plan(&self) -> &ChaosPlan {
-        &self.plan
+    /// An injector applying `plan`, with every roll keyed off `seed`.
+    pub fn new(seed: u64, plan: ChaosPlan) -> ChaosInjector {
+        ChaosInjector { seed, plan }
     }
 
     #[inline]
     fn roll(&self, stream: u64, id: u64) -> f64 {
-        unit(mix(&[self.seed(), stream, id]))
+        unit(mix(&[self.seed, stream, id]))
     }
 
     #[inline]
@@ -214,13 +202,29 @@ impl ChaosInjector {
         let mut delay = self.plan.base_delay.max(1);
         if self.probabilistic(tick) {
             if self.plan.jitter > 0 {
-                delay += mix(&[self.seed(), STREAM_DELAY, id]) % (self.plan.jitter + 1);
+                delay += mix(&[self.seed, STREAM_DELAY, id]) % (self.plan.jitter + 1);
             }
             if self.plan.reorder > 0.0 && self.roll(STREAM_REORDER, id) < self.plan.reorder {
                 return (delay + self.plan.jitter.saturating_mul(4), true);
             }
         }
         (delay, false)
+    }
+
+    /// What the fabric does with message `id`, sent at `tick`: `None` when
+    /// it is lost, else its delay and, when duplicated, the copy's. The
+    /// copy's delay is keyed off a disjoint id so the two deliveries can
+    /// reorder.
+    pub(crate) fn transit(&self, tick: u64, id: u64) -> Option<Transit> {
+        if self.drops_message(tick, id) {
+            return None;
+        }
+        Some(Transit {
+            delay: self.message_delay(tick, id),
+            copy: self
+                .duplicates_message(tick, id)
+                .then(|| self.message_delay(tick, id | (1 << 63))),
+        })
     }
 
     /// The partition active at `tick`, if any, as `(index, spec)`.
@@ -237,7 +241,7 @@ impl ChaosInjector {
     /// `island-{group}`.
     pub fn group_of(&self, idx: usize, node: usize) -> u32 {
         let spec = &self.plan.partitions[idx];
-        (mix(&[self.seed(), STREAM_GROUP, idx as u64, node as u64]) % u64::from(spec.groups.max(1)))
+        (mix(&[self.seed, STREAM_GROUP, idx as u64, node as u64]) % u64::from(spec.groups.max(1)))
             as u32
     }
 
@@ -300,21 +304,30 @@ mod tests {
 
     #[test]
     fn same_seed_same_answers() {
-        let a = FaultInjector::new(99, Default::default()).chaos(storm_plan());
-        let b = FaultInjector::new(99, Default::default()).chaos(storm_plan());
+        let a = ChaosInjector::new(99, storm_plan());
+        let b = ChaosInjector::new(99, storm_plan());
         for id in 0..5000 {
             assert_eq!(a.drops_message(5, id), b.drops_message(5, id));
             assert_eq!(a.duplicates_message(5, id), b.duplicates_message(5, id));
             assert_eq!(a.message_delay(5, id), b.message_delay(5, id));
+            // `transit` composes exactly those three answers.
+            match a.transit(5, id) {
+                None => assert!(a.drops_message(5, id)),
+                Some(t) => {
+                    assert!(!a.drops_message(5, id));
+                    assert_eq!(t.delay, a.message_delay(5, id));
+                    assert_eq!(t.copy.is_some(), a.duplicates_message(5, id));
+                }
+            }
         }
         // A different seed gives a different schedule somewhere.
-        let c = FaultInjector::new(100, Default::default()).chaos(storm_plan());
+        let c = ChaosInjector::new(100, storm_plan());
         assert!((0..5000).any(|id| a.drops_message(5, id) != c.drops_message(5, id)));
     }
 
     #[test]
     fn probabilistic_chaos_quiesces() {
-        let inj = FaultInjector::new(7, Default::default()).chaos(storm_plan());
+        let inj = ChaosInjector::new(7, storm_plan());
         for id in 0..2000 {
             assert!(!inj.drops_message(1000, id), "loss after chaos_until");
             assert!(!inj.duplicates_message(1000, id));
@@ -326,7 +339,7 @@ mod tests {
 
     #[test]
     fn partitions_are_stable_and_heal() {
-        let inj = FaultInjector::new(3, Default::default()).chaos(storm_plan());
+        let inj = ChaosInjector::new(3, storm_plan());
         assert!(inj.partition_at(9).is_none());
         assert!(inj.partition_at(10).is_some());
         assert!(inj.partition_at(19).is_some());
@@ -351,7 +364,7 @@ mod tests {
 
     #[test]
     fn waves_select_by_modulo_and_window() {
-        let inj = FaultInjector::new(3, Default::default()).chaos(storm_plan());
+        let inj = ChaosInjector::new(3, storm_plan());
         assert!(inj.wave_failing(45, 5)); // 5 % 4 == 1
         assert!(!inj.wave_failing(45, 6));
         assert!(!inj.wave_failing(39, 5));

@@ -2,9 +2,14 @@
 //! a large coalition (1,000–10,000 AMS parties) exchanging policy gossip
 //! and refresh messages through a shared repository while each party
 //! serves decision traffic through its own `PdpHandle` — with the
-//! [`resilience::ChaosInjector`](crate::resilience::ChaosInjector)
-//! driving message loss/duplication/reordering, named partitions,
-//! crash-restart waves, and degraded-mode waves from the same seed.
+//! [`ChaosInjector`] driving message loss/duplication/reordering, named
+//! partitions, crash-restart waves, and degraded-mode waves from the same
+//! seed.
+//!
+//! The same substrate — [`EventQueue`], [`ChaosInjector`] and the trace
+//! hash — also runs the coalition's learning round ([`learning_round`]),
+//! in which parties learn with the real learner and contribute their
+//! experiences to the CASWiki under a [`ChaosPlan`].
 //!
 //! # Model
 //!
@@ -31,20 +36,24 @@
 
 pub mod rng;
 
+mod chaos;
 mod invariants;
+mod learning;
 mod party;
 mod scenario;
 mod scheduler;
 
+pub use chaos::{ChaosInjector, ChaosPlan, CrashWave, DegradedWave, PartitionSpec};
 pub use invariants::{InvariantChecker, Violation, MAX_RECORDED};
+pub use learning::{learning_round, RETRY_INTERVAL};
 pub use party::{Serving, SimParty};
 pub use scenario::{coalition_policies, decision_workload, Scenario};
 pub use scheduler::{Event, EventQueue, Message, NodeId, Payload};
 
-use crate::resilience::{ChaosInjector, FaultInjector, FaultPlan};
 use agenp_core::arch::{AmsError, DegradedMode};
 use agenp_policy::{CombiningAlg, Decision, DecisionEffects, Request};
 use rng::SimRng;
+use scheduler::Trace;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -53,9 +62,6 @@ use std::time::{Duration, Instant};
 const STREAM_PEERS: u64 = 0xB1;
 const STREAM_PUSH: u64 = 0xB2;
 const STREAM_WORKLOAD: u64 = 0xB3;
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 // Sampled spot-checking of served decisions against the independent
 // `agenp_refsem` reference evaluator: every Nth healthy decision, up to a
@@ -198,7 +204,7 @@ pub fn run_scenario_with(
     sim.schedule_initial();
     let start = Instant::now();
     while let Some((tick, event)) = sim.queue.pop() {
-        sim.record(tick, &event);
+        sim.trace.record(tick, &event);
         sim.handle(tick, event);
     }
     let elapsed = start.elapsed();
@@ -216,8 +222,7 @@ struct Simulation<'a> {
     stats: SimStats,
     checker: InvariantChecker,
     workload: Vec<Request>,
-    trace_hash: u64,
-    trace: Option<Vec<String>>,
+    trace: Trace,
     served: HashMap<(u64, usize), DecisionEffects>,
     reference: Option<&'a HashMap<(u64, usize), DecisionEffects>>,
     reference_mismatches: u64,
@@ -245,7 +250,7 @@ impl<'a> Simulation<'a> {
         Simulation {
             seed,
             scenario,
-            injector: FaultInjector::new(seed, FaultPlan::default()).chaos(scenario.plan.clone()),
+            injector: ChaosInjector::new(seed, scenario.plan.clone()),
             queue: EventQueue::new(),
             parties,
             head: 0,
@@ -253,8 +258,7 @@ impl<'a> Simulation<'a> {
             stats: SimStats::default(),
             checker: InvariantChecker::new(),
             workload: decision_workload(),
-            trace_hash: FNV_OFFSET,
-            trace: config.record_trace.then(Vec::new),
+            trace: Trace::new(config.record_trace),
             served: HashMap::new(),
             reference,
             reference_mismatches: 0,
@@ -306,21 +310,6 @@ impl<'a> Simulation<'a> {
         self.queue.push(s.ticks, Event::FinalCheck);
     }
 
-    /// Folds the event into the trace hash (and the recorded trace, when
-    /// on). The trace covers every event *popped*, in order — the chaos
-    /// outcomes downstream are pure functions of this sequence, so equal
-    /// traces imply equal runs.
-    fn record(&mut self, tick: u64, event: &Event) {
-        let line = format!("{tick:06} {event:?}");
-        for &b in line.as_bytes() {
-            self.trace_hash ^= u64::from(b);
-            self.trace_hash = self.trace_hash.wrapping_mul(FNV_PRIME);
-        }
-        if let Some(trace) = &mut self.trace {
-            trace.push(line);
-        }
-    }
-
     fn handle(&mut self, tick: u64, event: Event) {
         match event {
             Event::PublishVersion => self.publish_version(tick),
@@ -340,14 +329,12 @@ impl<'a> Simulation<'a> {
             }
             Event::Deliver { message } => self.deliver(tick, message),
             Event::DecideWave => self.decide_wave(tick),
-            Event::PartitionStart { idx } => {
+            Event::PartitionStart { .. } => {
                 self.stats.partitions += 1;
-                let _ = idx;
                 agenp_obs::dump_if_enabled("chaos.partition");
             }
-            Event::PartitionHeal { idx } => {
+            Event::PartitionHeal { .. } => {
                 self.stats.heals += 1;
-                let _ = idx;
                 self.queue.push(
                     tick + self.scenario.reconvergence_bound(),
                     Event::ConvergenceCheck {
@@ -381,12 +368,10 @@ impl<'a> Simulation<'a> {
                 }
                 agenp_obs::dump_if_enabled("chaos.restart");
             }
-            Event::DegradedWaveStart { idx } => {
-                let _ = idx;
+            Event::DegradedWaveStart { .. } => {
                 agenp_obs::dump_if_enabled("chaos.degraded-wave");
             }
-            Event::DegradedWaveEnd { idx } => {
-                let _ = idx;
+            Event::DegradedWaveEnd { .. } => {
                 agenp_obs::dump_if_enabled("chaos.degraded-wave-end");
             }
             Event::ConvergenceCheck { floor, heal_tick } => {
@@ -468,36 +453,28 @@ impl<'a> Simulation<'a> {
         let id = self.next_message_id;
         self.next_message_id += 1;
         self.stats.messages_sent += 1;
-        if self.injector.drops_message(tick, id) {
+        let Some(transit) = self.injector.transit(tick, id) else {
             self.stats.dropped_loss += 1;
             return;
-        }
-        let (delay, straggler) = self.injector.message_delay(tick, id);
-        if straggler {
-            self.stats.stragglers += 1;
-        }
+        };
         let message = Message {
             id,
             from,
             to,
             payload,
         };
-        if self.injector.duplicates_message(tick, id) {
-            self.stats.duplicated += 1;
-            // The copy takes its own (independent) delay, keyed off a
-            // disjoint id so the two deliveries can reorder.
-            let (dup_delay, dup_straggler) = self.injector.message_delay(tick, id | (1 << 63));
-            if dup_straggler {
-                self.stats.stragglers += 1;
-            }
+        // The copy is pushed before the original: same-tick deliveries pop
+        // in push order, and the pinned trace hashes depend on that order.
+        self.stats.duplicated += u64::from(transit.copy.is_some());
+        for (delay, straggler) in transit.copy.into_iter().chain([transit.delay]) {
+            self.stats.stragglers += u64::from(straggler);
             self.queue.push(
-                tick + dup_delay,
+                tick + delay,
                 Event::Deliver {
                     message: message.clone(),
                 },
             );
         }
-        self.queue.push(tick + delay, Event::Deliver { message });
     }
 
     fn deliver(&mut self, tick: u64, message: Message) {
@@ -715,8 +692,8 @@ impl<'a> Simulation<'a> {
             head: self.head,
             stats: self.stats,
             invariant_violations: self.checker.total(),
-            trace_hash: self.trace_hash,
-            trace: self.trace,
+            trace_hash: self.trace.hash,
+            trace: self.trace.lines,
             served: self.served,
             reference_mismatches: self.reference_mismatches,
             violations: self.checker.into_recorded(),

@@ -8,7 +8,7 @@
 //! refresh, so the end-of-run convergence invariant is deterministic
 //! rather than probabilistic.
 
-use crate::resilience::{ChaosPlan, CrashWave, DegradedWave, PartitionSpec};
+use super::chaos::{ChaosPlan, CrashWave, DegradedWave, PartitionSpec};
 use agenp_policy::{Category, CombiningAlg, Cond, Effect, Obligation, Policy, PolicyRule, Request};
 
 /// Slack ticks added on top of the analytic reconvergence bound.

@@ -1,13 +1,18 @@
 //! The deterministic discrete-event scheduler: a logical clock and a
-//! priority queue of timestamped events. No wall clock, no threads — the
-//! simulation core is a single loop popping events in `(tick, sequence)`
-//! order, where the sequence number is assigned at push time so same-tick
-//! events retain FIFO order. Two runs that push the same events in the
-//! same order therefore pop them in the same order, which is the
-//! foundation of the fabric's byte-identical replay guarantee.
+//! priority queue of timestamped events. No wall clock, no threads — each
+//! event loop (the gossip fabric, the learning round) is a single loop
+//! popping events in `(tick, sequence)` order, where the sequence number
+//! is assigned at push time so same-tick events retain FIFO order. Two
+//! runs that push the same events in the same order therefore pop them in
+//! the same order, which is the foundation of the byte-identical replay
+//! guarantee; [`Trace`] fingerprints what was popped.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::fmt;
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// A node in the simulated fabric: parties are `0..n`, and the shared
 /// policy repository is node `n` (see [`crate::sim`]).
@@ -45,8 +50,8 @@ pub struct Message {
     pub payload: Payload,
 }
 
-/// Everything that can happen in the simulation, scheduled on the logical
-/// clock.
+/// Everything that can happen in the gossip fabric, scheduled on the
+/// logical clock.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
     /// The shared repository publishes the next coalition policy version
@@ -120,56 +125,66 @@ pub enum Event {
 }
 
 #[derive(Clone, Debug)]
-struct Scheduled {
+struct Scheduled<E> {
     at: u64,
     seq: u64,
-    event: Event,
+    event: E,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Scheduled) -> bool {
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Scheduled<E>) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
 
-impl Eq for Scheduled {}
+impl<E> Eq for Scheduled<E> {}
 
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Scheduled) -> Option<Ordering> {
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Scheduled<E>) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Scheduled) -> Ordering {
+impl<E> Ord for Scheduled<E> {
+    fn cmp(&self, other: &Scheduled<E>) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (tick, seq)
         // pops first.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-/// The event queue: a seeded simulation's only source of "time".
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Scheduled>,
+/// The event queue: a seeded simulation's only source of "time". Each
+/// event loop schedules its own event type `E`.
+#[derive(Debug)]
+pub struct EventQueue<E = Event> {
+    heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
 }
 
-impl EventQueue {
+impl<E> Default for EventQueue<E> {
+    fn default() -> EventQueue<E> {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+        }
+    }
+}
+
+impl<E> EventQueue<E> {
     /// An empty queue at tick 0.
-    pub fn new() -> EventQueue {
+    pub fn new() -> EventQueue<E> {
         EventQueue::default()
     }
 
     /// Schedules `event` at tick `at`. Same-tick events pop in push order.
-    pub fn push(&mut self, at: u64, event: Event) {
+    pub fn push(&mut self, at: u64, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Scheduled { at, seq, event });
     }
 
     /// Pops the earliest event as `(tick, event)`.
-    pub fn pop(&mut self) -> Option<(u64, Event)> {
+    pub fn pop(&mut self) -> Option<(u64, E)> {
         self.heap.pop().map(|s| (s.at, s.event))
     }
 
@@ -181,6 +196,39 @@ impl EventQueue {
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+}
+
+/// An event loop's replay fingerprint: an FNV-1a hash over the
+/// `"{tick:06} {event:?}"` line of every event popped, in order, plus the
+/// lines themselves when recording is on. Everything a loop does
+/// downstream is a pure function of this sequence, so equal traces imply
+/// equal runs.
+#[derive(Debug)]
+pub(crate) struct Trace {
+    pub(crate) hash: u64,
+    pub(crate) lines: Option<Vec<String>>,
+}
+
+impl Trace {
+    /// An empty trace that keeps its lines when `record` is set.
+    pub(crate) fn new(record: bool) -> Trace {
+        Trace {
+            hash: FNV_OFFSET,
+            lines: record.then(Vec::new),
+        }
+    }
+
+    /// Folds one popped event into the hash (and the lines, when on).
+    pub(crate) fn record(&mut self, tick: u64, event: &impl fmt::Debug) {
+        let line = format!("{tick:06} {event:?}");
+        for &b in line.as_bytes() {
+            self.hash ^= u64::from(b);
+            self.hash = self.hash.wrapping_mul(FNV_PRIME);
+        }
+        if let Some(lines) = &mut self.lines {
+            lines.push(line);
+        }
     }
 }
 

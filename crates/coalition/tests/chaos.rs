@@ -44,6 +44,31 @@ fn identical_seed_and_scenario_reproduce_byte_identical_traces() {
     }
 }
 
+/// Replays stay byte-identical across versions of the code, not only
+/// within one build: the seed-42 trace hash of every scenario is pinned.
+/// A change to the fabric, the chaos layer or the trace format that moves
+/// any of these breaks replay of recorded runs.
+#[test]
+fn seed_42_trace_hashes_are_pinned_across_versions() {
+    let pinned = [
+        ("data-sharing", 0xaa90_17d0_67e5_7a8b_u64),
+        ("partition-storm", 0x7017_27a8_3a60_fa4b),
+        ("mass-reground", 0x1d33_ee6f_fe8e_9de0),
+        ("crash-restart", 0x7bf6_f748_5e80_6a95),
+    ];
+    let scenarios = Scenario::all(FLEET);
+    assert_eq!(scenarios.len(), pinned.len());
+    for (scenario, (name, hash)) in scenarios.iter().zip(pinned) {
+        assert_eq!(scenario.name, name);
+        let report = run_scenario(SEED, scenario);
+        assert_eq!(
+            report.trace_hash, hash,
+            "{name}: trace hash {:#018x} moved from the pinned {hash:#018x}",
+            report.trace_hash
+        );
+    }
+}
+
 /// A different seed must actually change the run — otherwise the hash
 /// proves nothing.
 #[test]

@@ -252,9 +252,15 @@ impl SnapshotSwap {
     }
 
     /// Publishes `snapshot`, replacing the current one. In-flight readers
-    /// keep their old `Arc` until they drop it.
+    /// keep their old `Arc` until they drop it. When this held the last
+    /// reference, the replaced snapshot is freed after the write lock is
+    /// released, so readers never wait on the free.
     pub fn store(&self, snapshot: DecisionSnapshot) {
-        *self.slot.write().expect("snapshot slot poisoned") = Arc::new(snapshot);
+        let new = Arc::new(snapshot);
+        let mut slot = self.slot.write().expect("snapshot slot poisoned");
+        let old = std::mem::replace(&mut *slot, new);
+        drop(slot);
+        drop(old);
     }
 }
 

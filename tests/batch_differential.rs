@@ -12,7 +12,7 @@ use agenp_policy::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 fn workload(distinct: usize, seed: u64) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -95,15 +95,19 @@ fn mid_batch_snapshot_swaps_never_tear_or_stale() {
 
     let handle = PdpHandle::new();
     let stop = AtomicBool::new(false);
+    // Workers that have completed a batch. The swapper publishes only once
+    // every worker has, so each worker's batches run alongside the swaps.
+    let warmed = AtomicUsize::new(0);
     const WORKERS: usize = 3;
     const SWAPS: u64 = 200;
 
     std::thread::scope(|s| {
+        let mut workers = Vec::new();
         for w in 0..WORKERS {
             let h = handle.clone();
-            let (stop, requests) = (&stop, &requests);
+            let (stop, requests, warmed) = (&stop, &requests, &warmed);
             let (under_real, under_empty) = (&under_real, &under_empty);
-            s.spawn(move || {
+            workers.push(s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xF00D + w as u64);
                 let mut pin = h.pin();
                 let mut batches = 0u64;
@@ -142,9 +146,17 @@ fn mid_batch_snapshot_swaps_never_tear_or_stale() {
                         );
                     }
                     batches += 1;
+                    if batches == 1 {
+                        warmed.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
                 assert!(batches > 0, "worker {w} never completed a batch");
-            });
+            }));
+        }
+        // A worker that finished before the swaps began has panicked; stop
+        // waiting so the scope reports its panic instead of hanging.
+        while warmed.load(Ordering::Relaxed) < WORKERS && !workers.iter().any(|h| h.is_finished()) {
+            std::thread::yield_now();
         }
         for swap in 0..SWAPS {
             let snapshot = if swap % 2 == 0 {

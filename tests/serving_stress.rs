@@ -10,6 +10,7 @@ use agenp_learn::HypothesisSpace;
 use agenp_policy::{Decision, Request};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// A counting front for the system allocator, installed only in debug
@@ -93,18 +94,26 @@ fn no_stale_decision_survives_a_mid_stream_gpm_swap() {
     // the load path and the pin's revalidation cross the swap.
     const WORKERS: usize = 4;
     const MAX_ITERS: usize = 200_000;
+    // Workers that have served a pre-swap Permit. The control thread swaps
+    // only once every worker has; each worker's seeded RNG picks a
+    // matching request within its first few decisions.
+    let permitted = AtomicUsize::new(0);
     let observed: Vec<Vec<(u64, bool, Decision)>> = thread::scope(|s| {
         let spawned: Vec<_> = (0..WORKERS)
             .map(|w| {
                 let h = handle.clone();
                 let (matching, other) = (matching.clone(), other.clone());
+                let permitted = &permitted;
                 s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(0xD15C0 + w as u64);
                     let mut pin = (w % 2 == 1).then(|| h.pin());
                     let mut seen = Vec::new();
-                    // Run until the post-swap snapshot has been observed, so
-                    // every worker crosses the swap; MAX_ITERS only guards
-                    // against a control-thread bug leaving us spinning.
+                    let mut signalled = false;
+                    // Run until this worker has served a post-swap Deny
+                    // (only the deny grammar's snapshot answers Deny), so
+                    // every worker crosses the swap and serves both regimes;
+                    // MAX_ITERS only guards against a control-thread bug
+                    // leaving us spinning.
                     for _ in 0..MAX_ITERS {
                         let pick_matching = rng.gen_bool(0.7);
                         let req = if pick_matching { &matching } else { &other };
@@ -112,7 +121,11 @@ fn no_stale_decision_survives_a_mid_stream_gpm_swap() {
                             Some(pin) => pin.decide(req),
                             None => h.decide(req),
                         };
-                        let done = outcome.epoch >= final_epoch;
+                        if !signalled && outcome.decision == Decision::Permit {
+                            permitted.fetch_add(1, Ordering::Relaxed);
+                            signalled = true;
+                        }
+                        let done = outcome.decision == Decision::Deny;
                         seen.push((outcome.epoch, pick_matching, outcome.decision));
                         if done && seen.len() >= 100 {
                             break;
@@ -122,8 +135,14 @@ fn no_stale_decision_survives_a_mid_stream_gpm_swap() {
                 })
             })
             .collect();
-        // Mid-stream: adopt a GPM with the opposite effect and regenerate.
-        thread::yield_now();
+        // Mid-stream, once every worker has served a pre-swap Permit: adopt
+        // a GPM with the opposite effect and regenerate. A worker that
+        // finished early has failed; stop waiting so the checks report it.
+        while permitted.load(Ordering::Relaxed) < WORKERS
+            && !spawned.iter().any(|h| h.is_finished())
+        {
+            thread::yield_now();
+        }
         ams.adopt_gpm(grammar("deny"), "adopted from partner");
         ams.refresh_policies()
             .expect("refresh under the deny grammar");
