@@ -1,10 +1,11 @@
 //! # agenp-adapt — the adaptation plane
 //!
 //! Closes the paper's learn–serve loop (Fig. 2) *online*: decisions the
-//! PEP serves are logged, mined into labeled examples, fed to the
-//! ILASP2i-style incremental learner, and the refined policy set is
-//! published back through the serving tier's snapshot swap — all while
-//! decision traffic keeps flowing (`docs/ADAPTATION.md`).
+//! PEP serves are logged, mined into labeled examples, and handed to an
+//! [`Ams`](agenp_core::arch::Ams), whose `adapt` relearns the GPM with
+//! the batch learner, regenerates policies, screens them through the PCP
+//! and publishes the survivors through the serving tier's snapshot swap
+//! — all while decision traffic keeps flowing (`docs/ADAPTATION.md`).
 //!
 //! The pieces, in data-flow order:
 //!
@@ -13,16 +14,17 @@
 //! - [`Miner`] — drains the log into candidate positive/negative
 //!   examples ([`Feedback`](agenp_core::arch::Feedback)), deduplicated
 //!   per request, penalty-aware.
-//! - [`AdaptPlane`] — one synchronous `run_round`: mine, relearn from
-//!   the initial GPM plus all accumulated evidence under a
-//!   [`RunBudget`](agenp_asp::RunBudget), regenerate policies, publish.
-//!   Serve-last-good on failure; serving is never interrupted.
+//! - [`AdaptPlane`] — one synchronous `run_round`: mine, `Ams::observe`
+//!   each example, `Ams::adapt`. The context, translator, PCP
+//!   restrictions and run budget all live on the AMS. Serve-last-good on
+//!   failure; serving is never interrupted.
 //! - [`Relearner`] — the plane on a worker thread, triggered and
 //!   observed over channels.
 //!
-//! Observability: spans `adapt.mine`, `adapt.relearn`, `adapt.publish`;
-//! counters `adapt.log.recorded`, `adapt.log.dropped`,
-//! `adapt.mine.emitted`, `adapt.rounds.{published,skipped,failed}`.
+//! Observability: span `adapt.mine` (the relearn itself records
+//! `ams.adapt`, `ams.refresh` and `serve.publish`); counters
+//! `adapt.log.recorded`, `adapt.log.dropped`, `adapt.mine.emitted`,
+//! `adapt.rounds.{published,skipped,failed}`.
 
 mod log;
 mod miner;

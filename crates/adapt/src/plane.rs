@@ -1,28 +1,25 @@
-//! The adaptation plane proper: owns the decision log, the miner, and
-//! the learning inputs, and turns one `run_round` call into
-//! drain → mine → relearn → regenerate → publish.
+//! The adaptation plane proper: a thin front end of an
+//! [`Ams`] that owns the decision log and the miner, and turns one
+//! `run_round` call into drain → mine → [`Ams::observe`] per example →
+//! [`Ams::adapt`] (learn → generate → PCP screen → publish).
 //!
 //! `run_round` is synchronous and deterministic — the background
 //! [`Relearner`](crate::Relearner) is a thin worker thread around it, so
 //! everything interesting is testable without threads.
 //!
-//! Failure semantics are serve-last-good by construction: the serving
-//! snapshot is only touched by the final `publish`, which runs only
-//! after learning *and* regeneration both succeeded. A failed round
-//! (unsatisfiable feedback, exhausted budget) leaves the serving tier
-//! exactly as it was — relearning never interrupts serving.
+//! Failure semantics are serve-last-good: the plane pins its AMS to
+//! [`DegradedMode::ServeLastGood`], and a failed `Ams::adapt` commits
+//! neither a GPM nor a snapshot. A failed round (unsatisfiable feedback,
+//! exhausted budget) leaves the serving tier exactly as it was —
+//! relearning never interrupts serving.
 
 use crate::log::DecisionLog;
 use crate::miner::{MineStats, Miner};
-use agenp_asp::{Program, RunBudget};
-use agenp_core::arch::{
-    AmsError, CanonicalTranslator, DecisionSnapshot, Feedback, Padap, PdpHandle, PolicyTranslator,
-    Prep,
-};
-use agenp_grammar::Asg;
-use agenp_learn::{HypothesisSpace, LearnOptions, Learner};
-use agenp_policy::{CombiningAlg, Policy, PolicyRule};
+use agenp_core::arch::{Ams, AmsError, DegradedMode, PdpHandle};
 use std::sync::Arc;
+
+/// Records the decision log holds before it drops the oldest.
+const LOG_CAPACITY: usize = 4096;
 
 /// The outcome of one adaptation round.
 #[derive(Debug)]
@@ -70,80 +67,31 @@ pub struct RoundReport {
 
 /// The adaptation plane for one party.
 ///
-/// Construct with the same PBMS characterization an
-/// [`Ams`](agenp_core::arch::Ams) gets (initial GPM + hypothesis space),
-/// attach the serving handle decisions should republish through, and
+/// Construct it around an [`Ams`] configured with everything a round
+/// runs under — context, translator, PCP restrictions, run budget — and
 /// feed the [`DecisionLog`] from the enforcement point.
 #[derive(Debug)]
 pub struct AdaptPlane {
-    name: String,
-    initial_gpm: Asg,
-    space: HypothesisSpace,
-    context: Program,
-    combining: CombiningAlg,
-    min_examples: usize,
-    budget: RunBudget,
+    ams: Ams,
     miner: Miner,
     log: Arc<DecisionLog>,
-    serving: PdpHandle,
-    padap: Padap,
-    prep: Prep,
-    translator: Box<dyn PolicyTranslator>,
-    feedback: Vec<Feedback>,
+    min_examples: usize,
     rounds: u64,
 }
 
 impl AdaptPlane {
-    /// A plane for `name`, learning within `space` from `initial_gpm`,
-    /// publishing through a fresh [`PdpHandle`] (replace with
-    /// [`AdaptPlane::attach`]). Defaults: incremental learner, log
-    /// capacity 4096, `min_examples` 1, deny-overrides.
-    pub fn new(name: &str, initial_gpm: Asg, space: HypothesisSpace) -> AdaptPlane {
-        let mut padap = Padap::new();
-        padap.incremental = true;
+    /// A plane relearning through `ams`, pinned to
+    /// [`DegradedMode::ServeLastGood`]. Defaults: `min_examples` 1, a
+    /// decision log of 4096 records, [`Miner::new`].
+    pub fn new(mut ams: Ams) -> AdaptPlane {
+        ams.set_degraded_mode(DegradedMode::ServeLastGood);
         AdaptPlane {
-            name: name.to_owned(),
-            initial_gpm,
-            space,
-            context: Program::new(),
-            combining: CombiningAlg::DenyOverrides,
-            min_examples: 1,
-            budget: RunBudget::default(),
+            ams,
             miner: Miner::new(),
-            log: Arc::new(DecisionLog::new(4096)),
-            serving: PdpHandle::new(),
-            padap,
-            prep: Prep::new(),
-            translator: Box::new(CanonicalTranslator),
-            feedback: Vec::new(),
+            log: Arc::new(DecisionLog::new(LOG_CAPACITY)),
+            min_examples: 1,
             rounds: 0,
         }
-    }
-
-    /// Publishes refined snapshots through `serving` (normally
-    /// [`Ams::serving_handle`](agenp_core::arch::Ams::serving_handle) or
-    /// a clone shared with the decision workload).
-    pub fn attach(mut self, serving: PdpHandle) -> AdaptPlane {
-        self.serving = serving;
-        self
-    }
-
-    /// Applies a [`RunBudget`] to the learner and the regeneration step.
-    pub fn with_budget(mut self, budget: RunBudget) -> AdaptPlane {
-        self.budget = budget;
-        self.prep.budget = budget;
-        self.padap.set_learner(Learner::with_options(
-            LearnOptions::default()
-                .with_deadline(budget.deadline)
-                .with_max_nodes(budget.max_nodes),
-        ));
-        self
-    }
-
-    /// Sets the context mined examples (and regeneration) run under.
-    pub fn with_context(mut self, context: Program) -> AdaptPlane {
-        self.context = context;
-        self
     }
 
     /// Requires at least `n` buffered examples before a round learns.
@@ -152,31 +100,20 @@ impl AdaptPlane {
         self
     }
 
-    /// Replaces the miner (support thresholds etc.).
-    pub fn with_miner(mut self, miner: Miner) -> AdaptPlane {
-        self.miner = miner;
-        self
-    }
-
-    /// Bounds the decision log at `capacity` records.
-    pub fn with_log_capacity(mut self, capacity: usize) -> AdaptPlane {
-        self.log = Arc::new(DecisionLog::new(capacity));
-        self
-    }
-
     /// The decision log enforcement points should record into.
     pub fn log(&self) -> Arc<DecisionLog> {
         self.log.clone()
     }
 
-    /// The serving handle refined snapshots publish through.
+    /// The AMS's serving handle, which refined snapshots publish
+    /// through.
     pub fn handle(&self) -> PdpHandle {
-        self.serving.clone()
+        self.ams.serving_handle()
     }
 
     /// Examples accumulated so far.
     pub fn buffered_examples(&self) -> usize {
-        self.feedback.len()
+        self.ams.feedback_len()
     }
 
     /// Rounds run (skipped, failed, or published).
@@ -184,70 +121,50 @@ impl AdaptPlane {
         self.rounds
     }
 
-    /// Generates the initial policy set from the *unrefined* GPM and
-    /// publishes it, so the attached handle starts serving live policies
-    /// before any adaptation has happened.
+    /// Generates, screens and publishes the initial policy set from the
+    /// *unrefined* GPM ([`Ams::refresh_policies`]), so the handle serves
+    /// live policies before any adaptation has happened. Returns the
+    /// epoch of the snapshot now serving.
     ///
     /// # Errors
     ///
     /// [`AmsError::Generation`] on grounding/budget failures.
     pub fn publish_initial(&mut self) -> Result<u64, AmsError> {
-        let gpm = self.initial_gpm.clone();
-        self.regenerate_and_publish(&gpm)
+        self.ams.refresh_policies()?;
+        Ok(self.ams.current_snapshot().epoch())
     }
 
-    /// One adaptation round: drain the log, mine it, and — once enough
-    /// evidence has accumulated — relearn the GPM from the initial
-    /// grammar plus *all* mined feedback, regenerate policies, and
-    /// publish them. Never blocks or perturbs serving; see the module
-    /// docs for the failure contract.
+    /// One adaptation round: drain the log, mine it under the AMS's
+    /// context, hand each example to [`Ams::observe`], and — once enough
+    /// evidence has accumulated — run [`Ams::adapt`]. Never blocks or
+    /// perturbs serving; see the module docs for the failure contract.
     pub fn run_round(&mut self) -> RoundOutcome {
         self.rounds += 1;
         let records = self.log.drain();
-        let batch = self.miner.mine(&records, &self.context);
+        let batch = self.miner.mine(&records, self.ams.context());
         let stats = batch.stats;
-        self.feedback.extend(batch.feedback);
-        if self.feedback.len() < self.min_examples {
+        for example in batch.feedback {
+            self.ams.observe(example);
+        }
+        if self.ams.feedback_len() < self.min_examples {
             agenp_obs::registry().counter("adapt.rounds.skipped").incr();
             return RoundOutcome::Skipped {
-                buffered: self.feedback.len(),
+                buffered: self.ams.feedback_len(),
                 needed: self.min_examples,
                 stats,
             };
         }
-        let adaptation = {
-            let mut span = agenp_obs::span!("adapt.relearn", examples = self.feedback.len());
-            match self
-                .padap
-                .adapt(&self.initial_gpm, &self.space, &self.feedback)
-            {
-                Ok(a) => {
-                    span.record("constraints", a.hypothesis.rules.len());
-                    a
-                }
-                Err(e) => {
-                    span.record("error", true);
-                    agenp_obs::registry().counter("adapt.rounds.failed").incr();
-                    return RoundOutcome::Failed(AmsError::Learning(e));
-                }
-            }
-        };
-        match self.regenerate_and_publish(&adaptation.gpm) {
-            Ok(epoch) => {
+        match self.ams.adapt() {
+            Ok(adaptation) => {
                 agenp_obs::registry()
                     .counter("adapt.rounds.published")
                     .incr();
+                let snapshot = self.ams.current_snapshot();
                 RoundOutcome::Published(RoundReport {
-                    epoch,
+                    epoch: snapshot.epoch(),
                     examples_used: adaptation.examples_used,
                     constraints_learned: adaptation.hypothesis.rules.len(),
-                    rules_generated: self
-                        .serving
-                        .snapshot()
-                        .policies()
-                        .iter()
-                        .map(|p| p.rules.len())
-                        .sum(),
+                    rules_generated: snapshot.policies().iter().map(|p| p.rules.len()).sum(),
                     stats,
                 })
             }
@@ -257,44 +174,20 @@ impl AdaptPlane {
             }
         }
     }
-
-    /// PReP step over `gpm`, then an atomic snapshot publish.
-    fn regenerate_and_publish(&mut self, gpm: &Asg) -> Result<u64, AmsError> {
-        let strings = self.prep.generate(gpm, &self.context)?;
-        let rules: Vec<PolicyRule> = strings
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                self.translator
-                    .translate(s, &format!("{}-a{}", self.name, i))
-            })
-            .collect();
-        let policy = Policy {
-            id: format!("{}-adapted", self.name),
-            rules,
-            combining: self.combining,
-            obligations: Vec::new(),
-        };
-        let mut span = agenp_obs::span!("adapt.publish", rules = policy.rules.len());
-        let epoch = self.serving.publish(
-            DecisionSnapshot::new(vec![policy], self.combining)
-                .with_gpm(gpm.clone())
-                .with_context(self.context.clone()),
-        );
-        span.record("epoch", epoch as usize);
-        Ok(epoch)
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use agenp_grammar::ProdId;
-    use agenp_policy::{Decision, Request};
+    use agenp_asp::Program;
+    use agenp_core::arch::Feedback;
+    use agenp_grammar::{Asg, ProdId};
+    use agenp_learn::HypothesisSpace;
+    use agenp_policy::{Decision, Effect, Request};
 
     /// The AMS test fixture's gate grammar: permit/deny on clearance,
     /// with hypothesis-space constraints keying on a `lockdown` context.
-    fn gate() -> (Asg, HypothesisSpace) {
+    pub(crate) fn gate(context: &str) -> Ams {
         let g: Asg = r#"
             policy -> effect "if" "subject" "clearance" "=" level
             effect -> "permit" { e(permit). }
@@ -308,13 +201,23 @@ mod tests {
             (ProdId::from_index(1), ":- lockdown."),
             (ProdId::from_index(2), ":- not lockdown."),
         ]);
-        (g, space)
+        let mut ams = Ams::new("p", g, space);
+        ams.set_context(context.parse().unwrap());
+        ams
+    }
+
+    /// Records `decision` for a request of `clearance`, as an operator
+    /// overriding whatever the plane served.
+    pub(crate) fn record(plane: &AdaptPlane, clearance: &str, decision: Decision) {
+        let req = Request::new().subject("clearance", clearance);
+        let mut outcome = plane.handle().decide(&req);
+        outcome.decision = decision;
+        plane.log().record(&req, &outcome);
     }
 
     #[test]
     fn initial_publish_serves_the_unrefined_language() {
-        let (g, space) = gate();
-        let mut plane = AdaptPlane::new("p", g, space);
+        let mut plane = AdaptPlane::new(gate(""));
         let epoch = plane.publish_initial().unwrap();
         let handle = plane.handle();
         let req = Request::new().subject("clearance", "high");
@@ -326,8 +229,7 @@ mod tests {
 
     #[test]
     fn round_without_evidence_skips_and_serving_is_untouched() {
-        let (g, space) = gate();
-        let mut plane = AdaptPlane::new("p", g, space).with_min_examples(2);
+        let mut plane = AdaptPlane::new(gate("")).with_min_examples(2);
         let before = plane.publish_initial().unwrap();
         let outcome = plane.run_round();
         assert!(matches!(
@@ -343,20 +245,14 @@ mod tests {
 
     #[test]
     fn mined_denials_relearn_the_gpm_and_republish() {
-        let (g, space) = gate();
-        let lockdown: Program = "lockdown.".parse().unwrap();
-        let mut plane = AdaptPlane::new("p", g, space).with_context(lockdown);
+        let mut plane = AdaptPlane::new(gate("lockdown."));
         let first = plane.publish_initial().unwrap();
         let handle = plane.handle();
-        let log = plane.log();
 
         // The enforcement point observed denials of both permitting
         // strings (an operator overrode them under lockdown).
         for clearance in ["high", "low"] {
-            let req = Request::new().subject("clearance", clearance);
-            let mut outcome = handle.decide(&req);
-            outcome.decision = Decision::Deny; // operator override
-            log.record(&req, &outcome);
+            record(&plane, clearance, Decision::Deny);
         }
         let outcome = plane.run_round();
         let report = outcome.published().expect("round should publish");
@@ -370,27 +266,55 @@ mod tests {
             .policies()
             .iter()
             .flat_map(|p| p.rules.iter())
-            .all(|r| r.effect == agenp_policy::Effect::Deny));
+            .all(|r| r.effect == Effect::Deny));
         let req = Request::new().subject("clearance", "high");
         assert_eq!(handle.decide(&req).decision, Decision::Deny);
     }
 
     #[test]
+    fn pcp_restrictions_screen_online_rounds() {
+        let mut ams = gate("");
+        // Never permit a high clearance, whatever the learner admits.
+        ams.pcp_mut().add_restriction(
+            ProdId::from_index(0),
+            ":- e(permit)@1, lvl(high)@6.".parse().unwrap(),
+        );
+        let mut plane = AdaptPlane::new(ams);
+        plane.publish_initial().unwrap();
+        record(&plane, "low", Decision::Permit);
+        let outcome = plane.run_round();
+        let report = outcome.published().expect("round should publish");
+        let snapshot = plane.handle().snapshot();
+        let high = Request::new().subject("clearance", "high");
+        let rules: Vec<_> = snapshot
+            .policies()
+            .iter()
+            .flat_map(|p| p.rules.iter())
+            .collect();
+        assert_eq!(report.rules_generated, 3, "{rules:?}");
+        assert!(
+            rules
+                .iter()
+                .all(|r| r.effect != Effect::Permit || r.evaluate(&high) != Decision::Permit),
+            "a screened-out policy was published: {rules:?}"
+        );
+    }
+
+    #[test]
     fn failed_rounds_leave_the_snapshot_alone() {
-        let (g, space) = gate();
         let lockdown: Program = "lockdown.".parse().unwrap();
-        let mut plane = AdaptPlane::new("p", g, space).with_context(lockdown.clone());
+        let mut plane = AdaptPlane::new(gate("lockdown."));
         let epoch = plane.publish_initial().unwrap();
         let handle = plane.handle();
         // Contradictory evidence: the same string both valid and invalid
         // in the same context — no hypothesis satisfies it. (Mining
-        // dedups per-request, so inject straight into the buffer.)
+        // dedups per-request, so inject straight into the AMS.)
         let req = Request::new().subject("clearance", "high");
-        plane.feedback.push(Feedback::valid(
+        plane.ams.observe(Feedback::valid(
             "permit if subject clearance = low",
             lockdown.clone(),
         ));
-        plane.feedback.push(Feedback::invalid(
+        plane.ams.observe(Feedback::invalid(
             "permit if subject clearance = low",
             lockdown,
         ));
@@ -401,7 +325,7 @@ mod tests {
         ));
         // Serving still answers from the last good snapshot.
         let served = handle.decide(&req);
-        assert!(served.epoch >= epoch);
+        assert_eq!(served.epoch, epoch);
         assert!(served.error.is_none());
     }
 }

@@ -91,41 +91,16 @@ impl Drop for Relearner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agenp_asp::Program;
-    use agenp_grammar::{Asg, ProdId};
-    use agenp_learn::HypothesisSpace;
+    use crate::plane::tests::{gate, record};
     use agenp_policy::{Decision, Request};
-
-    fn gate() -> (Asg, HypothesisSpace) {
-        let g: Asg = r#"
-            policy -> effect "if" "subject" "clearance" "=" level
-            effect -> "permit" { e(permit). }
-            effect -> "deny"   { e(deny). }
-            level -> "low"  { lvl(low). }
-            level -> "high" { lvl(high). }
-        "#
-        .parse()
-        .unwrap();
-        let space = HypothesisSpace::from_texts(&[
-            (ProdId::from_index(1), ":- lockdown."),
-            (ProdId::from_index(2), ":- not lockdown."),
-        ]);
-        (g, space)
-    }
 
     #[test]
     fn relearns_in_the_background_while_serving_continues() {
-        let (g, space) = gate();
-        let lockdown: Program = "lockdown.".parse().unwrap();
-        let mut plane = AdaptPlane::new("bg", g, space).with_context(lockdown);
+        let mut plane = AdaptPlane::new(gate("lockdown."));
         let first = plane.publish_initial().unwrap();
         let handle = plane.handle();
-        let log = plane.log();
         for clearance in ["high", "low"] {
-            let req = Request::new().subject("clearance", clearance);
-            let mut outcome = handle.decide(&req);
-            outcome.decision = Decision::Deny;
-            log.record(&req, &outcome);
+            record(&plane, clearance, Decision::Deny);
         }
 
         let relearner = Relearner::spawn(plane);
@@ -154,8 +129,7 @@ mod tests {
 
     #[test]
     fn drop_shuts_the_worker_down() {
-        let (g, space) = gate();
-        let plane = AdaptPlane::new("drop", g, space);
+        let plane = AdaptPlane::new(gate(""));
         let relearner = Relearner::spawn(plane);
         relearner.trigger(); // skipped round (no evidence)
         drop(relearner); // must not hang or panic

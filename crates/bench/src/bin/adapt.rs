@@ -1,11 +1,12 @@
 //! `adapt` — the relearn-while-serving harness for the adaptation plane
 //! (`crates/adapt`, `docs/ADAPTATION.md`).
 //!
-//! One [`AdaptPlane`] serves a leveled permit grammar while worker
-//! threads hammer its [`PdpHandle`]. The harness measures decide
-//! throughput in two phases — idle (no relearner) and relearn (the
-//! background [`Relearner`] runs a sequence of adaptation rounds, each
-//! mining one new operator denial and republishing a refined policy set)
+//! One [`AdaptPlane`] — a front end of an [`Ams`] — serves a leveled
+//! permit grammar while worker threads hammer its [`PdpHandle`]. The
+//! harness measures decide throughput in two phases — idle (no
+//! relearner) and relearn (the background [`Relearner`] runs a sequence
+//! of adaptation rounds, each mining one new operator denial and
+//! republishing a refined policy set through `Ams::adapt`)
 //! — and validates the serving invariants the whole design rests on:
 //!
 //! - **zero stale decisions**: every decision agrees with the policy set
@@ -25,7 +26,7 @@
 //! Usage: `cargo run -p agenp-bench --bin adapt --release [-- --smoke]`
 
 use agenp_adapt::{AdaptPlane, Relearner, RoundOutcome};
-use agenp_core::arch::PdpHandle;
+use agenp_core::arch::{Ams, PdpHandle};
 use agenp_grammar::{Asg, ProdId};
 use agenp_learn::HypothesisSpace;
 use agenp_policy::{Decision, Request};
@@ -68,7 +69,7 @@ fn main() {
     let phase = Duration::from_millis(if smoke { 250 } else { 1000 });
 
     let (gpm, space) = leveled_grammar(levels);
-    let mut plane = AdaptPlane::new("bench", gpm, space);
+    let mut plane = AdaptPlane::new(Ams::new("bench", gpm, space));
     let first_epoch = plane
         .publish_initial()
         .expect("adapt: initial policy generation failed");

@@ -1,7 +1,7 @@
 //! The coalition fabric's public face (paper §III-A-3 and §IV-A's
-//! "collaborative policy management" direction): the decision plane every
-//! party serves through, the configuration and outcomes of the learning
-//! round ([`sim::learning_round`](crate::sim::learning_round)), which runs
+//! "collaborative policy management" direction): the configuration and
+//! outcomes of the learning round
+//! ([`sim::learning_round`](crate::sim::learning_round)), which runs
 //! under a [`ChaosPlan`] on the deterministic simulation substrate, and
 //! the CASWiki workflows built on it — newcomers warm-start from trusted
 //! contributions through [`warm_start_comparison`].
@@ -9,108 +9,9 @@
 use crate::caswiki::CasWiki;
 use crate::sim::{self, ChaosPlan};
 use crate::trust::TrustModel;
-use agenp_core::arch::{Ams, AmsError, DecisionOutcome, DegradedMode, PdpHandle};
 use agenp_core::scenarios::cav;
 use agenp_learn::{Learner, LearningTask};
-use agenp_policy::Request;
 use std::fmt;
-
-/// One coalition party's decision plane: an [`Ams`] pinned to
-/// [`DegradedMode::ServeLastGood`] so that while the coalition is degraded
-/// — a partner down, a budget exhausted, a deadline overrun mid-refresh —
-/// decision serving continues from the last successfully published
-/// snapshot instead of flipping to deny-everything or stopping. Worker
-/// threads decide through [`DecisionPlane::handle`] clones; the control
-/// loop refreshes through [`DecisionPlane::refresh`], which reports (but
-/// survives) failures and tracks staleness.
-#[derive(Debug)]
-pub struct DecisionPlane {
-    ams: Ams,
-    good_epoch: u64,
-    stale: bool,
-}
-
-impl DecisionPlane {
-    /// Wraps `ams`, forcing serve-last-good degradation. The snapshot the
-    /// AMS is currently serving becomes the initial "last good" one.
-    pub fn new(mut ams: Ams) -> DecisionPlane {
-        ams.set_degraded_mode(DegradedMode::ServeLastGood);
-        let good_epoch = ams.current_snapshot().epoch();
-        DecisionPlane {
-            ams,
-            good_epoch,
-            stale: false,
-        }
-    }
-
-    /// The wrapped AMS.
-    pub fn ams(&self) -> &Ams {
-        &self.ams
-    }
-
-    /// Mutable access to the wrapped AMS (budgets, context, feedback).
-    pub fn ams_mut(&mut self) -> &mut Ams {
-        &mut self.ams
-    }
-
-    /// A `Send + Sync` serving handle; clones stay wired to this plane.
-    pub fn handle(&self) -> PdpHandle {
-        self.ams.serving_handle()
-    }
-
-    /// Decides against whatever snapshot is currently served.
-    pub fn decide(&self, request: &Request) -> DecisionOutcome {
-        self.ams.decide(request)
-    }
-
-    /// Decides a whole wave of requests against one snapshot — a degraded
-    /// or mid-refresh plane still answers the entire batch from a single
-    /// consistent epoch (see [`Ams::decide_batch`]).
-    pub fn decide_batch(&self, requests: &[Request]) -> Vec<DecisionOutcome> {
-        self.ams.decide_batch(requests)
-    }
-
-    /// Refreshes the policy set and publishes a new snapshot. On failure
-    /// the previous snapshot keeps serving, the plane is marked stale, and
-    /// the error is returned for logging/alerting. Returns the number of
-    /// screened candidates on success.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the refresh failure; serving is unaffected.
-    pub fn refresh(&mut self) -> Result<usize, AmsError> {
-        let mut span = agenp_obs::span!("coalition.refresh", good_epoch = self.good_epoch);
-        match self.ams.refresh_policies() {
-            Ok(screened) => {
-                self.good_epoch = self.ams.current_snapshot().epoch();
-                self.stale = false;
-                span.record("epoch", self.good_epoch);
-                Ok(screened.len())
-            }
-            Err(e) => {
-                self.stale = true;
-                if span.is_live() {
-                    span.record("stale", true);
-                    agenp_obs::registry()
-                        .counter("coalition.refresh_failures")
-                        .incr();
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// True when the last refresh failed and the served snapshot predates
-    /// it.
-    pub fn is_stale(&self) -> bool {
-        self.stale
-    }
-
-    /// Epoch of the snapshot currently serving as "last good".
-    pub fn good_epoch(&self) -> u64 {
-        self.good_epoch
-    }
-}
 
 /// The report one coalition party produces after a local learning round.
 #[derive(Clone, Debug, PartialEq)]
@@ -371,86 +272,6 @@ fn accuracy_of(task: &LearningTask, test: &[cav::Sample]) -> f64 {
 mod tests {
     use super::*;
     use crate::caswiki::Contribution;
-    use agenp_asp::RunBudget;
-    use agenp_grammar::Asg;
-    use agenp_learn::HypothesisSpace;
-    use agenp_policy::Decision;
-    use std::thread;
-
-    fn clearance_ams(name: &str) -> Ams {
-        let g: Asg = r#"
-            policy -> effect "if" "subject" "clearance" "=" level
-            effect -> "permit" { e(permit). }
-            effect -> "deny"   { e(deny). }
-            level -> "low"  { lvl(low). }
-            level -> "high" { lvl(high). }
-        "#
-        .parse()
-        .unwrap();
-        Ams::new(name, g, HypothesisSpace::new())
-    }
-
-    #[test]
-    fn degraded_plane_serves_from_last_good_snapshot() {
-        let mut plane = DecisionPlane::new(clearance_ams("party-0"));
-        plane.refresh().unwrap();
-        assert!(!plane.is_stale());
-        let good_epoch = plane.good_epoch();
-        let req = Request::new().subject("clearance", "high");
-        // permit + deny rules under deny-overrides → Deny.
-        assert_eq!(plane.decide(&req).decision(), Decision::Deny);
-
-        // A refresh that blows its budget must not disturb serving.
-        plane
-            .ams_mut()
-            .set_run_budget(RunBudget::default().with_max_atoms(1));
-        assert!(plane.refresh().is_err());
-        assert!(plane.is_stale());
-        let outcome = plane.decide(&req);
-        assert_eq!(outcome.epoch, good_epoch, "snapshot must not have moved");
-        assert_eq!(outcome.decision, Decision::Deny);
-        assert!(outcome.error.is_none(), "last-good serving is not degraded");
-
-        // Recovery: a sane budget republishes and clears staleness.
-        plane.ams_mut().set_run_budget(RunBudget::default());
-        plane.refresh().unwrap();
-        assert!(!plane.is_stale());
-        assert!(plane.good_epoch() > good_epoch);
-    }
-
-    #[test]
-    fn workers_keep_deciding_through_a_failed_refresh() {
-        let mut plane = DecisionPlane::new(clearance_ams("party-1"));
-        plane.refresh().unwrap();
-        let handle = plane.handle();
-        let req = Request::new().subject("clearance", "low");
-        let served: Vec<DecisionOutcome> = thread::scope(|s| {
-            let workers: Vec<_> = (0..4)
-                .map(|_| {
-                    let h = handle.clone();
-                    let r = req.clone();
-                    s.spawn(move || (0..50).map(|_| h.decide(&r)).collect::<Vec<_>>())
-                })
-                .collect();
-            // Sabotage a refresh while the workers hammer the handle.
-            plane
-                .ams_mut()
-                .set_run_budget(RunBudget::default().with_max_atoms(1));
-            let _ = plane.refresh();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("worker panicked"))
-                .collect()
-        });
-        assert_eq!(served.len(), 200);
-        // Every decision came from a good (non-degraded) snapshot: the
-        // failed refresh never published, so no outcome carries an error
-        // and every one rendered the consistent deny-overrides answer.
-        for outcome in &served {
-            assert_eq!(outcome.decision, Decision::Deny);
-            assert!(outcome.error.is_none());
-        }
-    }
 
     #[test]
     fn parties_learn_concurrently_and_contribute() {

@@ -33,6 +33,6 @@ mod trust;
 pub use caswiki::{CasWiki, Contribution};
 pub use fabric::{
     distributed_cav_learning, warm_start_comparison, CoalitionConfig, CoalitionError,
-    CoalitionOutcome, DecisionPlane, NodeOutcome, NodeReport, WarmStartOutcome,
+    CoalitionOutcome, NodeOutcome, NodeReport, WarmStartOutcome,
 };
 pub use trust::TrustModel;

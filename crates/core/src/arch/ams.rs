@@ -19,7 +19,7 @@ use crate::arch::serve::{DecisionOutcome, DecisionSnapshot, PdpHandle};
 use agenp_asp::{Exhausted, Program, RunBudget};
 use agenp_grammar::{Asg, AsgError};
 use agenp_learn::{HypothesisSpace, LearnError, LearnOptions, Learner};
-use agenp_policy::{CombiningAlg, Decision, PolicyRepository, QualityReport, Request};
+use agenp_policy::{CombiningAlg, Decision, Policy, PolicyRepository, QualityReport, Request};
 use std::fmt;
 use std::sync::Mutex;
 
@@ -96,14 +96,17 @@ impl From<LearnError> for AmsError {
 pub enum DegradedMode {
     /// Publish a degraded snapshot: every decision renders a fail-safe
     /// [`Decision::Deny`] carrying the refresh error, until a refresh
-    /// succeeds. The conservative default.
+    /// succeeds. Every snapshot published meanwhile — by
+    /// [`Ams::set_context`] or [`Ams::adopt_gpm`] too — stays degraded.
+    /// The conservative default.
     #[default]
     DenyByDefault,
     /// Keep serving the last successfully published snapshot, untouched.
     /// Decisions stay consistent (if stale); the refresh error is only
-    /// reported to the caller of the failed refresh. Coalition fabrics use
-    /// this to ride out transient partner faults (see
-    /// `agenp-coalition`).
+    /// reported to the caller of the failed refresh. The adaptation plane
+    /// (`agenp-adapt`) pins this mode so a failed online round leaves
+    /// serving as it was, and the coalition sim's parties ride out chaos
+    /// waves with it (see `agenp-coalition`).
     ServeLastGood,
 }
 
@@ -123,6 +126,10 @@ pub struct Ams {
     serving: PdpHandle,
     combining: CombiningAlg,
     degraded_mode: DegradedMode,
+    /// The error of the last refresh that failed under
+    /// [`DegradedMode::DenyByDefault`]. While set, every published
+    /// snapshot is degraded with it; a successful refresh clears it.
+    refresh_error: Option<AmsError>,
     prep: Prep,
     padap: Padap,
     pcp: Pcp,
@@ -151,6 +158,7 @@ impl Ams {
             serving: PdpHandle::new(),
             combining: CombiningAlg::DenyOverrides,
             degraded_mode: DegradedMode::default(),
+            refresh_error: None,
             prep: Prep::new(),
             padap: Padap::new(),
             pcp: Pcp::new(),
@@ -184,9 +192,14 @@ impl Ams {
     }
 
     /// Sets what happens to the serving tier when a refresh fails (see
-    /// [`DegradedMode`]).
+    /// [`DegradedMode`]). Switching to [`DegradedMode::ServeLastGood`]
+    /// drops a held deny-by-default refresh error, so the next publish
+    /// serves the last good policy set.
     pub fn set_degraded_mode(&mut self, mode: DegradedMode) {
         self.degraded_mode = mode;
+        if mode == DegradedMode::ServeLastGood {
+            self.refresh_error = None;
+        }
     }
 
     /// The configured degraded-mode behavior.
@@ -254,7 +267,8 @@ impl Ams {
 
     /// Updates the current context (normally fed by the PIP) and publishes
     /// a snapshot so in-flight deciders see the policies and context move
-    /// together.
+    /// together. The snapshot stays degraded while a deny-by-default
+    /// refresh failure is unrecovered.
     pub fn set_context(&mut self, context: Program) {
         self.context = context;
         self.publish_current();
@@ -272,7 +286,8 @@ impl Ams {
 
     /// Replaces the current GPM directly (e.g. when adopting a model shared
     /// by a trusted coalition partner), records it, and publishes a
-    /// snapshot.
+    /// snapshot — degraded while a deny-by-default refresh failure is
+    /// unrecovered.
     pub fn adopt_gpm(&mut self, gpm: Asg, note: &str) {
         self.repr_repo.store(gpm.clone(), note);
         self.gpm = gpm;
@@ -289,14 +304,18 @@ impl Ams {
         &self.policy_repo
     }
 
-    /// Builds a snapshot of the current state and publishes it; returns the
-    /// assigned epoch.
+    /// Builds a snapshot of the current state — degraded with the held
+    /// refresh error, if any — and publishes it; returns the assigned
+    /// epoch.
     fn publish_current(&self) -> u64 {
-        self.serving.publish(
+        let mut snapshot =
             DecisionSnapshot::new(self.policy_repo.policies().to_vec(), self.combining)
                 .with_gpm(self.gpm.clone())
-                .with_context(self.context.clone()),
-        )
+                .with_context(self.context.clone());
+        if let Some(e) = &self.refresh_error {
+            snapshot = snapshot.degraded(e.clone());
+        }
+        self.serving.publish(snapshot)
     }
 
     /// PReP step: regenerates the policy repository from the current GPM
@@ -312,10 +331,22 @@ impl Ams {
     ///
     /// [`AmsError::Generation`] on grounding failures.
     pub fn refresh_policies(&mut self) -> Result<Vec<(String, Verdict)>, AmsError> {
+        self.refresh(None)
+    }
+
+    /// [`Ams::refresh_policies`] from `candidate` (or the current GPM).
+    /// A candidate GPM becomes the current one only if the refresh
+    /// succeeds, so the GPM and the policies served from it never part.
+    fn refresh(&mut self, candidate: Option<&Asg>) -> Result<Vec<(String, Verdict)>, AmsError> {
         let mut span = agenp_obs::span!("ams.refresh");
-        match self.try_refresh() {
-            Ok(screened) => {
+        match self.generate_policies(candidate.unwrap_or(&self.gpm)) {
+            Ok((screened, policy)) => {
                 span.record("screened", screened.len());
+                if let Some(gpm) = candidate {
+                    self.gpm = gpm.clone();
+                }
+                self.policy_repo.replace_all(vec![policy]);
+                self.refresh_error = None;
                 self.publish_current();
                 Ok(screened)
             }
@@ -329,12 +360,8 @@ impl Ams {
                     },
                 );
                 if self.degraded_mode == DegradedMode::DenyByDefault {
-                    self.serving.publish(
-                        DecisionSnapshot::new(self.policy_repo.policies().to_vec(), self.combining)
-                            .with_gpm(self.gpm.clone())
-                            .with_context(self.context.clone())
-                            .degraded(e.clone()),
-                    );
+                    self.refresh_error = Some(e.clone());
+                    self.publish_current();
                 }
                 // A degraded-mode transition is exactly when an operator
                 // wants the telemetry that led up to it: flush the flight
@@ -346,31 +373,30 @@ impl Ams {
         }
     }
 
-    fn try_refresh(&mut self) -> Result<Vec<(String, Verdict)>, AmsError> {
-        let strings = self.prep.generate(&self.gpm, &self.context)?;
+    /// Generates `gpm`'s policy strings under the current context, screens
+    /// them through the PCP, and translates the accepted ones into one
+    /// policy. Touches no state.
+    fn generate_policies(&self, gpm: &Asg) -> Result<(Vec<(String, Verdict)>, Policy), AmsError> {
+        let strings = self.prep.generate(gpm, &self.context)?;
         let screened = self
             .pcp
-            .screen_within(&self.gpm, &self.context, &strings, &self.budget)?;
-        let accepted: Vec<String> = screened
+            .screen_within(gpm, &self.context, &strings, &self.budget)?;
+        let rules = screened
             .iter()
             .filter(|(_, v)| *v == Verdict::Accepted)
-            .map(|(s, _)| s.clone())
-            .collect();
-        let rules: Vec<agenp_policy::PolicyRule> = accepted
-            .iter()
             .enumerate()
-            .filter_map(|(i, s)| {
+            .filter_map(|(i, (s, _))| {
                 self.translator
                     .translate(s, &format!("{}-r{}", self.name, i))
             })
             .collect();
-        self.policy_repo.replace_all(vec![agenp_policy::Policy {
+        let policy = Policy {
             id: format!("{}-generated", self.name),
             rules,
             combining: CombiningAlg::DenyOverrides,
             obligations: Vec::new(),
-        }]);
-        Ok(screened)
+        };
+        Ok((screened, policy))
     }
 
     /// PDP + PEP step: decides a request against the currently served
@@ -424,24 +450,36 @@ impl Ams {
     }
 
     /// PAdaP step: re-learns the GPM from the initial grammar plus all
-    /// accumulated feedback, stores the new version, and regenerates (and
-    /// republishes) policies.
+    /// accumulated feedback, regenerates (and republishes) policies from
+    /// it, and stores the new version. A failed regeneration degrades per
+    /// [`DegradedMode`] like any refresh and commits nothing: the current
+    /// GPM and the representations repository stay as they were.
     ///
     /// # Errors
     ///
     /// [`AmsError::Learning`] if the feedback admits no hypothesis;
     /// [`AmsError::Generation`] if regeneration fails.
     pub fn adapt(&mut self) -> Result<Adaptation, AmsError> {
-        let _span = agenp_obs::span!("ams.adapt", observations = self.feedback.len());
-        let adaptation = self
+        let mut span = agenp_obs::span!("ams.adapt", observations = self.feedback.len());
+        let adaptation = match self
             .padap
-            .adapt(&self.initial_gpm, &self.space, &self.feedback)?;
-        self.gpm = adaptation.gpm.clone();
+            .adapt(&self.initial_gpm, &self.space, &self.feedback)
+        {
+            Ok(a) => a,
+            Err(e) => {
+                span.record("error", true);
+                return Err(e.into());
+            }
+        };
+        span.record("constraints", adaptation.hypothesis.rules.len());
+        if let Err(e) = self.refresh(Some(&adaptation.gpm)) {
+            span.record("error", true);
+            return Err(e);
+        }
         self.repr_repo.store(
-            self.gpm.clone(),
+            adaptation.gpm.clone(),
             &format!("adapted from {} observations", self.feedback.len()),
         );
-        self.refresh_policies()?;
         Ok(adaptation)
     }
 
@@ -623,6 +661,122 @@ mod tests {
             "failed ServeLastGood refreshes must not burn epochs"
         );
         assert!(ams.decide(&req).error.is_none());
+    }
+
+    #[test]
+    fn workers_keep_deciding_through_a_failed_refresh() {
+        let (g, space) = gate();
+        let mut ams = Ams::new("iota", g, space);
+        ams.set_degraded_mode(DegradedMode::ServeLastGood);
+        ams.refresh_policies().unwrap();
+        let handle = ams.serving_handle();
+        let req = Request::new().subject("clearance", "low");
+        let served: Vec<DecisionOutcome> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    let h = handle.clone();
+                    let r = req.clone();
+                    s.spawn(move || (0..50).map(|_| h.decide(&r)).collect::<Vec<_>>())
+                })
+                .collect();
+            // Sabotage a refresh while the workers hammer the handle.
+            ams.set_run_budget(RunBudget::default().with_max_atoms(1));
+            assert!(ams.refresh_policies().is_err());
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("worker panicked"))
+                .collect()
+        });
+        assert_eq!(served.len(), 200);
+        // Every decision came from a good (non-degraded) snapshot: the
+        // failed refresh never published, so no outcome carries an error
+        // and every one rendered the consistent deny-overrides answer.
+        for outcome in &served {
+            assert_eq!(outcome.decision, Decision::Deny);
+            assert!(outcome.error.is_none());
+        }
+    }
+
+    #[test]
+    fn failed_adapt_commits_neither_gpm_nor_version() {
+        let (g, space) = gate();
+        let mut ams = Ams::new("kappa", g, space);
+        ams.set_degraded_mode(DegradedMode::ServeLastGood);
+        let lockdown: Program = "lockdown.".parse().unwrap();
+        ams.set_context(lockdown.clone());
+        assert_eq!(ams.refresh_policies().unwrap().len(), 4);
+        let good_epoch = ams.current_snapshot().epoch();
+        for clearance in ["high", "low"] {
+            ams.observe(Feedback::invalid(
+                &format!("permit if subject clearance = {clearance}"),
+                lockdown.clone(),
+            ));
+        }
+        // The learner only takes the budget's deadline and node cap, so
+        // learning succeeds and the atom cap fails the regeneration.
+        ams.set_run_budget(RunBudget::default().with_max_atoms(1));
+        let err = ams.adapt().unwrap_err();
+        assert!(matches!(err, AmsError::Generation(_)), "{err}");
+        assert_eq!(err.exhaustion(), Some(Exhausted::Atoms));
+        assert_eq!(ams.current_snapshot().epoch(), good_epoch);
+        assert_eq!(ams.representations().len(), 1, "no version was stored");
+
+        // The GPM still matches the served policies, also in the next
+        // snapshot a control-plane mutation publishes.
+        ams.set_run_budget(RunBudget::default());
+        let permit = "permit if subject clearance = high";
+        assert!(ams.admits(permit).unwrap());
+        ams.set_context(lockdown);
+        let snapshot = ams.current_snapshot();
+        assert_eq!(snapshot.epoch(), good_epoch + 1);
+        assert!(snapshot.admits(permit, &RunBudget::default()).unwrap());
+
+        // With a workable budget the same adaptation commits.
+        ams.adapt().unwrap();
+        assert_eq!(ams.representations().len(), 2);
+        assert!(!ams.admits(permit).unwrap());
+    }
+
+    #[test]
+    fn control_plane_publishes_stay_degraded_until_a_refresh_succeeds() {
+        let g: Asg = r#"
+            policy -> effect "if" "subject" "clearance" "=" level
+            effect -> "permit" { e(permit). }
+            level -> "low"  { lvl(low). }
+            level -> "high" { lvl(high). }
+        "#
+        .parse()
+        .unwrap();
+        let mut ams = Ams::new("lambda", g, HypothesisSpace::new());
+        ams.refresh_policies().unwrap();
+        let req = Request::new().subject("clearance", "low");
+        assert_eq!(ams.decide(&req).decision, Decision::Permit);
+
+        ams.set_run_budget(RunBudget::default().with_max_atoms(1));
+        assert!(ams.refresh_policies().is_err());
+        assert_eq!(ams.decide(&req).decision, Decision::Deny);
+
+        // Neither a context change nor an adopted GPM may grant access
+        // before a refresh has succeeded.
+        let assert_degraded = |ams: &Ams, step: &str| {
+            let outcome = ams.decide(&req);
+            assert_eq!(outcome.decision, Decision::Deny, "{step}");
+            assert_eq!(
+                outcome.error.as_ref().and_then(AmsError::exhaustion),
+                Some(Exhausted::Atoms),
+                "{step}"
+            );
+        };
+        ams.set_context("lockdown.".parse().unwrap());
+        assert_degraded(&ams, "set_context");
+        ams.adopt_gpm(ams.gpm().clone(), "re-adopted");
+        assert_degraded(&ams, "adopt_gpm");
+
+        ams.set_run_budget(RunBudget::default());
+        ams.refresh_policies().unwrap();
+        let outcome = ams.decide(&req);
+        assert_eq!(outcome.decision, Decision::Permit);
+        assert!(outcome.error.is_none());
     }
 
     #[test]

@@ -73,8 +73,6 @@ pub struct Adaptation {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Padap {
     learner: Learner,
-    /// Use the incremental (relevant-example) driver.
-    pub incremental: bool,
 }
 
 impl Padap {
@@ -83,16 +81,8 @@ impl Padap {
         Padap::default()
     }
 
-    /// A PAdaP with an explicit learner.
-    pub fn with_learner(learner: Learner) -> Padap {
-        Padap {
-            learner,
-            incremental: false,
-        }
-    }
-
     /// Replaces the learner (e.g. to apply a run budget's deadline and
-    /// node bounds), keeping the incremental setting.
+    /// node bounds).
     pub fn set_learner(&mut self, learner: Learner) {
         self.learner = learner;
     }
@@ -118,11 +108,7 @@ impl Padap {
                 task = task.neg(f.example());
             }
         }
-        let hypothesis = if self.incremental {
-            self.learner.learn_incremental(&task)?.0
-        } else {
-            self.learner.learn(&task)?
-        };
+        let hypothesis = self.learner.learn(&task)?;
         let gpm = hypothesis.apply(initial_gpm);
         Ok(Adaptation {
             gpm,
@@ -161,23 +147,5 @@ mod tests {
         assert_eq!(result.examples_used, 3);
         assert!(!result.gpm.with_context(&storm).accepts("allow").unwrap());
         assert!(result.gpm.with_context(&calm).accepts("allow").unwrap());
-    }
-
-    #[test]
-    fn incremental_mode_matches() {
-        let initial: Asg = r#"
-            policy -> "allow" { act(allow). }
-        "#
-        .parse()
-        .unwrap();
-        let space = HypothesisSpace::from_texts(&[(ProdId::from_index(0), ":- storm.")]);
-        let storm: Program = "storm.".parse().unwrap();
-        let feedback: Vec<Feedback> = (0..6)
-            .map(|_| Feedback::invalid("allow", storm.clone()))
-            .collect();
-        let mut padap = Padap::new();
-        padap.incremental = true;
-        let result = padap.adapt(&initial, &space, &feedback).unwrap();
-        assert!(!result.gpm.with_context(&storm).accepts("allow").unwrap());
     }
 }
