@@ -24,10 +24,12 @@
 //! Observability: span `adapt.mine` (the relearn itself records
 //! `ams.adapt`, `ams.refresh` and `serve.publish`); counters
 //! `adapt.log.recorded`, `adapt.log.dropped`, `adapt.mine.emitted`,
-//! `adapt.rounds.{published,skipped,failed}`.
+//! `adapt.rounds.{published,skipped,failed}`. Like every span and counter,
+//! they move only with telemetry on.
 
 mod log;
 mod miner;
+mod obs;
 mod plane;
 mod relearn;
 

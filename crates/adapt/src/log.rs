@@ -8,6 +8,7 @@
 //! evidence), and the drop count is surfaced so a sizing problem is
 //! visible rather than silent.
 
+use crate::obs::AdaptMetrics;
 use agenp_core::arch::DecisionOutcome;
 use agenp_policy::{Decision, Request};
 use std::collections::VecDeque;
@@ -68,15 +69,21 @@ impl DecisionLog {
     /// Records a pre-built record (for replay and tests).
     pub fn push(&self, record: DecisionRecord) {
         let mut buf = self.buf.lock().expect("decision log poisoned");
-        if buf.len() == self.capacity {
+        let evicted = buf.len() == self.capacity;
+        if evicted {
             buf.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            agenp_obs::registry().counter("adapt.log.dropped").incr();
         }
         buf.push_back(record);
         drop(buf);
         self.recorded.fetch_add(1, Ordering::Relaxed);
-        agenp_obs::registry().counter("adapt.log.recorded").incr();
+        if agenp_obs::enabled() {
+            let m = AdaptMetrics::global();
+            m.log_recorded.incr();
+            if evicted {
+                m.log_dropped.incr();
+            }
+        }
     }
 
     /// Takes every buffered record, oldest first, leaving the log empty.

@@ -24,6 +24,7 @@
 //! skipped and counted.
 
 use crate::log::DecisionRecord;
+use crate::obs::AdaptMetrics;
 use agenp_asp::Program;
 use agenp_core::arch::Feedback;
 use agenp_policy::{rule_from_text, AttrValue, Decision, Request};
@@ -160,9 +161,11 @@ impl Miner {
         }
         stats.emitted = feedback.len();
         span.record("emitted", stats.emitted);
-        agenp_obs::registry()
-            .counter("adapt.mine.emitted")
-            .add(stats.emitted as u64);
+        if agenp_obs::enabled() {
+            AdaptMetrics::global()
+                .mine_emitted
+                .add(stats.emitted as u64);
+        }
         MinedBatch { feedback, stats }
     }
 }

@@ -15,6 +15,7 @@
 
 use crate::log::DecisionLog;
 use crate::miner::{MineStats, Miner};
+use crate::obs::AdaptMetrics;
 use agenp_core::arch::{Ams, AmsError, DegradedMode, PdpHandle};
 use std::sync::Arc;
 
@@ -147,7 +148,9 @@ impl AdaptPlane {
             self.ams.observe(example);
         }
         if self.ams.feedback_len() < self.min_examples {
-            agenp_obs::registry().counter("adapt.rounds.skipped").incr();
+            if agenp_obs::enabled() {
+                AdaptMetrics::global().rounds_skipped.incr();
+            }
             return RoundOutcome::Skipped {
                 buffered: self.ams.feedback_len(),
                 needed: self.min_examples,
@@ -156,9 +159,9 @@ impl AdaptPlane {
         }
         match self.ams.adapt() {
             Ok(adaptation) => {
-                agenp_obs::registry()
-                    .counter("adapt.rounds.published")
-                    .incr();
+                if agenp_obs::enabled() {
+                    AdaptMetrics::global().rounds_published.incr();
+                }
                 let snapshot = self.ams.current_snapshot();
                 RoundOutcome::Published(RoundReport {
                     epoch: snapshot.epoch(),
@@ -169,7 +172,9 @@ impl AdaptPlane {
                 })
             }
             Err(e) => {
-                agenp_obs::registry().counter("adapt.rounds.failed").incr();
+                if agenp_obs::enabled() {
+                    AdaptMetrics::global().rounds_failed.incr();
+                }
                 RoundOutcome::Failed(e)
             }
         }
@@ -327,5 +332,59 @@ pub(crate) mod tests {
         let served = handle.decide(&req);
         assert_eq!(served.epoch, epoch);
         assert!(served.error.is_none());
+    }
+
+    #[test]
+    fn telemetry_off_leaves_every_adapt_counter_unchanged() {
+        agenp_obs::install(agenp_obs::ObsConfig::disabled());
+        let read = || {
+            let m = AdaptMetrics::global();
+            [
+                &m.log_recorded,
+                &m.log_dropped,
+                &m.mine_emitted,
+                &m.rounds_published,
+                &m.rounds_skipped,
+                &m.rounds_failed,
+            ]
+            .map(|c| c.value())
+        };
+        let before = read();
+
+        // A full log records and evicts.
+        let log = DecisionLog::new(1);
+        for clearance in ["high", "low"] {
+            let req = Request::new().subject("clearance", clearance);
+            log.push(crate::DecisionRecord {
+                request: req,
+                decision: Decision::Deny,
+                penalty: 0,
+                epoch: 1,
+                degraded: false,
+            });
+        }
+        assert_eq!(log.dropped(), 1);
+
+        // One round of each outcome: skipped, published (mining emits),
+        // failed.
+        let lockdown: Program = "lockdown.".parse().unwrap();
+        let mut plane = AdaptPlane::new(gate("lockdown.")).with_min_examples(2);
+        plane.publish_initial().unwrap();
+        assert!(matches!(plane.run_round(), RoundOutcome::Skipped { .. }));
+        for clearance in ["high", "low"] {
+            record(&plane, clearance, Decision::Deny);
+        }
+        assert!(plane.run_round().published().is_some());
+        plane.ams.observe(Feedback::valid(
+            "permit if subject clearance = low",
+            lockdown.clone(),
+        ));
+        plane.ams.observe(Feedback::invalid(
+            "permit if subject clearance = low",
+            lockdown,
+        ));
+        assert!(matches!(plane.run_round(), RoundOutcome::Failed(_)));
+
+        assert_eq!(read(), before);
     }
 }

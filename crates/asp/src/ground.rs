@@ -1713,46 +1713,6 @@ pub fn ground_with_stats(
     run_engine(program, opts, opts.mode == GroundMode::Naive)
 }
 
-/// Grounds `program` with the retained *naive* saturation strategy and
-/// default options.
-///
-/// # Errors
-///
-/// See [`ground`].
-#[deprecated(note = "use `ground_with` with `GroundOptions::with_mode(GroundMode::Naive)`")]
-pub fn ground_naive(program: &Program) -> Result<GroundProgram, GroundError> {
-    ground_with(
-        program,
-        GroundOptions::default().with_mode(GroundMode::Naive),
-    )
-}
-
-/// Naive-reference grounding with explicit [`GroundOptions`].
-///
-/// # Errors
-///
-/// See [`ground`].
-#[deprecated(note = "use `ground_with` with `GroundOptions::with_mode(GroundMode::Naive)`")]
-pub fn ground_naive_with(
-    program: &Program,
-    opts: GroundOptions,
-) -> Result<GroundProgram, GroundError> {
-    ground_with(program, opts.with_mode(GroundMode::Naive))
-}
-
-/// Like naive [`ground_with`], additionally reporting [`GroundStats`].
-///
-/// # Errors
-///
-/// See [`ground`].
-#[deprecated(note = "use `ground_with_stats` with `GroundOptions::with_mode(GroundMode::Naive)`")]
-pub fn ground_naive_with_stats(
-    program: &Program,
-    opts: GroundOptions,
-) -> Result<(GroundProgram, GroundStats), GroundError> {
-    ground_with_stats(program, opts.with_mode(GroundMode::Naive))
-}
-
 /// A saturated base program that can be re-grounded with small rule deltas
 /// without re-deriving the base.
 ///

@@ -57,8 +57,6 @@ pub use ground::{
     ground, ground_with, ground_with_stats, AtomId, AtomTable, GroundError, GroundMode,
     GroundOptions, GroundProgram, GroundRule, GroundStats, GroundWeak, IncrementalGrounder,
 };
-#[allow(deprecated)]
-pub use ground::{ground_naive, ground_naive_with, ground_naive_with_stats};
 pub use parallel::Parallelism;
 pub use parser::{parse_atom, parse_program, parse_rule, ParseError};
 pub use pool::{PoolError, UnitControl, WorkPool};

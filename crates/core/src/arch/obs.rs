@@ -1,8 +1,9 @@
 //! Typed view over the global `agenp-obs` registry for the serving tier
-//! (`serve.*` metrics). Per-handle [`ServeStats`] atomics stay
-//! authoritative for `PdpHandle::stats()`; when telemetry is enabled the
-//! handle mirrors its traffic here so dumps see cross-handle totals and a
-//! decide-latency histogram.
+//! (`serve.*` metrics). Per-handle [`ServeStats`] atomics stay exact and
+//! authoritative for `PdpHandle::stats()`; when telemetry is enabled every
+//! serving thread samples its decide calls into this view, so dumps see
+//! cross-handle totals and a decide-latency histogram without a clock
+//! read per decision.
 
 use crate::arch::serve::ServeStats;
 use agenp_obs::{Counter, Histogram};
@@ -11,13 +12,19 @@ use std::sync::{Arc, OnceLock};
 /// Registry-backed totals for PDP serving (`serve.*`).
 #[derive(Clone, Debug)]
 pub struct ServeMetrics {
-    /// Decisions rendered (`serve.decisions`).
+    /// Decisions rendered (`serve.decisions`), a sampled tally: each
+    /// serving thread adds its decisions at its sampled calls, so on each
+    /// thread the counter lags the true count by fewer than
+    /// [`Sampler::MAX_GAP`](agenp_obs::Sampler::MAX_GAP) calls.
     pub decisions: Arc<Counter>,
     /// Snapshots published / epoch swaps (`serve.publishes`).
     pub publishes: Arc<Counter>,
     /// Degraded snapshots published (`serve.degraded_publishes`).
     pub degraded_publishes: Arc<Counter>,
-    /// Wall-clock nanoseconds per decision (`serve.decide_latency_ns`).
+    /// Wall-clock nanoseconds per decision (`serve.decide_latency_ns`),
+    /// recorded for about one decide call in 64 at random gaps. Its count
+    /// is the number of sampled calls, not `decisions`; its mean and
+    /// buckets estimate those of every decision.
     pub decide_latency_ns: Arc<Histogram>,
 }
 
@@ -52,6 +59,7 @@ impl ServeMetrics {
 mod tests {
     use super::*;
     use crate::arch::{DecisionSnapshot, PdpHandle};
+    use agenp_obs::Sampler;
     use agenp_policy::{CombiningAlg, Request};
 
     #[test]
@@ -67,11 +75,19 @@ mod tests {
         let req = Request::new().subject("role", "dba");
         handle.decide(&req);
         handle.decide(&req);
+        // K more decisions on this thread, through a second handle (the
+        // registry totals every handle). The thread's sampler adds its
+        // tally at each sampled call, at most MAX_GAP calls apart.
+        const K: u64 = 10_000;
+        let other = PdpHandle::new();
+        for _ in 0..K {
+            other.decide(&req);
+        }
         let after = ServeMetrics::read();
-        assert!(after.decisions >= before.decisions + 2);
+        assert!(after.decisions >= before.decisions + K - (Sampler::MAX_GAP - 1));
         assert!(after.publishes > before.publishes);
         let lat_after = ServeMetrics::global().decide_latency_ns.snapshot().count;
-        assert!(lat_after >= lat_before + 2);
+        assert!(lat_after >= lat_before + K / Sampler::MAX_GAP);
         agenp_obs::install(agenp_obs::ObsConfig::disabled());
 
         // Disabled: per-handle stats still move, the registry does not.

@@ -22,6 +22,7 @@
 use crate::arch::ams::AmsError;
 use agenp_asp::{Program, RunBudget};
 use agenp_grammar::Asg;
+use agenp_obs::Sampler;
 use agenp_policy::{
     CombiningAlg, CompiledPolicies, Decision, DecisionEffects, Enforcement, Obligation, Pep,
     Policy, Request,
@@ -43,6 +44,12 @@ fn counter_stripe() -> usize {
         static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % COUNTER_STRIPES;
     }
     STRIPE.with(|s| *s)
+}
+
+thread_local! {
+    /// Picks the decide calls this thread times into the global `serve.*`
+    /// metrics (see [`PdpShared::mirrored`]).
+    static DECIDE_SAMPLER: Sampler = const { Sampler::new() };
 }
 
 /// An [`AtomicU64`] alone on its cache line, so two stripes never falsely
@@ -303,25 +310,32 @@ impl PdpShared {
         }
     }
 
-    /// Runs `render`, which renders `n` decisions, and accounts for them:
-    /// the handle's decision counter always, and with telemetry enabled
-    /// the global `serve.*` metrics too — one latency sample at the mean
-    /// per-decision time, so the histogram stays per-decision-scaled for
-    /// batches. With telemetry disabled the only extra cost is one relaxed
+    /// Runs `render`, which renders `n` decisions, and accounts for them.
+    /// The handle's decision counter always counts all `n`. With telemetry
+    /// enabled the call is also one tick, weighted `n`, of this thread's
+    /// [`DECIDE_SAMPLER`]: about one call in 64, at random gaps, is timed
+    /// into `serve.decide_latency_ns` (at the mean per-decision time, so
+    /// the histogram stays per-decision-scaled for batches) and adds the
+    /// decisions tallied since the previous sampled call to
+    /// `serve.decisions`. An unsampled call touches only the thread-local
+    /// sampler; with telemetry disabled the only extra cost is one relaxed
     /// atomic load.
     fn mirrored<T>(&self, n: usize, render: impl FnOnce() -> T) -> T {
         self.decisions.add(n as u64);
         if !agenp_obs::enabled() {
             return render();
         }
+        let Some(tally) = DECIDE_SAMPLER.with(|s| s.tick(n as u64)) else {
+            return render();
+        };
         let start = agenp_obs::monotonic_ns();
         let rendered = render();
+        let elapsed = agenp_obs::monotonic_ns().saturating_sub(start);
+        let m = crate::arch::obs::ServeMetrics::global();
         if n > 0 {
-            let m = crate::arch::obs::ServeMetrics::global();
-            let elapsed = agenp_obs::monotonic_ns().saturating_sub(start);
             m.decide_latency_ns.record(elapsed / n as u64);
-            m.decisions.add(n as u64);
         }
+        m.decisions.add(tally);
         rendered
     }
 
@@ -441,8 +455,9 @@ impl PdpHandle {
 
     /// Renders a decision against the current snapshot.
     ///
-    /// When telemetry is enabled the decision is also mirrored into the
-    /// global `serve.*` metrics (including a latency histogram).
+    /// When telemetry is enabled the decision is also counted into the
+    /// global `serve.*` metrics, and about one in 64 is timed into the
+    /// latency histogram (see [`ServeMetrics`](crate::arch::ServeMetrics)).
     pub fn decide(&self, request: &Request) -> DecisionOutcome {
         let inner = &self.inner;
         inner.mirrored(1, || inner.outcome(&inner.swap.load(), request))

@@ -4,7 +4,8 @@
 //! atomics on hot paths), structured [`span!`] guards with parent/child
 //! nesting and monotonic timing, a bounded ring-buffer [`FlightRecorder`]
 //! that snapshots and dumps as JSON on demand or on degraded-mode
-//! transitions, and a pluggable [`Exporter`] trait with JSON-lines and
+//! transitions, a per-thread [`Sampler`] that lets a hot path time about
+//! one call in 64, and a pluggable [`Exporter`] trait with JSON-lines and
 //! in-memory implementations.
 //!
 //! # Global mode
@@ -37,6 +38,7 @@
 mod export;
 mod metrics;
 mod recorder;
+mod sample;
 mod span;
 
 pub use export::{Exporter, JsonLinesExporter, MemoryExporter, ObsSnapshot, DUMP_SCHEMA};
@@ -45,6 +47,7 @@ pub use metrics::{
     DEFAULT_NS_BOUNDS,
 };
 pub use recorder::{FlightRecorder, DEFAULT_RECORDER_CAPACITY};
+pub use sample::Sampler;
 pub use span::{monotonic_ns, FieldValue, SpanGuard, SpanRecord};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -7,6 +7,7 @@
 //! none of them, and every byte of this parser is auditable.
 
 use std::io::{ErrorKind, Read, Write};
+use std::time::{Duration, Instant};
 
 /// Largest accepted header block (request line + headers + CRLFCRLF).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -52,6 +53,10 @@ pub enum HttpError {
     /// The read timed out with the connection still healthy — the caller
     /// may poll a shutdown flag and try again; buffered bytes are kept.
     TimedOut,
+    /// The message did not arrive in full within the connection's request
+    /// deadline (`408`); see
+    /// [`ServerOptions::request_deadline`](crate::ServerOptions::request_deadline).
+    DeadlineExceeded,
     /// Transport failure; close the connection.
     Io(std::io::Error),
 }
@@ -62,6 +67,7 @@ impl std::fmt::Display for HttpError {
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
             HttpError::TooLarge(what) => write!(f, "{what} too large"),
             HttpError::TimedOut => write!(f, "read timed out"),
+            HttpError::DeadlineExceeded => write!(f, "request deadline exceeded"),
             HttpError::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -77,6 +83,10 @@ pub struct ConnBuf<R> {
     buf: Vec<u8>,
     /// Bytes before `start` have been consumed by previous messages.
     start: usize,
+    /// How long a message may take to arrive once it needs a second read.
+    deadline: Option<Duration>,
+    /// When the message being read first needed another read.
+    continued: Option<Instant>,
 }
 
 impl<R: Read> ConnBuf<R> {
@@ -86,12 +96,36 @@ impl<R: Read> ConnBuf<R> {
             stream,
             buf: Vec::with_capacity(4096),
             start: 0,
+            deadline: None,
+            continued: None,
         }
+    }
+
+    /// Bounds how long one message may take to arrive: once part of a
+    /// message is buffered and another read is needed, the message must
+    /// complete within `deadline` of that read, or reading fails with
+    /// [`HttpError::DeadlineExceeded`]. A message that arrives in one read
+    /// never reads the clock.
+    pub(crate) fn with_request_deadline(mut self, deadline: Duration) -> ConnBuf<R> {
+        self.deadline = Some(deadline);
+        self
+    }
+
+    /// True when no byte of a next message is buffered: the connection is
+    /// between messages.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.pending().is_empty()
     }
 
     /// The unconsumed bytes currently buffered.
     fn pending(&self) -> &[u8] {
         &self.buf[self.start..]
+    }
+
+    /// Marks the buffered bytes up to `end` as one consumed message.
+    fn consume(&mut self, end: usize) {
+        self.start = end;
+        self.continued = None;
     }
 
     /// Drops the consumed prefix. Only safe at a message boundary (no
@@ -105,6 +139,12 @@ impl<R: Read> ConnBuf<R> {
 
     /// Reads more bytes from the stream into the buffer. `Ok(0)` is EOF.
     fn fill(&mut self) -> Result<usize, HttpError> {
+        if let Some(deadline) = self.deadline.filter(|_| !self.is_idle()) {
+            let now = Instant::now();
+            if now - *self.continued.get_or_insert(now) > deadline {
+                return Err(HttpError::DeadlineExceeded);
+            }
+        }
         let mut chunk = [0u8; 4096];
         match self.stream.read(&mut chunk) {
             Ok(n) => {
@@ -202,7 +242,7 @@ impl<R: Read> ConnBuf<R> {
             }
         }
         let body = self.buf[body_start..body_start + content_length].to_vec();
-        self.start = body_start + content_length;
+        self.consume(body_start + content_length);
 
         let connection = headers
             .iter()
@@ -270,7 +310,7 @@ impl<R: Read> ConnBuf<R> {
             }
         }
         let body = self.buf[body_start..body_start + content_length].to_vec();
-        self.start = body_start + content_length;
+        self.consume(body_start + content_length);
         Ok((status, body))
     }
 
@@ -292,6 +332,7 @@ pub fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
@@ -329,6 +370,7 @@ pub fn write_response(
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use std::time::Duration;
 
     #[test]
     fn parses_a_simple_post() {
@@ -399,6 +441,46 @@ mod tests {
         );
         let mut conn = ConnBuf::new(Cursor::new(raw.into_bytes()));
         assert!(matches!(conn.read_request(), Err(HttpError::TooLarge(_))));
+    }
+
+    /// Yields its bytes one per read, sleeping `pause` before each.
+    struct Trickle {
+        bytes: Vec<u8>,
+        at: usize,
+        pause: std::time::Duration,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            std::thread::sleep(self.pause);
+            match self.bytes.get(self.at) {
+                Some(&b) if !out.is_empty() => {
+                    out[0] = b;
+                    self.at += 1;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn request_deadline_bounds_a_trickled_message_only() {
+        let raw = b"GET /metrics HTTP/1.1\r\n\r\n".to_vec();
+        // One read: a zero deadline never fires.
+        let mut conn = ConnBuf::new(Cursor::new(raw.clone())).with_request_deadline(Duration::ZERO);
+        assert!(conn.read_request().unwrap().is_some());
+        // One byte per 2 ms read against a 5 ms deadline.
+        let trickle = Trickle {
+            bytes: raw,
+            at: 0,
+            pause: Duration::from_millis(2),
+        };
+        let mut conn = ConnBuf::new(trickle).with_request_deadline(Duration::from_millis(5));
+        assert!(matches!(
+            conn.read_request(),
+            Err(HttpError::DeadlineExceeded)
+        ));
     }
 
     #[test]

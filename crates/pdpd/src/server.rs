@@ -3,7 +3,10 @@
 //! idiom: plain `std::thread` + channels, deterministic shutdown, no
 //! external runtime). Each worker owns a [`PdpPin`], so every connection
 //! it serves decides against a pinned snapshot revalidated by one epoch
-//! load per call, with no shared lock on the decision path.
+//! load per call, with no shared lock on the decision path. A worker drops
+//! a connection that idles past [`ServerOptions::idle_deadline`] or
+//! trickles a request past [`ServerOptions::request_deadline`], so an
+//! idle or slow client holds a worker for a bounded time only.
 
 use crate::http::{write_response, ConnBuf, HttpError, HttpRequest};
 use crate::json;
@@ -15,15 +18,43 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Read timeouts a connection may wait between requests before it is
+/// closed (5 s at the default 200 ms read timeout).
+const IDLE_DEADLINE_READS: u32 = 25;
+
+/// Read timeouts a request may take to arrive once it needs a second read,
+/// before it is answered `408` and its connection closed (10 s at the
+/// default read timeout).
+const REQUEST_DEADLINE_READS: u32 = 50;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServerOptions {
     /// Worker threads serving connections (minimum 1).
     pub threads: usize,
-    /// Socket read timeout; bounds how long shutdown can lag.
+    /// Socket read timeout; bounds how long shutdown can lag, and sets the
+    /// idle and request deadlines.
     pub read_timeout: Duration,
+}
+
+impl ServerOptions {
+    /// How long a connection may wait for its next request, counted from
+    /// its accept or, after a response, from its first timed-out read:
+    /// 25 read timeouts. A worker then closes it, so an idle keep-alive
+    /// client cannot hold a worker indefinitely.
+    pub fn idle_deadline(&self) -> Duration {
+        self.read_timeout.saturating_mul(IDLE_DEADLINE_READS)
+    }
+
+    /// How long a request may take to arrive in full once it needs a
+    /// second read: 50 read timeouts. A worker then answers `408` and
+    /// closes the connection, so a client trickling bytes cannot hold a
+    /// worker indefinitely either.
+    pub fn request_deadline(&self) -> Duration {
+        self.read_timeout.saturating_mul(REQUEST_DEADLINE_READS)
+    }
 }
 
 impl Default for ServerOptions {
@@ -100,7 +131,7 @@ impl PdpdServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(HttpCounters::default());
         let threads = options.threads.max(1);
-        let (tx, rx) = channel::<TcpStream>();
+        let (tx, rx) = channel::<(TcpStream, Instant)>();
         let rx = Arc::new(Mutex::new(rx));
 
         let mut workers = Vec::with_capacity(threads);
@@ -109,9 +140,9 @@ impl PdpdServer {
             let shutdown = Arc::clone(&shutdown);
             let counters = Arc::clone(&counters);
             let pin = handle.pin();
-            let timeout = options.read_timeout;
+            let options = options.clone();
             workers.push(std::thread::spawn(move || {
-                worker_loop(&rx, &shutdown, &counters, pin, timeout);
+                worker_loop(&rx, &shutdown, &counters, pin, &options);
             }));
         }
 
@@ -183,7 +214,7 @@ impl Drop for PdpdServer {
 
 fn accept_loop(
     listener: &TcpListener,
-    tx: &Sender<TcpStream>,
+    tx: &Sender<(TcpStream, Instant)>,
     shutdown: &AtomicBool,
     counters: &HttpCounters,
 ) {
@@ -191,7 +222,9 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _)) => {
                 counters.connections.fetch_add(1, Ordering::Relaxed);
-                if tx.send(stream).is_err() {
+                // The idle deadline counts from here, so time spent queued
+                // behind busy workers counts too.
+                if tx.send((stream, Instant::now())).is_err() {
                     return; // every worker is gone
                 }
             }
@@ -205,16 +238,16 @@ fn accept_loop(
 }
 
 fn worker_loop(
-    rx: &Mutex<Receiver<TcpStream>>,
+    rx: &Mutex<Receiver<(TcpStream, Instant)>>,
     shutdown: &AtomicBool,
     counters: &HttpCounters,
     mut pin: PdpPin,
-    timeout: Duration,
+    options: &ServerOptions,
 ) {
     loop {
         // Take the next connection; recv_timeout so shutdown is noticed
         // even when the accept loop is idle.
-        let stream = {
+        let (stream, accepted) = {
             let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             match guard.recv_timeout(Duration::from_millis(100)) {
                 Ok(s) => s,
@@ -227,15 +260,18 @@ fn worker_loop(
                 Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
             }
         };
-        let _ = stream.set_read_timeout(Some(timeout));
+        let _ = stream.set_read_timeout(Some(options.read_timeout));
         let _ = stream.set_nodelay(true);
-        serve_connection(stream, shutdown, counters, &mut pin);
+        serve_connection(stream, accepted, options, shutdown, counters, &mut pin);
     }
 }
 
-/// Serves one connection until close, error, or shutdown.
+/// Serves one connection until close, error, shutdown, or a missed idle
+/// or request deadline.
 fn serve_connection(
     stream: TcpStream,
+    accepted: Instant,
+    options: &ServerOptions,
     shutdown: &AtomicBool,
     counters: &HttpCounters,
     pin: &mut PdpPin,
@@ -245,7 +281,10 @@ fn serve_connection(
         Err(_) => return,
     };
     let mut write_half = write_half;
-    let mut conn = ConnBuf::new(stream);
+    let mut conn = ConnBuf::new(stream).with_request_deadline(options.request_deadline());
+    // When the connection went idle: its accept, and after each response
+    // the first read that times out (so serving reads no clock).
+    let mut idle_since = Some(accepted);
     loop {
         let request = match conn.read_request() {
             Ok(Some(r)) => r,
@@ -254,7 +293,23 @@ fn serve_connection(
                 if shutdown.load(Ordering::SeqCst) {
                     return;
                 }
+                if conn.is_idle()
+                    && idle_since.get_or_insert_with(Instant::now).elapsed()
+                        > options.idle_deadline()
+                {
+                    return;
+                }
                 continue;
+            }
+            Err(HttpError::DeadlineExceeded) => {
+                counters.client_errors.fetch_add(1, Ordering::Relaxed);
+                let _ = write_response(
+                    &mut write_half,
+                    408,
+                    wire::error_body("request deadline exceeded").as_bytes(),
+                    true,
+                );
+                return;
             }
             Err(HttpError::Malformed(msg)) => {
                 counters.client_errors.fetch_add(1, Ordering::Relaxed);
@@ -279,6 +334,7 @@ fn serve_connection(
             }
             Err(HttpError::Io(_)) => return,
         };
+        idle_since = None;
         let keep_alive = request.keep_alive;
         let (status, body) = route(pin, counters, &request);
         if status < 400 {

@@ -11,9 +11,10 @@ use agenp_pdpd::{run_load, wire, LoadOptions, PdpdServer, ServerOptions};
 use agenp_policy::{CombiningAlg, Decision, Request};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 fn scenario_handle() -> PdpHandle {
     let handle = PdpHandle::new();
@@ -287,4 +288,89 @@ fn snapshot_swap_mid_stream_never_serves_stale_epochs() {
     }
     assert!(last_epoch >= 4, "publishes were never observed");
     server.shutdown();
+}
+
+/// One worker with a short read timeout, so the deadlines are short too.
+fn deadline_options() -> ServerOptions {
+    ServerOptions {
+        threads: 1,
+        read_timeout: Duration::from_millis(20),
+    }
+}
+
+#[test]
+fn idle_connections_do_not_starve_an_active_client() {
+    let options = deadline_options();
+    let mut server =
+        PdpdServer::bind("127.0.0.1:0", scenario_handle(), options.clone()).expect("bind");
+    // More idle keep-alive connections than workers, queued ahead of the
+    // active client.
+    let idle: Vec<TcpStream> = (0..=options.threads)
+        .map(|_| TcpStream::connect(server.addr()).expect("connect"))
+        .collect();
+    let started = Instant::now();
+    let (mut tx, mut rx) = connect(&server);
+    tx.write_all(&post("/decide", &wire::request_to_json(&sample_request())))
+        .unwrap();
+    let (status, _) = rx.read_response().expect("the active client is served");
+    let waited = started.elapsed();
+    assert_eq!(status, 200);
+    let bound = options.idle_deadline() + options.read_timeout * 10 + Duration::from_millis(500);
+    assert!(waited <= bound, "served after {waited:?} (bound {bound:?})");
+    for mut stream in idle {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(
+            stream.read(&mut [0u8; 1]).unwrap(),
+            0,
+            "idle connection closed"
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn slow_head_client_is_closed_within_the_request_deadline() {
+    let options = deadline_options();
+    let mut server =
+        PdpdServer::bind("127.0.0.1:0", scenario_handle(), options.clone()).expect("bind");
+    let (tx, mut rx) = connect(&server);
+    tx.set_nodelay(true).unwrap();
+    let done = AtomicBool::new(false);
+    let started = Instant::now();
+    let (status, waited) = std::thread::scope(|scope| {
+        // A head that never ends, one byte at a time, each well inside the
+        // read timeout, so no read ever times out.
+        scope.spawn(|| {
+            let mut tx = &tx;
+            let head = b"POST /decide HTTP/1.1\r\nX-Slow: ";
+            let limit = options.request_deadline() * 3;
+            for &byte in head.iter().chain(std::iter::repeat(&b'x')) {
+                if done.load(Ordering::Relaxed)
+                    || started.elapsed() > limit
+                    || tx.write_all(&[byte]).is_err()
+                {
+                    break;
+                }
+                std::thread::sleep(options.read_timeout / 4);
+            }
+        });
+        let response = rx.read_response();
+        let waited = started.elapsed();
+        done.store(true, Ordering::Relaxed);
+        (
+            response.expect("a 408 before the client gives up").0,
+            waited,
+        )
+    });
+    assert_eq!(status, 408);
+    assert!(
+        waited >= options.request_deadline(),
+        "closed early: {waited:?}"
+    );
+    let bound = options.request_deadline() + options.read_timeout * 10 + Duration::from_millis(500);
+    assert!(waited <= bound, "closed after {waited:?} (bound {bound:?})");
+    server.shutdown();
+    assert_eq!(server.http_stats().client_errors, 1);
 }
