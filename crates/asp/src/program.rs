@@ -225,7 +225,7 @@ impl fmt::Display for WeakConstraint {
 /// assert_eq!(p.rules().len(), 2);
 /// # Ok::<(), agenp_asp::ParseError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Program {
     rules: Vec<Rule>,
     weaks: Vec<WeakConstraint>,

@@ -12,9 +12,9 @@ use agenp_coalition::{
     datashare, distributed_cav_learning, federated, warm_start_comparison, CasWiki, TrustModel,
 };
 use agenp_core::scenarios::{cav, resupply, xacml};
-use agenp_learn::{LearnOptions, Learner};
+use agenp_learn::{LearnOptions, Learner, LearningSession};
 use agenp_policy::QualityChecker;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -716,7 +716,7 @@ fn explain_report() {
 
 /// E12 — ablations of the design choices in DESIGN.md §5.
 fn ablation() {
-    header("E12 — ablations: stratified fast path, monotone learner, incremental learning");
+    header("E12 — ablations: stratified fast path, monotone learner, learning session");
     println!("-- solver: stratified fast path vs forced DPLL (birds, n individuals) --");
     println!("{:>8} {:>14} {:>14}", "n", "stratified", "dpll");
     for n in [50usize, 200, 800] {
@@ -789,21 +789,54 @@ fn ablation() {
         );
     }
 
-    println!("\n-- learner: batch vs incremental (relevant examples) --");
+    println!("\n-- learner: cold learn vs session, rounds of two new examples (CAV) --");
     println!(
-        "{:>8} {:>14} {:>14} {:>10}",
-        "n", "batch", "incremental", "relevant"
+        "{:>8} {:>14} {:>14} {:>14} {:>14} {:>8}",
+        "n", "cold/round", "session/round", "compiled cold", "compiled sess", "skipped"
     );
+    const ROUNDS: usize = 8;
     for n in [32usize, 64, 128, 256] {
-        let train = cav::samples(n, 7);
-        let task = cav::learning_task(&train, None);
-        let t1 = Instant::now();
-        let _ = Learner::new().learn(&task);
-        let e1 = t1.elapsed();
-        let t2 = Instant::now();
-        let inc = Learner::new().learn_incremental(&task);
-        let e2 = t2.elapsed();
-        let rel = inc.as_ref().map(|(_, s)| s.relevant).unwrap_or(0);
-        println!("{n:>8} {e1:>14?} {e2:>14?} {rel:>10}");
+        let train = cav::samples(n + 2 * ROUNDS, 7);
+        let warm = cav::learning_task(&train[..n], None);
+        let mut session = LearningSession::new(warm.grammar, warm.space, LearnOptions::default());
+        for e in warm.positive {
+            session.add_positive(e);
+        }
+        for e in warm.negative {
+            session.add_negative(e);
+        }
+        session.solve().expect("learnable");
+        let (mut cold_time, mut session_time) = (Duration::ZERO, Duration::ZERO);
+        let (mut cold_compiled, mut session_compiled, mut skipped) = (0, 0, 0);
+        for round in 0..ROUNDS {
+            let seen = n + 2 * round + 2;
+            let t = Instant::now();
+            let (cold, cold_stats) = Learner::new()
+                .learn_with_stats(&cav::learning_task(&train[..seen], None))
+                .expect("learnable");
+            cold_time += t.elapsed();
+            cold_compiled += cold_stats.examples_compiled;
+            let new = cav::learning_task(&train[seen - 2..seen], None);
+            let t = Instant::now();
+            for e in new.positive {
+                session.add_positive(e);
+            }
+            for e in new.negative {
+                session.add_negative(e);
+            }
+            let (h, stats) = session.solve().expect("learnable");
+            session_time += t.elapsed();
+            session_compiled += stats.examples_compiled;
+            skipped += usize::from(stats.search_skipped);
+            assert_eq!(h.cost, cold.cost, "session and cold learn disagree");
+        }
+        let rounds = ROUNDS as u32;
+        println!(
+            "{n:>8} {:>14?} {:>14?} {:>14.1} {:>14.1} {skipped:>5}/{ROUNDS}",
+            cold_time / rounds,
+            session_time / rounds,
+            cold_compiled as f64 / ROUNDS as f64,
+            session_compiled as f64 / ROUNDS as f64,
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! agenp grammar check <file.asg>
 //! agenp grammar accepts <file.asg> "<string>" [--context <ctx.lp>]
 //! agenp grammar language <file.asg> [--context <ctx.lp>] [--depth N]
-//! agenp learn <file.task> [--incremental]
+//! agenp learn <file.task> [--out <learned.asg>]
 //! agenp explain <file.asg> "<string>" [--context <ctx.lp>]
 //! ```
 
@@ -35,7 +35,7 @@ const USAGE: &str = "usage:
   agenp grammar check <file.asg>
   agenp grammar accepts <file.asg> \"<string>\" [--context <ctx.lp>]
   agenp grammar language <file.asg> [--context <ctx.lp>] [--depth N]
-  agenp learn <file.task> [--incremental] [--out <learned.asg>]
+  agenp learn <file.task> [--out <learned.asg>]
   agenp explain <file.asg> \"<string>\" [--context <ctx.lp>]";
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -214,19 +214,7 @@ fn cmd_learn(args: &[String]) -> Result<(), String> {
         task.positive.len(),
         task.negative.len()
     );
-    let learner = Learner::new();
-    let hypothesis = if args.iter().any(|a| a == "--incremental") {
-        let (h, stats) = learner
-            .learn_incremental(&task)
-            .map_err(|e| e.to_string())?;
-        println!(
-            "incremental: {} rounds, {}/{} relevant",
-            stats.rounds, stats.relevant, stats.total
-        );
-        h
-    } else {
-        learner.learn(&task).map_err(|e| e.to_string())?
-    };
+    let hypothesis = Learner::new().learn(&task).map_err(|e| e.to_string())?;
     print!("{hypothesis}");
     let learned = hypothesis.apply(&task.grammar);
     println!("learned grammar:\n{learned}");

@@ -101,9 +101,6 @@ fn learn_solves_task_files() {
     let (stdout, _, ok) = agenp(&["learn", task.to_str().unwrap()]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains(":- storm."), "{stdout}");
-    let (inc, _, ok2) = agenp(&["learn", task.to_str().unwrap(), "--incremental"]);
-    assert!(ok2);
-    assert!(inc.contains("incremental:"), "{inc}");
 }
 
 #[test]

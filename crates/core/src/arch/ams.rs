@@ -18,7 +18,7 @@ use crate::arch::repr::RepresentationsRepository;
 use crate::arch::serve::{DecisionOutcome, DecisionSnapshot, PdpHandle};
 use agenp_asp::{Exhausted, Program, RunBudget};
 use agenp_grammar::{Asg, AsgError};
-use agenp_learn::{HypothesisSpace, LearnError, LearnOptions, Learner};
+use agenp_learn::{HypothesisSpace, LearnError, LearnOptions};
 use agenp_policy::{CombiningAlg, Decision, Policy, PolicyRepository, QualityReport, Request};
 use std::fmt;
 use std::sync::Mutex;
@@ -115,12 +115,8 @@ pub enum DegradedMode {
 pub struct Ams {
     /// Party name (for coalition interactions and diagnostics).
     pub name: String,
-    /// The PBMS-provided initial GPM (CFG + high-level constraints); kept
-    /// pristine so adaptation always re-learns from scratch.
-    initial_gpm: Asg,
     /// The current (possibly learned) GPM.
     gpm: Asg,
-    space: HypothesisSpace,
     repr_repo: RepresentationsRepository,
     policy_repo: PolicyRepository,
     serving: PdpHandle,
@@ -131,11 +127,12 @@ pub struct Ams {
     /// snapshot is degraded with it; a successful refresh clears it.
     refresh_error: Option<AmsError>,
     prep: Prep,
+    /// Learns from the PBMS-provided initial GPM (CFG + high-level
+    /// constraints), kept pristine in its session, plus every observation.
     padap: Padap,
     pcp: Pcp,
     translator: Box<dyn PolicyTranslator>,
     context: Program,
-    feedback: Vec<Feedback>,
     /// Behind a `Mutex` so `decide(&self)` can feed the monitor from any
     /// serving thread; the lock is held only for two counter bumps.
     goals: Mutex<GoalMonitor>,
@@ -151,8 +148,6 @@ impl Ams {
         let ams = Ams {
             name: name.to_owned(),
             gpm: initial_gpm.clone(),
-            initial_gpm,
-            space,
             repr_repo,
             policy_repo: PolicyRepository::new(),
             serving: PdpHandle::new(),
@@ -160,11 +155,10 @@ impl Ams {
             degraded_mode: DegradedMode::default(),
             refresh_error: None,
             prep: Prep::new(),
-            padap: Padap::new(),
+            padap: Padap::new(initial_gpm, space),
             pcp: Pcp::new(),
             translator: Box::new(CanonicalTranslator),
             context: Program::new(),
-            feedback: Vec::new(),
             goals: Mutex::new(GoalMonitor::new(Vec::new(), 32)),
             budget: RunBudget::default(),
         };
@@ -179,11 +173,11 @@ impl Ams {
     pub fn set_run_budget(&mut self, budget: RunBudget) {
         self.budget = budget;
         self.prep.budget = budget;
-        self.padap.set_learner(Learner::with_options(
+        self.padap.set_options(
             LearnOptions::default()
                 .with_deadline(budget.deadline)
                 .with_max_nodes(budget.max_nodes),
-        ));
+        );
     }
 
     /// The currently configured run budget.
@@ -439,46 +433,52 @@ impl Ams {
         outcomes
     }
 
-    /// Records observed feedback for the next adaptation round.
+    /// Records observed feedback for the next adaptation round. Nothing is
+    /// compiled until [`Ams::adapt`].
     pub fn observe(&mut self, feedback: Feedback) {
-        self.feedback.push(feedback);
+        self.padap.observe(feedback);
     }
 
-    /// Number of buffered feedback observations.
+    /// Number of feedback observations so far.
     pub fn feedback_len(&self) -> usize {
-        self.feedback.len()
+        self.padap.observations()
     }
 
     /// PAdaP step: re-learns the GPM from the initial grammar plus all
     /// accumulated feedback, regenerates (and republishes) policies from
-    /// it, and stores the new version. A failed regeneration degrades per
-    /// [`DegradedMode`] like any refresh and commits nothing: the current
-    /// GPM and the representations repository stay as they were.
+    /// it, and stores the new version. The PAdaP's learning session
+    /// compiles only the feedback observed since the last round and skips
+    /// the search while the last optimum still covers it. A failed
+    /// regeneration degrades per [`DegradedMode`] like any refresh and
+    /// commits nothing: the current GPM and the representations repository
+    /// stay as they were.
     ///
     /// # Errors
     ///
     /// [`AmsError::Learning`] if the feedback admits no hypothesis;
     /// [`AmsError::Generation`] if regeneration fails.
     pub fn adapt(&mut self) -> Result<Adaptation, AmsError> {
-        let mut span = agenp_obs::span!("ams.adapt", observations = self.feedback.len());
-        let adaptation = match self
-            .padap
-            .adapt(&self.initial_gpm, &self.space, &self.feedback)
-        {
+        let mut span = agenp_obs::span!("ams.adapt", observations = self.padap.observations());
+        let adaptation = match self.padap.adapt() {
             Ok(a) => a,
             Err(e) => {
                 span.record("error", true);
                 return Err(e.into());
             }
         };
+        let stats = &adaptation.stats;
         span.record("constraints", adaptation.hypothesis.rules.len());
+        span.record("examples_compiled", stats.examples_compiled);
+        span.record("compile_ns", stats.compile_ns);
+        span.record("search_ns", stats.search_ns);
+        span.record("search_skipped", stats.search_skipped);
         if let Err(e) = self.refresh(Some(&adaptation.gpm)) {
             span.record("error", true);
             return Err(e);
         }
         self.repr_repo.store(
             adaptation.gpm.clone(),
-            &format!("adapted from {} observations", self.feedback.len()),
+            &format!("adapted from {} observations", adaptation.examples_used),
         );
         Ok(adaptation)
     }
@@ -735,6 +735,55 @@ mod tests {
         ams.adapt().unwrap();
         assert_eq!(ams.representations().len(), 2);
         assert!(!ams.admits(permit).unwrap());
+    }
+
+    #[test]
+    fn feedback_that_fails_to_compile_fails_every_adapt() {
+        let (g, space) = gate();
+        let mut ams = Ams::new("mu", g, space);
+        ams.set_degraded_mode(DegradedMode::ServeLastGood);
+        ams.refresh_policies().unwrap();
+        let good_epoch = ams.current_snapshot().epoch();
+        ams.observe(Feedback::invalid(
+            "permit if subject clearance = high",
+            "lockdown.".parse().unwrap(),
+        ));
+        // An unsafe context rule cannot be grounded.
+        ams.observe(Feedback::valid(
+            "deny if subject clearance = high",
+            "p(X) :- not q(X).".parse().unwrap(),
+        ));
+        for round in 0..2 {
+            let err = ams.adapt().unwrap_err();
+            assert!(
+                matches!(err, AmsError::Learning(LearnError::Ground(_))),
+                "round {round}: {err}"
+            );
+        }
+        assert_eq!(ams.feedback_len(), 2);
+        assert_eq!(ams.representations().len(), 1);
+        assert_eq!(ams.current_snapshot().epoch(), good_epoch);
+    }
+
+    #[test]
+    fn adapt_without_new_feedback_reuses_the_last_optimum() {
+        let (g, space) = gate();
+        let mut ams = Ams::new("nu", g, space);
+        let lockdown: Program = "lockdown.".parse().unwrap();
+        ams.set_context(lockdown.clone());
+        ams.observe(Feedback::invalid(
+            "permit if subject clearance = high",
+            lockdown,
+        ));
+        let first = ams.adapt().unwrap();
+        assert!(!first.stats.search_skipped);
+        assert_eq!(first.stats.examples_compiled, 1);
+        let second = ams.adapt().unwrap();
+        assert!(second.stats.search_skipped);
+        assert_eq!(second.stats.examples_compiled, 0);
+        assert_eq!(second.hypothesis.rules, first.hypothesis.rules);
+        assert_eq!(second.examples_used, 1);
+        assert_eq!(ams.representations().len(), 3);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 
 use agenp_asp::Program;
 use agenp_grammar::Asg;
-use agenp_learn::HypothesisSpace;
-use agenp_learn::{Example, Hypothesis, LearnError, Learner, LearningTask};
+use agenp_learn::{
+    Example, Hypothesis, HypothesisSpace, LearnError, LearnOptions, LearnStats, LearningSession,
+};
 
 /// One piece of observed feedback: a policy string that turned out to be
 /// valid or invalid in a context.
@@ -48,14 +49,6 @@ impl Feedback {
         self.penalty = Some(penalty);
         self
     }
-
-    fn example(&self) -> Example {
-        let mut e = Example::in_context(self.policy.clone(), self.context.clone());
-        if let Some(p) = self.penalty {
-            e = e.with_penalty(p);
-        }
-        e
-    }
 }
 
 /// The outcome of an adaptation round.
@@ -67,53 +60,69 @@ pub struct Adaptation {
     pub hypothesis: Hypothesis,
     /// Number of examples the learner saw.
     pub examples_used: usize,
+    /// The learner's work this round: examples compiled, compile and search
+    /// time, and whether the search was skipped.
+    pub stats: LearnStats,
 }
 
-/// The Policy Adaptation Point.
-#[derive(Clone, Copy, Debug, Default)]
+/// The Policy Adaptation Point: one [`LearningSession`] over the initial
+/// GPM and the hypothesis space, fed every observation.
+#[derive(Debug)]
 pub struct Padap {
-    learner: Learner,
+    session: LearningSession,
 }
 
 impl Padap {
-    /// A PAdaP with a default learner.
-    pub fn new() -> Padap {
-        Padap::default()
+    /// A PAdaP that learns within `space` on top of `initial_gpm`, with
+    /// default learner options.
+    pub fn new(initial_gpm: Asg, space: HypothesisSpace) -> Padap {
+        Padap {
+            session: LearningSession::new(initial_gpm, space, LearnOptions::default()),
+        }
     }
 
-    /// Replaces the learner (e.g. to apply a run budget's deadline and
-    /// node bounds).
-    pub fn set_learner(&mut self, learner: Learner) {
-        self.learner = learner;
+    /// Replaces the learner options (e.g. to apply a run budget's deadline
+    /// and node bounds to the next search).
+    pub fn set_options(&mut self, options: LearnOptions) {
+        self.session.set_options(options);
     }
 
-    /// Re-learns the GPM from scratch: the *initial* grammar plus all
-    /// accumulated feedback. Learning always restarts from the initial
-    /// grammar so constraints never stack across rounds.
+    /// Records feedback for the next adaptation. Nothing is compiled until
+    /// [`Padap::adapt`].
+    pub fn observe(&mut self, feedback: Feedback) {
+        let example = Example {
+            text: feedback.policy,
+            context: feedback.context,
+            penalty: feedback.penalty,
+        };
+        if feedback.valid {
+            self.session.add_positive(example);
+        } else {
+            self.session.add_negative(example);
+        }
+    }
+
+    /// Feedback observations so far.
+    pub fn observations(&self) -> usize {
+        self.session.len()
+    }
+
+    /// Re-learns the GPM from the *initial* grammar plus all feedback
+    /// observed so far, so constraints never stack across rounds. Only the
+    /// feedback new since the last round is compiled, and the search is
+    /// skipped while the last optimum still covers it (see
+    /// [`LearningSession`]).
     ///
     /// # Errors
     ///
     /// Propagates learner failures (unsatisfiable feedback, budget, …).
-    pub fn adapt(
-        &self,
-        initial_gpm: &Asg,
-        space: &HypothesisSpace,
-        feedback: &[Feedback],
-    ) -> Result<Adaptation, LearnError> {
-        let mut task = LearningTask::new(initial_gpm.clone(), space.clone());
-        for f in feedback {
-            if f.valid {
-                task = task.pos(f.example());
-            } else {
-                task = task.neg(f.example());
-            }
-        }
-        let hypothesis = self.learner.learn(&task)?;
-        let gpm = hypothesis.apply(initial_gpm);
+    pub fn adapt(&mut self) -> Result<Adaptation, LearnError> {
+        let (hypothesis, stats) = self.session.solve()?;
         Ok(Adaptation {
-            gpm,
+            gpm: hypothesis.apply(self.session.grammar()),
             hypothesis,
-            examples_used: feedback.len(),
+            examples_used: self.session.len(),
+            stats,
         })
     }
 }
@@ -137,13 +146,11 @@ mod tests {
         ]);
         let storm: Program = "storm.".parse().unwrap();
         let calm: Program = "calm.".parse().unwrap();
-        let feedback = vec![
-            Feedback::invalid("allow", storm.clone()),
-            Feedback::valid("deny", storm.clone()),
-            Feedback::valid("allow", calm.clone()),
-        ];
-        let padap = Padap::new();
-        let result = padap.adapt(&initial, &space, &feedback).unwrap();
+        let mut padap = Padap::new(initial, space);
+        padap.observe(Feedback::invalid("allow", storm.clone()));
+        padap.observe(Feedback::valid("deny", storm.clone()));
+        padap.observe(Feedback::valid("allow", calm.clone()));
+        let result = padap.adapt().unwrap();
         assert_eq!(result.examples_used, 3);
         assert!(!result.gpm.with_context(&storm).accepts("allow").unwrap());
         assert!(result.gpm.with_context(&calm).accepts("allow").unwrap());

@@ -18,6 +18,7 @@ use agenp_learn::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// The driving tasks and their required LOA.
 pub const TASKS: [(&str, i64); 4] = [
@@ -113,7 +114,13 @@ pub fn accept_production() -> ProdId {
 /// The hypothesis space: constraints on the accept production over
 /// `task_req/1`, `loa/1`, `limit/1`, `weather/1`, `emergency/1`, with
 /// variable-variable `<` comparisons and `>= k` threshold comparisons.
+/// Generated once per process; each call returns a copy.
 pub fn hypothesis_space() -> HypothesisSpace {
+    static SPACE: OnceLock<HypothesisSpace> = OnceLock::new();
+    SPACE.get_or_init(generate_space).clone()
+}
+
+fn generate_space() -> HypothesisSpace {
     ModeBias::constraints(
         vec![accept_production()],
         vec![

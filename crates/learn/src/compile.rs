@@ -214,7 +214,7 @@ pub struct CompiledExample {
 }
 
 /// Options for example compilation.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Maximum parse trees per example.
     pub max_trees: usize,
@@ -296,37 +296,6 @@ impl CompiledExample {
             }
         }
         Some(false)
-    }
-
-    /// Like [`CompiledExample::accepted_by`], but exact for arbitrary
-    /// hypotheses: each tree's hypothesis instantiation is grounded as a
-    /// delta over the tree's saturated base and checked for a stable model.
-    /// Returns `Ok(None)` when a tree lacks a base grounder (the
-    /// [`CompileOptions::naive_ground`] ablation); callers then fall back to
-    /// full ASG semantics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates grounding failures from the delta pass.
-    pub fn accepted_by_grounding(
-        &self,
-        rules: &[(ProdId, Rule)],
-    ) -> Result<Option<bool>, GroundError> {
-        for tree in &self.trees {
-            let Some(grounder) = &tree.grounder else {
-                return Ok(None);
-            };
-            let mut delta: Vec<Rule> = Vec::new();
-            for (target, rule) in rules {
-                let cand = Candidate::new(*target, rule.clone());
-                delta.extend(tree.instantiate(&cand));
-            }
-            let g = grounder.ground_delta(&delta)?;
-            if Solver::new().max_models(1).solve(&g).satisfiable() {
-                return Ok(Some(true));
-            }
-        }
-        Ok(Some(false))
     }
 }
 

@@ -17,7 +17,9 @@
 //!   task with the engine's weak-constraint optimizer — the authentic
 //!   ILASP architecture, used for cross-validation and ablations,
 //! * ILASP-style **noise handling** via per-example penalties,
-//! * an **incremental** (relevant-example, ILASP2i-style) driver,
+//! * a **learning session** ([`LearningSession`]) that compiles each example
+//!   once as it arrives and skips the search while its last optimum still
+//!   covers the new examples,
 //! * hypothesis-space generation from **mode biases**.
 //!
 //! ```
@@ -47,18 +49,19 @@
 
 mod compile;
 mod example;
-mod incremental;
 mod learner;
 mod meta;
 pub mod obs;
+mod search;
+mod session;
 mod space;
 
 pub use compile::{
     body_holds, compile_example, CompileOptions, CompiledExample, CompiledTree, World,
 };
 pub use example::Example;
-pub use incremental::IncrementalStats;
 pub use learner::{
     Branching, Hypothesis, LearnError, LearnOptions, LearnStats, Learner, LearningTask,
 };
+pub use session::LearningSession;
 pub use space::{Candidate, HypothesisSpace, ModeArg, ModeAtom, ModeBias, ModeCmp, ModeLiteral};

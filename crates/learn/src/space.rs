@@ -4,8 +4,9 @@
 
 use agenp_asp::{Atom, CmpOp, Literal, Rule, Symbol, Term};
 use agenp_grammar::ProdId;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// One learnable rule: the rule plus the identifier of the production whose
 /// annotation it extends.
@@ -362,8 +363,15 @@ impl ModeBias {
 
         // 2. Enumerate bodies: ordered index combinations (i1 < i2 < …) of
         //    distinct templates, sizes 1..=max_body, optionally plus one
-        //    comparison.
-        let mut rules: Vec<Rule> = Vec::new();
+        //    comparison. Each rule goes straight to step 3.
+        let mut kept = Kept {
+            pool: &var_names,
+            targets: self.targets.len(),
+            max_candidates: self.max_candidates,
+            rules: Vec::new(),
+            index: HashMap::new(),
+            full: false,
+        };
         let mut combo = Vec::new();
         fn bodies(
             templates: &[Literal],
@@ -391,127 +399,144 @@ impl ModeBias {
             }
         }
         let lits: Vec<Literal> = templates.iter().map(|t| t.literal.clone()).collect();
-        {
-            let mut emit = |body: &[Literal]| {
+        bodies(
+            &lits,
+            &cmp_templates,
+            0,
+            &mut combo,
+            self.max_body,
+            &mut |body: &[Literal]| {
                 for head in &head_templates {
-                    rules.push(Rule {
+                    kept.offer(Rule {
                         head: head.clone(),
                         body: body.to_vec(),
                     });
                 }
-            };
-            bodies(
-                &lits,
-                &cmp_templates,
-                0,
-                &mut combo,
-                self.max_body,
-                &mut emit,
-            );
-        }
+            },
+        );
         // Headed rules with empty bodies (facts) are also meaningful for
         // normal-rule heads.
         for head in head_templates.iter().flatten() {
             if head.is_ground() {
-                rules.push(Rule {
+                kept.offer(Rule {
                     head: Some(head.clone()),
                     body: Vec::new(),
                 });
             }
         }
-
-        // 3. Canonicalize variables, check safety, dedupe, cap.
-        let mut seen: HashSet<String> = HashSet::new();
-        let mut out: Vec<Rule> = Vec::new();
-        for rule in rules {
-            let canon = canonicalize_vars(&rule, &var_names);
-            if canon.unsafe_var().is_some() {
-                continue;
-            }
-            let key = canon.to_string();
-            if seen.insert(key) {
-                out.push(canon);
-                if out.len() * self.targets.len() >= self.max_candidates {
-                    break;
-                }
-            }
-        }
+        let mut out = kept.rules;
         out.sort_by_key(|r| r.len());
 
-        HypothesisSpace::from_candidates(
-            self.targets
+        // The rules are distinct, so only a repeated target can repeat a
+        // candidate.
+        let mut targets: Vec<ProdId> = Vec::new();
+        for t in &self.targets {
+            if !targets.contains(t) {
+                targets.push(*t);
+            }
+        }
+        HypothesisSpace {
+            candidates: targets
                 .iter()
-                .flat_map(|t| out.iter().map(move |r| Candidate::new(*t, r.clone()))),
-        )
+                .flat_map(|t| out.iter().map(move |r| Candidate::new(*t, r.clone())))
+                .collect(),
+        }
     }
 }
 
-/// Renames variables to `V1, V2, …` in order of first occurrence.
-fn canonicalize_vars(rule: &Rule, pool: &[Symbol]) -> Rule {
-    let mut mapping: Vec<(Symbol, Symbol)> = Vec::new();
+/// Step 3 of [`ModeBias::generate`]: canonicalizes each offered rule's
+/// variables, skips unsafe rules, and keeps each distinct rule once, in
+/// order, until the candidate cap is reached.
+struct Kept<'a> {
+    pool: &'a [Symbol],
+    targets: usize,
+    max_candidates: usize,
+    rules: Vec<Rule>,
+    /// Kept rules by hash.
+    index: HashMap<u64, Vec<usize>>,
+    full: bool,
+}
+
+impl Kept<'_> {
+    fn offer(&mut self, mut rule: Rule) {
+        // Renaming is a bijection, so it keeps a rule (un)safe.
+        if self.full || rule.unsafe_var().is_some() {
+            return;
+        }
+        canonicalize_vars(&mut rule, self.pool);
+        let mut hasher = DefaultHasher::new();
+        rule.hash(&mut hasher);
+        let ids = self.index.entry(hasher.finish()).or_default();
+        if ids.iter().any(|&i| self.rules[i] == rule) {
+            return;
+        }
+        ids.push(self.rules.len());
+        self.rules.push(rule);
+        self.full = self.rules.len() * self.targets >= self.max_candidates;
+    }
+}
+
+/// Renames variables to `V1, V2, …` in order of first occurrence, body
+/// first so that safety is stable.
+fn canonicalize_vars(rule: &mut Rule, pool: &[Symbol]) {
     let mut order = Vec::new();
+    for l in &rule.body {
+        l.collect_vars(&mut order);
+    }
     if let Some(h) = &rule.head {
         h.collect_vars(&mut order);
     }
-    // Variables are renamed in body-first order so that safety is stable.
-    let mut body_order = Vec::new();
-    for l in &rule.body {
-        l.collect_vars(&mut body_order);
+    let mapping: Vec<(Symbol, Symbol)> = order
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let fresh = pool
+                .get(i)
+                .copied()
+                .unwrap_or_else(|| Symbol::new(&format!("V{}", i + 1)));
+            (*v, fresh)
+        })
+        .collect();
+    if mapping.iter().all(|(old, new)| old == new) {
+        return;
     }
-    let mut all = body_order;
-    for v in order {
-        if !all.contains(&v) {
-            all.push(v);
+    if let Some(h) = &mut rule.head {
+        rename_atom(h, &mapping);
+    }
+    for l in &mut rule.body {
+        match l {
+            Literal::Pos(a) | Literal::Neg(a) => rename_atom(a, &mapping),
+            Literal::Cmp(_, x, y) => {
+                rename_term(x, &mapping);
+                rename_term(y, &mapping);
+            }
         }
-    }
-    for (i, v) in all.iter().enumerate() {
-        let fresh = pool
-            .get(i)
-            .copied()
-            .unwrap_or_else(|| Symbol::new(&format!("V{}", i + 1)));
-        mapping.push((*v, fresh));
-    }
-    let rename = |t: &Term| -> Term { rename_term(t, &mapping) };
-    let rename_atom = |a: &Atom| -> Atom {
-        Atom {
-            pred: a.pred,
-            args: a.args.iter().map(rename).collect(),
-            trace: a.trace.clone(),
-        }
-    };
-    Rule {
-        head: rule.head.as_ref().map(rename_atom),
-        body: rule
-            .body
-            .iter()
-            .map(|l| match l {
-                Literal::Pos(a) => Literal::Pos(rename_atom(a)),
-                Literal::Neg(a) => Literal::Neg(rename_atom(a)),
-                Literal::Cmp(op, x, y) => Literal::Cmp(*op, rename(x), rename(y)),
-            })
-            .collect(),
     }
 }
 
-fn rename_term(t: &Term, mapping: &[(Symbol, Symbol)]) -> Term {
+fn rename_atom(a: &mut Atom, mapping: &[(Symbol, Symbol)]) {
+    for t in &mut a.args {
+        rename_term(t, mapping);
+    }
+}
+
+fn rename_term(t: &mut Term, mapping: &[(Symbol, Symbol)]) {
     match t {
         Term::Var(v) => {
-            let new = mapping
-                .iter()
-                .find(|(old, _)| old == v)
-                .map(|(_, n)| *n)
-                .unwrap_or(*v);
-            Term::Var(new)
+            if let Some((_, new)) = mapping.iter().find(|(old, _)| old == v) {
+                *v = *new;
+            }
         }
-        Term::Func(f, args) => {
-            Term::Func(*f, args.iter().map(|a| rename_term(a, mapping)).collect())
+        Term::Func(_, args) => {
+            for a in args {
+                rename_term(a, mapping);
+            }
         }
-        Term::Arith(op, l, r) => Term::Arith(
-            *op,
-            Box::new(rename_term(l, mapping)),
-            Box::new(rename_term(r, mapping)),
-        ),
-        _ => t.clone(),
+        Term::Arith(_, l, r) => {
+            rename_term(l, mapping);
+            rename_term(r, mapping);
+        }
+        _ => {}
     }
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end tests of the context-dependent ASG learner (Definition 3),
-//! including monotone/generic path agreement, minimality, noise handling,
-//! and the incremental driver.
+//! including monotone/generic path agreement, minimality and noise
+//! handling.
 
 use agenp_asp::Program;
 use agenp_grammar::{Asg, ProdId};
@@ -182,24 +182,6 @@ fn annotated_hypothesis_rules_reach_child_atoms() {
     let h = Learner::new().learn(&task).unwrap();
     assert_eq!(h.rules[0].1.to_string(), ":- act(allow)@1, risky.");
     assert!(task.violations(&h).unwrap().is_empty());
-}
-
-#[test]
-fn incremental_matches_batch_on_hard_tasks() {
-    let mut task = LearningTask::new(weather_grammar(), weather_space());
-    // Many redundant examples; only a few are relevant.
-    for _ in 0..8 {
-        task = task
-            .pos(Example::in_context("allow", ctx("weather(clear).")))
-            .pos(Example::in_context("deny", ctx("weather(rain).")))
-            .neg(Example::in_context("allow", ctx("weather(rain).")));
-    }
-    let batch = Learner::new().learn(&task).unwrap();
-    let (inc, stats) = Learner::new().learn_incremental(&task).unwrap();
-    assert_eq!(batch.cost, inc.cost);
-    assert!(task.violations(&inc).unwrap().is_empty());
-    assert!(stats.relevant < stats.total, "stats: {stats:?}");
-    assert!(stats.rounds >= 1);
 }
 
 #[test]
@@ -426,20 +408,4 @@ fn delta_grounding_instantiates_fewer_rules_than_naive() {
         slow.rules_instantiated
     );
     assert!(fast.solver_calls <= slow.solver_calls);
-}
-
-#[test]
-fn incremental_uses_grounded_violations_for_normal_rules() {
-    // Normal rules in the space disable the world fast path; the incremental
-    // driver must still converge via the delta-grounding violation check.
-    let task = generic_task();
-    let batch = Learner::with_options(LearnOptions::default().with_force_generic(true))
-        .learn(&task)
-        .unwrap();
-    let (inc, stats) = Learner::with_options(LearnOptions::default().with_force_generic(true))
-        .learn_incremental(&task)
-        .unwrap();
-    assert_eq!(batch.cost, inc.cost);
-    assert!(task.violations(&inc).unwrap().is_empty());
-    assert!(stats.rounds >= 1);
 }

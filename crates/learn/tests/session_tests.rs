@@ -1,0 +1,253 @@
+//! The learning session against a fresh [`Learner::learn`] over the same
+//! examples: round by round on CAV episodes, with repeated examples, and
+//! the soundness of skipping the search.
+//!
+//! Optimized builds run the full-size suites
+//! (`cargo test --release -p agenp-learn`); debug builds run a few
+//! seconds' worth of the same checks.
+
+use agenp_core::scenarios::cav;
+use agenp_grammar::{Asg, ProdId};
+use agenp_learn::{
+    Branching, Example, HypothesisSpace, LearnError, LearnOptions, Learner, LearningSession,
+    LearningTask,
+};
+use std::collections::HashSet;
+
+/// Full-size suites in optimized builds.
+const FULL: bool = !cfg!(debug_assertions);
+
+fn cav_session(options: LearnOptions) -> LearningSession {
+    LearningSession::new(cav::grammar(), cav::hypothesis_space(), options)
+}
+
+/// Adds a task's examples to the session: positives, then negatives.
+fn add(session: &mut LearningSession, task: LearningTask) {
+    for e in task.positive {
+        session.add_positive(e);
+    }
+    for e in task.negative {
+        session.add_negative(e);
+    }
+}
+
+#[test]
+fn rounds_match_a_fresh_learn_on_cav_episodes() {
+    let (seeds, rounds) = if FULL { (20, 40) } else { (2, 10) };
+    for seed in 1..=seeds {
+        for penalty in [None, Some(3)] {
+            let mut samples = cav::samples(2 * rounds, seed);
+            if penalty.is_some() {
+                cav::inject_noise(&mut samples, 0.1, seed ^ 0x5eed);
+            }
+            let mut session = cav_session(LearnOptions::default());
+            let mut searched = 0;
+            for round in 0..rounds {
+                let seen = 2 * round + 2;
+                add(
+                    &mut session,
+                    cav::learning_task(&samples[seen - 2..seen], penalty),
+                );
+                let (h, stats) = session.solve().expect("learnable");
+                let task = cav::learning_task(&samples[..seen], penalty);
+                let cold = Learner::new().learn(&task).expect("learnable");
+                let at = format!("seed {seed} penalty {penalty:?} round {round}");
+                assert_eq!(h.cost, cold.cost, "{at}");
+                if !stats.search_skipped {
+                    searched += 1;
+                    assert_eq!(h.rules, cold.rules, "{at}");
+                    assert_eq!(h.sacrificed, cold.sacrificed, "{at}");
+                }
+                if penalty.is_none() {
+                    assert_eq!(task.violations(&h).unwrap(), Vec::new(), "{at}");
+                }
+            }
+            assert!(searched >= 1, "seed {seed}: the first round searches");
+        }
+    }
+}
+
+/// `samples` with every sample repeated, and the same examples made
+/// distinct by an irrelevant context fact, so nothing is shared.
+fn repeated_tasks(seed: u64, penalty: Option<u32>) -> (LearningTask, LearningTask) {
+    let mut samples = cav::samples(10, seed);
+    if penalty.is_some() {
+        cav::inject_noise(&mut samples, 0.2, seed);
+    }
+    let repeated: Vec<cav::Sample> = samples
+        .iter()
+        .chain(&samples)
+        .chain(&samples[..4])
+        .cloned()
+        .collect();
+    let shared = cav::learning_task(&repeated, penalty);
+    let mut distinct = LearningTask::new(cav::grammar(), cav::hypothesis_space());
+    for (i, s) in repeated.iter().enumerate() {
+        let mut context = s.context.to_program();
+        context.push(format!("copy({i}).").parse().unwrap());
+        let mut e = Example::in_context(cav::policy_text(s.task), context);
+        e.penalty = penalty;
+        distinct = if s.accept {
+            distinct.pos(e)
+        } else {
+            distinct.neg(e)
+        };
+    }
+    (shared, distinct)
+}
+
+#[test]
+fn repeated_examples_share_coverage_without_changing_the_result() {
+    let seeds = if FULL { 12 } else { 3 };
+    for seed in 1..=seeds {
+        for penalty in [None, Some(2)] {
+            let (shared, distinct) = repeated_tasks(seed, penalty);
+            let learner = Learner::new();
+            let at = format!("seed {seed} penalty {penalty:?}");
+            match (
+                learner.learn_with_stats(&shared),
+                learner.learn_with_stats(&distinct),
+            ) {
+                (Ok((a, sa)), Ok((b, sb))) => {
+                    assert_eq!(a.cost, b.cost, "{at}");
+                    assert_eq!(a.sacrificed, b.sacrificed, "{at}");
+                    assert_eq!(a.rules, b.rules, "{at}");
+                    assert_eq!(sa.search_nodes, sb.search_nodes, "{at}");
+                    assert_eq!(sa.worlds, sb.worlds, "{at}");
+                    // 24 observations of at most 10 distinct examples.
+                    assert!(sa.examples_compiled <= 10, "{at}: {sa:?}");
+                    assert_eq!(sb.examples_compiled, 24, "{at}");
+                }
+                (Err(LearnError::Unsatisfiable), Err(LearnError::Unsatisfiable)) => {
+                    assert!(penalty.is_none(), "{at}: soft tasks are satisfiable");
+                }
+                (a, b) => panic!("{at}: {a:?} vs {b:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn a_budget_truncated_search_never_enables_the_skip() {
+    // 20 nodes cut the seed-1 search short of its optimum (cost 9).
+    let options = LearnOptions::default().with_max_nodes(20);
+    let samples = cav::samples(42, 1);
+    let mut session = cav_session(options);
+    add(&mut session, cav::learning_task(&samples[..40], None));
+    let (first, stats) = session.solve().expect("a solution within the budget");
+    assert!(!stats.search_skipped);
+    assert!(stats.search_nodes >= 20, "{stats:?}");
+    let optimum = Learner::new()
+        .learn(&cav::learning_task(&samples[..40], None))
+        .unwrap();
+    assert!(first.cost > optimum.cost, "the cut search is not optimal");
+    // Whatever arrives next, the unproven result is not reused.
+    add(&mut session, cav::learning_task(&samples[40..], None));
+    let (_, stats) = session.solve().expect("a solution within the budget");
+    assert!(!stats.search_skipped);
+    assert!(stats.search_nodes > 0);
+}
+
+fn weather_session(options: LearnOptions) -> LearningSession {
+    let g: Asg = r#"
+        policy -> "allow" { act(allow). }
+        policy -> "deny"  { act(deny). }
+    "#
+    .parse()
+    .unwrap();
+    let space = HypothesisSpace::from_texts(&[
+        (ProdId::from_index(0), ":- weather(rain)."),
+        (ProdId::from_index(0), ":- weather(clear)."),
+        (ProdId::from_index(1), ":- weather(rain)."),
+    ]);
+    LearningSession::new(g, space, options)
+}
+
+fn weather(text: &str, facts: &str) -> Example {
+    Example::in_context(text, facts.parse().unwrap())
+}
+
+#[test]
+fn the_skip_reuses_only_an_optimum_that_still_holds() {
+    let mut session = weather_session(LearnOptions::default());
+    session.add_negative(weather("allow", "weather(rain)."));
+    let (h, stats) = session.solve().unwrap();
+    assert!(!stats.search_skipped);
+    assert_eq!(h.cost, 1);
+
+    // Satisfied by the optimum (soft or hard): reused, nothing searched.
+    session.add_positive(weather("allow", "weather(clear).").with_penalty(1));
+    session.add_positive(weather("deny", "weather(rain)."));
+    let (again, stats) = session.solve().unwrap();
+    assert!(stats.search_skipped);
+    assert_eq!(stats.search_nodes, 0);
+    assert_eq!(stats.examples_compiled, 2);
+    assert_eq!((again.rules, again.cost), (h.rules.clone(), h.cost));
+
+    // Equal options keep the optimum; changed options force a search.
+    session.set_options(LearnOptions::default());
+    assert!(session.solve().unwrap().1.search_skipped);
+    session.set_options(LearnOptions::default().with_branching(Branching::CostFirst));
+    let (_, stats) = session.solve().unwrap();
+    assert!(!stats.search_skipped);
+    assert_eq!(stats.examples_compiled, 0);
+
+    // A soft example the optimum violates forces a search too.
+    session.add_positive(weather("allow", "weather(rain).").with_penalty(1));
+    let (h, stats) = session.solve().unwrap();
+    assert!(!stats.search_skipped);
+    assert_eq!(h.cost, 2);
+    assert_eq!(h.sacrificed, vec![(true, 2)]);
+}
+
+#[test]
+fn unsatisfiable_persists() {
+    let mut session = weather_session(LearnOptions::default());
+    session.add_positive(weather("allow", "weather(rain)."));
+    session.add_negative(weather("allow", "weather(rain)."));
+    assert!(matches!(session.solve(), Err(LearnError::Unsatisfiable)));
+    session.add_positive(weather("deny", "weather(clear)."));
+    assert!(matches!(session.solve(), Err(LearnError::Unsatisfiable)));
+    session.set_options(LearnOptions::default().with_max_cost(8));
+    assert!(matches!(session.solve(), Err(LearnError::Unsatisfiable)));
+}
+
+#[test]
+fn an_example_that_fails_to_compile_fails_every_solve() {
+    let mut session = weather_session(LearnOptions::default());
+    session.add_negative(weather("allow", "weather(rain)."));
+    session.add_positive(weather("deny", "p(X) :- not q(X)."));
+    for _ in 0..2 {
+        assert!(matches!(session.solve(), Err(LearnError::Ground(_))));
+    }
+    assert_eq!(session.len(), 2);
+}
+
+#[test]
+fn each_round_compiles_only_its_new_distinct_examples() {
+    let rounds = if FULL { 400 } else { 60 };
+    let samples = cav::samples(2 * rounds, 7);
+    let mut session = cav_session(LearnOptions::default());
+    let mut seen: HashSet<(String, String, bool)> = HashSet::new();
+    let mut skipped = 0;
+    for round in 0..rounds {
+        let new = &samples[2 * round..2 * round + 2];
+        let distinct_new = new
+            .iter()
+            .filter(|s| {
+                seen.insert((
+                    cav::policy_text(s.task),
+                    s.context.to_program().to_string(),
+                    s.accept,
+                ))
+            })
+            .count();
+        add(&mut session, cav::learning_task(new, None));
+        let (_, stats) = session.solve().expect("learnable");
+        assert_eq!(stats.examples_compiled, distinct_new, "round {round}");
+        assert!(stats.used_monotone);
+        skipped += usize::from(stats.search_skipped);
+    }
+    assert_eq!(session.len(), 2 * rounds);
+    assert!(skipped > rounds / 2, "{skipped} of {rounds} rounds skipped");
+}

@@ -119,17 +119,6 @@ fn cav_scenario_learned_gpm_matches_oracle_closely() {
 }
 
 #[test]
-fn incremental_and_batch_agree_end_to_end() {
-    let train = cav::samples(40, 21);
-    let task = cav::learning_task(&train, None);
-    let batch = Learner::new().learn(&task).unwrap();
-    let (inc, stats) = Learner::new().learn_incremental(&task).unwrap();
-    assert_eq!(batch.cost, inc.cost, "batch and incremental costs differ");
-    assert!(stats.relevant <= stats.total);
-    assert!(task.violations(&inc).unwrap().is_empty());
-}
-
-#[test]
 fn ams_adaptation_loop_improves_with_observations() {
     // The PAdaP loop on the CAV scenario: feedback accumulates across
     // rounds and each adaptation re-learns a better GPM.
