@@ -19,7 +19,7 @@
 //! naive fixpoint is retained behind [`GroundMode::Naive`] as a reference
 //! implementation for differential testing and benchmarking.
 //!
-//! # Index-driven joins and parallel rounds
+//! # Index-driven joins and frozen passes
 //!
 //! Every signature slice of the join index additionally maintains an
 //! *argument-value index*: for each argument position, a hash map from
@@ -29,14 +29,13 @@
 //! signature slice — `join_candidates` drops by an order of magnitude on
 //! recursive workloads (see `BENCH_asp.json`).
 //!
-//! Each saturation pass is decomposed into independent *work units* (rule
-//! variants, with large first-join windows chunked by
-//! [`GroundOptions::parallel_grain`]) evaluated against a frozen snapshot of
-//! the engine state, optionally fanned out across a from-scratch
-//! work-stealing pool ([`crate::pool::WorkPool`]); results are merged
-//! strictly in unit order, so the output (atom table, rule order, stats
-//! except [`GroundStats::parallel_units`]) is byte-identical for every
-//! thread count, the serial path included.
+//! Each saturation pass evaluates its rule variants in order against a
+//! frozen view of the engine state, buffering their emissions, and then
+//! merges the buffers in the same order. The walk reads the join index that
+//! the merge appends to, so no variant is merged before every variant has
+//! been evaluated; the merge interns atoms, deduplicates rules and enforces
+//! the exact atom budget. Merging in rule order makes the rule order, the
+//! atom ids and every [`GroundStats`] counter depend on the program alone.
 //!
 //! [`IncrementalGrounder`] additionally snapshots a saturated base program so
 //! that small rule deltas (e.g. candidate hypotheses during learning) can be
@@ -45,14 +44,11 @@
 
 use crate::atom::{Atom, CmpOp, Literal, Trace};
 use crate::budget::{Deadline, Exhausted};
-use crate::parallel::Parallelism;
-use crate::pool::{UnitControl, WorkPool};
 use crate::program::{Program, Rule, WeakConstraint};
 use crate::symbol::Symbol;
 use crate::term::{Bindings, Term};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Mutex;
 
 /// Identifier of a ground atom inside a [`GroundProgram`].
 pub type AtomId = u32;
@@ -308,16 +304,6 @@ pub struct GroundOptions {
     /// Saturation strategy (semi-naive by default; the naive reference is
     /// kept for differential testing and speedup measurements).
     pub mode: GroundMode,
-    /// Worker threads for saturation passes, as a unified
-    /// [`Parallelism`] policy (default: [`Parallelism::Auto`]). A resolved
-    /// count of `1` pins the grounder to the calling thread and spawns
-    /// nothing. Output is byte-identical for every thread count.
-    pub parallelism: Parallelism,
-    /// Work-unit chunk size: a pass's first-join candidate windows are
-    /// split into chunks of at most this many candidates, and the pass only
-    /// moves to the pool when its total candidate work reaches this size
-    /// (small rounds stay inline on the calling thread).
-    pub parallel_grain: usize,
 }
 
 impl Default for GroundOptions {
@@ -327,8 +313,6 @@ impl Default for GroundOptions {
             simplify: true,
             deadline: Deadline::none(),
             mode: GroundMode::SemiNaive,
-            parallelism: Parallelism::Auto,
-            parallel_grain: 256,
         }
     }
 }
@@ -356,29 +340,6 @@ impl GroundOptions {
     pub fn with_mode(mut self, mode: GroundMode) -> GroundOptions {
         self.mode = mode;
         self
-    }
-
-    /// Sets the unified worker-thread policy.
-    pub fn with_parallelism(mut self, parallelism: impl Into<Parallelism>) -> GroundOptions {
-        self.parallelism = parallelism.into();
-        self
-    }
-
-    /// Sets the work-unit chunk size.
-    pub fn with_parallel_grain(mut self, parallel_grain: usize) -> GroundOptions {
-        self.parallel_grain = parallel_grain.max(1);
-        self
-    }
-
-    /// The parallelism policy these options apply.
-    pub fn effective_parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// The thread count a run with these options uses (see
-    /// [`Parallelism::resolve`] for the resolution order).
-    pub fn effective_threads(&self) -> usize {
-        self.effective_parallelism().resolve()
     }
 }
 
@@ -411,9 +372,6 @@ pub struct GroundStats {
     /// Candidate atoms scanned across all join steps (after argument-value
     /// index probing — this is what indexing collapses).
     pub join_candidates: u64,
-    /// Work units executed on pool worker threads. `0` for fully serial
-    /// runs; this is the only counter that varies with the execution venue.
-    pub parallel_units: u64,
 }
 
 impl GroundStats {
@@ -422,7 +380,6 @@ impl GroundStats {
         self.passes += other.passes;
         self.rules_instantiated += other.rules_instantiated;
         self.join_candidates += other.join_candidates;
-        self.parallel_units += other.parallel_units;
     }
 }
 
@@ -751,8 +708,7 @@ enum JoinPlan {
 fn plan_range(entry: &SigEntry, join_idx: usize, plan: JoinPlan, naive: bool) -> (usize, usize) {
     if naive {
         // Naive sweeps re-read the whole atom set every pass (frozen at the
-        // pass boundary, like every other venue) and re-run until a full
-        // sweep derives nothing new.
+        // pass boundary) and re-run until a full sweep derives nothing new.
         return (0, entry.ids.len());
     }
     match plan {
@@ -769,9 +725,9 @@ fn plan_range(entry: &SigEntry, join_idx: usize, plan: JoinPlan, naive: bool) ->
     }
 }
 
-/// Immutable view of the engine state one saturation pass reads. Shared by
-/// every worker evaluating units of the pass — the atom table and join
-/// index stay frozen until the merge step folds the results back in.
+/// Immutable view of the engine state one saturation pass reads: the atom
+/// table and join index stay frozen until the merge step folds the pass's
+/// results back in.
 struct EvalView<'e> {
     table: &'e AtomTable,
     possible: &'e PossibleIndex,
@@ -780,7 +736,7 @@ struct EvalView<'e> {
     max_atoms: usize,
 }
 
-/// One complete body instantiation produced by a worker. The merge step
+/// One complete body instantiation produced by a unit's walk. The merge step
 /// interns the head and negative atoms; positive atoms need no interning —
 /// they are the matched candidates, recorded by id during the walk.
 struct Emission {
@@ -792,7 +748,7 @@ struct Emission {
     negs: Vec<Atom>,
 }
 
-/// A work unit's result: counters plus its emissions in walk order.
+/// A unit's result: counters plus its emissions in walk order.
 #[derive(Default)]
 struct UnitOut {
     rules_instantiated: u64,
@@ -800,18 +756,11 @@ struct UnitOut {
     emissions: Vec<Emission>,
 }
 
-/// One schedulable work unit of a saturation pass: a rule variant whose
-/// first-join candidate window is optionally chunked so large frontiers
-/// spread across pool workers. Unit decomposition depends only on the grain
-/// and the window sizes — never on the thread count — and the merge step
-/// consumes results strictly in unit order, so the output is byte-identical
-/// for any decomposition and any execution venue.
+/// One unit of a saturation pass: a rule variant and the windows its joins
+/// read.
 struct Unit<'a, 'p> {
     rule: &'a ScheduledRule<'p>,
     plan: JoinPlan,
-    /// Absolute `[start, end)` position range the ordinal-0 join reads
-    /// (`None` when the rule does not start with a join).
-    chunk: Option<(usize, usize)>,
 }
 
 /// The candidate positions one join visits: a window-clipped bucket of the
@@ -869,7 +818,6 @@ fn select_candidates<'e>(
 struct WalkFrame<'w, 'p> {
     view: &'w EvalView<'w>,
     rule: &'w ScheduledRule<'p>,
-    chunk: Option<(usize, usize)>,
     plan: JoinPlan,
 }
 
@@ -883,7 +831,6 @@ fn eval_unit(view: &EvalView<'_>, unit: &Unit<'_, '_>) -> Result<UnitOut, Ground
     let frame = WalkFrame {
         view,
         rule: unit.rule,
-        chunk: unit.chunk,
         plan: unit.plan,
     };
     let mut bindings = Bindings::new();
@@ -965,11 +912,7 @@ fn walk_unit(
             let Some(entry) = view.possible.by_sig.get(key) else {
                 return Ok(());
             };
-            let (start, end) = match (join_idx, frame.chunk) {
-                // The unit's chunk overrides the ordinal-0 window.
-                (0, Some((cs, ce))) => (cs, ce),
-                _ => plan_range(entry, join_idx, frame.plan, view.naive),
-            };
+            let (start, end) = plan_range(entry, join_idx, frame.plan, view.naive);
             if start >= end {
                 return Ok(());
             }
@@ -1134,30 +1077,6 @@ fn walk_weak_unit(
     }
 }
 
-/// Lazily constructed pool for one grounding run: worker threads are only
-/// spawned when a pass actually has enough work to fan out, and
-/// `threads <= 1` never allocates anything.
-struct PoolSlot {
-    threads: usize,
-    pool: Option<WorkPool>,
-}
-
-impl PoolSlot {
-    fn new(threads: usize) -> PoolSlot {
-        PoolSlot {
-            threads: threads.max(1),
-            pool: None,
-        }
-    }
-
-    fn get(&mut self) -> Option<&WorkPool> {
-        if self.threads <= 1 {
-            return None;
-        }
-        Some(self.pool.get_or_insert_with(|| WorkPool::new(self.threads)))
-    }
-}
-
 /// The grounding engine: interned atoms, the join index, emitted rules, and
 /// work counters. Cloneable so [`IncrementalGrounder`] can snapshot a
 /// saturated base.
@@ -1191,124 +1110,43 @@ impl Engine {
         }
     }
 
-    /// Decomposes one rule variant into work units, chunking the ordinal-0
-    /// join window by [`GroundOptions::parallel_grain`] so large frontiers
-    /// spread across pool workers. The decomposition depends only on the
-    /// grain and the window sizes — never on the thread count — so the
-    /// merged emission sequence matches the unchunked walk exactly.
-    fn push_units<'a, 'p>(
+    /// Queues one rule variant as a unit of the pass, unless its first
+    /// join has nothing to read.
+    fn push_unit<'a, 'p>(
         &self,
         rule: &'a ScheduledRule<'p>,
         plan: JoinPlan,
         units: &mut Vec<Unit<'a, 'p>>,
     ) {
-        let Some(key0) = rule.joins.first() else {
-            // No joins (e.g. a fact): a single chunkless unit.
-            units.push(Unit {
-                rule,
-                plan,
-                chunk: None,
-            });
-            return;
-        };
-        let Some(entry) = self.possible.by_sig.get(key0) else {
-            return;
-        };
-        let (start, end) = plan_range(entry, 0, plan, self.naive);
-        if start >= end {
-            return;
+        if let Some(key0) = rule.joins.first() {
+            let Some(entry) = self.possible.by_sig.get(key0) else {
+                return;
+            };
+            let (start, end) = plan_range(entry, 0, plan, self.naive);
+            if start >= end {
+                return;
+            }
         }
-        let grain = self.opts.parallel_grain.max(1);
-        let mut cs = start;
-        while cs < end {
-            let ce = (cs + grain).min(end);
-            units.push(Unit {
-                rule,
-                plan,
-                chunk: Some((cs, ce)),
-            });
-            cs = ce;
-        }
+        units.push(Unit { rule, plan });
     }
 
-    /// Evaluates `units` against a frozen view of the current state — fanned
-    /// out over the pool when a pass has enough work, serially otherwise —
-    /// then merges the results strictly in unit order. The frozen-view +
-    /// ordered-merge discipline makes the output byte-identical across
-    /// execution venues and thread counts.
-    fn run_pass(&mut self, units: &[Unit<'_, '_>], pool: &mut PoolSlot) -> Result<(), GroundError> {
+    /// Evaluates `units` in order against a frozen view of the current
+    /// state, stopping at the first unit that fails, then merges their
+    /// results in the same order.
+    fn run_pass(&mut self, units: &[Unit<'_, '_>]) -> Result<(), GroundError> {
         self.stats.passes += 1;
-        if units.is_empty() {
-            return Ok(());
-        }
-        let work: usize = units
-            .iter()
-            .map(|u| u.chunk.map_or(1, |(s, e)| e - s))
-            .sum();
-        let mut via_pool = false;
-        let outs: Vec<Option<Result<UnitOut, GroundError>>> = {
-            let view = EvalView {
-                table: &self.table,
-                possible: &self.possible,
-                naive: self.naive,
-                deadline: self.opts.deadline,
-                max_atoms: self.opts.max_atoms,
-            };
-            let engage = units.len() >= 2 && work >= self.opts.parallel_grain.max(1);
-            match if engage { pool.get() } else { None } {
-                Some(p) => {
-                    via_pool = true;
-                    let slots: Vec<Mutex<Option<Result<UnitOut, GroundError>>>> =
-                        units.iter().map(|_| Mutex::new(None)).collect();
-                    let job = |i: usize| {
-                        let r = eval_unit(&view, &units[i]);
-                        let control = if r.is_err() {
-                            UnitControl::Cancel
-                        } else {
-                            UnitControl::Continue
-                        };
-                        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-                        control
-                    };
-                    if let Err(e) = p.run(units.len(), &job) {
-                        // A worker panicked mid-unit: re-raise on the caller
-                        // so the defect surfaces instead of silently
-                        // dropping that unit's emissions.
-                        panic!("grounding pool: {e}");
-                    }
-                    slots
-                        .into_iter()
-                        .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-                        .collect()
-                }
-                None => {
-                    let mut outs: Vec<Option<Result<UnitOut, GroundError>>> =
-                        Vec::with_capacity(units.len());
-                    for unit in units {
-                        let r = eval_unit(&view, unit);
-                        let failed = r.is_err();
-                        outs.push(Some(r));
-                        if failed {
-                            break;
-                        }
-                    }
-                    outs.resize_with(units.len(), || None);
-                    outs
-                }
-            }
+        let view = EvalView {
+            table: &self.table,
+            possible: &self.possible,
+            naive: self.naive,
+            deadline: self.opts.deadline,
+            max_atoms: self.opts.max_atoms,
         };
-        if via_pool {
-            self.stats.parallel_units += outs.iter().flatten().count() as u64;
-        }
-        // Surface the first failure in unit order — deterministic no matter
-        // which worker hit its error first.
-        for o in &outs {
-            if let Some(Err(e)) = o {
-                return Err(e.clone());
-            }
-        }
+        let outs = units
+            .iter()
+            .map(|unit| eval_unit(&view, unit))
+            .collect::<Result<Vec<_>, _>>()?;
         for (unit, out) in units.iter().zip(outs) {
-            let Some(Ok(out)) = out else { continue };
             self.merge_unit(unit, out)?;
         }
         Ok(())
@@ -1353,25 +1191,17 @@ impl Engine {
     }
 
     /// Evaluates every rule once against the currently visible window.
-    fn seed_pass(
-        &mut self,
-        rules: &[ScheduledRule<'_>],
-        pool: &mut PoolSlot,
-    ) -> Result<(), GroundError> {
+    fn seed_pass(&mut self, rules: &[ScheduledRule<'_>]) -> Result<(), GroundError> {
         let mut units = Vec::new();
         for rule in rules {
-            self.push_units(rule, JoinPlan::Full, &mut units);
+            self.push_unit(rule, JoinPlan::Full, &mut units);
         }
-        self.run_pass(&units, pool)
+        self.run_pass(&units)
     }
 
     /// Semi-naive rounds: repeat until no new atoms appear, evaluating only
     /// the delta variants whose join signature actually gained atoms.
-    fn delta_rounds(
-        &mut self,
-        sets: &[&[ScheduledRule<'_>]],
-        pool: &mut PoolSlot,
-    ) -> Result<(), GroundError> {
+    fn delta_rounds(&mut self, sets: &[&[ScheduledRule<'_>]]) -> Result<(), GroundError> {
         while self.possible.advance() {
             let mut units = Vec::new();
             for rules in sets {
@@ -1380,11 +1210,11 @@ impl Engine {
                         if !self.possible.has_delta(*key) {
                             continue;
                         }
-                        self.push_units(rule, JoinPlan::Delta(d), &mut units);
+                        self.push_unit(rule, JoinPlan::Delta(d), &mut units);
                     }
                 }
             }
-            self.run_pass(&units, pool)?;
+            self.run_pass(&units)?;
         }
         Ok(())
     }
@@ -1392,14 +1222,10 @@ impl Engine {
     /// Naive saturation: re-evaluate every rule over the full atom set until
     /// a sweep emits no new ground rule. Retained as the reference
     /// implementation for differential testing and benchmarks.
-    fn naive_fixpoint(
-        &mut self,
-        rules: &[ScheduledRule<'_>],
-        pool: &mut PoolSlot,
-    ) -> Result<(), GroundError> {
+    fn naive_fixpoint(&mut self, rules: &[ScheduledRule<'_>]) -> Result<(), GroundError> {
         loop {
             let before = self.rules.len();
-            self.seed_pass(rules, pool)?;
+            self.seed_pass(rules)?;
             if self.rules.len() == before {
                 return Ok(());
             }
@@ -1667,13 +1493,12 @@ fn run_engine_inner(
     naive: bool,
 ) -> Result<(GroundProgram, GroundStats), GroundError> {
     let mut engine = Engine::new(opts, naive);
-    let mut pool = PoolSlot::new(opts.effective_threads());
     let scheduled = schedule_program(program, &mut engine.traces)?;
     if naive {
-        engine.naive_fixpoint(&scheduled, &mut pool)?;
+        engine.naive_fixpoint(&scheduled)?;
     } else {
-        engine.seed_pass(&scheduled, &mut pool)?;
-        engine.delta_rounds(&[&scheduled], &mut pool)?;
+        engine.seed_pass(&scheduled)?;
+        engine.delta_rounds(&[&scheduled])?;
     }
     engine.ground_weaks(program)?;
     let stats = engine.stats;
@@ -1739,10 +1564,9 @@ impl IncrementalGrounder {
     /// See [`ground`].
     pub fn new(base: &Program, opts: GroundOptions) -> Result<IncrementalGrounder, GroundError> {
         let mut engine = Engine::new(opts, false);
-        let mut pool = PoolSlot::new(opts.effective_threads());
         let scheduled = schedule_program(base, &mut engine.traces)?;
-        engine.seed_pass(&scheduled, &mut pool)?;
-        engine.delta_rounds(&[&scheduled], &mut pool)?;
+        engine.seed_pass(&scheduled)?;
+        engine.delta_rounds(&[&scheduled])?;
         let base_stats = engine.stats;
         engine.stats = GroundStats::default();
         Ok(IncrementalGrounder {
@@ -1812,11 +1636,10 @@ impl IncrementalGrounder {
             .iter()
             .map(|r| schedule_rule(r, &mut engine.traces))
             .collect::<Result<_, _>>()?;
-        let mut pool = PoolSlot::new(engine.opts.effective_threads());
         // Seed only the delta rules over the full saturated base; base rules
         // already enumerated every pre-existing combination.
-        engine.seed_pass(&delta_sched, &mut pool)?;
-        engine.delta_rounds(&[&base_sched, &delta_sched], &mut pool)?;
+        engine.seed_pass(&delta_sched)?;
+        engine.delta_rounds(&[&base_sched, &delta_sched])?;
         engine.ground_weaks(&self.base)?;
         let stats = engine.stats;
         Ok((engine.finish(), stats))
@@ -2133,22 +1956,18 @@ mod tests {
             passes: 1,
             rules_instantiated: 10,
             join_candidates: 5,
-            parallel_units: 4,
         };
         a.absorb(GroundStats {
             passes: 2,
             rules_instantiated: 3,
             join_candidates: 7,
-            parallel_units: 6,
         });
         assert_eq!(a.passes, 3);
         assert_eq!(a.rules_instantiated, 13);
         assert_eq!(a.join_candidates, 12);
-        assert_eq!(a.parallel_units, 10);
     }
 
-    /// A transitive-closure chain large enough that every venue has real
-    /// work to chunk.
+    /// A transitive-closure chain of `n` edges.
     fn chain_program(n: usize) -> Program {
         let mut text = String::new();
         for i in 0..n {
@@ -2160,55 +1979,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_output_is_byte_identical_across_thread_counts() {
-        let p = chain_program(40);
-        let reference = ground_with(&p, GroundOptions::default().with_parallelism(1)).unwrap();
-        for threads in [2, 4] {
-            let opts = GroundOptions::default()
-                .with_parallelism(threads)
-                .with_parallel_grain(1);
-            let (g, stats) = ground_with_stats(&p, opts).unwrap();
-            assert!(
-                stats.parallel_units > 0,
-                "threads={threads} must actually engage the pool"
-            );
-            // Byte-identical rendering AND identical atom-id assignment.
-            assert_eq!(g.to_string(), reference.to_string(), "threads={threads}");
-            let ids: Vec<(AtomId, String)> = g
-                .atoms()
-                .iter()
-                .map(|(id, a)| (id, a.to_string()))
-                .collect();
-            let ref_ids: Vec<(AtomId, String)> = reference
-                .atoms()
-                .iter()
-                .map(|(id, a)| (id, a.to_string()))
-                .collect();
-            assert_eq!(ids, ref_ids, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_deadline_cancels_mid_round() {
-        let p = chain_program(120);
-        let err = ground_with(
-            &p,
-            GroundOptions {
-                deadline: Deadline::after(std::time::Duration::ZERO),
-                ..GroundOptions::default()
-            }
-            .with_parallelism(4)
-            .with_parallel_grain(1),
-        )
-        .unwrap_err();
-        assert_eq!(err, GroundError::Exhausted(Exhausted::Deadline));
-    }
-
-    #[test]
     fn argument_indices_collapse_join_scans() {
         let p = chain_program(40);
-        let (_, stats) =
-            ground_with_stats(&p, GroundOptions::default().with_parallelism(1)).unwrap();
+        let (_, stats) = ground_with_stats(&p, GroundOptions::default()).unwrap();
         let waste = stats.join_candidates as f64 / stats.rules_instantiated.max(1) as f64;
         assert!(
             waste < 8.0,

@@ -42,9 +42,7 @@ mod budget;
 mod explain;
 mod ground;
 pub mod obs;
-mod parallel;
 mod parser;
-pub mod pool;
 mod program;
 mod solve;
 mod symbol;
@@ -57,9 +55,7 @@ pub use ground::{
     ground, ground_with, ground_with_stats, AtomId, AtomTable, GroundError, GroundMode,
     GroundOptions, GroundProgram, GroundRule, GroundStats, GroundWeak, IncrementalGrounder,
 };
-pub use parallel::Parallelism;
 pub use parser::{parse_atom, parse_program, parse_rule, ParseError};
-pub use pool::{PoolError, UnitControl, WorkPool};
 pub use program::{Program, Rule, WeakConstraint};
 pub use solve::{
     is_stable, model_cost, AnswerSet, CostVector, OptimizeResult, SolveResult, SolveStats, Solver,

@@ -23,9 +23,6 @@ pub struct GroundMetrics {
     pub rules_instantiated: Arc<Counter>,
     /// Join candidates scanned (`asp.ground.join_candidates`).
     pub join_candidates: Arc<Counter>,
-    /// Work units executed via the work-stealing pool
-    /// (`asp.ground.parallel_units`).
-    pub parallel_units: Arc<Counter>,
 }
 
 impl GroundMetrics {
@@ -40,7 +37,6 @@ impl GroundMetrics {
                 passes: r.counter("asp.ground.passes"),
                 rules_instantiated: r.counter("asp.ground.rules_instantiated"),
                 join_candidates: r.counter("asp.ground.join_candidates"),
-                parallel_units: r.counter("asp.ground.parallel_units"),
             }
         })
     }
@@ -56,7 +52,6 @@ impl GroundMetrics {
         m.passes.add(stats.passes);
         m.rules_instantiated.add(stats.rules_instantiated);
         m.join_candidates.add(stats.join_candidates);
-        m.parallel_units.add(stats.parallel_units);
     }
 
     /// Cumulative totals as a [`GroundStats`] façade.
@@ -66,7 +61,6 @@ impl GroundMetrics {
             passes: m.passes.value(),
             rules_instantiated: m.rules_instantiated.value(),
             join_candidates: m.join_candidates.value(),
-            parallel_units: m.parallel_units.value(),
         }
     }
 }
@@ -151,7 +145,6 @@ mod tests {
             passes: 3,
             rules_instantiated: 5,
             join_candidates: 7,
-            parallel_units: 0,
         });
         assert_eq!(GroundMetrics::read(), before);
 
@@ -161,7 +154,6 @@ mod tests {
             passes: 3,
             rules_instantiated: 5,
             join_candidates: 7,
-            parallel_units: 0,
         });
         let after = GroundMetrics::read();
         assert!(after.passes >= before.passes + 3);

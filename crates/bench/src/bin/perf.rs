@@ -12,7 +12,10 @@
 //! through a validating parser, and exits nonzero if the file is malformed
 //! or a headline counter claim regresses.
 
-use agenp_asp::{ground_with_stats, GroundMode, GroundOptions, GroundStats, Program, Solver};
+use agenp_asp::{
+    ground, ground_with_stats, GroundMode, GroundOptions, GroundProgram, GroundStats, Program,
+    Solver,
+};
 use agenp_bench::{birds_program, coloring_program, time_best_of, transitive_closure_program};
 use agenp_core::scenarios::{cav, xacml};
 use agenp_learn::{CompileOptions, LearnOptions, LearnStats, Learner};
@@ -97,7 +100,7 @@ fn main() {
         eprintln!(
             "perf: transitive-closure ground waste ratio regressed: \
              {tc_waste:.1} join candidates per instantiation (gate: <= 8.0; \
-             argument-value join indices should hold this near 4)"
+             argument-value join indices should hold this near 3)"
         );
         std::process::exit(1);
     }
@@ -139,19 +142,17 @@ fn run_grounding(smoke: bool) -> Vec<GroundRow> {
             ("birds", vec![50, 100, 200], birds_program),
         ]
     };
-    let serial = GroundOptions::default().with_parallelism(1);
+    let opts = GroundOptions::default();
     let mut rows = Vec::new();
     for (name, scales, build) in workloads {
-        let max_n = *scales.last().expect("workloads have scales");
         for n in scales {
             let p = build(n);
             // Warmup + best-of-3: first-touch allocation and interner costs
             // used to make the first seminaive row measure *slower* than
             // naive on small programs.
-            let (micros, (g, stats)) = time_best_of(3, || {
-                ground_with_stats(&p, serial).expect("workload grounds")
-            });
-            let serial_render = g.to_string();
+            let (micros, (g, stats)) =
+                time_best_of(3, || ground_with_stats(&p, opts).expect("workload grounds"));
+            let seminaive_lines = sorted_lines(&g);
             rows.push(GroundRow {
                 workload: name,
                 n,
@@ -162,9 +163,15 @@ fn run_grounding(smoke: bool) -> Vec<GroundRow> {
                 rules: g.len(),
             });
             let (micros, (g, stats)) = time_best_of(3, || {
-                ground_with_stats(&p, serial.with_mode(GroundMode::Naive))
-                    .expect("workload grounds")
+                ground_with_stats(&p, opts.with_mode(GroundMode::Naive)).expect("workload grounds")
             });
+            // Atom ids may differ between the engines, so compare the
+            // sorted renderings, as `ground_equiv.rs` does.
+            assert_eq!(
+                sorted_lines(&g),
+                seminaive_lines,
+                "naive and semi-naive grounding must agree ({name} n={n})"
+            );
             rows.push(GroundRow {
                 workload: name,
                 n,
@@ -174,38 +181,20 @@ fn run_grounding(smoke: bool) -> Vec<GroundRow> {
                 atoms: g.atoms().len(),
                 rules: g.len(),
             });
-            // At the top scale, run the work-stealing pool configuration and
-            // hold it to byte-identical output (thread scaling itself is
-            // read against the `cpus` claim, as BENCH_pdp.json does).
-            if n == max_n {
-                let pooled = GroundOptions::default()
-                    .with_parallelism(4)
-                    .with_parallel_grain(16);
-                let (micros, (g, stats)) = time_best_of(3, || {
-                    ground_with_stats(&p, pooled).expect("workload grounds")
-                });
-                assert_eq!(
-                    g.to_string(),
-                    serial_render,
-                    "parallel grounding must be byte-identical to serial ({name} n={n})"
-                );
-                rows.push(GroundRow {
-                    workload: name,
-                    n,
-                    engine: "seminaive_t4",
-                    micros,
-                    stats,
-                    atoms: g.atoms().len(),
-                    rules: g.len(),
-                });
-            }
         }
     }
     rows
 }
 
+/// A ground program's rendering, one line per rule, sorted.
+fn sorted_lines(g: &GroundProgram) -> Vec<String> {
+    let mut lines: Vec<String> = g.to_string().lines().map(str::to_string).collect();
+    lines.sort_unstable();
+    lines
+}
+
 /// Join waste (candidates probed per rule actually instantiated) on the
-/// largest serial semi-naive row of `workload`. This is the figure the
+/// largest semi-naive row of `workload`. This is the figure the
 /// argument-value indices exist to hold down.
 fn waste_ratio(rows: &[GroundRow], workload: &str) -> f64 {
     rows.iter()
@@ -224,11 +213,7 @@ fn run_solving(smoke: bool) -> Vec<SolveRow> {
         // Warmup + best-of-3 on both phases: the first solve row used to
         // absorb one-time costs and make larger scales read *faster* than
         // smaller ones.
-        let (ground_micros, g) = time_best_of(3, || {
-            let (g, _) = ground_with_stats(&p, GroundOptions::default().with_parallelism(1))
-                .expect("grounds");
-            g
-        });
+        let (ground_micros, g) = time_best_of(3, || ground(&p).expect("grounds"));
         let (solve_micros, r) = time_best_of(3, || solver.solve(&g));
         rows.push(SolveRow {
             workload: "coloring",

@@ -39,5 +39,3 @@
 pub mod arch;
 pub mod explain;
 pub mod scenarios;
-
-pub use agenp_asp::Parallelism;

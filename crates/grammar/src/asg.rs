@@ -171,7 +171,6 @@ impl Asg {
             GroundOptions {
                 max_atoms: budget.max_atoms,
                 deadline: budget.deadline,
-                parallelism: budget.effective_parallelism(),
                 ..GroundOptions::default()
             },
         )
