@@ -17,20 +17,21 @@
 //! - **time-to-adoption**: per round, the time from trigger until a
 //!   deciding thread first serves a decision at the refined epoch.
 //!
-//! Writes `BENCH_adapt.json` at the repository root. `--smoke` runs
-//! reduced scales, re-reads the JSON through the validating parser, and
-//! exits nonzero on any stale decision, epoch regression, failed round,
-//! or (on machines with >= 4 CPUs) a relearn-phase throughput below 75%
-//! of the idle phase.
+//! Writes `BENCH_adapt.json` (through [`agenp_bench::write_bench`]).
+//! `--smoke` runs reduced scales. Both modes exit nonzero on malformed
+//! output, any stale decision, epoch regression, failed round, or (on
+//! machines with >= 4 CPUs) a relearn-phase throughput below 75% of the
+//! idle phase.
 //!
 //! Usage: `cargo run -p agenp-bench --bin adapt --release [-- --smoke]`
 
 use agenp_adapt::{AdaptPlane, Relearner, RoundOutcome};
+use agenp_bench::{cpus, fixed, print_table, write_bench};
 use agenp_core::arch::{Ams, PdpHandle};
 use agenp_grammar::{Asg, ProdId};
 use agenp_learn::HypothesisSpace;
+use agenp_obs::json::Json;
 use agenp_policy::{Decision, Request};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -51,6 +52,31 @@ struct RoundRow {
     round_ms: f64,
     adoption_ms: f64,
     published: bool,
+}
+
+impl PhaseRow {
+    fn json(&self) -> Json {
+        Json::obj([
+            ("decisions", self.decisions.into()),
+            ("micros", self.micros.into()),
+            ("decisions_per_sec", fixed(self.throughput, 1)),
+        ])
+    }
+}
+
+impl RoundRow {
+    fn json(&self) -> Json {
+        Json::obj([
+            ("round", self.round.into()),
+            ("published", self.published.into()),
+            ("epoch", self.epoch.into()),
+            ("examples", self.examples.into()),
+            ("constraints", self.constraints.into()),
+            ("rules", self.rules.into()),
+            ("round_ms", fixed(self.round_ms, 2)),
+            ("adoption_ms", fixed(self.adoption_ms, 2)),
+        ])
+    }
 }
 
 /// Serving-invariant counters shared by the deciding threads.
@@ -133,53 +159,59 @@ fn main() {
         .map(|r| r.adoption_ms)
         .fold(0.0f64, f64::max);
     let final_epoch = handle.snapshot().epoch();
-    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    let cpus = cpus();
 
-    print_tables(&idle, &relearn, ratio, &round_rows, stale, regressions);
+    let serving = Json::obj([
+        ("threads", threads.into()),
+        ("levels", levels.into()),
+        ("idle", idle.json()),
+        ("relearn", relearn.json()),
+        ("relearn_over_idle", fixed(ratio, 4)),
+    ]);
+    let rounds_json: Vec<Json> = round_rows.iter().map(RoundRow::json).collect();
+    print_table(
+        "relearn-while-serving (shared handle, background relearner):",
+        std::slice::from_ref(&serving),
+        &[
+            "threads",
+            "idle.decisions",
+            "idle.decisions_per_sec",
+            "relearn.decisions",
+            "relearn.decisions_per_sec",
+            "relearn_over_idle",
+        ],
+    );
+    print_table("\nadaptation rounds:", &rounds_json, &[]);
+    println!("\nstale decisions: {stale}, epoch regressions: {regressions}");
     println!(
         "epochs {first_epoch} -> {final_epoch}, {} rounds published, {} examples buffered",
         published,
         plane.buffered_examples()
     );
 
-    let json = render_json(
+    write_bench(
+        "adapt",
+        "adapt",
+        "agenp-bench/adapt/v1",
         smoke,
-        threads,
-        levels,
-        &idle,
-        &relearn,
-        ratio,
-        &round_rows,
-        stale,
-        regressions,
-        final_epoch,
-        max_adoption,
-        cpus,
+        vec![
+            ("serving", serving),
+            ("rounds", Json::Arr(rounds_json)),
+            (
+                "invariants",
+                Json::obj([
+                    ("stale_decisions", stale.into()),
+                    ("epoch_regressions", regressions.into()),
+                    ("final_epoch", final_epoch.into()),
+                ]),
+            ),
+        ],
+        vec![
+            ("relearn_over_idle_throughput", fixed(ratio, 4)),
+            ("max_adoption_ms", fixed(max_adoption, 2)),
+        ],
     );
-    let path = output_path();
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("adapt: cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    println!("\nwrote {}", path.display());
 
-    let on_disk = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("adapt: cannot re-read {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = agenp_pdpd::json::parse(&on_disk) {
-        eprintln!("adapt: BENCH_adapt.json is not valid JSON: {e}");
-        std::process::exit(1);
-    }
-    for key in ["\"serving\"", "\"rounds\"", "\"invariants\"", "\"claims\""] {
-        if !on_disk.contains(key) {
-            eprintln!("adapt: BENCH_adapt.json is missing the {key} section");
-            std::process::exit(1);
-        }
-    }
     if stale > 0 {
         eprintln!("adapt: {stale} decisions disagreed with their own epoch's policy set");
         std::process::exit(1);
@@ -362,110 +394,4 @@ fn drive_round(
         }
     }
     row
-}
-
-/// `BENCH_adapt.json` lives at the repository root regardless of the cwd
-/// cargo chose for the binary.
-fn output_path() -> PathBuf {
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => PathBuf::from(dir).join("../..").join("BENCH_adapt.json"),
-        Err(_) => PathBuf::from("BENCH_adapt.json"),
-    }
-}
-
-fn print_tables(
-    idle: &PhaseRow,
-    relearn: &PhaseRow,
-    ratio: f64,
-    rounds: &[RoundRow],
-    stale: u64,
-    regressions: u64,
-) {
-    println!("relearn-while-serving (shared handle, background relearner):");
-    println!(
-        "{:>10} {:>12} {:>12} {:>14}",
-        "phase", "decisions", "micros", "decisions/s"
-    );
-    for (name, row) in [("idle", idle), ("relearn", relearn)] {
-        println!(
-            "{:>10} {:>12} {:>12} {:>14.0}",
-            name, row.decisions, row.micros, row.throughput
-        );
-    }
-    println!("relearn/idle throughput ratio: {ratio:.2}\n");
-    println!(
-        "{:>6} {:>6} {:>9} {:>12} {:>6} {:>10} {:>12}",
-        "round", "epoch", "examples", "constraints", "rules", "round ms", "adoption ms"
-    );
-    for r in rounds {
-        println!(
-            "{:>6} {:>6} {:>9} {:>12} {:>6} {:>10.1} {:>12.1}",
-            r.round, r.epoch, r.examples, r.constraints, r.rules, r.round_ms, r.adoption_ms
-        );
-    }
-    println!("\nstale decisions: {stale}, epoch regressions: {regressions}");
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    smoke: bool,
-    threads: usize,
-    levels: usize,
-    idle: &PhaseRow,
-    relearn: &PhaseRow,
-    ratio: f64,
-    rounds: &[RoundRow],
-    stale: u64,
-    regressions: u64,
-    final_epoch: u64,
-    max_adoption: f64,
-    cpus: usize,
-) -> String {
-    let phase = |row: &PhaseRow| {
-        format!(
-            "{{\"decisions\": {}, \"micros\": {}, \"decisions_per_sec\": {:.1}}}",
-            row.decisions, row.micros, row.throughput
-        )
-    };
-    let round_rows: Vec<String> = rounds
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"round\": {}, \"published\": {}, \"epoch\": {}, \"examples\": {}, \
-                 \"constraints\": {}, \"rules\": {}, \"round_ms\": {:.2}, \
-                 \"adoption_ms\": {:.2}}}",
-                r.round,
-                r.published,
-                r.epoch,
-                r.examples,
-                r.constraints,
-                r.rules,
-                r.round_ms,
-                r.adoption_ms
-            )
-        })
-        .collect();
-    format!(
-        "{{\n\"schema\": \"agenp-bench/adapt/v1\",\n\"smoke\": {},\n\
-         \"serving\": {{\"threads\": {}, \"levels\": {}, \"idle\": {}, \"relearn\": {}, \
-         \"relearn_over_idle\": {:.4}}},\n\
-         \"rounds\": [\n{}\n],\n\
-         \"invariants\": {{\"stale_decisions\": {}, \"epoch_regressions\": {}, \
-         \"final_epoch\": {}}},\n\
-         \"claims\": {{\"relearn_over_idle_throughput\": {:.4}, \
-         \"max_adoption_ms\": {:.2}, \"cpus\": {}}}\n}}\n",
-        smoke,
-        threads,
-        levels,
-        phase(idle),
-        phase(relearn),
-        ratio,
-        round_rows.join(",\n"),
-        stale,
-        regressions,
-        final_epoch,
-        ratio,
-        max_adoption,
-        cpus
-    )
 }

@@ -9,35 +9,90 @@
 //! counters. Observability is enabled with an in-memory exporter, so the
 //! flight-recorder dumps the fabric fires at fault boundaries
 //! (`chaos.partition`, `chaos.crash`, ...) are counted into the report.
-//! Results land in `BENCH_coalition.json` at the repository root
-//! (schema `agenp-bench/coalition/v1`, documented in
-//! `docs/RESILIENCE.md`).
+//! Results land in `BENCH_coalition.json` (through
+//! [`agenp_bench::write_bench`]; schema `agenp-bench/coalition/v1`,
+//! documented in `docs/RESILIENCE.md`).
 //!
 //! Usage:
 //!   cargo run -p agenp-bench --bin coalition --release [-- FLAGS]
 //!
 //! Flags:
-//!   --smoke            CI mode: 1,000 parties, every scenario, seed 42;
-//!                      validates the emitted JSON and exits nonzero on
-//!                      any invariant violation, reference mismatch, or
+//!   --smoke            CI mode: 1,000 parties, every scenario, seed 42.
+//!                      Both modes exit nonzero on malformed output, any
+//!                      invariant violation, reference mismatch, or
 //!                      replay divergence.
 //!   --scenario NAME    run one scenario (data-sharing, partition-storm,
-//!                      mass-reground, crash-restart).
+//!                      mass-reground, crash-restart); gates only, writes
+//!                      no BENCH file.
 //!   --seed N           run seed (default 42).
 //!   --parties N        fleet size (default 2000; smoke pins 1000).
 //!   --trace PATH       also write the chaos run's full event trace to
 //!                      PATH (requires --scenario; meant for replaying a
 //!                      failing seed, see docs/RESILIENCE.md).
 
+use agenp_bench::{fixed, print_table, write_bench};
 use agenp_coalition::sim::{run_scenario_with, RunConfig, Scenario, SimReport};
+use agenp_obs::json::Json;
 use agenp_obs::{MemoryExporter, ObsConfig};
-use std::path::PathBuf;
 
 /// Everything measured for one scenario.
 struct ScenarioRow {
     reference: SimReport,
     chaos: SimReport,
     deterministic: bool,
+}
+
+impl ScenarioRow {
+    fn json(&self) -> Json {
+        let (c, s) = (&self.chaos, &self.chaos.stats);
+        let stats = [
+            ("messages_sent", s.messages_sent),
+            ("delivered", s.delivered),
+            ("dropped_loss", s.dropped_loss),
+            ("dropped_partition", s.dropped_partition),
+            ("dropped_down", s.dropped_down),
+            ("duplicated", s.duplicated),
+            ("stragglers", s.stragglers),
+            ("publishes", s.publishes),
+            ("mass_refreshes", s.mass_refreshes),
+            ("adoptions", s.adoptions),
+            ("crashes", s.crashes),
+            ("restarts", s.restarts),
+            ("refresh_failures", s.refresh_failures),
+            ("degraded_publishes", s.degraded_publishes),
+            ("partitions", s.partitions),
+            ("heals", s.heals),
+            ("decisions", s.decisions),
+            ("permits", s.permits),
+            ("denies", s.denies),
+            ("gaps", s.gaps),
+            ("stale_serves", s.stale_serves),
+            ("convergence_checks", s.convergence_checks),
+            ("convergence_skipped", s.convergence_skipped),
+        ];
+        Json::obj([
+            ("name", c.scenario.into()),
+            ("ticks", c.ticks.into()),
+            ("head", c.head.into()),
+            ("invariant_violations", c.invariant_violations.into()),
+            ("reference_mismatches", c.reference_mismatches.into()),
+            ("deterministic", self.deterministic.into()),
+            ("trace_hash", format!("{:#018x}", c.trace_hash).into()),
+            ("elapsed_ms", c.elapsed.as_millis().into()),
+            ("decisions_per_sec", fixed(c.decisions_per_sec(), 1)),
+            (
+                "reference",
+                Json::obj([
+                    (
+                        "invariant_violations",
+                        self.reference.invariant_violations.into(),
+                    ),
+                    ("decisions", self.reference.stats.decisions.into()),
+                ]),
+            ),
+            ("stats", Json::obj(stats.map(|(k, v)| (k, v.into())))),
+        ])
+    }
 }
 
 fn main() {
@@ -107,17 +162,55 @@ fn main() {
         .filter(|doc| doc.contains("\"trigger\": \"chaos."))
         .count();
 
-    print_tables(&rows, chaos_dumps);
+    let scenarios: Vec<Json> = rows.iter().map(ScenarioRow::json).collect();
+    print_table(
+        "deterministic chaos fabric:",
+        &scenarios,
+        &[
+            "name",
+            "ticks",
+            "stats.messages_sent",
+            "stats.delivered",
+            "stats.decisions",
+            "stats.crashes",
+            "stats.heals",
+            "invariant_violations",
+            "decisions_per_sec",
+            "deterministic",
+        ],
+    );
+    println!("({chaos_dumps} chaos.* flight-recorder dumps)");
 
-    let json = render_json(smoke, seed, parties, &rows, chaos_dumps);
-    let path = output_path();
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("coalition: cannot write {}: {e}", path.display());
-        std::process::exit(1);
+    let total_violations: u64 = rows
+        .iter()
+        .map(|r| r.chaos.invariant_violations + r.reference.invariant_violations)
+        .sum();
+    // A `--scenario` run is a partial run: it gates but writes no file, so
+    // a replay never replaces the all-scenario document.
+    if scenario_name.is_none() {
+        write_bench(
+            "coalition",
+            "coalition",
+            "agenp-bench/coalition/v1",
+            smoke,
+            vec![
+                ("seed", seed.into()),
+                ("parties", parties.into()),
+                ("scenarios", Json::Arr(scenarios)),
+                ("obs", Json::obj([("chaos_dumps", chaos_dumps.into())])),
+            ],
+            vec![
+                ("scenarios", rows.len().into()),
+                ("total_invariant_violations", total_violations.into()),
+                (
+                    "all_deterministic",
+                    rows.iter().all(|r| r.deterministic).into(),
+                ),
+            ],
+        );
     }
-    println!("\nwrote {}", path.display());
 
-    gate(&path, &rows, smoke, parties, chaos_dumps);
+    gate(&rows, smoke, parties, chaos_dumps);
 }
 
 fn run_one(seed: u64, scenario: &Scenario, record: RunConfig) -> ScenarioRow {
@@ -139,27 +232,8 @@ fn run_one(seed: u64, scenario: &Scenario, record: RunConfig) -> ScenarioRow {
     }
 }
 
-/// Exits nonzero when any hard property failed; validates the JSON that
-/// actually landed on disk.
-fn gate(path: &PathBuf, rows: &[ScenarioRow], smoke: bool, parties: usize, chaos_dumps: usize) {
-    let on_disk = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("coalition: cannot re-read {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = agenp_pdpd::json::parse(&on_disk) {
-        eprintln!("coalition: BENCH_coalition.json is not valid JSON: {e}");
-        std::process::exit(1);
-    }
-    for key in ["\"scenarios\"", "\"obs\"", "\"claims\""] {
-        if !on_disk.contains(key) {
-            eprintln!("coalition: BENCH_coalition.json is missing the {key} section");
-            std::process::exit(1);
-        }
-    }
-
+/// Exits nonzero when any hard property failed.
+fn gate(rows: &[ScenarioRow], smoke: bool, parties: usize, chaos_dumps: usize) {
     let mut failed = false;
     for row in rows {
         let name = row.chaos.scenario;
@@ -220,17 +294,6 @@ fn gate(path: &PathBuf, rows: &[ScenarioRow], smoke: bool, parties: usize, chaos
     );
 }
 
-/// `BENCH_coalition.json` lives at the repository root regardless of the
-/// cwd cargo chose for the binary.
-fn output_path() -> PathBuf {
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => PathBuf::from(dir)
-            .join("../..")
-            .join("BENCH_coalition.json"),
-        Err(_) => PathBuf::from("BENCH_coalition.json"),
-    }
-}
-
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
@@ -243,126 +306,4 @@ fn parse_or_die<T: std::str::FromStr>(value: &str, flag: &str) -> T {
         eprintln!("coalition: bad value {value:?} for {flag}");
         std::process::exit(2);
     })
-}
-
-fn print_tables(rows: &[ScenarioRow], chaos_dumps: usize) {
-    println!("deterministic chaos fabric:");
-    println!(
-        "{:>16} {:>7} {:>9} {:>10} {:>10} {:>7} {:>7} {:>6} {:>11} {:>7}",
-        "scenario",
-        "ticks",
-        "events*",
-        "delivered",
-        "decisions",
-        "crash",
-        "heals",
-        "viol",
-        "decis/sec",
-        "replay"
-    );
-    for row in rows {
-        let c = &row.chaos;
-        println!(
-            "{:>16} {:>7} {:>9} {:>10} {:>10} {:>7} {:>7} {:>6} {:>11.0} {:>7}",
-            c.scenario,
-            c.ticks,
-            c.stats.messages_sent,
-            c.stats.delivered,
-            c.stats.decisions,
-            c.stats.crashes,
-            c.stats.heals,
-            c.invariant_violations,
-            c.decisions_per_sec(),
-            if row.deterministic { "ok" } else { "DIVERGED" },
-        );
-    }
-    println!("(* messages handed to the fabric; {chaos_dumps} chaos.* flight-recorder dumps)");
-}
-
-fn render_json(
-    smoke: bool,
-    seed: u64,
-    parties: usize,
-    rows: &[ScenarioRow],
-    chaos_dumps: usize,
-) -> String {
-    let scenarios: Vec<String> = rows
-        .iter()
-        .map(|row| {
-            let c = &row.chaos;
-            let s = &c.stats;
-            format!(
-                "{{\"name\": \"{}\", \"ticks\": {}, \"head\": {}, \
-                 \"invariant_violations\": {}, \"reference_mismatches\": {}, \
-                 \"deterministic\": {}, \"trace_hash\": \"{:#018x}\", \
-                 \"elapsed_ms\": {}, \"decisions_per_sec\": {:.1}, \
-                 \"reference\": {{\"invariant_violations\": {}, \"decisions\": {}}}, \
-                 \"stats\": {{\
-                 \"messages_sent\": {}, \"delivered\": {}, \"dropped_loss\": {}, \
-                 \"dropped_partition\": {}, \"dropped_down\": {}, \"duplicated\": {}, \
-                 \"stragglers\": {}, \"publishes\": {}, \"mass_refreshes\": {}, \
-                 \"adoptions\": {}, \"crashes\": {}, \"restarts\": {}, \
-                 \"refresh_failures\": {}, \"degraded_publishes\": {}, \
-                 \"partitions\": {}, \"heals\": {}, \"decisions\": {}, \
-                 \"permits\": {}, \"denies\": {}, \"gaps\": {}, \"stale_serves\": {}, \
-                 \"convergence_checks\": {}, \"convergence_skipped\": {}}}}}",
-                c.scenario,
-                c.ticks,
-                c.head,
-                c.invariant_violations,
-                c.reference_mismatches,
-                row.deterministic,
-                c.trace_hash,
-                c.elapsed.as_millis(),
-                c.decisions_per_sec(),
-                row.reference.invariant_violations,
-                row.reference.stats.decisions,
-                s.messages_sent,
-                s.delivered,
-                s.dropped_loss,
-                s.dropped_partition,
-                s.dropped_down,
-                s.duplicated,
-                s.stragglers,
-                s.publishes,
-                s.mass_refreshes,
-                s.adoptions,
-                s.crashes,
-                s.restarts,
-                s.refresh_failures,
-                s.degraded_publishes,
-                s.partitions,
-                s.heals,
-                s.decisions,
-                s.permits,
-                s.denies,
-                s.gaps,
-                s.stale_serves,
-                s.convergence_checks,
-                s.convergence_skipped,
-            )
-        })
-        .collect();
-    let total_violations: u64 = rows
-        .iter()
-        .map(|r| r.chaos.invariant_violations + r.reference.invariant_violations)
-        .sum();
-    let all_deterministic = rows.iter().all(|r| r.deterministic);
-    format!(
-        "{{\n\"schema\": \"agenp-bench/coalition/v1\",\n\"smoke\": {},\n\
-         \"seed\": {},\n\"parties\": {},\n\
-         \"scenarios\": [\n{}\n],\n\
-         \"obs\": {{\"chaos_dumps\": {}}},\n\
-         \"claims\": {{\"scenarios\": {}, \"total_invariant_violations\": {}, \
-         \"all_deterministic\": {}, \"cpus\": {}}}\n}}\n",
-        smoke,
-        seed,
-        parties,
-        scenarios.join(",\n"),
-        chaos_dumps,
-        rows.len(),
-        total_violations,
-        all_deterministic,
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    )
 }

@@ -1,7 +1,8 @@
 //! `obs` — overhead and flight-recorder validation harness for the
 //! unified observability subsystem (`agenp-obs`; `docs/OBSERVABILITY.md`).
 //!
-//! Three phases, writing `BENCH_obs.json` at the repository root:
+//! Three phases, writing `BENCH_obs.json` (through
+//! [`agenp_bench::write_bench`]):
 //!
 //! 1. **Disabled baseline** — drives the shared-snapshot PDP workload with
 //!    `ObsConfig::disabled()` and asserts the telemetry layer stays
@@ -13,21 +14,24 @@
 //!    enabled/disabled throughput ratio of the 1-thread pairs.
 //! 3. **Autonomic-loop dump** — a full learn → adopt → decide-under-load
 //!    run plus a coalition learning round with telemetry enabled, dumped
-//!    through the exporter; the dump must validate as JSON and contain
-//!    spans from the asp, learn, core/serve, and coalition layers.
+//!    through the exporter; the dump must parse as JSON and contain spans
+//!    from the asp, learn, core/serve, and coalition layers. The file
+//!    records a summary of the dump (validity, bytes, spans, dropped
+//!    spans, spans per layer), not the dump itself.
 //!
 //! Usage: `cargo run -p agenp-bench --bin obs --release [-- --smoke]`
 //!
 //! `--smoke` runs reduced scales suitable for CI and exits nonzero on any
 //! gate failure (the gates run in both modes; smoke only shrinks scales).
 
+use agenp_bench::{fixed, print_table, write_bench};
 use agenp_coalition::{sim, CoalitionConfig};
 use agenp_core::arch::{Ams, DecisionSnapshot, Feedback, PdpHandle, PdpServer, ServerReport};
 use agenp_grammar::{Asg, ProdId};
 use agenp_learn::HypothesisSpace;
-use agenp_obs::{MemoryExporter, ObsConfig, ObsSnapshot};
+use agenp_obs::json::{self, Json};
+use agenp_obs::{MemoryExporter, ObsConfig};
 use agenp_policy::{CombiningAlg, Policy, Request};
-use std::path::PathBuf;
 
 /// One side of an off/on pair, summed over its segments.
 #[derive(Default)]
@@ -54,15 +58,6 @@ impl Pair {
     fn ratio(&self) -> f64 {
         self.on.throughput() / self.off.throughput()
     }
-}
-
-/// What phase 3's flight-recorder dump contained.
-struct DumpOutcome {
-    json_valid: bool,
-    bytes: usize,
-    span_total: usize,
-    dropped: u64,
-    prefix_counts: Vec<(&'static str, usize)>,
 }
 
 /// Span-name prefixes the autonomic-loop dump must cover, one per
@@ -144,48 +139,99 @@ fn main() {
         .exports()
         .pop()
         .expect("dump() delivered one export");
-    let dump = inspect_dump(&snapshot, &dump_line);
     agenp_obs::clear_exporter();
     agenp_obs::install(ObsConfig::disabled());
+    let json_valid = json::parse(&dump_line).is_ok();
+    let prefix_counts: Vec<(&str, usize)> = REQUIRED_PREFIXES
+        .iter()
+        .map(|&p| (p, snapshot.spans_with_prefix(p).len()))
+        .collect();
 
-    print_tables(&pairs, overhead_1t, overhead_4t, &dump, disabled_clean);
-
-    let json = render_json(
-        smoke,
-        &pairs,
-        [overhead_1t, overhead_4t],
-        &dump,
-        disabled_clean,
-        &dump_line,
+    let throughput: Vec<Json> = pairs
+        .iter()
+        .enumerate()
+        .flat_map(|(i, p)| {
+            [(false, &p.off), (true, &p.on)].map(|(telemetry, side)| {
+                Json::obj([
+                    ("telemetry", telemetry.into()),
+                    ("threads", p.threads.into()),
+                    ("pair", (i % PAIRS).into()),
+                    ("decisions", side.decisions.into()),
+                    ("micros", side.micros.into()),
+                    ("decisions_per_sec", fixed(side.throughput(), 1)),
+                ])
+            })
+        })
+        .collect();
+    let layers: Vec<Json> = prefix_counts
+        .iter()
+        .map(|(prefix, n)| Json::obj([("prefix", (*prefix).into()), ("spans", (*n).into())]))
+        .collect();
+    let dump = Json::obj([
+        ("json_valid", json_valid.into()),
+        ("bytes", dump_line.len().into()),
+        ("spans", snapshot.spans.len().into()),
+        ("dropped_spans", snapshot.dropped_spans.into()),
+        ("layers", Json::Arr(layers.clone())),
+    ]);
+    print_table(
+        &format!(
+            "pdp decide throughput, telemetry off vs on \
+             ({PAIRS} pairs of {SEGMENTS} interleaved segments, closed loop):"
+        ),
+        &throughput,
+        &["threads", "pair", "telemetry", "decisions_per_sec"],
     );
-    let path = output_path();
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("obs: cannot write {}: {e}", path.display());
-        std::process::exit(1);
+    for (threads, ratio) in [(1, overhead_1t), (4, overhead_4t)] {
+        let each: Vec<String> = pairs
+            .iter()
+            .filter(|p| p.threads == threads)
+            .map(|p| format!("{:.3}", p.ratio()))
+            .collect();
+        println!(
+            "\n{threads}-thread enabled/disabled throughput, median of {PAIRS} pairs: {}\n  \
+             each pair's on/off: {}",
+            agenp_bench::pct(ratio),
+            each.join(" ")
+        );
     }
-    println!("\nwrote {}", path.display());
+    println!(
+        "disabled mode stayed cold: {}",
+        if disabled_clean { "yes" } else { "NO" }
+    );
+    print_table(
+        "\nflight-recorder dump:",
+        std::slice::from_ref(&dump),
+        &["json_valid", "bytes", "spans", "dropped_spans"],
+    );
+    print_table("", &layers, &[]);
+
+    write_bench(
+        "obs",
+        "obs",
+        "agenp-bench/obs/v3",
+        smoke,
+        vec![("throughput", Json::Arr(throughput)), ("dump", dump)],
+        vec![
+            ("enabled_over_disabled_1t", fixed(overhead_1t, 3)),
+            ("enabled_over_disabled_4t", fixed(overhead_4t, 3)),
+            ("pairs", PAIRS.into()),
+            ("segments", SEGMENTS.into()),
+            ("min_enabled_ratio_1t", MIN_ENABLED_RATIO.into()),
+            ("disabled_clean", disabled_clean.into()),
+        ],
+    );
 
     // Gates (smoke and full mode alike).
-    let on_disk = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("obs: cannot re-read {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = agenp_pdpd::json::parse(&on_disk) {
-        eprintln!("obs: BENCH_obs.json is not valid JSON: {e}");
-        std::process::exit(1);
-    }
     if !disabled_clean {
         eprintln!("obs: disabled mode leaked into the registry or recorder");
         std::process::exit(1);
     }
-    if !dump.json_valid {
+    if !json_valid {
         eprintln!("obs: the flight-recorder dump failed JSON validation");
         std::process::exit(1);
     }
-    for (prefix, n) in &dump.prefix_counts {
+    for (prefix, n) in &prefix_counts {
         if *n == 0 {
             eprintln!("obs: dump has no spans with prefix {prefix:?}");
             std::process::exit(1);
@@ -203,19 +249,10 @@ fn main() {
     println!(
         "BENCH_obs.json validated (disabled clean, {} spans across {} layers, \
          enabled/disabled {:.0}%)",
-        dump.span_total,
-        dump.prefix_counts.len(),
+        snapshot.spans.len(),
+        prefix_counts.len(),
         overhead_1t * 100.0
     );
-}
-
-/// `BENCH_obs.json` lives at the repository root regardless of the cwd
-/// cargo chose for the binary.
-fn output_path() -> PathBuf {
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => PathBuf::from(dir).join("../..").join("BENCH_obs.json"),
-        Err(_) => PathBuf::from("BENCH_obs.json"),
-    }
 }
 
 /// A policy permitting high-clearance subjects and denying low-clearance
@@ -350,117 +387,4 @@ fn run_coalition_round(smoke: bool) {
     let cfg = CoalitionConfig::new(2, samples, 7);
     let wiki = agenp_coalition::CasWiki::new();
     sim::learning_round(&cfg, &wiki).expect("fault-free coalition round succeeds");
-}
-
-fn inspect_dump(snapshot: &ObsSnapshot, dump_line: &str) -> DumpOutcome {
-    DumpOutcome {
-        json_valid: agenp_pdpd::json::parse(dump_line).is_ok(),
-        bytes: dump_line.len(),
-        span_total: snapshot.spans.len(),
-        dropped: snapshot.dropped_spans,
-        prefix_counts: REQUIRED_PREFIXES
-            .iter()
-            .map(|&p| (p, snapshot.spans_with_prefix(p).len()))
-            .collect(),
-    }
-}
-
-fn print_tables(
-    pairs: &[Pair],
-    overhead_1t: f64,
-    overhead_4t: f64,
-    dump: &DumpOutcome,
-    disabled_clean: bool,
-) {
-    println!(
-        "pdp decide throughput, telemetry off vs on \
-         ({PAIRS} pairs of {SEGMENTS} interleaved segments, closed loop):"
-    );
-    println!(
-        "{:>8} {:>5} {:>14} {:>14} {:>8}",
-        "threads", "pair", "off dec/s", "on dec/s", "on/off"
-    );
-    for (i, p) in pairs.iter().enumerate() {
-        println!(
-            "{:>8} {:>5} {:>14.0} {:>14.0} {:>8.3}",
-            p.threads,
-            i % PAIRS,
-            p.off.throughput(),
-            p.on.throughput(),
-            p.ratio()
-        );
-    }
-    for (threads, ratio) in [(1, overhead_1t), (4, overhead_4t)] {
-        println!(
-            "\n{threads}-thread enabled/disabled throughput, median of {PAIRS} pairs: {}",
-            agenp_bench::pct(ratio)
-        );
-    }
-    println!(
-        "disabled mode stayed cold: {}",
-        if disabled_clean { "yes" } else { "NO" }
-    );
-    println!(
-        "\nflight-recorder dump: {} bytes, {} spans ({} dropped), JSON {}",
-        dump.bytes,
-        dump.span_total,
-        dump.dropped,
-        if dump.json_valid { "valid" } else { "INVALID" }
-    );
-    for (prefix, n) in &dump.prefix_counts {
-        println!("  {prefix:<12} {n:>6} spans");
-    }
-}
-
-fn render_json(
-    smoke: bool,
-    pairs: &[Pair],
-    [overhead_1t, overhead_4t]: [f64; 2],
-    dump: &DumpOutcome,
-    disabled_clean: bool,
-    dump_line: &str,
-) -> String {
-    let mut throughput = Vec::new();
-    for (i, p) in pairs.iter().enumerate() {
-        for (telemetry, side) in [(false, &p.off), (true, &p.on)] {
-            throughput.push(format!(
-                "{{\"telemetry\": {telemetry}, \"threads\": {}, \"pair\": {}, \
-                 \"decisions\": {}, \"micros\": {}, \"decisions_per_sec\": {:.1}}}",
-                p.threads,
-                i % PAIRS,
-                side.decisions,
-                side.micros,
-                side.throughput()
-            ));
-        }
-    }
-    let prefixes: Vec<String> = dump
-        .prefix_counts
-        .iter()
-        .map(|(p, n)| format!("{{\"prefix\": \"{p}\", \"spans\": {n}}}"))
-        .collect();
-    format!(
-        "{{\n\"schema\": \"agenp-bench/obs/v2\",\n\"smoke\": {},\n\
-         \"throughput\": [\n{}\n],\n\
-         \"claims\": {{\"enabled_over_disabled_1t\": {:.3}, \"enabled_over_disabled_4t\": {:.3}, \
-         \"pairs\": {}, \"segments\": {}, \"min_enabled_ratio_1t\": {}, \"disabled_clean\": {}, \"cpus\": {}}},\n\
-         \"dump\": {{\"json_valid\": {}, \"bytes\": {}, \"spans\": {}, \
-         \"dropped_spans\": {}, \"layers\": [{}]}},\n\
-         \"flight_recorder\": {}\n}}\n",
-        smoke,
-        throughput.join(",\n"),
-        overhead_1t,
-        overhead_4t,
-        PAIRS,
-        SEGMENTS,
-        MIN_ENABLED_RATIO,
-        disabled_clean,
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        dump.json_valid,
-        dump.bytes,
-        dump.span_total,
-        dump.dropped,
-        prefixes.join(", "),
-        dump_line.trim_end()
-    )
 }

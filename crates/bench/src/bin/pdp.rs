@@ -3,8 +3,8 @@
 //!
 //! Drives a closed-loop multi-threaded request workload (randomized XACML
 //! requests against the scenario's ground-truth policy) through a
-//! [`PdpServer`], then writes `BENCH_pdp.json` at the repository root:
-//! threads × throughput, a single-thread parity check of the serving tier
+//! [`PdpServer`], then writes `BENCH_pdp.json` (through
+//! [`agenp_bench::write_bench`]): threads × throughput, a single-thread parity check of the serving tier
 //! against the straight-line reference evaluator
 //! ([`reference::effects_reference`]), and a stress that swaps snapshots
 //! mid-stream and counts decisions served from the wrong epoch. The JSON
@@ -27,15 +27,16 @@
 //! Usage: `cargo run -p agenp-bench --bin pdp --release [-- --smoke]`
 //!
 //! `--smoke` runs reduced scales suitable for CI (the kernel section at its
-//! two smallest sizes), re-reads the emitted JSON through a validating
-//! parser, and exits nonzero on any parity mismatch (kernel rows
-//! included), any stale decision, a single-connection HTTP throughput below
+//! two smallest sizes). Both modes exit nonzero on malformed output, any
+//! parity mismatch (kernel rows included), any stale decision, a single-connection HTTP throughput below
 //! 10k decisions/sec, or (on machines with >= 4 CPUs) a 4-thread
 //! throughput below 2x the 1-thread run.
 
-use agenp_core::arch::{DecisionSnapshot, PdpHandle, PdpServer};
+use agenp_bench::{cpus, fixed, print_table, write_bench};
+use agenp_core::arch::{DecisionSnapshot, PdpHandle, PdpServer, ServerReport};
 use agenp_core::scenarios::xacml::{ground_truth_policy, XacmlRequest};
-use agenp_pdpd::{run_load, LoadOptions, PdpdServer, ServerOptions};
+use agenp_obs::json::Json;
+use agenp_pdpd::{run_load, LoadOptions, LoadReport, PdpdServer, ServerOptions};
 use agenp_policy::{
     evaluate_policies, Category, CombiningAlg, Decision, DecisionEffects, Effect, Policy,
     PolicyRule, Request,
@@ -44,17 +45,8 @@ use agenp_refsem::{gen, reference};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
-
-/// One closed-loop throughput measurement.
-struct ThroughputRow {
-    threads: usize,
-    decisions: u64,
-    micros: u128,
-    throughput: f64,
-}
 
 /// The serving-tier vs reference-evaluator parity result.
 struct ParityOutcome {
@@ -82,19 +74,47 @@ struct KernelRow {
     mismatches: usize,
 }
 
-/// One HTTP load-client measurement against the in-process daemon.
-struct HttpRow {
-    connections: usize,
-    batch: usize,
-    decisions: u64,
-    throughput: f64,
-    p50_us: u64,
-    p90_us: u64,
-    p99_us: u64,
-    max_us: u64,
-    parity_mismatches: u64,
-    stale_epochs: u64,
-    http_errors: u64,
+/// One closed-loop throughput row.
+fn throughput_json(r: &ServerReport) -> Json {
+    Json::obj([
+        ("threads", r.threads.into()),
+        ("decisions", r.decisions.into()),
+        ("micros", r.elapsed.as_micros().into()),
+        ("decisions_per_sec", fixed(r.throughput, 1)),
+    ])
+}
+
+impl KernelRow {
+    fn json(&self) -> Json {
+        Json::obj([
+            ("rules", self.rules.into()),
+            ("policies", self.policies.into()),
+            ("combining", alg_name(self.combining).into()),
+            ("requests", self.requests.into()),
+            ("compile_us", fixed(self.compile_us, 1)),
+            ("p50_ns", self.p50_ns.into()),
+            ("p99_ns", self.p99_ns.into()),
+            ("settled_index_p50", self.settled_index_p50.into()),
+            ("mismatches", self.mismatches.into()),
+        ])
+    }
+}
+
+/// One HTTP load-client row: `batch` requests per body.
+fn http_json((batch, r): &(usize, LoadReport)) -> Json {
+    Json::obj([
+        ("connections", r.connections.into()),
+        ("batch", (*batch).into()),
+        ("decisions", r.decisions.into()),
+        ("decisions_per_sec", fixed(r.throughput, 1)),
+        ("p50_us", (r.p50_ns / 1000).into()),
+        ("p90_us", (r.p90_ns / 1000).into()),
+        ("p99_us", (r.p99_ns / 1000).into()),
+        ("max_us", (r.max_ns / 1000).into()),
+        ("parity_mismatches", r.parity_mismatches.into()),
+        ("stale_epochs", r.stale_epochs.into()),
+        ("http_errors", r.http_errors.into()),
+    ])
 }
 
 fn main() {
@@ -106,7 +126,7 @@ fn main() {
     let policies = vec![ground_truth_policy()];
 
     let thread_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let rows: Vec<ThroughputRow> = thread_counts
+    let rows: Vec<ServerReport> = thread_counts
         .iter()
         .map(|&t| run_throughput(t, &workload, &policies, per_thread))
         .collect();
@@ -116,54 +136,72 @@ fn main() {
     let kernel_rows = run_kernel(smoke);
     let http_rows = run_http(&policies, smoke);
 
-    print_tables(&rows, &parity, &stress, &kernel_rows, &http_rows);
+    let throughput: Vec<Json> = rows.iter().map(throughput_json).collect();
+    let kernel: Vec<Json> = kernel_rows.iter().map(KernelRow::json).collect();
+    let http: Vec<Json> = http_rows.iter().map(http_json).collect();
+    print_table(
+        "shared-snapshot PDP serving throughput (closed loop):",
+        &throughput,
+        &[],
+    );
+    println!(
+        "\nparity vs reference evaluator: {}/{} identical",
+        parity.requests - parity.mismatches,
+        parity.requests
+    );
+    println!(
+        "snapshot-swap stress: {} decisions across {} swaps, {} stale",
+        stress.decisions, stress.swaps, stress.stale_served
+    );
+    print_table(
+        "\npolicy kernel (DecisionSnapshot::decide_effects, unique requests):",
+        &kernel,
+        &[],
+    );
+    print_table("\nHTTP serving (in-process pdpd, loopback):", &http, &[]);
 
-    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    let cpus = cpus();
     // A thread-scaling claim measured on hardware that cannot run the
     // threads in parallel is noise, not evidence — record null there.
     let speedup_4t = if cpus >= 4 { speedup(&rows, 4) } else { None };
-    let json = render_json(
+    let (_, single_conn) = http_rows
+        .iter()
+        .find(|(batch, r)| r.connections == 1 && *batch == 1)
+        .expect("single-connection HTTP row");
+    write_bench(
+        "pdp",
+        "pdp",
+        "agenp-bench/pdp/v4",
         smoke,
-        &rows,
-        &parity,
-        &stress,
-        &kernel_rows,
-        &http_rows,
-        speedup_4t,
-        cpus,
+        vec![
+            ("throughput", Json::Arr(throughput)),
+            (
+                "parity",
+                Json::obj([
+                    ("requests", parity.requests.into()),
+                    ("mismatches", parity.mismatches.into()),
+                ]),
+            ),
+            (
+                "stress",
+                Json::obj([
+                    ("decisions", stress.decisions.into()),
+                    ("swaps", stress.swaps.into()),
+                    ("stale_served", stress.stale_served.into()),
+                ]),
+            ),
+            ("kernel", Json::Arr(kernel)),
+            ("http", Json::Arr(http)),
+        ],
+        vec![
+            ("speedup_4t_over_1t", speedup_4t.map(|s| fixed(s, 3)).into()),
+            (
+                "http_single_conn_decisions_per_sec",
+                fixed(single_conn.throughput, 1),
+            ),
+        ],
     );
-    let path = output_path();
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("pdp: cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    println!("\nwrote {}", path.display());
 
-    // Re-read and validate what actually landed on disk.
-    let on_disk = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("pdp: cannot re-read {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = agenp_pdpd::json::parse(&on_disk) {
-        eprintln!("pdp: BENCH_pdp.json is not valid JSON: {e}");
-        std::process::exit(1);
-    }
-    for key in [
-        "\"throughput\"",
-        "\"parity\"",
-        "\"stress\"",
-        "\"kernel\"",
-        "\"http\"",
-        "\"claims\"",
-    ] {
-        if !on_disk.contains(key) {
-            eprintln!("pdp: BENCH_pdp.json is missing the {key} section");
-            std::process::exit(1);
-        }
-    }
     if parity.mismatches > 0 {
         eprintln!(
             "pdp: serving tier disagreed with the reference evaluator on {} of {} requests",
@@ -191,24 +229,16 @@ fn main() {
         );
         std::process::exit(1);
     }
-    for row in &http_rows {
+    for (batch, row) in &http_rows {
         if row.parity_mismatches > 0 || row.stale_epochs > 0 || row.http_errors > 0 {
             eprintln!(
                 "pdp: HTTP load run ({} conn, batch {}) was not clean: \
                  {} mismatches, {} stale epochs, {} errors",
-                row.connections,
-                row.batch,
-                row.parity_mismatches,
-                row.stale_epochs,
-                row.http_errors
+                row.connections, batch, row.parity_mismatches, row.stale_epochs, row.http_errors
             );
             std::process::exit(1);
         }
     }
-    let single_conn = http_rows
-        .iter()
-        .find(|r| r.connections == 1 && r.batch == 1)
-        .expect("single-connection HTTP row");
     if single_conn.throughput < 10_000.0 {
         eprintln!(
             "pdp: single-connection HTTP throughput {:.0} dec/s is below the 10k floor",
@@ -246,15 +276,6 @@ fn main() {
     );
 }
 
-/// `BENCH_pdp.json` lives at the repository root regardless of the cwd
-/// cargo chose for the binary.
-fn output_path() -> PathBuf {
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => PathBuf::from(dir).join("../..").join("BENCH_pdp.json"),
-        Err(_) => PathBuf::from("BENCH_pdp.json"),
-    }
-}
-
 /// `distinct` seeded random XACML requests, converted to the attribute
 /// model the PDP evaluates.
 fn build_workload(distinct: usize, seed: u64) -> Vec<Request> {
@@ -269,21 +290,15 @@ fn run_throughput(
     workload: &[Request],
     policies: &[Policy],
     per_thread: usize,
-) -> ThroughputRow {
+) -> ServerReport {
     let handle = PdpHandle::new();
     handle.publish(DecisionSnapshot::new(
         policies.to_vec(),
         CombiningAlg::DenyOverrides,
     ));
-    let report = PdpServer::new(handle)
+    PdpServer::new(handle)
         .with_threads(threads)
-        .run(workload, per_thread);
-    ThroughputRow {
-        threads,
-        decisions: report.decisions,
-        micros: report.elapsed.as_micros(),
-        throughput: report.throughput,
-    }
+        .run(workload, per_thread)
 }
 
 /// Single-thread parity: the serving tier, through the handle and through
@@ -527,7 +542,7 @@ fn alg_name(alg: CombiningAlg) -> &'static str {
 /// port and drives it with the crate's own load client: one connection
 /// (the smoke-gated row), `cpus.min(4)` connections, and a batched run.
 /// Every response is parity-checked against the oracle by the client.
-fn run_http(policies: &[Policy], smoke: bool) -> Vec<HttpRow> {
+fn run_http(policies: &[Policy], smoke: bool) -> Vec<(usize, LoadReport)> {
     let handle = PdpHandle::new();
     handle.publish(DecisionSnapshot::new(
         policies.to_vec(),
@@ -568,25 +583,13 @@ fn run_http(policies: &[Policy], smoke: bool) -> Vec<HttpRow> {
             },
         )
         .expect("pdp: HTTP load run failed against the in-process server");
-        rows.push(HttpRow {
-            connections,
-            batch,
-            decisions: report.decisions,
-            throughput: report.throughput,
-            p50_us: report.p50_ns / 1000,
-            p90_us: report.p90_ns / 1000,
-            p99_us: report.p99_ns / 1000,
-            max_us: report.max_ns / 1000,
-            parity_mismatches: report.parity_mismatches,
-            stale_epochs: report.stale_epochs,
-            http_errors: report.http_errors,
-        });
+        rows.push((batch, report));
     }
     drop(server); // shuts down and joins the worker pool
     rows
 }
 
-fn speedup(rows: &[ThroughputRow], threads: usize) -> Option<f64> {
+fn speedup(rows: &[ServerReport], threads: usize) -> Option<f64> {
     let one = rows.iter().find(|r| r.threads == 1)?;
     let many = rows.iter().find(|r| r.threads == threads)?;
     if one.throughput > 0.0 {
@@ -594,171 +597,4 @@ fn speedup(rows: &[ThroughputRow], threads: usize) -> Option<f64> {
     } else {
         None
     }
-}
-
-fn print_tables(
-    rows: &[ThroughputRow],
-    parity: &ParityOutcome,
-    stress: &StressOutcome,
-    kernel_rows: &[KernelRow],
-    http_rows: &[HttpRow],
-) {
-    println!("shared-snapshot PDP serving throughput (closed loop):");
-    println!(
-        "{:>8} {:>12} {:>12} {:>14}",
-        "threads", "decisions", "micros", "decisions/s"
-    );
-    for r in rows {
-        println!(
-            "{:>8} {:>12} {:>12} {:>14.0}",
-            r.threads, r.decisions, r.micros, r.throughput
-        );
-    }
-    println!(
-        "\nparity vs reference evaluator: {}/{} identical",
-        parity.requests - parity.mismatches,
-        parity.requests
-    );
-    println!(
-        "snapshot-swap stress: {} decisions across {} swaps, {} stale",
-        stress.decisions, stress.swaps, stress.stale_served
-    );
-    println!("\npolicy kernel (DecisionSnapshot::decide_effects, unique requests):");
-    println!(
-        "{:>6} {:>9} {:>17} {:>9} {:>11} {:>9} {:>9} {:>8} {:>10}",
-        "rules",
-        "policies",
-        "combining",
-        "requests",
-        "compile us",
-        "p50 ns",
-        "p99 ns",
-        "settled",
-        "mismatches"
-    );
-    for r in kernel_rows {
-        println!(
-            "{:>6} {:>9} {:>17} {:>9} {:>11.1} {:>9} {:>9} {:>8} {:>10}",
-            r.rules,
-            r.policies,
-            alg_name(r.combining),
-            r.requests,
-            r.compile_us,
-            r.p50_ns,
-            r.p99_ns,
-            r.settled_index_p50,
-            r.mismatches
-        );
-    }
-    println!("\nHTTP serving (in-process pdpd, loopback):");
-    println!(
-        "{:>6} {:>6} {:>12} {:>14} {:>9} {:>9} {:>9} {:>9}",
-        "conns", "batch", "decisions", "decisions/s", "p50 us", "p90 us", "p99 us", "max us"
-    );
-    for r in http_rows {
-        println!(
-            "{:>6} {:>6} {:>12} {:>14.0} {:>9} {:>9} {:>9} {:>9}",
-            r.connections,
-            r.batch,
-            r.decisions,
-            r.throughput,
-            r.p50_us,
-            r.p90_us,
-            r.p99_us,
-            r.max_us
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    smoke: bool,
-    rows: &[ThroughputRow],
-    parity: &ParityOutcome,
-    stress: &StressOutcome,
-    kernel_rows: &[KernelRow],
-    http_rows: &[HttpRow],
-    speedup_4t: Option<f64>,
-    cpus: usize,
-) -> String {
-    let throughput: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"threads\": {}, \"decisions\": {}, \"micros\": {}, \
-                 \"decisions_per_sec\": {:.1}}}",
-                r.threads, r.decisions, r.micros, r.throughput
-            )
-        })
-        .collect();
-    let kernel: Vec<String> = kernel_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"rules\": {}, \"policies\": {}, \"combining\": \"{}\", \
-                 \"requests\": {}, \"compile_us\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {}, \
-                 \"settled_index_p50\": {}, \"mismatches\": {}}}",
-                r.rules,
-                r.policies,
-                alg_name(r.combining),
-                r.requests,
-                r.compile_us,
-                r.p50_ns,
-                r.p99_ns,
-                r.settled_index_p50,
-                r.mismatches
-            )
-        })
-        .collect();
-    let http: Vec<String> = http_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"connections\": {}, \"batch\": {}, \"decisions\": {}, \
-                 \"decisions_per_sec\": {:.1}, \"p50_us\": {}, \"p90_us\": {}, \
-                 \"p99_us\": {}, \"max_us\": {}, \"parity_mismatches\": {}, \
-                 \"stale_epochs\": {}, \"http_errors\": {}}}",
-                r.connections,
-                r.batch,
-                r.decisions,
-                r.throughput,
-                r.p50_us,
-                r.p90_us,
-                r.p99_us,
-                r.max_us,
-                r.parity_mismatches,
-                r.stale_epochs,
-                r.http_errors
-            )
-        })
-        .collect();
-    let http_single = http_rows
-        .iter()
-        .find(|r| r.connections == 1 && r.batch == 1)
-        .map_or("null".to_string(), |r| format!("{:.1}", r.throughput));
-    format!(
-        "{{\n\"schema\": \"agenp-bench/pdp/v4\",\n\"smoke\": {},\n\
-         \"throughput\": [\n{}\n],\n\
-         \"parity\": {{\"requests\": {}, \"mismatches\": {}}},\n\
-         \"stress\": {{\"decisions\": {}, \"swaps\": {}, \"stale_served\": {}}},\n\
-         \"kernel\": [\n{}\n],\n\
-         \"http\": [\n{}\n],\n\
-         \"claims\": {{\"speedup_4t_over_1t\": {}, \
-         \"http_single_conn_decisions_per_sec\": {}, \"cpus\": {}}}\n}}\n",
-        smoke,
-        throughput.join(",\n"),
-        parity.requests,
-        parity.mismatches,
-        stress.decisions,
-        stress.swaps,
-        stress.stale_served,
-        kernel.join(",\n"),
-        http.join(",\n"),
-        match speedup_4t {
-            Some(s) => format!("{s:.3}"),
-            None => "null".to_string(),
-        },
-        http_single,
-        cpus
-    )
 }

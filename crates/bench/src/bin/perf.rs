@@ -2,24 +2,26 @@
 //!
 //! Times grounding (semi-naive vs the retained naive reference, with work
 //! counters), solving, and end-to-end CAV/XACML learning at several scales,
-//! then writes `BENCH_asp.json` at the repository root alongside a
-//! human-readable table. The JSON schema is documented in
+//! then writes `BENCH_asp.json` (through [`agenp_bench::write_bench`])
+//! alongside a human-readable table. The JSON schema is documented in
 //! `docs/PERFORMANCE.md`.
 //!
 //! Usage: `cargo run -p agenp-bench --bin perf --release [-- --smoke]`
 //!
-//! `--smoke` runs reduced scales suitable for CI, re-reads the emitted JSON
-//! through a validating parser, and exits nonzero if the file is malformed
-//! or a headline counter claim regresses.
+//! `--smoke` runs reduced scales suitable for CI. Both modes exit nonzero
+//! if the file is malformed or a headline counter claim regresses.
 
 use agenp_asp::{
     ground, ground_with_stats, GroundMode, GroundOptions, GroundProgram, GroundStats, Program,
     Solver,
 };
-use agenp_bench::{birds_program, coloring_program, time_best_of, transitive_closure_program};
+use agenp_bench::{
+    birds_program, coloring_program, fixed, print_table, time_best_of, transitive_closure_program,
+    write_bench,
+};
 use agenp_core::scenarios::{cav, xacml};
 use agenp_learn::{CompileOptions, LearnOptions, LearnStats, Learner};
-use std::path::PathBuf;
+use agenp_obs::json::Json;
 use std::time::Instant;
 
 /// One grounder measurement.
@@ -33,62 +35,68 @@ struct GroundRow {
     rules: usize,
 }
 
-/// One solver measurement (grounding and solving timed separately).
-struct SolveRow {
-    workload: &'static str,
-    n: usize,
-    ground_micros: u128,
-    solve_micros: u128,
-    models: usize,
-    decisions: u64,
-}
-
-/// One end-to-end learning measurement.
-struct LearnRow {
-    workload: &'static str,
-    n: usize,
-    config: &'static str,
-    micros: u128,
-    cost: u64,
-    stats: LearnStats,
+impl GroundRow {
+    fn json(&self) -> Json {
+        Json::obj([
+            ("workload", self.workload.into()),
+            ("n", self.n.into()),
+            ("engine", self.engine.into()),
+            ("micros", self.micros.into()),
+            ("passes", self.stats.passes.into()),
+            ("rules_instantiated", self.stats.rules_instantiated.into()),
+            ("join_candidates", self.stats.join_candidates.into()),
+            ("atoms", self.atoms.into()),
+            ("rules", self.rules.into()),
+        ])
+    }
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
 
     let ground_rows = run_grounding(smoke);
-    let solve_rows = run_solving(smoke);
-    let (learn_rows, cav_ratio) = run_learning(smoke);
+    let solving = run_solving(smoke);
+    let (learning, cav_ratio) = run_learning(smoke);
 
-    print_tables(&ground_rows, &solve_rows, &learn_rows, cav_ratio);
+    let grounding: Vec<Json> = ground_rows.iter().map(GroundRow::json).collect();
+    print_table(
+        "-- grounding: semi-naive vs naive reference --",
+        &grounding,
+        &[],
+    );
+    print_table("\n-- solving (ground vs solve time) --", &solving, &[]);
+    print_table(
+        "\n-- end-to-end learning: delta+memo vs naive ablation --",
+        &learning,
+        &[],
+    );
+    println!("\ncav naive/delta rule-instantiation ratio: {cav_ratio:.1}x");
 
-    let tc_waste = waste_ratio(&ground_rows, "transitive_closure");
-    let json = render_json(smoke, &ground_rows, &solve_rows, &learn_rows, cav_ratio);
-    let path = output_path();
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("perf: cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    println!("\nwrote {}", path.display());
+    let waste = |workload| fixed(waste_ratio(&ground_rows, workload), 3);
+    write_bench(
+        "perf",
+        "asp",
+        "agenp-bench/perf/v1",
+        smoke,
+        vec![
+            ("grounding", Json::Arr(grounding)),
+            ("solving", Json::Arr(solving)),
+            ("learning", Json::Arr(learning)),
+        ],
+        vec![
+            (
+                "cav_naive_over_delta_rule_instantiations",
+                fixed(cav_ratio, 3),
+            ),
+            ("ground_waste_ratio_coloring", waste("coloring")),
+            (
+                "ground_waste_ratio_transitive_closure",
+                waste("transitive_closure"),
+            ),
+            ("ground_waste_ratio_birds", waste("birds")),
+        ],
+    );
 
-    // Re-read and validate what actually landed on disk.
-    let on_disk = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("perf: cannot re-read {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = agenp_pdpd::json::parse(&on_disk) {
-        eprintln!("perf: BENCH_asp.json is not valid JSON: {e}");
-        std::process::exit(1);
-    }
-    for key in ["\"grounding\"", "\"solving\"", "\"learning\"", "\"claims\""] {
-        if !on_disk.contains(key) {
-            eprintln!("perf: BENCH_asp.json is missing the {key} section");
-            std::process::exit(1);
-        }
-    }
     if cav_ratio < 2.0 {
         eprintln!(
             "perf: CAV delta grounding must instantiate >= 2x fewer rules than \
@@ -96,6 +104,7 @@ fn main() {
         );
         std::process::exit(1);
     }
+    let tc_waste = waste_ratio(&ground_rows, "transitive_closure");
     if tc_waste > 8.0 {
         eprintln!(
             "perf: transitive-closure ground waste ratio regressed: \
@@ -108,15 +117,6 @@ fn main() {
         "BENCH_asp.json validated (cav naive/delta instantiation ratio {cav_ratio:.1}x, \
          tc ground waste ratio {tc_waste:.1})"
     );
-}
-
-/// `BENCH_asp.json` lives at the repository root regardless of the cwd
-/// cargo chose for the binary.
-fn output_path() -> PathBuf {
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => PathBuf::from(dir).join("../..").join("BENCH_asp.json"),
-        Err(_) => PathBuf::from("BENCH_asp.json"),
-    }
 }
 
 // --- measurement -----------------------------------------------------------
@@ -204,7 +204,7 @@ fn waste_ratio(rows: &[GroundRow], workload: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-fn run_solving(smoke: bool) -> Vec<SolveRow> {
+fn run_solving(smoke: bool) -> Vec<Json> {
     let scales: &[usize] = if smoke { &[6] } else { &[6, 10, 14] };
     let solver = Solver::new();
     let mut rows = Vec::new();
@@ -215,14 +215,14 @@ fn run_solving(smoke: bool) -> Vec<SolveRow> {
         // smaller ones.
         let (ground_micros, g) = time_best_of(3, || ground(&p).expect("grounds"));
         let (solve_micros, r) = time_best_of(3, || solver.solve(&g));
-        rows.push(SolveRow {
-            workload: "coloring",
-            n,
-            ground_micros,
-            solve_micros,
-            models: r.models().len(),
-            decisions: r.stats().decisions,
-        });
+        rows.push(Json::obj([
+            ("workload", "coloring".into()),
+            ("n", n.into()),
+            ("ground_micros", ground_micros.into()),
+            ("solve_micros", solve_micros.into()),
+            ("models", r.models().len().into()),
+            ("decisions", r.stats().decisions.into()),
+        ]));
     }
     rows
 }
@@ -231,7 +231,7 @@ fn run_solving(smoke: bool) -> Vec<SolveRow> {
 /// grounding + evaluation memo) and the ablation (naive re-grounding, no
 /// memo). Returns the rows plus the headline naive/delta rule-instantiation
 /// ratio on the largest CAV scale.
-fn run_learning(smoke: bool) -> (Vec<LearnRow>, f64) {
+fn run_learning(smoke: bool) -> (Vec<Json>, f64) {
     let cav_scales: &[usize] = if smoke { &[4] } else { &[4, 8, 12] };
     let xacml_scales: &[usize] = if smoke { &[20] } else { &[40, 100] };
     let delta_opts = LearnOptions::default().with_force_generic(true);
@@ -239,17 +239,17 @@ fn run_learning(smoke: bool) -> (Vec<LearnRow>, f64) {
         .with_force_generic(true)
         .with_eval_cache(false)
         .with_compile(CompileOptions::default().with_naive_ground(true));
+    let naive_ground =
+        LearnOptions::default().with_compile(CompileOptions::default().with_naive_ground(true));
     let mut rows = Vec::new();
     let mut ratio = 0.0;
     for &n in cav_scales {
         let train = cav::samples(n, 7);
         let task = cav::learning_task(&train, None);
-        let delta = measure_learn("cav", n, "delta_cached", delta_opts, &task);
-        let naive = measure_learn("cav", n, "naive_uncached", naive_opts, &task);
-        let delta_work = delta.stats.rules_instantiated.max(1);
-        ratio = naive.stats.rules_instantiated as f64 / delta_work as f64;
-        rows.push(delta);
-        rows.push(naive);
+        let delta = measure_learn(&mut rows, "cav", n, "delta_cached", delta_opts, &task);
+        let naive = measure_learn(&mut rows, "cav", n, "naive_uncached", naive_opts, &task);
+        let delta_work = delta.rules_instantiated.max(1);
+        ratio = naive.rules_instantiated as f64 / delta_work as f64;
     }
     for &n in xacml_scales {
         let log = xacml::generate_log(n, 11, 0.0);
@@ -258,201 +258,46 @@ fn run_learning(smoke: bool) -> (Vec<LearnRow>, f64) {
             xacml::SpaceConfig::default(),
             xacml::NoiseHandling::Filter,
         );
-        rows.push(measure_learn(
+        measure_learn(
+            &mut rows,
             "xacml",
             n,
             "default",
             LearnOptions::default(),
             &task,
-        ));
-        rows.push(measure_learn(
-            "xacml",
-            n,
-            "naive_ground",
-            LearnOptions::default().with_compile(CompileOptions::default().with_naive_ground(true)),
-            &task,
-        ));
+        );
+        measure_learn(&mut rows, "xacml", n, "naive_ground", naive_ground, &task);
     }
     (rows, ratio)
 }
 
+/// Learns `task` under `opts`, appends the measurement to `rows`, and
+/// returns the learner's work counters.
 fn measure_learn(
-    workload: &'static str,
+    rows: &mut Vec<Json>,
+    workload: &str,
     n: usize,
-    config: &'static str,
+    config: &str,
     opts: LearnOptions,
     task: &agenp_learn::LearningTask,
-) -> LearnRow {
+) -> LearnStats {
     let t = Instant::now();
     let (h, stats) = Learner::with_options(opts)
         .learn_with_stats(task)
         .expect("benchmark task is learnable");
-    LearnRow {
-        workload,
-        n,
-        config,
-        micros: t.elapsed().as_micros(),
-        cost: h.cost,
-        stats,
-    }
-}
-
-// --- human-readable output -------------------------------------------------
-
-fn print_tables(
-    ground_rows: &[GroundRow],
-    solve_rows: &[SolveRow],
-    learn_rows: &[LearnRow],
-    cav_ratio: f64,
-) {
-    println!("-- grounding: semi-naive vs naive reference --");
-    println!(
-        "{:>20} {:>6} {:>10} {:>10} {:>7} {:>12} {:>12} {:>8} {:>8}",
-        "workload",
-        "n",
-        "engine",
-        "micros",
-        "passes",
-        "instantiated",
-        "candidates",
-        "atoms",
-        "rules"
-    );
-    for r in ground_rows {
-        println!(
-            "{:>20} {:>6} {:>10} {:>10} {:>7} {:>12} {:>12} {:>8} {:>8}",
-            r.workload,
-            r.n,
-            r.engine,
-            r.micros,
-            r.stats.passes,
-            r.stats.rules_instantiated,
-            r.stats.join_candidates,
-            r.atoms,
-            r.rules
-        );
-    }
-    println!("\n-- solving (ground vs solve time) --");
-    println!(
-        "{:>20} {:>6} {:>12} {:>12} {:>8} {:>10}",
-        "workload", "n", "ground_us", "solve_us", "models", "decisions"
-    );
-    for r in solve_rows {
-        println!(
-            "{:>20} {:>6} {:>12} {:>12} {:>8} {:>10}",
-            r.workload, r.n, r.ground_micros, r.solve_micros, r.models, r.decisions
-        );
-    }
-    println!("\n-- end-to-end learning: delta+memo vs naive ablation --");
-    println!(
-        "{:>10} {:>6} {:>16} {:>10} {:>6} {:>8} {:>12} {:>8} {:>8} {:>8}",
-        "workload",
-        "n",
-        "config",
-        "micros",
-        "cost",
-        "passes",
-        "instantiated",
-        "solves",
-        "hits",
-        "misses"
-    );
-    for r in learn_rows {
-        println!(
-            "{:>10} {:>6} {:>16} {:>10} {:>6} {:>8} {:>12} {:>8} {:>8} {:>8}",
-            r.workload,
-            r.n,
-            r.config,
-            r.micros,
-            r.cost,
-            r.stats.grounding_passes,
-            r.stats.rules_instantiated,
-            r.stats.solver_calls,
-            r.stats.eval_cache_hits,
-            r.stats.eval_cache_misses
-        );
-    }
-    println!("\ncav naive/delta rule-instantiation ratio: {cav_ratio:.1}x");
-}
-
-// --- JSON emission ---------------------------------------------------------
-
-fn render_json(
-    smoke: bool,
-    ground_rows: &[GroundRow],
-    solve_rows: &[SolveRow],
-    learn_rows: &[LearnRow],
-    cav_ratio: f64,
-) -> String {
-    let grounding: Vec<String> = ground_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"workload\": \"{}\", \"n\": {}, \"engine\": \"{}\", \"micros\": {}, \
-                 \"passes\": {}, \"rules_instantiated\": {}, \"join_candidates\": {}, \
-                 \"atoms\": {}, \"rules\": {}}}",
-                r.workload,
-                r.n,
-                r.engine,
-                r.micros,
-                r.stats.passes,
-                r.stats.rules_instantiated,
-                r.stats.join_candidates,
-                r.atoms,
-                r.rules
-            )
-        })
-        .collect();
-    let solving: Vec<String> = solve_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"workload\": \"{}\", \"n\": {}, \"ground_micros\": {}, \
-                 \"solve_micros\": {}, \"models\": {}, \"decisions\": {}}}",
-                r.workload, r.n, r.ground_micros, r.solve_micros, r.models, r.decisions
-            )
-        })
-        .collect();
-    let learning: Vec<String> = learn_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"workload\": \"{}\", \"n\": {}, \"config\": \"{}\", \"micros\": {}, \
-                 \"cost\": {}, \"grounding_passes\": {}, \"rules_instantiated\": {}, \
-                 \"solver_calls\": {}, \"eval_cache_hits\": {}, \"eval_cache_misses\": {}, \
-                 \"search_nodes\": {}, \"used_monotone\": {}}}",
-                r.workload,
-                r.n,
-                r.config,
-                r.micros,
-                r.cost,
-                r.stats.grounding_passes,
-                r.stats.rules_instantiated,
-                r.stats.solver_calls,
-                r.stats.eval_cache_hits,
-                r.stats.eval_cache_misses,
-                r.stats.search_nodes,
-                r.stats.used_monotone
-            )
-        })
-        .collect();
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    format!(
-        "{{\n\"schema\": \"agenp-bench/perf/v1\",\n\"smoke\": {},\n\
-         \"grounding\": [\n{}\n],\n\"solving\": [\n{}\n],\n\"learning\": [\n{}\n],\n\
-         \"claims\": {{\"cav_naive_over_delta_rule_instantiations\": {:.3}, \
-         \"ground_waste_ratio_coloring\": {:.3}, \
-         \"ground_waste_ratio_transitive_closure\": {:.3}, \
-         \"ground_waste_ratio_birds\": {:.3}, \
-         \"cpus\": {}}}\n}}\n",
-        smoke,
-        grounding.join(",\n"),
-        solving.join(",\n"),
-        learning.join(",\n"),
-        cav_ratio,
-        waste_ratio(ground_rows, "coloring"),
-        waste_ratio(ground_rows, "transitive_closure"),
-        waste_ratio(ground_rows, "birds"),
-        cpus
-    )
+    rows.push(Json::obj([
+        ("workload", workload.into()),
+        ("n", n.into()),
+        ("config", config.into()),
+        ("micros", t.elapsed().as_micros().into()),
+        ("cost", h.cost.into()),
+        ("grounding_passes", stats.grounding_passes.into()),
+        ("rules_instantiated", stats.rules_instantiated.into()),
+        ("solver_calls", stats.solver_calls.into()),
+        ("eval_cache_hits", stats.eval_cache_hits.into()),
+        ("eval_cache_misses", stats.eval_cache_misses.into()),
+        ("search_nodes", stats.search_nodes.into()),
+        ("used_monotone", stats.used_monotone.into()),
+    ]));
+    stats
 }

@@ -1,9 +1,9 @@
 //! Snapshot export: one [`ObsSnapshot`] value combining the metrics
-//! registry and the flight recorder, a hand-rolled JSON rendering (the
-//! workspace deliberately has no JSON dependency — the harness re-reads
-//! dumps through `agenp_pdpd::json::parse`), and the pluggable
+//! registry and the flight recorder, its rendering as one [`Json`] value
+//! (read back with [`crate::json::parse`]), and the pluggable
 //! [`Exporter`] trait with JSON-lines and in-memory implementations.
 
+use crate::json::Json;
 use crate::metrics::{MetricSample, MetricValue};
 use crate::span::{FieldValue, SpanRecord};
 use std::io::Write;
@@ -31,31 +31,22 @@ pub struct ObsSnapshot {
 }
 
 impl ObsSnapshot {
+    /// The snapshot as one JSON value (layout in `docs/OBSERVABILITY.md`).
+    pub fn json(&self) -> Json {
+        Json::obj([
+            ("schema", DUMP_SCHEMA.into()),
+            ("trigger", self.trigger.as_str().into()),
+            ("captured_ns", self.captured_ns.into()),
+            ("metrics", self.metrics.iter().map(metric_json).collect()),
+            ("spans", self.spans.iter().map(span_json).collect()),
+            ("dropped_spans", self.dropped_spans.into()),
+        ])
+    }
+
     /// Renders the snapshot as one compact JSON document (a single line,
     /// suitable for JSON-lines streams).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.spans.len() * 128);
-        out.push_str("{\"schema\": \"");
-        out.push_str(DUMP_SCHEMA);
-        out.push_str("\", \"trigger\": ");
-        push_json_str(&mut out, &self.trigger);
-        out.push_str(&format!(", \"captured_ns\": {}", self.captured_ns));
-        out.push_str(", \"metrics\": [");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            push_metric(&mut out, m);
-        }
-        out.push_str("], \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            push_span(&mut out, s);
-        }
-        out.push_str(&format!("], \"dropped_spans\": {}}}", self.dropped_spans));
-        out
+        self.json().to_string()
     }
 
     /// The spans whose name starts with `prefix` (taxonomy queries:
@@ -82,85 +73,55 @@ impl ObsSnapshot {
     }
 }
 
-fn push_metric(out: &mut String, m: &MetricSample) {
-    out.push_str("{\"name\": ");
-    push_json_str(out, &m.name);
+fn metric_json(m: &MetricSample) -> Json {
+    let name = ("name", m.name.as_str().into());
     match &m.value {
         MetricValue::Counter(v) => {
-            out.push_str(&format!(", \"kind\": \"counter\", \"value\": {v}}}"));
+            Json::obj([name, ("kind", "counter".into()), ("value", (*v).into())])
         }
         MetricValue::Gauge(v) => {
-            out.push_str(&format!(", \"kind\": \"gauge\", \"value\": {v}}}"));
+            Json::obj([name, ("kind", "gauge".into()), ("value", (*v).into())])
         }
         MetricValue::Histogram(h) => {
-            out.push_str(&format!(
-                ", \"kind\": \"histogram\", \"count\": {}, \"sum\": {}, \"buckets\": [",
-                h.count, h.sum
-            ));
-            for (i, c) in h.counts.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                match h.bounds.get(i) {
-                    Some(b) => out.push_str(&format!("{{\"le\": {b}, \"count\": {c}}}")),
-                    None => out.push_str(&format!("{{\"le\": null, \"count\": {c}}}")),
-                }
-            }
-            out.push_str("]}");
+            // One bucket per bound, then the overflow bucket (`le: null`).
+            let buckets = h.counts.iter().enumerate().map(|(i, c)| {
+                Json::obj([
+                    ("le", h.bounds.get(i).copied().into()),
+                    ("count", (*c).into()),
+                ])
+            });
+            Json::obj([
+                name,
+                ("kind", "histogram".into()),
+                ("count", h.count.into()),
+                ("sum", h.sum.into()),
+                ("buckets", buckets.collect()),
+            ])
         }
     }
 }
 
-fn push_span(out: &mut String, s: &SpanRecord) {
-    out.push_str(&format!("{{\"id\": {}, \"parent\": ", s.id));
-    match s.parent {
-        Some(p) => out.push_str(&p.to_string()),
-        None => out.push_str("null"),
-    }
-    out.push_str(", \"name\": ");
-    push_json_str(out, s.name);
-    out.push_str(&format!(
-        ", \"thread\": {}, \"start_ns\": {}, \"dur_ns\": {}, \"fields\": {{",
-        s.thread, s.start_ns, s.dur_ns
-    ));
-    for (i, (k, v)) in s.fields.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        push_json_str(out, k);
-        out.push_str(": ");
-        push_field(out, v);
-    }
-    out.push_str("}}");
+fn span_json(s: &SpanRecord) -> Json {
+    let fields = s.fields.iter().map(|(k, v)| (*k, field_json(v)));
+    Json::obj([
+        ("id", s.id.into()),
+        ("parent", s.parent.into()),
+        ("name", s.name.into()),
+        ("thread", s.thread.into()),
+        ("start_ns", s.start_ns.into()),
+        ("dur_ns", s.dur_ns.into()),
+        ("fields", Json::obj(fields)),
+    ])
 }
 
-fn push_field(out: &mut String, v: &FieldValue) {
+fn field_json(v: &FieldValue) -> Json {
     match v {
-        FieldValue::U64(n) => out.push_str(&n.to_string()),
-        FieldValue::I64(n) => out.push_str(&n.to_string()),
-        FieldValue::F64(n) if n.is_finite() => out.push_str(&format!("{n:?}")),
-        FieldValue::F64(_) => out.push_str("null"),
-        FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        FieldValue::Str(s) => push_json_str(out, s),
+        FieldValue::U64(n) => (*n).into(),
+        FieldValue::I64(n) => (*n).into(),
+        FieldValue::F64(n) => (*n).into(),
+        FieldValue::Bool(b) => (*b).into(),
+        FieldValue::Str(s) => s.as_str().into(),
     }
-}
-
-/// Appends `s` as an RFC 8259 string literal (escaping quotes,
-/// backslashes, and control characters).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A pluggable snapshot sink. Exporters must tolerate being called from
@@ -296,20 +257,30 @@ mod tests {
 
     #[test]
     fn json_dump_is_well_formed_and_escaped() {
-        let json = sample_snapshot().to_json();
-        assert!(json.contains("\"schema\": \"agenp-obs/dump/v1\""));
-        assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("semi\\nnaive"));
-        assert!(json.contains("\"le\": null"));
-        assert!(json.contains("\"dropped_spans\": 2"));
-        assert!(!json.contains('\n'), "dump must be one JSON line");
+        let text = sample_snapshot().to_json();
+        assert!(!text.contains('\n'), "dump must be one JSON line");
+        let dump = crate::json::parse(&text).expect("the dump parses");
+        assert_eq!(dump.get("schema"), Some(&Json::from(DUMP_SCHEMA)));
+        assert_eq!(dump.get("dropped_spans"), Some(&Json::Int(2)));
+        assert_eq!(dump.get("trigger"), Some(&Json::from("test \"quoted\"")));
+        let span = &dump.get("spans").and_then(Json::as_arr).expect("spans")[0];
+        let mode = span.get("fields").and_then(|fields| fields.get("mode"));
+        assert_eq!(mode, Some(&Json::from("semi\nnaive")));
+        let histogram = &dump.get("metrics").and_then(Json::as_arr).expect("metrics")[2];
+        let buckets = histogram
+            .get("buckets")
+            .and_then(Json::as_arr)
+            .expect("buckets");
+        assert_eq!(
+            buckets[2].get("le"),
+            Some(&Json::Null),
+            "the overflow bucket"
+        );
     }
 
     #[test]
     fn nonfinite_floats_render_null() {
-        let mut s = String::new();
-        push_field(&mut s, &FieldValue::F64(f64::NAN));
-        assert_eq!(s, "null");
+        assert_eq!(field_json(&FieldValue::F64(f64::NAN)).to_string(), "null");
     }
 
     #[test]

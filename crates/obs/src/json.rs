@@ -1,11 +1,23 @@
 //! A minimal value-producing JSON parser and encoder, hand-rolled against
-//! RFC 8259 (the workspace deliberately carries no JSON dependency). It
-//! serves the wire protocol and is the one parser the workspace has: the
-//! bench binaries validate their `BENCH_*.json` output and `agenp-obs`
-//! dumps with it. Integers that fit `i64` are kept exact; other numbers
-//! fall back to `f64`.
+//! RFC 8259 (the workspace deliberately carries no JSON dependency). It is
+//! the workspace's one parser and one string escaper: `agenp-pdpd` reads
+//! and writes the wire protocol with it, the observability dump and
+//! pdpd's `/metrics` body render through [`Json`], and the bench binaries
+//! write and re-validate their `BENCH_*.json` files with it. Integers that
+//! fit `i64` are kept exact; other numbers fall back to `f64`.
+//!
+//! [`Json`]'s `Display` is the encoder: one line, `": "` after keys and
+//! `", "` between items, non-finite numbers as `null`, so
+//! `parse(&v.to_string()) == v` for every finite value.
+//!
+//! ```
+//! use agenp_obs::json::{self, Json};
+//! let row = Json::obj([("n", 3u64.into()), ("ratio", 0.5.into()), ("tag", "a\"b".into())]);
+//! assert_eq!(row.to_string(), r#"{"n": 3, "ratio": 0.5, "tag": "a\"b"}"#);
+//! assert_eq!(json::parse(&row.to_string()).unwrap(), row);
+//! ```
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,6 +39,16 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object with `members` in the given order.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_owned(), v))
+                .collect(),
+        )
+    }
+
     /// Member of an object by key, if this is an object that has it.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -73,6 +95,89 @@ impl Json {
             Json::Obj(m) => Some(m),
             _ => None,
         }
+    }
+}
+
+impl Json {
+    /// Appends the one-line encoding to `out` (what `Display` writes).
+    fn encode(&self, out: &mut String) -> fmt::Result {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => write!(out, "{i}")?,
+            // `{:?}` keeps a fraction (`2.0`, not `2`), so the value parses
+            // back as a `Num`, and prints the shortest text that round-trips.
+            Json::Num(n) if n.is_finite() => write!(out, "{n:?}")?,
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => push_escaped(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i > 0 { ", " } else { "" });
+                    item.encode(out)?;
+                }
+                out.push(']');
+            }
+            Json::Obj(members) => {
+                out.push('{');
+                for (i, (key, value)) in members.iter().enumerate() {
+                    out.push_str(if i > 0 { ", " } else { "" });
+                    push_escaped(out, key);
+                    out.push_str(": ");
+                    value.encode(out)?;
+                }
+                out.push('}');
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The encoder: one line, `": "` / `", "` separators, `null` for a
+/// non-finite number.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.encode(&mut out)?;
+        f.write_str(&out)
+    }
+}
+
+macro_rules! from_scalar {
+    ($($t:ty => $variant:ident),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::$variant(v.into())
+            }
+        }
+    )*};
+}
+from_scalar!(bool => Bool, i64 => Int, f64 => Num, &str => Str, String => Str);
+
+/// Unsigned integers stay exact up to `i64::MAX`; larger ones become a
+/// `Num` (still positive, never wrapped).
+macro_rules! from_unsigned {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                i64::try_from(v).map_or(Json::Num(v as f64), Json::Int)
+            }
+        }
+    )*};
+}
+from_unsigned!(u64, usize, u128);
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// Collects into an array.
+impl FromIterator<Json> for Json {
+    fn from_iter<I: IntoIterator<Item = Json>>(items: I) -> Json {
+        Json::Arr(items.into_iter().collect())
     }
 }
 
@@ -446,5 +551,51 @@ mod tests {
         let original = "line\n\"quoted\"\ttab\\slash\u{1}";
         let encoded = escaped(original);
         assert_eq!(parse(&encoded).unwrap(), Json::Str(original.into()));
+    }
+
+    #[test]
+    fn encoding_round_trips() {
+        let value = Json::obj([
+            (
+                "nested",
+                Json::obj([
+                    (
+                        "xs",
+                        Json::Arr(vec![1i64.into(), 2.5.into(), Json::Null, false.into()]),
+                    ),
+                    ("empty", Json::Obj(vec![])),
+                    (
+                        "rows",
+                        Json::Arr(vec![Json::Arr(vec![]), Json::Obj(vec![])]),
+                    ),
+                ]),
+            ),
+            ("escapes \"key\"", "q\"b\\s/\n\r\t".into()),
+            ("control", "\u{0}\u{8}\u{c}\u{1f}\u{7f}".into()),
+            ("astral", "\u{1F600} \u{10FFFF} é".into()),
+            ("min", i64::MIN.into()),
+            ("max", i64::MAX.into()),
+            ("whole", 2.0.into()),
+            ("tiny", (-1e-300).into()),
+            ("huge", 1e300.into()),
+        ]);
+        let text = value.to_string();
+        assert!(!text.contains('\n'), "one line: {text}");
+        assert!(text.starts_with(r#"{"nested": {"xs": [1, 2.5, null, false], "#));
+        assert_eq!(parse(&text).unwrap(), value);
+    }
+
+    #[test]
+    fn nonfinite_numbers_encode_null_and_big_unsigned_do_not_wrap() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::from(n).to_string(), "null");
+        }
+        assert_eq!(Json::from(i64::MAX as u64), Json::Int(i64::MAX));
+        for big in [Json::from(i64::MAX as u64 + 1), Json::from(u64::MAX)] {
+            let text = big.to_string();
+            assert!(!text.starts_with('-'), "{text} wrapped");
+            let back = parse(&text).unwrap();
+            assert!(matches!(back, Json::Num(n) if n >= 9.2e18), "{text}");
+        }
     }
 }

@@ -5,8 +5,9 @@
 //! nesting and monotonic timing, a bounded ring-buffer [`FlightRecorder`]
 //! that snapshots and dumps as JSON on demand or on degraded-mode
 //! transitions, a per-thread [`Sampler`] that lets a hot path time about
-//! one call in 64, and a pluggable [`Exporter`] trait with JSON-lines and
-//! in-memory implementations.
+//! one call in 64, a pluggable [`Exporter`] trait with JSON-lines and
+//! in-memory implementations, and the workspace's one JSON parser and
+//! encoder ([`json`]).
 //!
 //! # Global mode
 //!
@@ -36,6 +37,7 @@
 //! `docs/OBSERVABILITY.md`.
 
 mod export;
+pub mod json;
 mod metrics;
 mod recorder;
 mod sample;

@@ -16,9 +16,10 @@
 
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod server;
 pub mod wire;
 
+/// The JSON parser and string escaper the wire protocol uses.
+pub use agenp_obs::json;
 pub use client::{run_load, LoadOptions, LoadReport};
 pub use server::{HttpStats, PdpdServer, ServerOptions};

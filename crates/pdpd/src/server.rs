@@ -1,15 +1,14 @@
-//! The serving loop: a blocking `TcpListener` accept thread feeding a
-//! fixed worker pool over an mpsc channel (the `crates/asp/src/pool.rs`
-//! idiom: plain `std::thread` + channels, deterministic shutdown, no
-//! external runtime). Each worker owns a [`PdpPin`], so every connection
-//! it serves decides against a pinned snapshot revalidated by one epoch
-//! load per call, with no shared lock on the decision path. A worker drops
-//! a connection that idles past [`ServerOptions::idle_deadline`] or
-//! trickles a request past [`ServerOptions::request_deadline`], so an
-//! idle or slow client holds a worker for a bounded time only.
+//! The serving loop: a blocking `TcpListener` accept thread feeding a fixed
+//! worker pool over an mpsc channel (plain `std::thread` + channels,
+//! deterministic shutdown, no external runtime). Each worker owns a [`PdpPin`],
+//! so every connection it serves decides against a pinned snapshot revalidated
+//! by one epoch load per call, with no shared lock on the decision path. A
+//! worker drops a connection that idles past [`ServerOptions::idle_deadline`]
+//! or trickles a request past [`ServerOptions::request_deadline`], so an idle
+//! or slow client holds a worker for a bounded time only.
 
 use crate::http::{write_response, ConnBuf, HttpError, HttpRequest};
-use crate::json;
+use crate::json::{self, Json};
 use crate::wire;
 use agenp_core::arch::{PdpHandle, PdpPin, ServeStats};
 use std::io;
@@ -387,7 +386,7 @@ fn route(pin: &mut PdpPin, counters: &HttpCounters, request: &HttpRequest) -> (u
     }
 }
 
-fn parse_body(body: &[u8]) -> Result<json::Json, String> {
+fn parse_body(body: &[u8]) -> Result<Json, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     json::parse(text).map_err(|e| format!("bad JSON: {e}"))
 }
@@ -396,7 +395,7 @@ fn parse_batch_body(body: &[u8]) -> Result<Vec<agenp_policy::Request>, String> {
     let value = parse_body(body)?;
     let items = value
         .get("requests")
-        .and_then(json::Json::as_arr)
+        .and_then(Json::as_arr)
         .ok_or_else(|| "body must be {\"requests\": [...]}".to_string())?;
     items
         .iter()
@@ -410,21 +409,22 @@ fn parse_batch_body(body: &[u8]) -> Result<Vec<agenp_policy::Request>, String> {
 /// The obs-backed `/metrics` document: per-handle serve stats, HTTP-level
 /// counters, and (when telemetry is enabled) the full `agenp-obs` dump.
 fn metrics_body(serve: ServeStats, counters: &HttpCounters) -> String {
-    let obs = if agenp_obs::enabled() {
-        agenp_obs::snapshot("pdpd.metrics").to_json()
-    } else {
-        "null".to_string()
-    };
-    format!(
-        "{{\"serve\": {{\"decisions\": {}, \"publishes\": {}}}, \
-         \"http\": {{\"connections\": {}, \"ok\": {}, \"client_errors\": {}, \
-         \"decisions\": {}}}, \"obs\": {}}}",
-        serve.decisions,
-        serve.publishes,
-        counters.connections.load(Ordering::Relaxed),
-        counters.ok.load(Ordering::Relaxed),
-        counters.client_errors.load(Ordering::Relaxed),
-        counters.decisions.load(Ordering::Relaxed),
-        obs
-    )
+    let count = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed));
+    let http = Json::obj([
+        ("connections", count(&counters.connections)),
+        ("ok", count(&counters.ok)),
+        ("client_errors", count(&counters.client_errors)),
+        ("decisions", count(&counters.decisions)),
+    ]);
+    let serve = [
+        ("decisions", serve.decisions),
+        ("publishes", serve.publishes),
+    ];
+    let obs = agenp_obs::enabled().then(|| agenp_obs::snapshot("pdpd.metrics").json());
+    Json::obj([
+        ("serve", Json::obj(serve.map(|(k, v)| (k, v.into())))),
+        ("http", http),
+        ("obs", obs.into()),
+    ])
+    .to_string()
 }
