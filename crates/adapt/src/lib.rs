@@ -17,9 +17,9 @@
 //! - [`AdaptPlane`] — one synchronous `run_round`: mine, `Ams::observe`
 //!   each example, `Ams::adapt`. The context, translator, PCP
 //!   restrictions and run budget all live on the AMS. Serve-last-good on
-//!   failure; serving is never interrupted.
-//! - [`Relearner`] — the plane on a worker thread, triggered and
-//!   observed over channels.
+//!   failure; serving is never interrupted. The plane spawns no thread:
+//!   the caller runs rounds on whichever thread it likes while deciding
+//!   threads keep serving through [`AdaptPlane::handle`].
 //!
 //! Observability: span `adapt.mine` (the relearn itself records
 //! `ams.adapt`, `ams.refresh` and `serve.publish`); counters
@@ -31,9 +31,7 @@ mod log;
 mod miner;
 mod obs;
 mod plane;
-mod relearn;
 
 pub use crate::log::{DecisionLog, DecisionRecord};
 pub use crate::miner::{permit_text, MineStats, MinedBatch, Miner};
 pub use crate::plane::{AdaptPlane, RoundOutcome, RoundReport};
-pub use crate::relearn::Relearner;

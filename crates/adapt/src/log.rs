@@ -32,8 +32,8 @@ pub struct DecisionRecord {
 
 /// A bounded, thread-safe ring buffer of [`DecisionRecord`]s.
 ///
-/// Serving threads [`record`](DecisionLog::record) concurrently; the
-/// relearner [`drain`](DecisionLog::drain)s. The lock is held only for a
+/// Serving threads [`record`](DecisionLog::record) concurrently; each
+/// adaptation round [`drain`](DecisionLog::drain)s. The lock is held only for a
 /// push or a buffer swap, never across mining or learning.
 #[derive(Debug)]
 pub struct DecisionLog {

@@ -1,5 +1,5 @@
 //! The decision-history miner: turns a drained slice of the decision log
-//! into candidate learning examples ([`Feedback`]) for the relearner.
+//! into candidate learning examples ([`Feedback`]) for adaptation rounds.
 //!
 //! Mining is deliberately conservative and fully deterministic:
 //!

@@ -3,9 +3,9 @@
 //! `run_round` call into drain → mine → [`Ams::observe`] per example →
 //! [`Ams::adapt`] (learn → generate → PCP screen → publish).
 //!
-//! `run_round` is synchronous and deterministic — the background
-//! [`Relearner`](crate::Relearner) is a thin worker thread around it, so
-//! everything interesting is testable without threads.
+//! `run_round` is synchronous and deterministic, so it is testable without
+//! threads. To relearn while serving, run it on one thread while others
+//! decide through [`AdaptPlane::handle`]; they meet only at the publish.
 //!
 //! Failure semantics are serve-last-good: the plane pins its AMS to
 //! [`DegradedMode::ServeLastGood`], and a failed `Ams::adapt` commits
@@ -77,7 +77,6 @@ pub struct AdaptPlane {
     miner: Miner,
     log: Arc<DecisionLog>,
     min_examples: usize,
-    rounds: u64,
 }
 
 impl AdaptPlane {
@@ -91,7 +90,6 @@ impl AdaptPlane {
             miner: Miner::new(),
             log: Arc::new(DecisionLog::new(LOG_CAPACITY)),
             min_examples: 1,
-            rounds: 0,
         }
     }
 
@@ -117,11 +115,6 @@ impl AdaptPlane {
         self.ams.feedback_len()
     }
 
-    /// Rounds run (skipped, failed, or published).
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
     /// Generates, screens and publishes the initial policy set from the
     /// *unrefined* GPM ([`Ams::refresh_policies`]), so the handle serves
     /// live policies before any adaptation has happened. Returns the
@@ -140,7 +133,6 @@ impl AdaptPlane {
     /// evidence has accumulated — run [`Ams::adapt`]. Never blocks or
     /// perturbs serving; see the module docs for the failure contract.
     pub fn run_round(&mut self) -> RoundOutcome {
-        self.rounds += 1;
         let records = self.log.drain();
         let batch = self.miner.mine(&records, self.ams.context());
         let stats = batch.stats;
@@ -182,17 +174,19 @@ impl AdaptPlane {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use agenp_asp::Program;
     use agenp_core::arch::Feedback;
     use agenp_grammar::{Asg, ProdId};
     use agenp_learn::HypothesisSpace;
     use agenp_policy::{Decision, Effect, Request};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
 
     /// The AMS test fixture's gate grammar: permit/deny on clearance,
     /// with hypothesis-space constraints keying on a `lockdown` context.
-    pub(crate) fn gate(context: &str) -> Ams {
+    fn gate(context: &str) -> Ams {
         let g: Asg = r#"
             policy -> effect "if" "subject" "clearance" "=" level
             effect -> "permit" { e(permit). }
@@ -213,7 +207,7 @@ pub(crate) mod tests {
 
     /// Records `decision` for a request of `clearance`, as an operator
     /// overriding whatever the plane served.
-    pub(crate) fn record(plane: &AdaptPlane, clearance: &str, decision: Decision) {
+    fn record(plane: &AdaptPlane, clearance: &str, decision: Decision) {
         let req = Request::new().subject("clearance", clearance);
         let mut outcome = plane.handle().decide(&req);
         outcome.decision = decision;
@@ -273,6 +267,49 @@ pub(crate) mod tests {
             .flat_map(|p| p.rules.iter())
             .all(|r| r.effect == Effect::Deny));
         let req = Request::new().subject("clearance", "high");
+        assert_eq!(handle.decide(&req).decision, Decision::Deny);
+    }
+
+    #[test]
+    fn relearns_while_serving_continues() {
+        let mut plane = AdaptPlane::new(gate("lockdown."));
+        let first = plane.publish_initial().unwrap();
+        let handle = plane.handle();
+        for clearance in ["high", "low"] {
+            record(&plane, clearance, Decision::Deny);
+        }
+        let req = Request::new().subject("clearance", "high");
+        let serving = Barrier::new(2);
+        let done = AtomicBool::new(false);
+        let (outcome, last_epoch) = std::thread::scope(|s| {
+            let decider = s.spawn(|| {
+                let mut outcome = handle.decide(&req);
+                // Serving is under way before the round starts.
+                serving.wait();
+                let (mut last, mut stopped) = (first, false);
+                loop {
+                    assert!(outcome.error.is_none(), "serving degraded during relearn");
+                    assert!(outcome.epoch >= last, "epoch went backwards");
+                    last = outcome.epoch;
+                    if stopped {
+                        return last;
+                    }
+                    // Once the round has returned, the next decide must
+                    // see the epoch it published.
+                    stopped = done.load(Ordering::Acquire);
+                    outcome = handle.decide(&req);
+                }
+            });
+            serving.wait();
+            let outcome = plane.run_round();
+            done.store(true, Ordering::Release);
+            (outcome, decider.join().expect("decider panicked"))
+        });
+        let report = outcome.published().expect("round should publish");
+        assert_eq!(report.epoch, first + 1);
+        // The refined epoch is visible through the same handle.
+        assert_eq!(last_epoch, report.epoch);
+        assert_eq!(handle.snapshot().epoch(), report.epoch);
         assert_eq!(handle.decide(&req).decision, Decision::Deny);
     }
 

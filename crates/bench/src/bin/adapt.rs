@@ -3,19 +3,20 @@
 //!
 //! One [`AdaptPlane`] — a front end of an [`Ams`] — serves a leveled
 //! permit grammar while worker threads hammer its [`PdpHandle`]. The
-//! harness measures decide throughput in two phases — idle (no
-//! relearner) and relearn (the background [`Relearner`] runs a sequence
-//! of adaptation rounds, each mining one new operator denial and
-//! republishing a refined policy set through `Ams::adapt`)
-//! — and validates the serving invariants the whole design rests on:
+//! harness measures decide throughput in two phases — idle (no rounds
+//! run) and relearn (the main thread runs a sequence of
+//! [`AdaptPlane::run_round`] calls, each mining one new operator denial
+//! and republishing a refined policy set through `Ams::adapt`) — and
+//! validates the serving invariants the whole design rests on:
 //!
 //! - **zero stale decisions**: every decision agrees with the policy set
 //!   of its *own* epoch (each round removes one more level, so a stale
 //!   snapshot renders a visibly wrong decision);
 //! - **epoch monotonicity**: no deciding thread ever observes the epoch
 //!   moving backwards;
-//! - **time-to-adoption**: per round, the time from trigger until a
-//!   deciding thread first serves a decision at the refined epoch.
+//! - **time-to-adoption**: per round, the time from the round's start
+//!   until a deciding thread first serves a decision at the refined epoch
+//!   (claims: the p50 and the max over the published rounds).
 //!
 //! Writes `BENCH_adapt.json` (through [`agenp_bench::write_bench`]).
 //! `--smoke` runs reduced scales. Both modes exit nonzero on malformed
@@ -25,8 +26,8 @@
 //!
 //! Usage: `cargo run -p agenp-bench --bin adapt --release [-- --smoke]`
 
-use agenp_adapt::{AdaptPlane, Relearner, RoundOutcome};
-use agenp_bench::{cpus, fixed, print_table, write_bench};
+use agenp_adapt::{AdaptPlane, RoundOutcome};
+use agenp_bench::{cpus, fixed, percentile, print_table, write_bench};
 use agenp_core::arch::{Ams, PdpHandle};
 use agenp_grammar::{Asg, ProdId};
 use agenp_learn::HypothesisSpace;
@@ -100,12 +101,11 @@ fn main() {
         .publish_initial()
         .expect("adapt: initial policy generation failed");
     let handle = plane.handle();
-    let log = plane.log();
     let workload: Vec<Request> = (0..levels)
         .map(|i| Request::new().subject("clearance", format!("l{i}")))
         .collect();
 
-    // Phase 1: idle throughput (no relearner running at all).
+    // Phase 1: idle throughput (no round runs at all).
     let idle_inv = Invariants::default();
     let idle = run_phase(
         &handle,
@@ -119,11 +119,10 @@ fn main() {
         },
     );
 
-    // Phase 2: the same serving load while the background relearner runs
+    // Phase 2: the same serving load while the main thread runs
     // `rounds` adaptation rounds; the phase lasts at least as long as the
     // idle window and as long as the rounds need.
     let relearn_inv = Invariants::default();
-    let relearner = Relearner::spawn(plane);
     let mut round_rows: Vec<RoundRow> = Vec::with_capacity(rounds);
     let relearn = run_phase(
         &handle,
@@ -134,7 +133,7 @@ fn main() {
         |stop| {
             let started = Instant::now();
             for round in 0..rounds {
-                round_rows.push(drive_round(round, &relearner, &handle, &log, &relearn_inv));
+                round_rows.push(drive_round(round, &mut plane, &relearn_inv));
             }
             if started.elapsed() < phase {
                 std::thread::sleep(phase - started.elapsed());
@@ -142,7 +141,6 @@ fn main() {
             stop.store(true, Ordering::Relaxed);
         },
     );
-    let plane = relearner.shutdown();
 
     let ratio = if idle.throughput > 0.0 {
         relearn.throughput / idle.throughput
@@ -153,11 +151,14 @@ fn main() {
     let regressions = idle_inv.regressions.load(Ordering::Relaxed)
         + relearn_inv.regressions.load(Ordering::Relaxed);
     let published = round_rows.iter().filter(|r| r.published).count();
-    let max_adoption = round_rows
+    let mut adoptions: Vec<f64> = round_rows
         .iter()
         .filter(|r| r.published)
         .map(|r| r.adoption_ms)
-        .fold(0.0f64, f64::max);
+        .collect();
+    adoptions.sort_by(f64::total_cmp);
+    let p50_adoption = percentile(&adoptions, 50.0);
+    let max_adoption = adoptions.last().copied().unwrap_or(0.0);
     let final_epoch = handle.snapshot().epoch();
     let cpus = cpus();
 
@@ -170,7 +171,7 @@ fn main() {
     ]);
     let rounds_json: Vec<Json> = round_rows.iter().map(RoundRow::json).collect();
     print_table(
-        "relearn-while-serving (shared handle, background relearner):",
+        "relearn-while-serving (shared handle, rounds on the main thread):",
         std::slice::from_ref(&serving),
         &[
             "threads",
@@ -208,6 +209,7 @@ fn main() {
         ],
         vec![
             ("relearn_over_idle_throughput", fixed(ratio, 4)),
+            ("p50_adoption_ms", fixed(p50_adoption, 2)),
             ("max_adoption_ms", fixed(max_adoption, 2)),
         ],
     );
@@ -232,7 +234,7 @@ fn main() {
         std::process::exit(1);
     }
     // The throughput-interference gate needs enough CPUs to actually run
-    // the deciders and the relearner in parallel.
+    // the deciders and the rounds in parallel.
     if cpus >= 4 {
         if ratio < 0.75 {
             eprintln!(
@@ -247,7 +249,7 @@ fn main() {
     }
     println!(
         "BENCH_adapt.json validated ({published}/{rounds} rounds, 0 stale, 0 regressions, \
-         relearn/idle {:.2}, max adoption {max_adoption:.1} ms)",
+         relearn/idle {:.2}, adoption p50 {p50_adoption:.2} ms, max {max_adoption:.2} ms)",
         ratio
     );
 }
@@ -337,26 +339,17 @@ fn run_phase(
 }
 
 /// One adaptation round: log the operator's denial of the next level,
-/// trigger the relearner, wait for the outcome, then wait until a
-/// deciding thread has actually served at the refined epoch.
-fn drive_round(
-    round: usize,
-    relearner: &Relearner,
-    handle: &PdpHandle,
-    log: &std::sync::Arc<agenp_adapt::DecisionLog>,
-    inv: &Invariants,
-) -> RoundRow {
+/// run the round on this thread, then wait until a deciding thread has
+/// actually served at the refined epoch.
+fn drive_round(round: usize, plane: &mut AdaptPlane, inv: &Invariants) -> RoundRow {
     let req = Request::new().subject("clearance", format!("l{round}"));
-    let mut overridden = handle.decide(&req);
+    let mut overridden = plane.handle().decide(&req);
     overridden.decision = Decision::Deny; // the operator overrode the permit
-    log.record(&req, &overridden);
+    plane.log().record(&req, &overridden);
 
-    let triggered = Instant::now();
-    relearner.trigger();
-    let outcome = relearner
-        .wait_outcome(Duration::from_secs(60))
-        .expect("adapt: relearner produced no outcome within 60s");
-    let round_ms = triggered.elapsed().as_secs_f64() * 1000.0;
+    let started = Instant::now();
+    let outcome = plane.run_round();
+    let round_ms = started.elapsed().as_secs_f64() * 1000.0;
     let mut row = RoundRow {
         round,
         epoch: 0,
@@ -379,7 +372,7 @@ fn drive_round(
                 );
                 std::thread::yield_now();
             }
-            row.adoption_ms = triggered.elapsed().as_secs_f64() * 1000.0;
+            row.adoption_ms = started.elapsed().as_secs_f64() * 1000.0;
             row.epoch = report.epoch;
             row.examples = report.examples_used;
             row.constraints = report.constraints_learned;

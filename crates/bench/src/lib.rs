@@ -119,6 +119,15 @@ pub fn cpus() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
+/// The nearest-rank `pct` percentile of ascending `sorted` (0 when empty).
+pub fn percentile<T: Copy + Default>(sorted: &[T], pct: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// `x` rounded to `places` decimals, the value `format!("{x:.places$}")`
 /// prints.
 pub fn fixed(x: f64, places: usize) -> Json {

@@ -408,7 +408,7 @@ impl<'a> Simulation<'a> {
             }
         }
         let p = &self.parties[party];
-        if !p.up || p.recovering || p.version == 0 {
+        if !p.up || p.recovering() {
             return;
         }
         let version = p.version;
@@ -424,8 +424,8 @@ impl<'a> Simulation<'a> {
     }
 
     /// One refresh attempt by `party`: under a degraded wave the attempt
-    /// fails party-side (deny-by-default parties publish a degraded
-    /// denying snapshot); otherwise a request goes to the repository.
+    /// fails party-side (the party's lifecycle degrades per its mode);
+    /// otherwise a request goes to the repository.
     fn attempt_refresh(&mut self, tick: u64, party: usize) {
         if !self.parties[party].up {
             return;
@@ -433,10 +433,12 @@ impl<'a> Simulation<'a> {
         if self.injector.wave_failing(tick, party) {
             self.stats.refresh_failures += 1;
             let p = &mut self.parties[party];
-            if p.mode == DegradedMode::DenyByDefault && p.serving != Serving::Denying {
-                p.publish_denying(AmsError::Unavailable(format!(
+            // A party already denying has nothing left to degrade.
+            if p.serving() != Serving::Denying
+                && p.refresh_failed(&AmsError::Unavailable(format!(
                     "refresh failed under degraded wave at tick {tick}"
-                )));
+                )))
+            {
                 self.stats.degraded_publishes += 1;
             }
             return;
@@ -517,7 +519,8 @@ impl<'a> Simulation<'a> {
             return;
         }
         let p = &mut self.parties[party];
-        let adopt = version > p.version || (p.serving == Serving::Denying && version >= p.version);
+        let adopt =
+            version > p.version || (p.serving() == Serving::Denying && version >= p.version);
         if !adopt {
             return;
         }
@@ -566,7 +569,7 @@ impl<'a> Simulation<'a> {
                     Decision::Deny => self.stats.denies += 1,
                     Decision::NotApplicable | Decision::Indeterminate => self.stats.gaps += 1,
                 }
-                let serving_version = match self.parties[party].serving {
+                let serving_version = match self.parties[party].serving() {
                     Serving::Healthy { version } => Some(version),
                     Serving::Denying => None,
                 };
@@ -574,7 +577,7 @@ impl<'a> Simulation<'a> {
                     tick,
                     party,
                     serving_version,
-                    self.parties[party].last_publish_epoch,
+                    self.parties[party].last_publish_epoch(),
                     self.head,
                     idx,
                     &self.workload[idx],
@@ -648,7 +651,7 @@ impl<'a> Simulation<'a> {
         }
         for party in 0..self.parties.len() {
             let p = &self.parties[party];
-            if !p.up || p.recovering || self.injector.wave_overlaps(party, heal_tick, tick) {
+            if !p.up || p.recovering() || self.injector.wave_overlaps(party, heal_tick, tick) {
                 continue;
             }
             if p.version < floor {
@@ -672,11 +675,10 @@ impl<'a> Simulation<'a> {
         let head = self.head;
         for party in 0..self.parties.len() {
             let p = &self.parties[party];
-            if !p.up || p.recovering || p.serving != (Serving::Healthy { version: head }) {
-                let detail = format!(
-                    "up={} recovering={} serving={:?} head=v{head}",
-                    p.up, p.recovering, p.serving
-                );
+            let (up, recovering, serving) = (p.up, p.recovering(), p.serving());
+            if !up || recovering || serving != (Serving::Healthy { version: head }) {
+                let detail =
+                    format!("up={up} recovering={recovering} serving={serving:?} head=v{head}");
                 self.checker
                     .report(tick, Some(party), "final-convergence", detail);
             }

@@ -1,16 +1,12 @@
-//! One simulated AMS party: a [`PdpHandle`] serving decision traffic, a
-//! degraded-mode setting, and the minimal control-plane state the fabric
-//! protocol needs (adopted policy version, up/recovering flags).
-//!
-//! The party's serving lifecycle mirrors the real
-//! [`Ams`](agenp_core::arch::Ams): it boots *recovering* with a denying
-//! snapshot (deny-by-default until the first refresh lands), publishes a
-//! healthy snapshot whenever it adopts a coalition policy version, and on
-//! a failed refresh either publishes a degraded denying snapshot
-//! ([`DegradedMode::DenyByDefault`]) or keeps serving the last good one
-//! ([`DegradedMode::ServeLastGood`]).
+//! One simulated AMS party: the [`Lifecycle`] the real
+//! [`Ams`](agenp_core::arch::Ams) serves through, plus the minimal
+//! control-plane state the fabric protocol needs (adopted policy version,
+//! up flag). It boots *recovering* and denying until the first refresh
+//! lands, publishes a healthy snapshot whenever it adopts a coalition
+//! policy version, and on a failed refresh degrades per its
+//! [`DegradedMode`].
 
-use agenp_core::arch::{AmsError, DecisionSnapshot, DegradedMode, PdpHandle};
+use agenp_core::arch::{AmsError, DecisionSnapshot, DegradedMode, Lifecycle, PdpHandle, Trigger};
 use agenp_policy::{CombiningAlg, Policy};
 
 /// What a party's current snapshot can legitimately answer.
@@ -32,21 +28,11 @@ pub enum Serving {
 pub struct SimParty {
     /// The party's node id (also its index).
     pub id: usize,
-    /// What this party does when a refresh fails.
-    pub mode: DegradedMode,
     /// False while crashed: no messages, no decisions.
     pub up: bool,
-    /// True from boot/restart until the first successful adoption.
-    pub recovering: bool,
     /// The coalition policy version this party has adopted (0 = none).
     pub version: u64,
-    /// What the current snapshot legitimately serves.
-    pub serving: Serving,
-    /// The epoch assigned by the party's most recent publish. Every
-    /// decision outcome must carry exactly this epoch — anything else is
-    /// a stale-epoch serve.
-    pub last_publish_epoch: u64,
-    handle: PdpHandle,
+    lifecycle: Lifecycle,
 }
 
 impl SimParty {
@@ -54,42 +40,56 @@ impl SimParty {
     pub fn new(id: usize, mode: DegradedMode) -> SimParty {
         let mut party = SimParty {
             id,
-            mode,
             up: true,
-            recovering: true,
             version: 0,
-            serving: Serving::Denying,
-            last_publish_epoch: 0,
-            handle: PdpHandle::new(),
+            lifecycle: Lifecycle::new(mode),
         };
-        party.publish_denying(AmsError::Unavailable(
-            "awaiting first policy snapshot".to_owned(),
-        ));
+        party.unavailable("awaiting first policy snapshot");
         party
     }
 
     /// The party's serving handle (pin per decision batch).
     pub fn handle(&self) -> &PdpHandle {
-        &self.handle
+        self.lifecycle.handle()
+    }
+
+    /// True from boot/restart until the first successful adoption.
+    pub fn recovering(&self) -> bool {
+        self.version == 0
+    }
+
+    /// What the current snapshot legitimately serves.
+    pub fn serving(&self) -> Serving {
+        let version = self.version;
+        if self.lifecycle.is_degraded() {
+            Serving::Denying
+        } else {
+            Serving::Healthy { version }
+        }
+    }
+
+    /// The epoch assigned by the party's most recent publish. Every
+    /// decision outcome must carry exactly this epoch — anything else is
+    /// a stale-epoch serve.
+    pub fn last_publish_epoch(&self) -> u64 {
+        self.lifecycle.epoch()
     }
 
     /// Adopts coalition policy version `version` with its policy set:
     /// publishes a healthy snapshot and leaves recovery.
     pub fn publish_healthy(&mut self, version: u64, policies: Vec<Policy>) {
-        self.last_publish_epoch = self
-            .handle
-            .publish(DecisionSnapshot::new(policies, CombiningAlg::DenyOverrides));
+        self.lifecycle.publish(Trigger::Refreshed, || {
+            DecisionSnapshot::new(policies, CombiningAlg::DenyOverrides)
+        });
         self.version = version;
-        self.serving = Serving::Healthy { version };
-        self.recovering = false;
     }
 
-    /// Publishes a degraded denying snapshot carrying `error`.
-    pub fn publish_denying(&mut self, error: AmsError) {
-        self.last_publish_epoch = self.handle.publish(
-            DecisionSnapshot::new(Vec::new(), CombiningAlg::DenyOverrides).degraded(error),
-        );
-        self.serving = Serving::Denying;
+    /// A refresh failed with `error`; the lifecycle degrades per the
+    /// party's mode. Returns whether a degraded snapshot was published.
+    pub fn refresh_failed(&mut self, error: &AmsError) -> bool {
+        self.lifecycle
+            .publish(Trigger::RefreshFailed(error), no_policies)
+            .is_some()
     }
 
     /// Crashes the party: it stops serving and receiving until restarted.
@@ -101,16 +101,24 @@ impl SimParty {
     /// serving tier (the old snapshot and epochs are gone), no
     /// adopted version, recovering and denying until a refresh lands.
     pub fn restart(&mut self) {
-        self.handle = PdpHandle::new();
+        self.lifecycle = Lifecycle::new(self.lifecycle.mode());
         self.up = true;
-        self.recovering = true;
         self.version = 0;
-        self.serving = Serving::Denying;
-        self.last_publish_epoch = 0;
-        self.publish_denying(AmsError::Unavailable(
-            "state lost in crash-restart".to_owned(),
-        ));
+        self.unavailable("state lost in crash-restart");
     }
+
+    /// Publishes a denying snapshot: the party has no state to serve.
+    fn unavailable(&mut self, why: &str) {
+        let error = AmsError::Unavailable(why.to_owned());
+        self.lifecycle
+            .publish(Trigger::Unavailable(&error), no_policies);
+    }
+}
+
+/// The base of a denying snapshot: a degraded snapshot never evaluates
+/// its policies, so it carries none.
+fn no_policies() -> DecisionSnapshot {
+    DecisionSnapshot::new(Vec::new(), CombiningAlg::DenyOverrides)
 }
 
 #[cfg(test)]
@@ -122,27 +130,27 @@ mod tests {
     fn boots_denying_then_adopts_then_restarts_denying() {
         let mut p = SimParty::new(3, DegradedMode::DenyByDefault);
         let req = Request::new().subject("role", "auditor");
-        assert!(p.recovering);
+        assert!(p.recovering());
         let boot = p.handle().pin().decide(&req);
         assert_eq!(boot.decision, Decision::Deny);
         assert!(boot.error.is_some());
-        assert_eq!(boot.epoch, p.last_publish_epoch);
+        assert_eq!(boot.epoch, p.last_publish_epoch());
 
         p.publish_healthy(2, crate::sim::scenario::coalition_policies(2));
-        assert!(!p.recovering);
-        assert_eq!(p.serving, Serving::Healthy { version: 2 });
+        assert!(!p.recovering());
+        assert_eq!(p.serving(), Serving::Healthy { version: 2 });
         let healthy = p.handle().pin().decide(&req);
         assert_eq!(healthy.decision, Decision::Permit);
         assert!(healthy.error.is_none());
-        assert_eq!(healthy.epoch, p.last_publish_epoch);
+        assert_eq!(healthy.epoch, p.last_publish_epoch());
 
         p.crash();
         assert!(!p.up);
         p.restart();
-        assert!(p.up && p.recovering);
+        assert!(p.up && p.recovering());
         assert_eq!(p.version, 0);
         let lost = p.handle().pin().decide(&req);
         assert_eq!(lost.decision, Decision::Deny, "state loss must deny");
-        assert_eq!(lost.epoch, p.last_publish_epoch);
+        assert_eq!(lost.epoch, p.last_publish_epoch());
     }
 }

@@ -5,12 +5,14 @@
 //! Decision-making is split out of the mutable AMS: every control-plane
 //! mutation ([`Ams::adopt_gpm`], [`Ams::set_context`],
 //! [`Ams::refresh_policies`], [`Ams::adapt`]) publishes an immutable
-//! [`DecisionSnapshot`] through a [`PdpHandle`], and [`Ams::decide`] — a
-//! `&self` method — serves against whatever snapshot is current. Worker
+//! [`DecisionSnapshot`] through the AMS's [`Lifecycle`], which applies the
+//! [`DegradedMode`] rule, and [`Ams::decide`] — a `&self` method — serves
+//! against whatever snapshot is current. Worker
 //! threads can clone [`Ams::serving_handle`] and decide concurrently while
 //! the control loop builds the next snapshot.
 
 use crate::arch::goals::{GoalMonitor, GoalPolicy, GoalViolation};
+use crate::arch::lifecycle::{DegradedMode, Lifecycle, Trigger};
 use crate::arch::padap::{Adaptation, Feedback, Padap};
 use crate::arch::pcp::{Pcp, Verdict};
 use crate::arch::prep::{CanonicalTranslator, PolicyTranslator, Prep};
@@ -91,25 +93,6 @@ impl From<LearnError> for AmsError {
     }
 }
 
-/// What the serving tier does when a policy refresh fails.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DegradedMode {
-    /// Publish a degraded snapshot: every decision renders a fail-safe
-    /// [`Decision::Deny`] carrying the refresh error, until a refresh
-    /// succeeds. Every snapshot published meanwhile — by
-    /// [`Ams::set_context`] or [`Ams::adopt_gpm`] too — stays degraded.
-    /// The conservative default.
-    #[default]
-    DenyByDefault,
-    /// Keep serving the last successfully published snapshot, untouched.
-    /// Decisions stay consistent (if stale); the refresh error is only
-    /// reported to the caller of the failed refresh. The adaptation plane
-    /// (`agenp-adapt`) pins this mode so a failed online round leaves
-    /// serving as it was, and the coalition sim's parties ride out chaos
-    /// waves with it (see `agenp-coalition`).
-    ServeLastGood,
-}
-
 /// An Autonomous Management System instance.
 #[derive(Debug)]
 pub struct Ams {
@@ -119,13 +102,8 @@ pub struct Ams {
     gpm: Asg,
     repr_repo: RepresentationsRepository,
     policy_repo: PolicyRepository,
-    serving: PdpHandle,
+    lifecycle: Lifecycle,
     combining: CombiningAlg,
-    degraded_mode: DegradedMode,
-    /// The error of the last refresh that failed under
-    /// [`DegradedMode::DenyByDefault`]. While set, every published
-    /// snapshot is degraded with it; a successful refresh clears it.
-    refresh_error: Option<AmsError>,
     prep: Prep,
     /// Learns from the PBMS-provided initial GPM (CFG + high-level
     /// constraints), kept pristine in its session, plus every observation.
@@ -145,15 +123,13 @@ impl Ams {
     pub fn new(name: &str, initial_gpm: Asg, space: HypothesisSpace) -> Ams {
         let mut repr_repo = RepresentationsRepository::new();
         repr_repo.store(initial_gpm.clone(), "initial");
-        let ams = Ams {
+        let mut ams = Ams {
             name: name.to_owned(),
             gpm: initial_gpm.clone(),
             repr_repo,
             policy_repo: PolicyRepository::new(),
-            serving: PdpHandle::new(),
+            lifecycle: Lifecycle::default(),
             combining: CombiningAlg::DenyOverrides,
-            degraded_mode: DegradedMode::default(),
-            refresh_error: None,
             prep: Prep::new(),
             padap: Padap::new(initial_gpm, space),
             pcp: Pcp::new(),
@@ -162,7 +138,7 @@ impl Ams {
             goals: Mutex::new(GoalMonitor::new(Vec::new(), 32)),
             budget: RunBudget::default(),
         };
-        ams.publish_current();
+        ams.publish(Trigger::Changed);
         ams
     }
 
@@ -190,15 +166,12 @@ impl Ams {
     /// drops a held deny-by-default refresh error, so the next publish
     /// serves the last good policy set.
     pub fn set_degraded_mode(&mut self, mode: DegradedMode) {
-        self.degraded_mode = mode;
-        if mode == DegradedMode::ServeLastGood {
-            self.refresh_error = None;
-        }
+        self.lifecycle.set_mode(mode);
     }
 
     /// The configured degraded-mode behavior.
     pub fn degraded_mode(&self) -> DegradedMode {
-        self.degraded_mode
+        self.lifecycle.mode()
     }
 
     /// A cheap-to-clone, `Send + Sync` handle onto this AMS's serving
@@ -206,13 +179,13 @@ impl Ams {
     /// mutates and republishes; a clone stays wired to this AMS for its
     /// whole life.
     pub fn serving_handle(&self) -> PdpHandle {
-        self.serving.clone()
+        self.lifecycle.handle().clone()
     }
 
     /// The snapshot currently being served (diagnostics; deciding through
     /// [`Ams::decide`] or a [`PdpHandle`] is the normal path).
     pub fn current_snapshot(&self) -> std::sync::Arc<DecisionSnapshot> {
-        self.serving.snapshot()
+        self.lifecycle.handle().snapshot()
     }
 
     /// Installs the PBMS-provided goal policies (paper policy type (ii)),
@@ -265,7 +238,7 @@ impl Ams {
     /// refresh failure is unrecovered.
     pub fn set_context(&mut self, context: Program) {
         self.context = context;
-        self.publish_current();
+        self.publish(Trigger::Changed);
     }
 
     /// The current context.
@@ -285,7 +258,7 @@ impl Ams {
     pub fn adopt_gpm(&mut self, gpm: Asg, note: &str) {
         self.repr_repo.store(gpm.clone(), note);
         self.gpm = gpm;
-        self.publish_current();
+        self.publish(Trigger::Changed);
     }
 
     /// The representations repository (GPM versions).
@@ -298,18 +271,14 @@ impl Ams {
         &self.policy_repo
     }
 
-    /// Builds a snapshot of the current state — degraded with the held
-    /// refresh error, if any — and publishes it; returns the assigned
-    /// epoch.
-    fn publish_current(&self) -> u64 {
-        let mut snapshot =
+    /// Publishes a snapshot of the current policies, GPM and context for
+    /// `trigger`, as the lifecycle decides (see [`Lifecycle::publish`]).
+    fn publish(&mut self, trigger: Trigger<'_>) {
+        self.lifecycle.publish(trigger, || {
             DecisionSnapshot::new(self.policy_repo.policies().to_vec(), self.combining)
                 .with_gpm(self.gpm.clone())
-                .with_context(self.context.clone());
-        if let Some(e) = &self.refresh_error {
-            snapshot = snapshot.degraded(e.clone());
-        }
-        self.serving.publish(snapshot)
+                .with_context(self.context.clone())
+        });
     }
 
     /// PReP step: regenerates the policy repository from the current GPM
@@ -340,23 +309,19 @@ impl Ams {
                     self.gpm = gpm.clone();
                 }
                 self.policy_repo.replace_all(vec![policy]);
-                self.refresh_error = None;
-                self.publish_current();
+                self.publish(Trigger::Refreshed);
                 Ok(screened)
             }
             Err(e) => {
                 span.record("error", true);
                 span.record(
                     "degraded_mode",
-                    match self.degraded_mode {
+                    match self.lifecycle.mode() {
                         DegradedMode::DenyByDefault => "deny_by_default",
                         DegradedMode::ServeLastGood => "serve_last_good",
                     },
                 );
-                if self.degraded_mode == DegradedMode::DenyByDefault {
-                    self.refresh_error = Some(e.clone());
-                    self.publish_current();
-                }
+                self.publish(Trigger::RefreshFailed(&e));
                 // A degraded-mode transition is exactly when an operator
                 // wants the telemetry that led up to it: flush the flight
                 // recorder through the installed exporter, if any.
@@ -400,7 +365,7 @@ impl Ams {
     /// handle) concurrently with control-plane mutations. The outcome
     /// feeds the goal monitor (`grant_rate`, `gap_rate`).
     pub fn decide(&self, request: &Request) -> DecisionOutcome {
-        let outcome = self.serving.decide(request);
+        let outcome = self.lifecycle.handle().decide(request);
         let mut goals = self.goals.lock().expect("goal monitor poisoned");
         goals.observe_bool("grant_rate", outcome.decision == Decision::Permit);
         goals.observe_bool(
@@ -418,7 +383,7 @@ impl Ams {
     /// consistency contract), and the goal monitor fed under a single lock
     /// acquisition instead of one per request.
     pub fn decide_batch(&self, requests: &[Request]) -> Vec<DecisionOutcome> {
-        let outcomes = self.serving.decide_batch(requests);
+        let outcomes = self.lifecycle.handle().decide_batch(requests);
         let mut goals = self.goals.lock().expect("goal monitor poisoned");
         for outcome in &outcomes {
             goals.observe_bool("grant_rate", outcome.decision == Decision::Permit);

@@ -6,6 +6,7 @@
 
 mod ams;
 mod goals;
+mod lifecycle;
 mod obs;
 mod padap;
 mod pcp;
@@ -14,8 +15,9 @@ mod prep;
 mod repr;
 mod serve;
 
-pub use ams::{Ams, AmsError, DegradedMode};
+pub use ams::{Ams, AmsError};
 pub use goals::{GoalDirection, GoalMonitor, GoalPolicy, GoalViolation};
+pub use lifecycle::{DegradedMode, Lifecycle, Trigger};
 pub use obs::ServeMetrics;
 pub use padap::{Adaptation, Feedback, Padap};
 pub use pcp::{Pcp, Verdict};
