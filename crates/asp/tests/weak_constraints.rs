@@ -1,7 +1,7 @@
 //! Tests for weak constraints and optimization (utility-based policies,
 //! paper §I's third policy type).
 
-use agenp_asp::{ground, CostVector, Program, Solver};
+use agenp_asp::{ground, ground_with, CostVector, GroundError, GroundOptions, Program, Solver};
 
 #[test]
 fn parses_and_displays_weak_constraints() {
@@ -135,6 +135,15 @@ fn cost_vector_ordering() {
     assert_eq!(zero, CostVector::from_contributions([(0, 0)]));
     assert_eq!(format!("{a}"), "2@1 100@0");
     assert_eq!(format!("{zero}"), "0");
+}
+
+#[test]
+fn weak_constraints_obey_the_atom_budget() {
+    // The facts make ten atoms; the weak constraint's negated atoms
+    // `q(1..10)` would make twenty, past the budget of fifteen.
+    let p: Program = "p(1..10). :~ p(X), not q(X). [1@1]".parse().unwrap();
+    let err = ground_with(&p, GroundOptions::default().with_max_atoms(15)).unwrap_err();
+    assert_eq!(err, GroundError::Budget { max_atoms: 15 });
 }
 
 #[test]

@@ -87,9 +87,7 @@ impl SimParty {
     /// A refresh failed with `error`; the lifecycle degrades per the
     /// party's mode. Returns whether a degraded snapshot was published.
     pub fn refresh_failed(&mut self, error: &AmsError) -> bool {
-        self.lifecycle
-            .publish(Trigger::RefreshFailed(error), no_policies)
-            .is_some()
+        self.fail(Trigger::RefreshFailed(error))
     }
 
     /// Crashes the party: it stops serving and receiving until restarted.
@@ -110,15 +108,20 @@ impl SimParty {
     /// Publishes a denying snapshot: the party has no state to serve.
     fn unavailable(&mut self, why: &str) {
         let error = AmsError::Unavailable(why.to_owned());
-        self.lifecycle
-            .publish(Trigger::Unavailable(&error), no_policies);
+        self.fail(Trigger::Unavailable(&error));
     }
-}
 
-/// The base of a denying snapshot: a degraded snapshot never evaluates
-/// its policies, so it carries none.
-fn no_policies() -> DecisionSnapshot {
-    DecisionSnapshot::new(Vec::new(), CombiningAlg::DenyOverrides)
+    /// Publishes for a failure trigger. The lifecycle builds no snapshot
+    /// for one: it holds the error and publishes an empty degraded
+    /// snapshot, or (a failed refresh under serve-last-good) publishes
+    /// nothing. Returns whether it published.
+    fn fail(&mut self, trigger: Trigger<'_>) -> bool {
+        self.lifecycle
+            .publish(trigger, || {
+                unreachable!("failure triggers build no snapshot")
+            })
+            .is_some()
+    }
 }
 
 #[cfg(test)]

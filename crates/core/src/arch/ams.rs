@@ -531,6 +531,31 @@ mod tests {
     }
 
     #[test]
+    fn refresh_translates_the_language_admitted_in_context() {
+        let g: Asg = r#"
+            policy -> effect "if" "subject" "role" "=" role
+            effect -> "permit" { e(permit). }
+            effect -> "deny"   { e(deny). }
+            role -> "dba"    { :- blocked(dba). }
+            role -> "intern" { :- blocked(intern). }
+        "#
+        .parse()
+        .unwrap();
+        let mut ams = Ams::new("prep", g, HypothesisSpace::new());
+        ams.set_context("blocked(intern).".parse().unwrap());
+        ams.refresh_policies().unwrap();
+        let rules: Vec<usize> = ams
+            .policies()
+            .policies()
+            .iter()
+            .map(|p| p.rules.len())
+            .collect();
+        assert_eq!(rules, vec![2]);
+        let dba = Request::new().subject("role", "dba");
+        assert_ne!(ams.decide(&dba).decision, Decision::NotApplicable);
+    }
+
+    #[test]
     fn budget_exhaustion_is_recoverable_and_denies_by_default() {
         let (g, space) = gate();
         let mut ams = Ams::new("gamma", g, space);

@@ -4,6 +4,7 @@
 
 use crate::arch::ams::AmsError;
 use crate::arch::serve::{DecisionSnapshot, PdpHandle};
+use agenp_policy::CombiningAlg;
 
 /// What the serving tier does when a policy refresh fails.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -84,10 +85,12 @@ impl Lifecycle {
         self.error.is_some()
     }
 
-    /// Applies `trigger`, then publishes the caller's healthy `snapshot()`,
-    /// degraded while an error is held, and returns its epoch. A failed
-    /// refresh under [`DegradedMode::ServeLastGood`] builds and publishes
-    /// nothing and returns `None`, so the last snapshot keeps serving.
+    /// Applies `trigger`, then publishes and returns the epoch of the
+    /// caller's healthy `snapshot()`, or, while an error is held, of an
+    /// empty degraded snapshot: a degraded snapshot never evaluates
+    /// policies, so `snapshot` is not called. A failed refresh under
+    /// [`DegradedMode::ServeLastGood`] builds and publishes nothing and
+    /// returns `None`, so the last snapshot keeps serving.
     pub fn publish(
         &mut self,
         trigger: Trigger<'_>,
@@ -102,7 +105,8 @@ impl Lifecycle {
             }
         }
         let snapshot = match &self.error {
-            Some(error) => snapshot().degraded(error.clone()),
+            Some(error) => DecisionSnapshot::new(Vec::new(), CombiningAlg::DenyOverrides)
+                .degraded(error.clone()),
             None => snapshot(),
         };
         self.epoch = self.handle.publish(snapshot);
@@ -113,7 +117,8 @@ impl Lifecycle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agenp_policy::{CombiningAlg, Decision, Effect, Policy, PolicyRule, Request};
+    use agenp_policy::{Decision, Effect, Policy, PolicyRule, Request};
+    use std::cell::Cell;
 
     /// One step of a lifecycle's life; the `&str`s name the error.
     #[derive(Clone, Copy, Debug)]
@@ -142,6 +147,7 @@ mod tests {
     const DENY_BY_DEFAULT: &[Case] = &[
         ("initial publish", &[Publish], true, false, None, 1),
         ("publish while an error is held", &[Publish, RefreshFailed("e1"), Publish], true, true, Some("e1"), 3),
+        ("publishes while degraded build nothing", &[Publish, RefreshFailed("e1"), Publish, Publish], true, true, Some("e1"), 4),
         ("refresh ok", &[Publish, RefreshFailed("e1"), Refreshed], true, false, None, 3),
         ("two failed refreshes in a row", &[Publish, RefreshFailed("e1"), RefreshFailed("e2")], true, true, Some("e2"), 3),
         ("unavailable", &[Publish, Unavailable("lost")], true, true, Some("lost"), 2),
@@ -174,6 +180,13 @@ mod tests {
     #[test]
     fn each_call_publishes_and_degrades_by_the_one_rule() {
         let req = Request::new().subject("role", "auditor");
+        // Every step checks that the caller's snapshot is built exactly
+        // when a healthy snapshot is published: never while degraded.
+        let builds = Cell::new(0);
+        let snapshot = || {
+            builds.set(builds.get() + 1);
+            permit_all()
+        };
         for (mode, cases) in [
             (DegradedMode::DenyByDefault, DENY_BY_DEFAULT),
             (DegradedMode::ServeLastGood, SERVE_LAST_GOOD),
@@ -184,14 +197,15 @@ mod tests {
                 let mut published = false;
                 for step in steps {
                     let before = lifecycle.handle().snapshot().epoch();
+                    let built_before = builds.get();
                     let returned = match *step {
-                        Publish => lifecycle.publish(Trigger::Changed, permit_all),
-                        Refreshed => lifecycle.publish(Trigger::Refreshed, permit_all),
+                        Publish => lifecycle.publish(Trigger::Changed, snapshot),
+                        Refreshed => lifecycle.publish(Trigger::Refreshed, snapshot),
                         RefreshFailed(why) => {
-                            lifecycle.publish(Trigger::RefreshFailed(&error_of(why)), permit_all)
+                            lifecycle.publish(Trigger::RefreshFailed(&error_of(why)), snapshot)
                         }
                         Unavailable(why) => {
-                            lifecycle.publish(Trigger::Unavailable(&error_of(why)), permit_all)
+                            lifecycle.publish(Trigger::Unavailable(&error_of(why)), snapshot)
                         }
                         SwitchToServeLastGood => {
                             lifecycle.set_mode(DegradedMode::ServeLastGood);
@@ -200,6 +214,12 @@ mod tests {
                     };
                     published = lifecycle.handle().snapshot().epoch() != before;
                     assert_eq!(returned.is_some(), published, "{at}: {step:?}");
+                    let healthy = published && !lifecycle.is_degraded();
+                    assert_eq!(
+                        builds.get() - built_before,
+                        usize::from(healthy),
+                        "{at}: {step:?} built the caller's snapshot"
+                    );
                 }
                 assert_eq!(published, published_last, "{at}: published");
                 assert_eq!(lifecycle.is_degraded(), degraded, "{at}: degraded");

@@ -5,10 +5,10 @@
 
 use agenp_asp::{Program, RunBudget};
 use agenp_grammar::{Asg, AsgError, GenOptions};
-use agenp_policy::{rule_from_text, CombiningAlg, Policy, PolicyRule};
+use agenp_policy::{rule_from_text, PolicyRule};
 use std::fmt;
 
-/// Translates generated policy strings into enforceable [`Policy`] objects.
+/// Translates generated policy strings into enforceable [`PolicyRule`]s.
 ///
 /// The canonical translator understands the `agenp-policy` textual form;
 /// scenarios provide their own translators for domain-specific languages.
@@ -102,33 +102,6 @@ impl Prep {
         gpm.with_context(context)
             .language_within(self.gen_options, &self.budget)
     }
-
-    /// Generates and translates policies into one enforceable [`Policy`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates grounding failures.
-    pub fn generate_policy(
-        &self,
-        gpm: &Asg,
-        context: &Program,
-        translator: &dyn PolicyTranslator,
-        policy_id: &str,
-        combining: CombiningAlg,
-    ) -> Result<Policy, AsgError> {
-        let strings = self.generate(gpm, context)?;
-        let rules: Vec<PolicyRule> = strings
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| translator.translate(s, &format!("{policy_id}-r{i}")))
-            .collect();
-        Ok(Policy {
-            id: policy_id.to_owned(),
-            rules,
-            combining,
-            obligations: Vec::new(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -158,25 +131,6 @@ mod tests {
         let some = prep.generate(&g, &blocked).unwrap();
         assert_eq!(some.len(), 2);
         assert!(some.iter().all(|s| s.contains("dba")));
-    }
-
-    #[test]
-    fn translates_to_enforceable_policy() {
-        let g = gate_grammar();
-        let prep = Prep::new();
-        let blocked: Program = "blocked(intern).".parse().unwrap();
-        let policy = prep
-            .generate_policy(
-                &g,
-                &blocked,
-                &CanonicalTranslator,
-                "p",
-                CombiningAlg::DenyOverrides,
-            )
-            .unwrap();
-        assert_eq!(policy.rules.len(), 2);
-        let req = agenp_policy::Request::new().subject("role", "dba");
-        assert_ne!(policy.evaluate(&req), agenp_policy::Decision::NotApplicable);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 use crate::example::Example;
 use crate::space::Candidate;
 use agenp_asp::{
-    ground_with_stats, Atom, Bindings, CmpOp, GroundError, GroundMode, GroundOptions, GroundStats,
-    IncrementalGrounder, Literal, Program, Rule, Solver, Symbol, Trace,
+    Atom, Bindings, CmpOp, GroundError, GroundOptions, GroundStats, IncrementalGrounder, Literal,
+    Rule, Solver, Symbol, Trace,
 };
 use agenp_grammar::{Asg, EarleyParser, ParseOptions, ParseTree, ProdId};
 use std::collections::HashMap;
@@ -158,18 +158,16 @@ fn holds_rec(
 pub struct CompiledTree {
     /// The parse tree itself.
     pub tree: ParseTree,
-    /// `G(C)[PT]` — annotations plus context, instantiated at every node.
-    pub base: Program,
     /// Node traces grouped by production id (for hypothesis instantiation).
     pub traces_by_prod: HashMap<ProdId, Vec<Trace>>,
-    /// The answer sets of `base` (empty if the base is unsatisfiable).
+    /// The answer sets of the base program (empty if it is unsatisfiable).
     pub worlds: Vec<World>,
     /// False if world enumeration hit the cap (monotone path unusable).
     pub worlds_complete: bool,
-    /// Saturated base grounder: hypotheses are grounded as deltas on top of
-    /// `base` instead of re-grounding it per evaluation. `None` when
-    /// compiled with [`CompileOptions::naive_ground`] (benchmark ablation).
-    pub grounder: Option<IncrementalGrounder>,
+    /// The saturated grounding of `G(C)[PT]` (annotations plus context,
+    /// instantiated at every node; see [`IncrementalGrounder::base`]).
+    /// Hypotheses are grounded as deltas on top of it.
+    pub grounder: IncrementalGrounder,
 }
 
 impl CompiledTree {
@@ -186,7 +184,7 @@ impl CompiledTree {
             .unwrap_or_default()
     }
 
-    /// Does `world` (an answer set of `base`) violate the candidate
+    /// Does `world` (an answer set of the base program) violate the candidate
     /// constraint? Only meaningful for constraint candidates.
     pub fn world_violates(&self, world: &World, candidate: &Candidate) -> bool {
         debug_assert!(candidate.rule.is_constraint());
@@ -220,11 +218,6 @@ pub struct CompileOptions {
     pub max_trees: usize,
     /// Maximum answer sets enumerated per tree (worlds).
     pub max_worlds: usize,
-    /// Ground tree bases with the retained naive reference grounder and skip
-    /// building incremental base grounders. Benchmark ablation only — the
-    /// learner then re-grounds base + hypothesis from scratch per
-    /// evaluation.
-    pub naive_ground: bool,
 }
 
 impl Default for CompileOptions {
@@ -232,7 +225,6 @@ impl Default for CompileOptions {
         CompileOptions {
             max_trees: 16,
             max_worlds: 64,
-            naive_ground: false,
         }
     }
 }
@@ -247,12 +239,6 @@ impl CompileOptions {
     /// Sets the maximum answer sets enumerated per tree.
     pub fn with_max_worlds(mut self, max_worlds: usize) -> CompileOptions {
         self.max_worlds = max_worlds;
-        self
-    }
-
-    /// Enables or disables the naive-reference grounding ablation.
-    pub fn with_naive_ground(mut self, naive_ground: bool) -> CompileOptions {
-        self.naive_ground = naive_ground;
         self
     }
 }
@@ -319,18 +305,10 @@ pub fn compile_example(
         // Ground the base once. The incremental grounder saturates it and
         // keeps the state around so candidate hypotheses can later be
         // grounded as deltas without redoing this work.
-        let gopts = GroundOptions::default();
-        let (g, grounder) = if opts.naive_ground {
-            let (g, st) = ground_with_stats(&base, gopts.with_mode(GroundMode::Naive))?;
-            ground_stats.absorb(st);
-            (g, None)
-        } else {
-            let grounder = IncrementalGrounder::new(&base, gopts)?;
-            ground_stats.absorb(grounder.base_stats());
-            let (g, st) = grounder.ground_delta_with_stats(&[])?;
-            ground_stats.absorb(st);
-            (g, Some(grounder))
-        };
+        let grounder = IncrementalGrounder::new(&base, GroundOptions::default())?;
+        ground_stats.absorb(grounder.base_stats());
+        let (g, st) = grounder.ground_delta_with_stats(&[])?;
+        ground_stats.absorb(st);
         let result = Solver::new().max_models(opts.max_worlds).solve(&g);
         solver_calls += 1;
         let worlds_complete = result.complete();
@@ -341,7 +319,6 @@ pub fn compile_example(
             .collect();
         compiled.push(CompiledTree {
             tree,
-            base,
             traces_by_prod,
             worlds,
             worlds_complete,

@@ -195,9 +195,11 @@ pub struct LearnStats {
     pub rules_instantiated: u64,
     /// Stable-model solver invocations.
     pub solver_calls: u64,
-    /// Hypothesis evaluations answered from the memo without re-grounding.
+    /// Always 0: the learner keeps no memo of hypothesis evaluations. Kept
+    /// for existing readers of the counter.
     pub eval_cache_hits: u64,
-    /// Hypothesis evaluations that had to ground and solve.
+    /// Tree evaluations made by the generic search: each grounds a
+    /// hypothesis as a delta over one parse tree's base and solves it.
     pub eval_cache_misses: u64,
     /// Distinct examples compiled (parsed, grounded, worlds enumerated and
     /// coverage computed) by this call.
@@ -249,9 +251,6 @@ pub struct LearnOptions {
     pub branching: Branching,
     /// Wall-clock deadline for the hypothesis search (default: none).
     pub deadline: Deadline,
-    /// Memoize hypothesis evaluations on the generic path (disable for
-    /// ablation benchmarks; results must be identical either way).
-    pub eval_cache: bool,
 }
 
 impl Default for LearnOptions {
@@ -263,7 +262,6 @@ impl Default for LearnOptions {
             max_nodes: 2_000_000,
             branching: Branching::Guided,
             deadline: Deadline::none(),
-            eval_cache: true,
         }
     }
 }
@@ -302,13 +300,6 @@ impl LearnOptions {
     /// Sets the wall-clock deadline for the hypothesis search.
     pub fn with_deadline(mut self, deadline: Deadline) -> LearnOptions {
         self.deadline = deadline;
-        self
-    }
-
-    /// Enables or disables hypothesis-evaluation memoization on the
-    /// generic path (disable for ablation benchmarks).
-    pub fn with_eval_cache(mut self, eval_cache: bool) -> LearnOptions {
-        self.eval_cache = eval_cache;
         self
     }
 }

@@ -21,12 +21,6 @@ pub struct LearnMetrics {
     pub search_nodes: Arc<Counter>,
     /// Stable-model solver invocations (`learn.solver_calls`).
     pub solver_calls: Arc<Counter>,
-    /// Hypothesis evaluations answered from the memo
-    /// (`learn.eval_cache_hits`).
-    pub eval_cache_hits: Arc<Counter>,
-    /// Hypothesis evaluations that had to ground and solve
-    /// (`learn.eval_cache_misses`).
-    pub eval_cache_misses: Arc<Counter>,
 }
 
 impl LearnMetrics {
@@ -42,8 +36,6 @@ impl LearnMetrics {
                 worlds: r.counter("learn.worlds"),
                 search_nodes: r.counter("learn.search_nodes"),
                 solver_calls: r.counter("learn.solver_calls"),
-                eval_cache_hits: r.counter("learn.eval_cache_hits"),
-                eval_cache_misses: r.counter("learn.eval_cache_misses"),
             }
         })
     }
@@ -63,8 +55,6 @@ impl LearnMetrics {
         m.worlds.add(stats.worlds as u64);
         m.search_nodes.add(stats.search_nodes);
         m.solver_calls.add(stats.solver_calls);
-        m.eval_cache_hits.add(stats.eval_cache_hits);
-        m.eval_cache_misses.add(stats.eval_cache_misses);
     }
 
     /// Cumulative totals as a [`LearnStats`] façade (`used_monotone` is
@@ -78,8 +68,6 @@ impl LearnMetrics {
             search_nodes: m.search_nodes.value(),
             used_monotone: m.monotone_runs.value() > 0,
             solver_calls: m.solver_calls.value(),
-            eval_cache_hits: m.eval_cache_hits.value(),
-            eval_cache_misses: m.eval_cache_misses.value(),
             ..LearnStats::default()
         }
     }

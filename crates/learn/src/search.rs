@@ -6,7 +6,8 @@
 //!   worlds, so optimal learning is a weighted hitting-set problem solved
 //!   by branch and bound.
 //! * **Generic** (spaces with normal rules): iterative-deepening search over
-//!   hypothesis subsets with memoized full answer-set coverage checks.
+//!   hypothesis subsets, checking each subset's full answer-set coverage
+//!   by grounding it as a delta over each tree's saturated base.
 //!
 //! Both see the examples as one flat list: positives first, then
 //! negatives, each in arrival order.
@@ -14,9 +15,7 @@
 use crate::compile::{CompiledExample, CompiledTree};
 use crate::learner::{Branching, LearnError, LearnOptions, LearnStats};
 use crate::space::Candidate;
-use agenp_asp::{
-    ground_with_stats, Deadline, Exhausted, GroundMode, GroundOptions, Program, Rule, Solver,
-};
+use agenp_asp::{Deadline, Exhausted, Rule, Solver};
 use std::collections::HashMap;
 
 /// A solution: (total cost, chosen candidate indices, sacrificed examples).
@@ -378,7 +377,6 @@ pub(crate) fn generic(
         candidates,
         options,
         examples,
-        cache: HashMap::new(),
         stats,
         deadline_hit: false,
         best: None,
@@ -407,14 +405,10 @@ pub(crate) fn generic(
     })
 }
 
-/// Memo of tree evaluations: (example, tree, relevant candidates) → admitted.
-type EvalCache = HashMap<(usize, usize, Vec<u32>), bool>;
-
 struct GenericSearch<'a, 's> {
     candidates: &'a [Candidate],
     options: &'a LearnOptions,
     examples: &'a Examples<'a, CompiledExample>,
-    cache: EvalCache,
     stats: &'s mut LearnStats,
     deadline_hit: bool,
     best: Option<BestSolution>,
@@ -460,25 +454,10 @@ impl GenericSearch<'_, '_> {
         let mut sacrificed = Vec::new();
         for (ei, ex) in self.examples.coverage.iter().enumerate() {
             let mut accepted = false;
-            for (ti, tree) in ex.trees.iter().enumerate() {
-                let key = (ei, ti, relevant(tree, self.candidates, chosen));
-                let cached = if self.options.eval_cache {
-                    self.cache.get(&key).copied()
-                } else {
-                    None
-                };
-                let ok = if let Some(v) = cached {
-                    self.stats.eval_cache_hits += 1;
-                    v
-                } else {
-                    self.stats.eval_cache_misses += 1;
-                    let v = tree_accepts(tree, self.candidates, &key.2, self.stats)?;
-                    if self.options.eval_cache {
-                        self.cache.insert(key, v);
-                    }
-                    v
-                };
-                if ok {
+            for tree in &ex.trees {
+                self.stats.eval_cache_misses += 1;
+                let relevant = relevant(tree, self.candidates, chosen);
+                if tree_accepts(tree, self.candidates, &relevant, self.stats)? {
                     accepted = true;
                     break;
                 }
@@ -519,7 +498,7 @@ pub(crate) fn relevant(tree: &CompiledTree, candidates: &[Candidate], chosen: &[
 
 /// Does `tree` admit its string once the `relevant` candidates are added?
 /// Their instantiations are grounded as a delta over the tree's saturated
-/// base grounding; only the naive-ground ablation re-grounds from scratch.
+/// base grounding.
 ///
 /// # Errors
 ///
@@ -534,25 +513,8 @@ pub(crate) fn tree_accepts(
     for &ci in relevant {
         delta.extend(tree.instantiate(&candidates[ci as usize]));
     }
-    let g = match &tree.grounder {
-        Some(grounder) => {
-            let (g, st) = grounder.ground_delta_with_stats(&delta)?;
-            stats.absorb_ground(st);
-            g
-        }
-        None => {
-            let mut program: Program = tree.base.clone();
-            for rule in delta {
-                program.push(rule);
-            }
-            let (g, st) = ground_with_stats(
-                &program,
-                GroundOptions::default().with_mode(GroundMode::Naive),
-            )?;
-            stats.absorb_ground(st);
-            g
-        }
-    };
+    let (g, st) = tree.grounder.ground_delta_with_stats(&delta)?;
+    stats.absorb_ground(st);
     stats.solver_calls += 1;
     Ok(Solver::new().max_models(1).solve(&g).satisfiable())
 }

@@ -195,7 +195,6 @@ impl LearningSession {
                     span.record("search_nodes", stats.search_nodes);
                     span.record("search_skipped", stats.search_skipped);
                     span.record("examples_compiled", stats.examples_compiled);
-                    span.record("eval_cache_hits", stats.eval_cache_hits);
                     crate::obs::LearnMetrics::publish(stats);
                 }
                 Err(_) => span.record("error", true),

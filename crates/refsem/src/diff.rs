@@ -11,7 +11,7 @@ use crate::gen;
 use crate::metamorphic;
 use crate::reference::{self, Model};
 use crate::shrink;
-use agenp_asp::{Program, Rule, Solver};
+use agenp_asp::{ground_with, AtomId, GroundOptions, Program, Rule, Solver};
 use agenp_core::arch::{DecisionSnapshot, PdpHandle};
 use agenp_policy::{CombiningAlg, DecisionEffects, Policy, Request};
 use std::collections::BTreeSet;
@@ -43,14 +43,80 @@ pub fn fast_models(program: &Program) -> Result<Vec<Model>, String> {
     Ok(models)
 }
 
+/// A ground rule or weak constraint in comparable form: rendered head,
+/// sorted and deduplicated positive and negative body atoms, and the
+/// weight and level of a weak constraint.
+type Instance = (Option<String>, Vec<String>, Vec<String>, Option<(i64, i64)>);
+
+fn instance(
+    head: Option<String>,
+    mut pos: Vec<String>,
+    mut neg: Vec<String>,
+    weak: Option<(i64, i64)>,
+) -> Instance {
+    pos.sort();
+    pos.dedup();
+    neg.sort();
+    neg.dedup();
+    (head, pos, neg, weak)
+}
+
+/// The fast grounder without simplification vs the naive reference
+/// grounder: its ground rules and weak constraints must be exactly the
+/// reference instances ([`reference::naive_ground`],
+/// [`reference::naive_ground_weak`]) whose positive body atoms all lie in
+/// the least model of the program's positive relaxation. Compared as sets.
+pub fn check_ground_instances(program: &Program) -> Result<(), String> {
+    let g = ground_with(program, GroundOptions::default().with_simplify(false))
+        .map_err(|e| format!("fast engine failed to ground: {e:?}"))?;
+    let names = |ids: &[AtomId]| -> Vec<String> {
+        ids.iter()
+            .map(|&id| reference::render(g.atoms().resolve(id)))
+            .collect()
+    };
+    let mut fast: BTreeSet<Instance> = BTreeSet::new();
+    for r in g.rules() {
+        let head = r.head.map(|h| reference::render(g.atoms().resolve(h)));
+        fast.insert(instance(head, names(&r.pos), names(&r.neg), None));
+    }
+    for w in g.weak_constraints() {
+        let weak = Some((w.weight, w.level));
+        fast.insert(instance(None, names(&w.pos), names(&w.neg), weak));
+    }
+
+    let rules = reference::naive_ground(program);
+    let derivable = reference::positive_least_model(&rules);
+    let within = |pos: &[String]| pos.iter().all(|a| derivable.contains(a));
+    let mut want: BTreeSet<Instance> = BTreeSet::new();
+    for r in rules.iter().filter(|r| within(&r.pos)) {
+        want.insert(instance(r.head.clone(), r.pos.clone(), r.neg.clone(), None));
+    }
+    for w in reference::naive_ground_weak(program) {
+        if within(&w.pos) {
+            want.insert(instance(None, w.pos, w.neg, Some((w.weight, w.level))));
+        }
+    }
+    if fast == want {
+        return Ok(());
+    }
+    let extra: Vec<&Instance> = fast.difference(&want).collect();
+    let missing: Vec<&Instance> = want.difference(&fast).collect();
+    Err(format!(
+        "ground instances differ from the naive reference: extra {extra:?}, missing {missing:?}"
+    ))
+}
+
 /// Differential ASP case: generated stratified program, fast
 /// grounder+solver vs the stratified perfect-model reference, and (when
 /// the candidate space is small enough) vs brute-force stable-model
-/// enumeration as a second, independent reference.
+/// enumeration as a second, independent reference. The unsimplified
+/// grounding must also pass [`check_ground_instances`].
 pub fn run_asp_case(seed: u64) -> Result<(), String> {
     let ctx = |msg: String| format!("seed={seed} kind=asp: {msg} (repro: run_asp_case({seed}))");
     let mut rng = gen::rng_for(seed);
     let program = gen::stratified_program(&mut rng);
+    check_ground_instances(&program)
+        .map_err(|msg| ctx(format!("{msg} for program:\n{program}")))?;
     let fast = fast_models(&program).map_err(&ctx)?;
     let reference = reference::stable_models_stratified(&program)
         .ok_or_else(|| ctx("generated program is not stratified".to_owned()))?;

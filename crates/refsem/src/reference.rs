@@ -8,11 +8,13 @@
 //! evaluation order with the fast engines it cross-examines — ground atoms
 //! are compared by their rendered text, models are plain `BTreeSet<String>`s.
 //!
-//! Scope: the generated fragment of [`crate::gen`] — no arithmetic
-//! assignments (`Z = X + 1` can mint values outside the constant universe,
-//! which full-universe enumeration would miss) and no weak constraints.
+//! Scope: the generated fragment of [`crate::gen`] and of the grounder's
+//! property tests — no arithmetic assignments (`Z = X + 1` can mint values
+//! outside the constant universe, which full-universe enumeration would
+//! miss). Weak constraints are grounded ([`naive_ground_weak`]) but take no
+//! part in the model computations.
 
-use agenp_asp::{Atom, Bindings, Literal, Program, Rule, Symbol, Term};
+use agenp_asp::{Atom, Bindings, Literal, Program, Symbol, Term};
 use agenp_policy::{
     CombiningAlg, Cond, Decision, DecisionEffects, Obligation, Policy, PolicyRule, Request,
 };
@@ -36,8 +38,22 @@ pub struct GroundRuleRef {
     pub neg: Vec<String>,
 }
 
-/// Every ground constant term appearing anywhere in the program — the
-/// Herbrand universe of the arithmetic-free fragment.
+/// A ground weak constraint in reference form: rendered body atoms, the
+/// weight its term evaluates to, and its level.
+#[derive(Clone, Debug)]
+pub struct GroundWeakRef {
+    /// Rendered positive body atoms.
+    pub pos: Vec<String>,
+    /// Rendered negative body atoms.
+    pub neg: Vec<String>,
+    /// The ground weight.
+    pub weight: i64,
+    /// The priority level.
+    pub level: i64,
+}
+
+/// Every ground constant term appearing anywhere in the program's rules —
+/// the Herbrand universe of the arithmetic-free fragment.
 pub fn universe(program: &Program) -> Vec<Term> {
     let mut out: Vec<Term> = Vec::new();
     let mut push = |t: &Term| {
@@ -77,50 +93,93 @@ pub fn naive_ground(program: &Program) -> Vec<GroundRuleRef> {
     let universe = universe(program);
     let mut out = Vec::new();
     for rule in program.rules() {
-        let vars = rule.vars();
-        if vars.is_empty() {
-            if let Some(ground) = instantiate(rule, &Bindings::new()) {
-                out.push(ground);
-            }
-            continue;
-        }
-        if universe.is_empty() {
-            continue; // variables with nothing to bind them: no instances
-        }
-        // Odometer over universe^|vars|.
-        let mut indices = vec![0usize; vars.len()];
-        'assignments: loop {
-            let bindings: Bindings = vars
-                .iter()
-                .zip(&indices)
-                .map(|(v, &i)| (*v, universe[i].clone()))
-                .collect();
-            if let Some(ground) = instantiate(rule, &bindings) {
-                out.push(ground);
-            }
-            let mut k = 0;
-            loop {
-                indices[k] += 1;
-                if indices[k] < universe.len() {
-                    break;
-                }
-                indices[k] = 0;
-                k += 1;
-                if k == indices.len() {
-                    break 'assignments;
-                }
-            }
-        }
+        for_each_assignment(&rule.vars(), &universe, |bindings| {
+            let Some((pos, neg)) = instantiate_body(&rule.body, bindings) else {
+                return;
+            };
+            let head = match &rule.head {
+                Some(h) => match h.substitute(bindings) {
+                    Some(ground) => Some(render(&ground)),
+                    None => return,
+                },
+                None => None,
+            };
+            out.push(GroundRuleRef {
+                head,
+                head_pred: rule.head.as_ref().map(|h| h.pred),
+                pos,
+                neg,
+            });
+        });
     }
     out
 }
 
-/// One rule instantiation under `bindings`: `None` when a comparison
-/// literal fails (the instantiation is inconsistent, not an error).
-fn instantiate(rule: &Rule, bindings: &Bindings) -> Option<GroundRuleRef> {
+/// [`naive_ground`] for the weak constraints: every assignment of a weak
+/// constraint's variables to the universe whose comparison literals hold
+/// and whose weight evaluates to an integer.
+pub fn naive_ground_weak(program: &Program) -> Vec<GroundWeakRef> {
+    let universe = universe(program);
+    let mut out = Vec::new();
+    for weak in program.weak_constraints() {
+        for_each_assignment(&weak.vars(), &universe, |bindings| {
+            let Some((pos, neg)) = instantiate_body(&weak.body, bindings) else {
+                return;
+            };
+            if let Some(Term::Int(weight)) = weak.weight.substitute(bindings) {
+                out.push(GroundWeakRef {
+                    pos,
+                    neg,
+                    weight,
+                    level: weak.level,
+                });
+            }
+        });
+    }
+    out
+}
+
+/// Calls `visit` with every assignment of `vars` to `universe` values, by
+/// odometer over `universe^|vars|`: once with no bindings when `vars` is
+/// empty, never when variables have nothing to bind them.
+fn for_each_assignment(vars: &[Symbol], universe: &[Term], mut visit: impl FnMut(&Bindings)) {
+    if vars.is_empty() {
+        visit(&Bindings::new());
+        return;
+    }
+    if universe.is_empty() {
+        return;
+    }
+    let mut indices = vec![0usize; vars.len()];
+    loop {
+        let bindings: Bindings = vars
+            .iter()
+            .zip(&indices)
+            .map(|(v, &i)| (*v, universe[i].clone()))
+            .collect();
+        visit(&bindings);
+        let mut k = 0;
+        loop {
+            indices[k] += 1;
+            if indices[k] < universe.len() {
+                break;
+            }
+            indices[k] = 0;
+            k += 1;
+            if k == indices.len() {
+                return;
+            }
+        }
+    }
+}
+
+/// One body instantiated under `bindings` as rendered (positive, negative)
+/// atoms: `None` when a comparison literal fails (the instantiation is
+/// inconsistent, not an error).
+fn instantiate_body(body: &[Literal], bindings: &Bindings) -> Option<(Vec<String>, Vec<String>)> {
     let mut pos = Vec::new();
     let mut neg = Vec::new();
-    for lit in &rule.body {
+    for lit in body {
         match lit {
             Literal::Pos(a) => pos.push(render(&a.substitute(bindings)?)),
             Literal::Neg(a) => neg.push(render(&a.substitute(bindings)?)),
@@ -133,16 +192,27 @@ fn instantiate(rule: &Rule, bindings: &Bindings) -> Option<GroundRuleRef> {
             }
         }
     }
-    let head = match &rule.head {
-        Some(h) => Some(render(&h.substitute(bindings)?)),
-        None => None,
-    };
-    Some(GroundRuleRef {
-        head,
-        head_pred: rule.head.as_ref().map(|h| h.pred),
-        pos,
-        neg,
-    })
+    Some((pos, neg))
+}
+
+/// The least model of the positive relaxation of `ground`: negative
+/// literals are assumed to hold and constraints are ignored. These are the
+/// atoms the fast grounder's over-approximation derives.
+pub fn positive_least_model(ground: &[GroundRuleRef]) -> Model {
+    let mut model = Model::new();
+    loop {
+        let mut changed = false;
+        for rule in ground {
+            let Some(head) = &rule.head else { continue };
+            if !model.contains(head) && rule.pos.iter().all(|a| model.contains(a)) {
+                model.insert(head.clone());
+                changed = true;
+            }
+        }
+        if !changed {
+            return model;
+        }
+    }
 }
 
 /// The rendered text of a ground atom — the reference currency for model
