@@ -387,27 +387,30 @@ fn sig_key(atom: &Atom, traces: &mut TraceIds) -> SigKey {
     (atom.pred, atom.args.len(), traces.intern(&atom.trace))
 }
 
-/// One scheduled body element, in evaluation order. Borrows from the source
-/// program — scheduling clones no atoms or terms.
-#[derive(Debug)]
-enum Step<'p> {
-    /// Join against derivable instances of this positive atom.
+/// One body literal in the order the grounder evaluates it (see
+/// [`schedule_body`]). Borrows from the rule: scheduling clones no atoms or
+/// terms.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum BodyStep<'p> {
+    /// Match a positive atom against the atoms derived so far.
     Join {
-        pattern: &'p Atom,
-        key: SigKey,
-        /// Variables first bound by this join (computed at schedule time);
-        /// removed from the bindings after each candidate to undo the match.
+        /// The atom pattern.
+        atom: &'p Atom,
+        /// Variables first bound by this join, in order of first
+        /// occurrence.
         fresh: Vec<Symbol>,
-        /// Argument positions whose pattern terms are fully bound before
-        /// this join (and arithmetic-free): the join probes the smallest of
-        /// these argument-value buckets instead of scanning the window.
+        /// Argument positions whose terms are fully bound before this join
+        /// and free of arithmetic (which never matches structurally): the
+        /// grounder probes the smallest of these argument-value buckets
+        /// instead of scanning every atom of the signature.
         probe: Vec<usize>,
     },
-    /// Evaluate a comparison whose variables are all bound.
+    /// A comparison whose variables are all bound: a filter.
     Filter(CmpOp, &'p Term, &'p Term),
-    /// Bind `var` to the evaluation of `expr`.
+    /// An `=` with exactly one unbound variable side, in either orientation:
+    /// bind the variable to the value of the other side.
     Bind(Symbol, &'p Term),
-    /// Instantiate a negative literal (kept in the ground rule).
+    /// A negative literal whose variables are all bound.
     Naf(&'p Atom),
 }
 
@@ -418,8 +421,9 @@ struct ScheduledRule<'p> {
     /// Join-index key of the head (fixed at schedule time: substitution
     /// never changes predicate, arity, or trace).
     head_key: Option<SigKey>,
-    steps: Vec<Step<'p>>,
-    /// Join-index key per join ordinal, for delta-variant skipping.
+    steps: Vec<BodyStep<'p>>,
+    /// Join-index key per join ordinal: the walk's lookup key, and the
+    /// delta-variant skip test.
     joins: Vec<SigKey>,
     /// Weight term and level of a weak constraint; `None` for rules.
     weak: Option<(&'p Term, i64)>,
@@ -435,7 +439,7 @@ fn schedule_rule<'p>(
             var,
         });
     }
-    schedule_body(rule.head.as_ref(), &rule.body, traces, &|| rule.to_string())
+    schedule_rule_body(rule.head.as_ref(), &rule.body, traces, &|| rule.to_string())
 }
 
 fn schedule_weak<'p>(
@@ -448,7 +452,7 @@ fn schedule_weak<'p>(
             var,
         });
     }
-    let mut rule = schedule_body(None, &weak.body, traces, &|| weak.to_string())?;
+    let mut rule = schedule_rule_body(None, &weak.body, traces, &|| weak.to_string())?;
     rule.weak = Some((&weak.weight, weak.level));
     Ok(rule)
 }
@@ -464,16 +468,50 @@ fn schedule_program<'p>(
         .collect()
 }
 
-fn schedule_body<'p>(
+fn schedule_rule_body<'p>(
     head: Option<&'p Atom>,
     body: &'p [Literal],
     traces: &mut TraceIds,
     render: &dyn Fn() -> String,
 ) -> Result<ScheduledRule<'p>, GroundError> {
-    let mut remaining: Vec<&'p Literal> = body.iter().collect();
+    let steps = schedule_body(body).map_err(|var| GroundError::UnsafeRule {
+        rule: render(),
+        var,
+    })?;
+    let joins = steps
+        .iter()
+        .filter_map(|s| match s {
+            BodyStep::Join { atom, .. } => Some(sig_key(atom, traces)),
+            _ => None,
+        })
+        .collect();
+    let head_key = head.map(|h| sig_key(h, traces));
+    Ok(ScheduledRule {
+        head,
+        head_key,
+        steps,
+        joins,
+        weak: None,
+    })
+}
+
+/// Orders a rule body for evaluation, the grounder's way. Until every
+/// literal is placed, the next step is the first that applies of:
+///
+/// 1. a comparison whose variables are all bound (a filter);
+/// 2. an `=` with one unbound variable side and the other side bound, in
+///    either orientation (`V = expr` or `expr = V`): a binder;
+/// 3. the positive atom sharing the most variables with those already
+///    bound (the earliest on ties): a join;
+/// 4. a negative literal whose variables are all bound.
+///
+/// # Errors
+///
+/// A variable no step can bind: the body is unsafe.
+pub fn schedule_body(body: &[Literal]) -> Result<Vec<BodyStep<'_>>, Symbol> {
+    let mut remaining: Vec<&Literal> = body.iter().collect();
     let mut bound: HashSet<Symbol> = HashSet::new();
-    let mut steps: Vec<Step<'p>> = Vec::with_capacity(remaining.len());
-    let mut joins: Vec<SigKey> = Vec::new();
+    let mut steps: Vec<BodyStep<'_>> = Vec::with_capacity(remaining.len());
     let all_bound = |t: &Term, bound: &HashSet<Symbol>| t.vars().iter().all(|v| bound.contains(v));
     while !remaining.is_empty() {
         // 1. A comparison with all variables bound is a pure filter.
@@ -484,17 +522,16 @@ fn schedule_body<'p>(
             let Literal::Cmp(op, a, b) = remaining.remove(i) else {
                 unreachable!()
             };
-            steps.push(Step::Filter(*op, a, b));
+            steps.push(BodyStep::Filter(*op, a, b));
             continue;
         }
-        // 2. An `=` with exactly one unbound variable side is a binder.
+        // 2. An `=` with exactly one unbound variable side is a binder. Both
+        // orientations are tested: in `X = Y` with only `X` bound, `Y` binds.
+        let binds = |var: &Term, value: &Term, bound: &HashSet<Symbol>| {
+            matches!(var, Term::Var(v) if !bound.contains(v)) && all_bound(value, bound)
+        };
         if let Some(i) = remaining.iter().position(|l| match l {
-            Literal::Cmp(CmpOp::Eq, Term::Var(v), rhs) => {
-                !bound.contains(v) && all_bound(rhs, &bound)
-            }
-            Literal::Cmp(CmpOp::Eq, lhs, Term::Var(v)) => {
-                !bound.contains(v) && all_bound(lhs, &bound)
-            }
+            Literal::Cmp(CmpOp::Eq, a, b) => binds(a, b, &bound) || binds(b, a, &bound),
             _ => false,
         }) {
             let Literal::Cmp(_, a, b) = remaining.remove(i) else {
@@ -503,11 +540,11 @@ fn schedule_body<'p>(
             match (a, b) {
                 (Term::Var(v), rhs) if !bound.contains(v) => {
                     bound.insert(*v);
-                    steps.push(Step::Bind(*v, rhs));
+                    steps.push(BodyStep::Bind(*v, rhs));
                 }
                 (lhs, Term::Var(v)) => {
                     bound.insert(*v);
-                    steps.push(Step::Bind(*v, lhs));
+                    steps.push(BodyStep::Bind(*v, lhs));
                 }
                 _ => unreachable!(),
             }
@@ -531,9 +568,6 @@ fn schedule_body<'p>(
             let Literal::Pos(a) = remaining.remove(i) else {
                 unreachable!()
             };
-            // Argument positions already fully bound (and arithmetic-free —
-            // arithmetic never matches structurally) can be probed in the
-            // argument-value index at evaluation time.
             let probe: Vec<usize> = a
                 .args
                 .iter()
@@ -549,11 +583,8 @@ fn schedule_body<'p>(
                     fresh.push(v);
                 }
             }
-            let key = sig_key(a, traces);
-            joins.push(key);
-            steps.push(Step::Join {
-                pattern: a,
-                key,
+            steps.push(BodyStep::Join {
+                atom: a,
                 fresh,
                 probe,
             });
@@ -571,30 +602,18 @@ fn schedule_body<'p>(
             let Literal::Neg(a) = remaining.remove(i) else {
                 unreachable!()
             };
-            steps.push(Step::Naf(a));
+            steps.push(BodyStep::Naf(a));
             continue;
         }
-        // Safety said this cannot happen.
-        let lit = remaining[0];
+        // Only literals with unbindable variables remain: the body is unsafe.
         let mut vs = Vec::new();
-        lit.collect_vars(&mut vs);
-        let var = vs
+        remaining[0].collect_vars(&mut vs);
+        return Err(vs
             .into_iter()
             .find(|v| !bound.contains(v))
-            .unwrap_or(Symbol::new("_"));
-        return Err(GroundError::UnsafeRule {
-            rule: render(),
-            var,
-        });
+            .unwrap_or(Symbol::new("_")));
     }
-    let head_key = head.map(|h| sig_key(h, traces));
-    Ok(ScheduledRule {
-        head,
-        head_key,
-        steps,
-        joins,
-        weak: None,
-    })
+    Ok(steps)
 }
 
 /// True if the term contains an arithmetic subterm. Arithmetic patterns
@@ -852,7 +871,7 @@ fn walk_unit(
         };
         let mut negs = Vec::new();
         for s in &rule.steps {
-            if let Step::Naf(a) = s {
+            if let BodyStep::Naf(a) = s {
                 match a.substitute(bindings) {
                     Some(g) => negs.push(g),
                     None => return Ok(()),
@@ -876,7 +895,7 @@ fn walk_unit(
         return Ok(());
     }
     match &rule.steps[step] {
-        Step::Filter(op, a, b) => {
+        BodyStep::Filter(op, a, b) => {
             let (Some(ga), Some(gb)) = (a.substitute(bindings), b.substitute(bindings)) else {
                 return Ok(());
             };
@@ -885,7 +904,7 @@ fn walk_unit(
             }
             Ok(())
         }
-        Step::Bind(v, expr) => {
+        BodyStep::Bind(v, expr) => {
             let Some(val) = expr.substitute(bindings) else {
                 return Ok(());
             };
@@ -894,14 +913,13 @@ fn walk_unit(
             bindings.remove(v);
             Ok(())
         }
-        Step::Naf(_) => walk_unit(frame, step + 1, join_idx, bindings, path, out),
-        Step::Join {
-            pattern,
-            key,
+        BodyStep::Naf(_) => walk_unit(frame, step + 1, join_idx, bindings, path, out),
+        BodyStep::Join {
+            atom: pattern,
             fresh,
             probe,
         } => {
-            let Some(entry) = view.possible.by_sig.get(key) else {
+            let Some(entry) = view.possible.by_sig.get(&rule.joins[join_idx]) else {
                 return Ok(());
             };
             let (start, end) = plan_range(entry, join_idx, frame.plan);
@@ -1517,6 +1535,47 @@ mod tests {
         assert!(facts.contains(&"succ(0, 1)".to_string()));
         assert!(facts.contains(&"succ(1, 2)".to_string()));
         assert!(!facts.iter().any(|f| f.starts_with("succ(2")));
+    }
+
+    #[test]
+    fn binders_bind_either_side() {
+        // `expr = V` binds `V` like `V = expr`, also when `expr` is itself a
+        // bound variable: `X = Y` with only `X` bound binds `Y`.
+        let p: Program = "
+            num(1). num(2).
+            fwd(Y) :- num(X), Y = X + 1.
+            rev(Y) :- num(X), X + 1 = Y.
+            same(Y) :- num(X), X = Y.
+        "
+        .parse()
+        .unwrap();
+        let facts = atoms_of(&ground(&p).unwrap());
+        for want in ["fwd(2)", "fwd(3)", "rev(2)", "rev(3)", "same(1)", "same(2)"] {
+            assert!(facts.contains(&want.to_string()), "{want} in {facts:?}");
+        }
+        let steps = |rule: &str| {
+            let r: Rule = rule.parse().unwrap();
+            schedule_body(&r.body)
+                .unwrap()
+                .iter()
+                .map(|s| match s {
+                    BodyStep::Join { atom, .. } => atom.to_string(),
+                    BodyStep::Filter(op, a, b) => format!("filter {a} {op} {b}"),
+                    BodyStep::Bind(v, t) => format!("bind {v} {t}"),
+                    BodyStep::Naf(a) => format!("not {a}"),
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            steps(":- X = Y, c(X), Y < 3."),
+            ["c(X)", "bind Y X", "filter Y < 3"]
+        );
+        assert_eq!(
+            steps(":- not d(Y), X + 1 = Y, c(X)."),
+            ["c(X)", "bind Y (X + 1)", "not d(Y)"]
+        );
+        let unsafe_body: Rule = ":- c(X), Y < X.".parse().unwrap();
+        assert_eq!(schedule_body(&unsafe_body.body), Err(Symbol::new("Y")));
     }
 
     #[test]

@@ -52,8 +52,9 @@ pub use atom::{Atom, CmpOp, Literal, Trace};
 pub use budget::{Deadline, Exhausted, RunBudget};
 pub use explain::{explain_atom, violated_constraints, Derivation};
 pub use ground::{
-    ground, ground_with, ground_with_stats, AtomId, AtomTable, GroundError, GroundOptions,
-    GroundProgram, GroundRule, GroundStats, GroundWeak, IncrementalGrounder,
+    ground, ground_with, ground_with_stats, schedule_body, AtomId, AtomTable, BodyStep,
+    GroundError, GroundOptions, GroundProgram, GroundRule, GroundStats, GroundWeak,
+    IncrementalGrounder,
 };
 pub use parser::{parse_atom, parse_program, parse_rule, ParseError};
 pub use program::{Program, Rule, WeakConstraint};

@@ -435,6 +435,7 @@ impl Ams {
         span.record("constraints", adaptation.hypothesis.rules.len());
         span.record("examples_compiled", stats.examples_compiled);
         span.record("compile_ns", stats.compile_ns);
+        span.record("coverage_ns", stats.coverage_ns);
         span.record("search_ns", stats.search_ns);
         span.record("search_skipped", stats.search_skipped);
         if let Err(e) = self.refresh(Some(&adaptation.gpm)) {

@@ -10,147 +10,370 @@
 //! constraint.
 
 use crate::example::Example;
+use crate::learner::LearnError;
 use crate::space::Candidate;
 use agenp_asp::{
-    Atom, Bindings, CmpOp, GroundError, GroundOptions, GroundStats, IncrementalGrounder, Literal,
-    Rule, Solver, Symbol, Trace,
+    schedule_body, ArithOp, Atom, BodyStep, CmpOp, GroundError, GroundOptions, GroundStats,
+    IncrementalGrounder, Rule, Solver, Symbol, Term, Trace,
 };
 use agenp_grammar::{Asg, EarleyParser, ParseOptions, ParseTree, ProdId};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-/// A single answer set of a base program, indexed for conjunctive-query
-/// evaluation.
+/// A single answer set of a base program, its atoms grouped by predicate
+/// and arity for plan evaluation.
 #[derive(Clone, Debug)]
 pub struct World {
+    /// Sorted by predicate and arity, so each signature's atoms are
+    /// contiguous.
     atoms: Vec<Atom>,
-    by_sig: HashMap<(Symbol, usize, Trace), Vec<usize>>,
+    /// Per signature present, ascending: predicate, arity, and the range
+    /// of its atoms.
+    sigs: Vec<(Symbol, usize, std::ops::Range<usize>)>,
 }
 
 impl World {
     /// Builds a world from a set of atoms.
-    pub fn from_atoms(atoms: Vec<Atom>) -> World {
-        let mut by_sig: HashMap<(Symbol, usize, Trace), Vec<usize>> = HashMap::new();
+    pub fn from_atoms(mut atoms: Vec<Atom>) -> World {
+        atoms.sort_by_key(Atom::signature);
+        let mut sigs: Vec<(Symbol, usize, std::ops::Range<usize>)> = Vec::new();
         for (i, a) in atoms.iter().enumerate() {
-            by_sig
-                .entry((a.pred, a.args.len(), a.trace.clone()))
-                .or_default()
-                .push(i);
+            match sigs.last_mut() {
+                Some((pred, arity, range)) if (*pred, *arity) == a.signature() => range.end = i + 1,
+                _ => sigs.push((a.pred, a.args.len(), i..i + 1)),
+            }
         }
-        World { atoms, by_sig }
+        World { atoms, sigs }
     }
 
     /// True if the world contains the (ground) atom.
     pub fn contains(&self, atom: &Atom) -> bool {
-        self.by_sig
-            .get(&(atom.pred, atom.args.len(), atom.trace.clone()))
-            .is_some_and(|ids| ids.iter().any(|&i| &self.atoms[i] == atom))
+        self.with_signature(atom.pred, atom.args.len())
+            .contains(atom)
     }
 
-    fn candidates(&self, pattern: &Atom) -> &[usize] {
-        self.by_sig
-            .get(&(pattern.pred, pattern.args.len(), pattern.trace.clone()))
-            .map_or(&[], Vec::as_slice)
+    /// The atoms of one predicate and arity, whatever their traces.
+    fn with_signature(&self, pred: Symbol, arity: usize) -> &[Atom] {
+        match self
+            .sigs
+            .binary_search_by(|(p, n, _)| (*p, *n).cmp(&(pred, arity)))
+        {
+            Ok(i) => &self.atoms[self.sigs[i].2.clone()],
+            Err(_) => &[],
+        }
     }
 
-    /// The world's atoms.
+    /// The world's atoms, grouped by predicate and arity.
     pub fn atoms(&self) -> &[Atom] {
         &self.atoms
     }
 }
 
-/// Is the body of a (possibly non-ground) rule satisfiable in `world`, i.e.
-/// does some grounding make every literal true?
-pub fn body_holds(body: &[Literal], world: &World) -> bool {
-    let mut bindings = Bindings::new();
-    holds_rec(
-        body,
-        &mut Vec::from_iter(0..body.len()),
-        &mut bindings,
-        world,
-    )
+/// Plans for every candidate of a constraint-only space, in order.
+///
+/// # Errors
+///
+/// [`LearnError::UnsafeCandidate`] for a candidate with no plan.
+pub(crate) fn plan_candidates(candidates: &[Candidate]) -> Result<Vec<CandidatePlan>, LearnError> {
+    candidates
+        .iter()
+        .map(|c| {
+            CandidatePlan::new(c.target, &c.rule)
+                .ok_or_else(|| LearnError::UnsafeCandidate(c.rule.to_string()))
+        })
+        .collect()
 }
 
-fn holds_rec(
-    body: &[Literal],
-    remaining: &mut Vec<usize>,
-    bindings: &mut Bindings,
-    world: &World,
-) -> bool {
-    if remaining.is_empty() {
-        return true;
-    }
-    let all_bound = |lit: &Literal, b: &Bindings| {
-        let mut vs = Vec::new();
-        lit.collect_vars(&mut vs);
-        vs.iter().all(|v| b.contains_key(v))
-    };
-    // Pick the next evaluable literal: bound comparisons and negations act
-    // as filters; `V = expr` binds; positive atoms join against the world.
-    let pick = remaining
-        .iter()
-        .position(|&i| match &body[i] {
-            Literal::Cmp(CmpOp::Eq, agenp_asp::Term::Var(v), rhs) => {
-                !bindings.contains_key(v) && rhs.vars().iter().all(|x| bindings.contains_key(x))
-                    || all_bound(&body[i], bindings)
-            }
-            Literal::Cmp(..) | Literal::Neg(_) => all_bound(&body[i], bindings),
-            Literal::Pos(_) => false,
+/// A constraint candidate compiled once for evaluation against worlds.
+///
+/// The body is ordered by the grounder's own rules ([`schedule_body`]),
+/// its variables are numbered into slots in the order they are bound, and
+/// each atom keeps its trace as a suffix: instantiated at parse-tree node
+/// `t`, it matches a world atom whose trace equals `t ++ suffix`, compared
+/// in place. Evaluation instantiates no rule and clones no atom, and the
+/// bindings are a fixed slot array: each step's mark is the number of
+/// slots bound before it, so a failed match needs no undo — the slots at or
+/// past the mark are dead and the next match overwrites them. It allocates
+/// only a heap slot array for a plan of more than eight variables and the
+/// compound term a comparison or binder builds from a compound with
+/// variables inside.
+#[derive(Clone, Debug)]
+pub struct CandidatePlan {
+    target: ProdId,
+    steps: Vec<PlanStep>,
+    slots: usize,
+}
+
+#[derive(Clone, Debug)]
+enum PlanStep {
+    /// Match a positive atom against the world.
+    Join(PlanAtom),
+    /// A comparison whose variables are all bound.
+    Filter(CmpOp, Pattern, Pattern),
+    /// An `=` binder: set the slot to the value of the term.
+    Bind(usize, Pattern),
+    /// A negative literal whose variables are all bound.
+    Naf(PlanAtom),
+}
+
+#[derive(Clone, Debug)]
+struct PlanAtom {
+    pred: Symbol,
+    args: Vec<Pattern>,
+    /// The atom's own trace, appended to the node's.
+    suffix: Trace,
+}
+
+/// A term of a plan.
+#[derive(Clone, Debug)]
+enum Pattern {
+    /// A ground term.
+    Ground(Term),
+    /// A variable's first occurrence in a join: matching sets its slot.
+    Fresh(usize),
+    /// A variable bound by an earlier occurrence or step.
+    Slot(usize),
+    /// A compound term with variables inside.
+    Func(Symbol, Vec<Pattern>),
+    /// Arithmetic: evaluated once its variables are bound; it never
+    /// matches a world term structurally, as in the grounder.
+    Arith(ArithOp, Box<Pattern>, Box<Pattern>),
+}
+
+/// Slot arrays of up to this many variables live on the stack.
+const INLINE_SLOTS: usize = 8;
+
+impl CandidatePlan {
+    /// Compiles the constraint `rule` targeting production `target`.
+    /// `None` if the rule is not a constraint or its body is unsafe.
+    pub fn new(target: ProdId, rule: &Rule) -> Option<CandidatePlan> {
+        if !rule.is_constraint() {
+            return None;
+        }
+        let mut slots: Vec<Symbol> = Vec::new();
+        let steps = schedule_body(&rule.body)
+            .ok()?
+            .into_iter()
+            .map(|step| match step {
+                BodyStep::Join { atom, .. } => PlanStep::Join(PlanAtom::new(atom, &mut slots)),
+                BodyStep::Filter(op, a, b) => {
+                    PlanStep::Filter(op, Pattern::new(a, &mut slots), Pattern::new(b, &mut slots))
+                }
+                BodyStep::Bind(var, expr) => {
+                    let expr = Pattern::new(expr, &mut slots);
+                    slots.push(var);
+                    PlanStep::Bind(slots.len() - 1, expr)
+                }
+                BodyStep::Naf(atom) => PlanStep::Naf(PlanAtom::new(atom, &mut slots)),
+            })
+            .collect();
+        Some(CandidatePlan {
+            target,
+            steps,
+            slots: slots.len(),
         })
-        .or_else(|| {
-            remaining
+    }
+
+    /// The production the candidate annotates.
+    pub fn target(&self) -> ProdId {
+        self.target
+    }
+
+    /// Does some grounding of the body, instantiated at parse-tree node
+    /// `node`, make every literal true in `world`?
+    pub fn holds_at(&self, world: &World, node: &Trace) -> bool {
+        let node = node.indices();
+        if self.slots <= INLINE_SLOTS {
+            let mut slots: [Cow<'_, Term>; INLINE_SLOTS] =
+                std::array::from_fn(|_| Cow::Owned(Term::Int(0)));
+            self.run(0, world, node, &mut slots)
+        } else {
+            let mut slots = vec![Cow::Owned(Term::Int(0)); self.slots];
+            self.run(0, world, node, &mut slots)
+        }
+    }
+
+    fn run<'a>(
+        &'a self,
+        step: usize,
+        world: &'a World,
+        node: &[u16],
+        slots: &mut [Cow<'a, Term>],
+    ) -> bool {
+        let Some(current) = self.steps.get(step) else {
+            return true;
+        };
+        match current {
+            PlanStep::Join(atom) => world
+                .with_signature(atom.pred, atom.args.len())
                 .iter()
-                .position(|&i| matches!(&body[i], Literal::Pos(_)))
-        });
-    let Some(pos) = pick else {
-        // Only unbound filters remain: the rule was unsafe; treat the body
-        // as unsatisfiable rather than guessing.
-        return false;
-    };
-    let idx = remaining.remove(pos);
-    let result = match &body[idx] {
-        Literal::Cmp(op, l, r) => {
-            match (l.substitute(bindings), r.substitute(bindings)) {
-                (Some(gl), Some(gr)) => {
-                    op.eval(&gl, &gr) && holds_rec(body, remaining, bindings, world)
+                .any(|w| atom.bind(w, node, slots) && self.run(step + 1, world, node, slots)),
+            PlanStep::Filter(op, a, b) => match (a.eval(slots), b.eval(slots)) {
+                (Some(a), Some(b)) => op.eval(&a, &b) && self.run(step + 1, world, node, slots),
+                _ => false,
+            },
+            PlanStep::Bind(slot, expr) => match expr.eval(slots) {
+                Some(value) => {
+                    slots[*slot] = value;
+                    self.run(step + 1, world, node, slots)
                 }
-                // An `=` binder: bind the variable side.
-                _ => {
-                    if let (CmpOp::Eq, agenp_asp::Term::Var(v), rhs) = (op, l, r) {
-                        if let Some(val) = rhs.substitute(bindings) {
-                            bindings.insert(*v, val);
-                            let ok = holds_rec(body, remaining, bindings, world);
-                            bindings.remove(v);
-                            ok
-                        } else {
-                            false
-                        }
-                    } else {
-                        false
-                    }
+                None => false,
+            },
+            PlanStep::Naf(atom) => {
+                // A negation whose arithmetic fails does not hold, as the
+                // grounder drops that instance.
+                if !atom.args.iter().all(|p| p.evaluates(slots)) {
+                    return false;
                 }
+                let present = world
+                    .with_signature(atom.pred, atom.args.len())
+                    .iter()
+                    .any(|w| atom.equals(w, node, slots));
+                !present && self.run(step + 1, world, node, slots)
             }
         }
-        Literal::Neg(a) => match a.substitute(bindings) {
-            Some(g) => !world.contains(&g) && holds_rec(body, remaining, bindings, world),
-            None => false,
-        },
-        Literal::Pos(a) => {
-            let mut found = false;
-            for &wi in world.candidates(a) {
-                let atom = world.atoms[wi].clone();
-                let mut trial = bindings.clone();
-                if a.match_ground(&atom, &mut trial)
-                    && holds_rec(body, remaining, &mut trial, world)
-                {
-                    found = true;
-                    break;
-                }
-            }
-            found
+    }
+}
+
+impl PlanAtom {
+    fn new(atom: &Atom, slots: &mut Vec<Symbol>) -> PlanAtom {
+        PlanAtom {
+            pred: atom.pred,
+            args: atom.args.iter().map(|t| Pattern::new(t, slots)).collect(),
+            suffix: atom.trace.clone(),
         }
-    };
-    remaining.insert(pos, idx);
-    result
+    }
+
+    /// Is `trace` this atom's trace when instantiated at `node`?
+    fn at(&self, trace: &Trace, node: &[u16]) -> bool {
+        let (trace, suffix) = (trace.indices(), self.suffix.indices());
+        trace.len() == node.len() + suffix.len()
+            && trace
+                .iter()
+                .zip(node.iter().chain(suffix))
+                .all(|(a, b)| a == b)
+    }
+
+    /// Matches the world atom `w` (of this atom's signature) at `node`,
+    /// setting fresh slots.
+    fn bind<'a>(&self, w: &'a Atom, node: &[u16], slots: &mut [Cow<'a, Term>]) -> bool {
+        self.at(&w.trace, node) && self.args.iter().zip(&w.args).all(|(p, v)| p.bind(v, slots))
+    }
+
+    /// Is the world atom `w` (of this atom's signature) this bound atom
+    /// instantiated at `node`?
+    fn equals(&self, w: &Atom, node: &[u16], slots: &[Cow<'_, Term>]) -> bool {
+        self.at(&w.trace, node)
+            && self
+                .args
+                .iter()
+                .zip(&w.args)
+                .all(|(p, v)| p.equals(v, slots))
+    }
+}
+
+impl Pattern {
+    /// Numbers the term's variables: one already in `slots` reads its
+    /// slot, a new one is given the next slot.
+    fn new(term: &Term, slots: &mut Vec<Symbol>) -> Pattern {
+        match term {
+            t if t.is_ground() => Pattern::Ground(t.clone()),
+            Term::Var(v) => match slots.iter().position(|s| s == v) {
+                Some(i) => Pattern::Slot(i),
+                None => {
+                    slots.push(*v);
+                    Pattern::Fresh(slots.len() - 1)
+                }
+            },
+            Term::Func(f, args) => {
+                Pattern::Func(*f, args.iter().map(|a| Pattern::new(a, slots)).collect())
+            }
+            Term::Arith(op, l, r) => Pattern::Arith(
+                *op,
+                Box::new(Pattern::new(l, slots)),
+                Box::new(Pattern::new(r, slots)),
+            ),
+            Term::Int(_) | Term::Sym(_) => unreachable!("constants are ground"),
+        }
+    }
+
+    /// Matches the pattern against a world term, setting fresh slots.
+    fn bind<'a>(&self, value: &'a Term, slots: &mut [Cow<'a, Term>]) -> bool {
+        match self {
+            Pattern::Ground(t) => t == value,
+            Pattern::Fresh(i) => {
+                slots[*i] = Cow::Borrowed(value);
+                true
+            }
+            Pattern::Slot(i) => *slots[*i] == *value,
+            Pattern::Func(f, args) => match value {
+                Term::Func(g, values) => {
+                    f == g
+                        && args.len() == values.len()
+                        && args.iter().zip(values).all(|(p, v)| p.bind(v, slots))
+                }
+                _ => false,
+            },
+            Pattern::Arith(..) => false,
+        }
+    }
+
+    /// Is the pattern, its variables bound, equal to `value`? Assumes its
+    /// arithmetic evaluates ([`Pattern::evaluates`]).
+    fn equals(&self, value: &Term, slots: &[Cow<'_, Term>]) -> bool {
+        match self {
+            Pattern::Ground(t) => t == value,
+            Pattern::Fresh(i) | Pattern::Slot(i) => *slots[*i] == *value,
+            Pattern::Func(f, args) => match value {
+                Term::Func(g, values) => {
+                    f == g
+                        && args.len() == values.len()
+                        && args.iter().zip(values).all(|(p, v)| p.equals(v, slots))
+                }
+                _ => false,
+            },
+            Pattern::Arith(..) => self.eval_int(slots).is_some_and(|n| *value == Term::Int(n)),
+        }
+    }
+
+    /// Does every arithmetic subterm evaluate to an integer?
+    fn evaluates(&self, slots: &[Cow<'_, Term>]) -> bool {
+        match self {
+            Pattern::Ground(_) | Pattern::Fresh(_) | Pattern::Slot(_) => true,
+            Pattern::Func(_, args) => args.iter().all(|p| p.evaluates(slots)),
+            Pattern::Arith(..) => self.eval_int(slots).is_some(),
+        }
+    }
+
+    /// The integer the pattern evaluates to, as [`Term::substitute`]
+    /// computes it: `None` for a non-integer operand, division by zero or
+    /// overflow.
+    fn eval_int(&self, slots: &[Cow<'_, Term>]) -> Option<i64> {
+        match self {
+            Pattern::Ground(Term::Int(n)) => Some(*n),
+            Pattern::Fresh(i) | Pattern::Slot(i) => match *slots[*i] {
+                Term::Int(n) => Some(n),
+                _ => None,
+            },
+            Pattern::Arith(op, l, r) => op.apply(l.eval_int(slots)?, r.eval_int(slots)?),
+            Pattern::Ground(_) | Pattern::Func(..) => None,
+        }
+    }
+
+    /// The ground value of the pattern, its variables bound; `None` if
+    /// its arithmetic fails.
+    fn eval<'a>(&'a self, slots: &[Cow<'a, Term>]) -> Option<Cow<'a, Term>> {
+        match self {
+            Pattern::Ground(t) => Some(Cow::Borrowed(t)),
+            Pattern::Fresh(i) | Pattern::Slot(i) => Some(slots[*i].clone()),
+            Pattern::Arith(..) => self.eval_int(slots).map(|n| Cow::Owned(Term::Int(n))),
+            Pattern::Func(f, args) => args
+                .iter()
+                .map(|p| p.eval(slots).map(Cow::into_owned))
+                .collect::<Option<Vec<Term>>>()
+                .map(|args| Cow::Owned(Term::Func(*f, args))),
+        }
+    }
 }
 
 /// A compiled parse tree of an example.
@@ -184,13 +407,12 @@ impl CompiledTree {
             .unwrap_or_default()
     }
 
-    /// Does `world` (an answer set of the base program) violate the candidate
-    /// constraint? Only meaningful for constraint candidates.
-    pub fn world_violates(&self, world: &World, candidate: &Candidate) -> bool {
-        debug_assert!(candidate.rule.is_constraint());
-        self.instantiate(candidate)
-            .iter()
-            .any(|r| body_holds(&r.body, world))
+    /// Does `world` (an answer set of the base program) violate the planned
+    /// constraint at some node of its target production?
+    pub fn world_violates(&self, world: &World, plan: &CandidatePlan) -> bool {
+        self.traces_by_prod
+            .get(&plan.target())
+            .is_some_and(|nodes| nodes.iter().any(|node| plan.holds_at(world, node)))
     }
 }
 
@@ -245,28 +467,22 @@ impl CompileOptions {
 
 impl CompiledExample {
     /// Is the example's string admitted under the hypothesis? Only valid
-    /// for constraint-only hypotheses with completely enumerated worlds;
-    /// returns `None` when that precondition fails (callers fall back to
-    /// full semantics).
-    pub fn accepted_by(&self, rules: &[(ProdId, agenp_asp::Rule)]) -> Option<bool> {
-        if rules.iter().any(|(_, r)| !r.is_constraint()) {
-            return None;
-        }
+    /// for hypotheses of safe constraints, over completely enumerated
+    /// worlds; returns `None` when that precondition fails (callers fall
+    /// back to full semantics).
+    pub fn accepted_by(&self, rules: &[(ProdId, Rule)]) -> Option<bool> {
+        let plans = rules
+            .iter()
+            .map(|(target, rule)| CandidatePlan::new(*target, rule))
+            .collect::<Option<Vec<_>>>()?;
         if self.trees.iter().any(|t| !t.worlds_complete) {
             return None;
         }
-        for tree in &self.trees {
-            for world in &tree.worlds {
-                let killed = rules.iter().any(|(target, rule)| {
-                    let cand = Candidate::new(*target, rule.clone());
-                    tree.world_violates(world, &cand)
-                });
-                if !killed {
-                    return Some(true);
-                }
-            }
-        }
-        Some(false)
+        Some(self.trees.iter().any(|tree| {
+            tree.worlds
+                .iter()
+                .any(|world| !plans.iter().any(|plan| tree.world_violates(world, plan)))
+        }))
     }
 }
 
@@ -344,33 +560,100 @@ mod tests {
         World::from_atoms(atoms.iter().map(|s| s.parse().unwrap()).collect())
     }
 
+    fn plan(rule: &str) -> CandidatePlan {
+        CandidatePlan::new(ProdId::from_index(0), &rule.parse().unwrap()).unwrap()
+    }
+
+    fn holds(rule: &str, w: &World) -> bool {
+        plan(rule).holds_at(w, &Trace::root())
+    }
+
     #[test]
-    fn body_holds_matches_conjunctions() {
+    fn plans_match_conjunctions() {
         let w = world(&["p(1)", "p(2)", "q(2)"]);
-        let r: Rule = ":- p(X), q(X).".parse().unwrap();
-        assert!(body_holds(&r.body, &w));
-        let r2: Rule = ":- p(X), q(X), X < 2.".parse().unwrap();
-        assert!(!body_holds(&r2.body, &w));
-        let r3: Rule = ":- p(X), not q(X).".parse().unwrap();
-        assert!(body_holds(&r3.body, &w)); // p(1) with no q(1)
+        assert!(holds(":- p(X), q(X).", &w));
+        assert!(!holds(":- p(X), q(X), X < 2.", &w));
+        assert!(holds(":- p(X), not q(X).", &w)); // p(1) with no q(1)
+        assert!(!holds(":- p(X), X > 2.", &w));
+        assert!(holds(":- p(X), p(Y), X < Y.", &w));
+        assert!(!holds(":- r(X).", &w));
     }
 
     #[test]
-    fn body_holds_respects_traces() {
+    fn plans_respect_traces() {
         let w = world(&["size(2)@1", "size(3)@2"]);
-        let r: Rule = ":- size(X)@1, size(X)@2.".parse().unwrap();
-        assert!(!body_holds(&r.body, &w));
+        let r = ":- size(X)@1, size(X)@2.";
+        assert!(!holds(r, &w));
         let w2 = world(&["size(2)@1", "size(2)@2"]);
-        assert!(body_holds(&r.body, &w2));
+        assert!(holds(r, &w2));
+        // Instantiated at node 1, `size(X)@2` means `size(X)@1_2` and an
+        // unannotated atom means the node's own.
+        // (The parser reads one-level traces only.)
+        let deep = Atom::new("size", vec![Term::Int(2)]).with_trace(Trace::from_indices([1, 2]));
+        let mut atoms: Vec<Atom> = ["size(2)@1", "ok@1"].map(|a| a.parse().unwrap()).into();
+        atoms.push(deep);
+        let w3 = World::from_atoms(atoms);
+        let p = plan(":- size(X), size(X)@2, ok.");
+        assert!(p.holds_at(&w3, &Trace::from_indices([1])));
+        assert!(!p.holds_at(&w3, &Trace::root()));
+        assert!(!p.holds_at(&w3, &Trace::from_indices([2])));
+        assert!(plan(":- not ok.").holds_at(&w3, &Trace::root()));
+        assert!(!plan(":- not ok.").holds_at(&w3, &Trace::from_indices([1])));
     }
 
     #[test]
-    fn body_holds_evaluates_binders() {
+    fn plans_evaluate_binders() {
         let w = world(&["n(3)", "m(4)"]);
-        let r: Rule = ":- n(X), Y = X + 1, m(Y).".parse().unwrap();
-        assert!(body_holds(&r.body, &w));
-        let r2: Rule = ":- n(X), Y = X + 2, m(Y).".parse().unwrap();
-        assert!(!body_holds(&r2.body, &w));
+        assert!(holds(":- n(X), Y = X + 1, m(Y).", &w));
+        assert!(!holds(":- n(X), Y = X + 2, m(Y).", &w));
+        assert!(holds(":- n(X), X + 1 = Y, m(Y).", &w));
+        assert!(!holds(":- n(X), X + 2 = Y, m(Y).", &w));
+    }
+
+    #[test]
+    fn right_hand_binders_bind() {
+        // `expr = V` binds V as `V = expr` does, the grounder's rule: the
+        // engine finds `n(3).` plus either constraint unsatisfiable.
+        let w = world(&["n(3)"]);
+        assert!(holds(":- n(X), X + 1 = Y, Y > 3.", &w));
+        assert!(holds(":- n(X), Y = X + 1, Y > 3.", &w));
+        assert!(!holds(":- n(X), X + 1 = Y, Y > 4.", &w));
+        for rule in [":- n(X), X + 1 = Y, Y > 3.", ":- n(X), Y = X + 1, Y > 3."] {
+            let p: agenp_asp::Program = format!("n(3). {rule}").parse().unwrap();
+            assert!(!Solver::new().solve_program(&p).unwrap().satisfiable());
+        }
+    }
+
+    #[test]
+    fn plans_decide_negation_and_arithmetic_as_the_engine() {
+        let facts = ["n(3)", "n(a)", "m(4)", "f(g(1))", "k(2)@1"];
+        let w = world(&facts);
+        let cases = [
+            // n(3) meets m(4); `a + 1` fails, which drops that instance.
+            (":- n(X), not m(X + 1).", false),
+            (":- n(X), not m(X + 2).", true),
+            (":- n(3), not m(4).", false),
+            (":- f(g(X)), X < 2.", true),
+            (":- f(g(X)), not f(g(X)).", false),
+            (":- f(g(X)), Y = g(X), f(Y).", true),
+            (":- k(X)@1, not n(X + 1).", false),
+            // Arithmetic never matches a world term structurally.
+            (":- n(X), m(X + 1).", false),
+        ];
+        for (rule, expected) in cases {
+            assert_eq!(holds(rule, &w), expected, "{rule}");
+            let program: agenp_asp::Program =
+                format!("{}. {rule}", facts.join(". ")).parse().unwrap();
+            let sat = Solver::new().solve_program(&program).unwrap().satisfiable();
+            assert_eq!(sat, !expected, "engine on {rule}");
+        }
+    }
+
+    #[test]
+    fn non_constraints_and_unsafe_bodies_have_no_plan() {
+        let pid = ProdId::from_index(0);
+        assert!(CandidatePlan::new(pid, &"ok :- p.".parse().unwrap()).is_none());
+        assert!(CandidatePlan::new(pid, &":- p(X), Y > X.".parse().unwrap()).is_none());
     }
 
     #[test]

@@ -207,6 +207,10 @@ pub struct LearnStats {
     /// Wall time spent compiling examples and computing their coverage, in
     /// nanoseconds.
     pub compile_ns: u64,
+    /// The part of `compile_ns` spent computing coverage on the monotone
+    /// path: compiling the space's candidate plans (once per session) and
+    /// evaluating them on each new world for its kill set, in nanoseconds.
+    pub coverage_ns: u64,
     /// Wall time spent searching, or checking that the last optimum still
     /// holds, in nanoseconds.
     pub search_ns: u64,

@@ -57,7 +57,7 @@ mod session;
 mod space;
 
 pub use compile::{
-    body_holds, compile_example, CompileOptions, CompiledExample, CompiledTree, World,
+    compile_example, CandidatePlan, CompileOptions, CompiledExample, CompiledTree, World,
 };
 pub use example::Example;
 pub use learner::{

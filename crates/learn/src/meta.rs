@@ -9,7 +9,7 @@
 //! used to cross-validate the native branch-and-bound learner and as an
 //! ablation backend.
 
-use crate::compile::{compile_example, CompiledExample};
+use crate::compile::{compile_example, plan_candidates, CompiledExample};
 use crate::learner::{Hypothesis, LearnError, Learner, LearningTask};
 use agenp_asp::{ground, Program, Solver};
 
@@ -68,6 +68,7 @@ impl Learner {
 
         // --- Encode ---------------------------------------------------
         let candidates = task.space.candidates();
+        let plans = plan_candidates(candidates)?;
         let mut src = String::new();
         for (ci, _) in candidates.iter().enumerate() {
             src.push_str(&format!("cand({ci}).\n"));
@@ -85,8 +86,8 @@ impl Learner {
             for tree in &ex.trees {
                 for world in &tree.worlds {
                     src.push_str(&format!("eworld({ei}, {world_id}).\n"));
-                    for (ci, cand) in candidates.iter().enumerate() {
-                        if tree.world_violates(world, cand) {
+                    for (ci, plan) in plans.iter().enumerate() {
+                        if tree.world_violates(world, plan) {
                             src.push_str(&format!("kills({ci}, {world_id}).\n"));
                         }
                     }

@@ -19,7 +19,7 @@
 //!   unsatisfiable. A reused optimum may differ from the one a fresh search
 //!   would pick among hypotheses of equal cost.
 
-use crate::compile::{compile_example, CompiledExample};
+use crate::compile::{compile_example, plan_candidates, CandidatePlan, CompiledExample};
 use crate::example::Example;
 use crate::learner::{Hypothesis, LearnError, LearnOptions, LearnStats};
 use crate::search::{self, Examples, Kills, Searched};
@@ -60,6 +60,9 @@ pub struct LearningSession {
     options: LearnOptions,
     /// Why the space is malformed, if it is; found once, at construction.
     invalid: Option<LearnError>,
+    /// The space's candidates compiled for world evaluation, one per
+    /// candidate; built by the first solve that computes kill sets.
+    plans: Vec<CandidatePlan>,
     /// Distinct examples with their cached coverage, in arrival order.
     entries: Vec<Entry>,
     /// Entry ids by a hash of their text, context and label, keyed per
@@ -121,6 +124,7 @@ impl LearningSession {
             space,
             options,
             invalid,
+            plans: Vec::new(),
             entries: Vec::new(),
             index: HashMap::new(),
             hasher: RandomState::new(),
@@ -195,6 +199,9 @@ impl LearningSession {
                     span.record("search_nodes", stats.search_nodes);
                     span.record("search_skipped", stats.search_skipped);
                     span.record("examples_compiled", stats.examples_compiled);
+                    span.record("compile_ns", stats.compile_ns);
+                    span.record("coverage_ns", stats.coverage_ns);
+                    span.record("search_ns", stats.search_ns);
                     crate::obs::LearnMetrics::publish(stats);
                 }
                 Err(_) => span.record("error", true),
@@ -240,6 +247,11 @@ impl LearningSession {
     /// the current path needs.
     fn compile_pending(&mut self, stats: &mut LearnStats) -> Result<(), LearnError> {
         let worlds_usable = !self.options.force_generic && self.space.constraints_only();
+        if worlds_usable && self.plans.len() != self.space.len() {
+            let started = Instant::now();
+            self.plans = plan_candidates(self.space.candidates())?;
+            stats.coverage_ns += elapsed_ns(started);
+        }
         for entry in &mut self.entries {
             if !matches!(entry.coverage, Coverage::Pending) {
                 continue;
@@ -248,7 +260,7 @@ impl LearningSession {
             let complete = compiled.trees.iter().all(|t| t.worlds_complete);
             self.incomplete |= !complete;
             entry.coverage = if worlds_usable && complete {
-                Coverage::Worlds(kill_sets(&compiled, &self.space))
+                Coverage::Worlds(kill_sets(&compiled, &self.plans, stats))
             } else {
                 Coverage::Compiled(compiled)
             };
@@ -257,7 +269,7 @@ impl LearningSession {
         for entry in &mut self.entries {
             match &entry.coverage {
                 Coverage::Compiled(compiled) if monotone => {
-                    entry.coverage = Coverage::Worlds(kill_sets(compiled, &self.space));
+                    entry.coverage = Coverage::Worlds(kill_sets(compiled, &self.plans, stats));
                 }
                 Coverage::Worlds(_) if !monotone => {
                     let compiled = compile(&self.grammar, entry, &self.options, stats)?;
@@ -462,26 +474,33 @@ fn compile(
     Ok(compiled)
 }
 
-/// The kill set of each world of a compiled example over a constraint-only
-/// space, trees in parse order.
-fn kill_sets(compiled: &CompiledExample, space: &HypothesisSpace) -> Vec<Kills> {
-    let candidates = space.candidates();
-    compiled
+/// The kill set of each world of a compiled example over the plans of a
+/// constraint-only space, trees in parse order. Adds its time to
+/// `stats.coverage_ns`.
+fn kill_sets(
+    compiled: &CompiledExample,
+    plans: &[CandidatePlan],
+    stats: &mut LearnStats,
+) -> Vec<Kills> {
+    let started = Instant::now();
+    let kills = compiled
         .trees
         .iter()
         .flat_map(|tree| {
             tree.worlds.iter().map(move |world| {
                 Kills::new(
-                    candidates.len(),
-                    candidates
+                    plans.len(),
+                    plans
                         .iter()
                         .enumerate()
-                        .filter(|(_, c)| tree.world_violates(world, c))
+                        .filter(|(_, plan)| tree.world_violates(world, plan))
                         .map(|(ci, _)| ci),
                 )
             })
         })
-        .collect()
+        .collect();
+    stats.coverage_ns += elapsed_ns(started);
+    kills
 }
 
 fn elapsed_ns(since: Instant) -> u64 {

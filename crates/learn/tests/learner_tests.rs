@@ -88,6 +88,30 @@ fn monotone_and_generic_paths_agree() {
 }
 
 #[test]
+fn both_paths_bind_either_side_of_an_equality() {
+    // `X + 1 = Y` binds `Y` as `Y = X + 1` does, the grounder's rule, so
+    // the monotone path learns what the generic path learns.
+    let g: Asg = r#"
+        policy -> "a" { n(3). }
+        policy -> "b" { n(1). }
+    "#
+    .parse()
+    .unwrap();
+    for rule in [":- n(X), X + 1 = Y, Y > 3.", ":- n(X), Y = X + 1, Y > 3."] {
+        let task = LearningTask::new(g.clone(), HypothesisSpace::from_texts(&[(pid(0), rule)]))
+            .neg(Example::new("a"))
+            .pos(Example::new("b"));
+        let fast = Learner::new().learn(&task).unwrap();
+        let slow = Learner::with_options(LearnOptions::default().with_force_generic(true))
+            .learn(&task)
+            .unwrap();
+        assert_eq!(fast.rules, slow.rules, "{rule}");
+        assert_eq!(fast.rules.len(), 1, "{rule}");
+        assert!(task.violations(&fast).unwrap().is_empty(), "{rule}");
+    }
+}
+
+#[test]
 fn unsatisfiable_tasks_are_reported() {
     // The same string in the same context both positive and negative.
     let task = LearningTask::new(weather_grammar(), weather_space())

@@ -11,8 +11,10 @@ use crate::gen;
 use crate::metamorphic;
 use crate::reference::{self, Model};
 use crate::shrink;
-use agenp_asp::{ground_with, AtomId, GroundOptions, Program, Rule, Solver};
+use agenp_asp::{ground_with, Atom, AtomId, GroundOptions, Literal, Program, Rule, Solver, Term};
 use agenp_core::arch::{DecisionSnapshot, PdpHandle};
+use agenp_grammar::{ParseTree, ProdId};
+use agenp_learn::{compile_example, CandidatePlan, CompileOptions, Example};
 use agenp_policy::{CombiningAlg, DecisionEffects, Policy, Request};
 use std::collections::BTreeSet;
 
@@ -461,4 +463,106 @@ pub fn run_metamorphic_pdp_case(seed: u64) -> Result<(), String> {
         )));
     }
     Ok(())
+}
+
+/// Differential world-coverage case: the learner's compiled candidate
+/// plans against brute-force stable models. For every parse tree and world
+/// of every string of the generated grammar's language up to length 3, and
+/// every generated candidate, [`CompiledTree::world_violates`] must equal
+/// "the world's atoms as facts, plus the candidate instantiated at each
+/// node of its target production, have no answer set"
+/// ([`reference::stable_models_bruteforce`]).
+///
+/// [`CompiledTree::world_violates`]: agenp_learn::CompiledTree::world_violates
+pub fn run_world_case(seed: u64) -> Result<(), String> {
+    let ctx =
+        |msg: String| format!("seed={seed} kind=world: {msg} (repro: run_world_case({seed}))");
+    let mut rng = gen::rng_for(seed);
+    let task = gen::world_task(&mut rng);
+    let plans = task
+        .candidates
+        .iter()
+        .map(|(target, rule)| {
+            CandidatePlan::new(*target, rule)
+                .ok_or_else(|| ctx(format!("safe constraint {rule} has no plan")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    for tokens in gen::all_strings(3) {
+        let text = tokens.join(" ");
+        let example = Example::in_context(text.as_str(), task.context.clone());
+        let compiled = compile_example(&task.grammar, &example, true, CompileOptions::default())
+            .map_err(|e| ctx(format!("compiling {text:?} failed: {e}")))?;
+        for tree in &compiled.trees {
+            if !tree.worlds_complete {
+                return Err(ctx(format!("{text:?} has more worlds than the cap")));
+            }
+            for world in &tree.worlds {
+                for ((target, rule), plan) in task.candidates.iter().zip(&plans) {
+                    let fast = tree.world_violates(world, plan);
+                    let want = violated_reference(world.atoms(), &tree.tree, *target, rule);
+                    if fast != want {
+                        let atoms: Vec<String> =
+                            world.atoms().iter().map(|a| a.to_string()).collect();
+                        return Err(ctx(format!(
+                            "{text:?}, world {{{}}}, candidate {rule} on production {}: \
+                             world_violates = {fast}, brute force = {want}\ngrammar:\n{}context: {}",
+                            atoms.join(", "),
+                            target.index(),
+                            task.grammar,
+                            task.context
+                        )));
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Do `world` as facts plus `rule` instantiated at every node of `tree`
+/// expanding `target` have no answer set? The program pads the universe
+/// with every integer a binder can reach (up to two `+ 1` steps above the
+/// largest integer of the world and the rule), so full-universe grounding
+/// misses no binding.
+fn violated_reference(world: &[Atom], tree: &ParseTree, target: ProdId, rule: &Rule) -> bool {
+    fn ints(t: &Term, out: &mut Vec<i64>) {
+        match t {
+            Term::Int(n) => out.push(*n),
+            Term::Func(_, args) => args.iter().for_each(|a| ints(a, out)),
+            Term::Arith(_, l, r) => {
+                ints(l, out);
+                ints(r, out);
+            }
+            Term::Sym(_) | Term::Var(_) => {}
+        }
+    }
+    let mut seen = Vec::new();
+    for atom in world
+        .iter()
+        .chain(rule.body.iter().filter_map(Literal::atom))
+    {
+        atom.args.iter().for_each(|t| ints(t, &mut seen));
+    }
+    for lit in &rule.body {
+        if let Literal::Cmp(_, l, r) = lit {
+            ints(l, &mut seen);
+            ints(r, &mut seen);
+        }
+    }
+    let mut program = Program::new();
+    for atom in world {
+        program.push(Rule::fact(atom.clone()));
+    }
+    let top = seen.into_iter().max().unwrap_or(0);
+    for n in 0..=top + 2 {
+        program.push(Rule::fact(Atom::new("pad", vec![Term::Int(n)])));
+    }
+    tree.visit_nodes(|node, trace| {
+        if node.prod == target {
+            program.push(rule.instantiate_at(trace));
+        }
+    });
+    reference::stable_models_bruteforce(&program, 0)
+        .expect("facts and constraints leave no atom to guess")
+        .is_empty()
 }

@@ -11,18 +11,22 @@
 //!   has at most one answer set for the perfect-model fixpoint to find.
 //! * Universes stay tiny (two or three constants, a handful of predicates of
 //!   arity ≤ 2) so brute-force stable-model enumeration stays feasible.
+//! * World-coverage candidates ([`world_task`]) do use `X + 1` binders; the
+//!   runner that checks them pads the reference program's universe with
+//!   every integer such a binder can reach.
 //! * Policy conditions cover every [`Cond`] constructor, including the
 //!   three-valued `Indeterminate` paths (missing attributes, type-mismatched
 //!   comparisons), and request streams contain deliberate duplicates to
 //!   exercise repeated requests through every path of the serving tier.
 
-use agenp_asp::{Atom, CmpOp, Literal, Program, Rule, Symbol, Term};
-use agenp_grammar::{nt, t, Asg, CfgBuilder};
+use agenp_asp::{ArithOp, Atom, CmpOp, Literal, Program, Rule, Symbol, Term, Trace};
+use agenp_grammar::{nt, t, Asg, CfgBuilder, ProdId};
 use agenp_policy::{
     AttrValue, Category, CombiningAlg, Cond, CondOp, Effect, Obligation, Policy, PolicyRule,
     Request,
 };
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// The generator RNG for `seed`. All case runners derive their randomness
@@ -601,4 +605,220 @@ pub fn all_strings(max_len: usize) -> Vec<Vec<&'static str>> {
         frontier = next;
     }
     out
+}
+
+// ---------------------------------------------------------------------------
+// World coverage
+// ---------------------------------------------------------------------------
+
+/// A world-coverage case: an annotated right-linear grammar, a context of
+/// facts, and constraint candidates on its productions.
+#[derive(Clone, Debug)]
+pub struct WorldTask {
+    /// A [`linear_grammar`] whose productions carry facts at their own
+    /// node and at their children (`p(c)@i`); some also carry an even loop
+    /// that splits each of their nodes into two worlds.
+    pub grammar: Asg,
+    /// Facts of the context, which every node's annotation receives.
+    pub context: Program,
+    /// Safe constraint candidates, each with the production it annotates.
+    pub candidates: Vec<(ProdId, Rule)>,
+}
+
+/// Integer constants of world tasks.
+const WORLD_INTS: [i64; 3] = [1, 2, 3];
+/// Symbolic constants of world tasks.
+const WORLD_SYMS: [&str; 2] = ["a", "b"];
+/// Unary predicates of world tasks: annotations use `p` and `q`, contexts
+/// `c`, and even loops `e`.
+const WORLD_PREDS: [&str; 4] = ["p", "q", "c", "e"];
+/// Candidate variables.
+const WORLD_VARS: [&str; 3] = ["X", "Y", "Z"];
+/// Comparison operators of candidate filters.
+const WORLD_OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
+/// Generates a world-coverage case: up to six safe constraint candidates
+/// of one to three literals (positive and negated atoms with and without
+/// `@i`, shared variables, constants, comparisons, and `=` binders in both
+/// orientations) over an annotated grammar and a context.
+pub fn world_task(rng: &mut StdRng) -> WorldTask {
+    let shape = linear_grammar(rng);
+    let mut src = String::new();
+    for &(lhs, tok, cont) in &shape.prods {
+        let children = if cont.is_some() { 2 } else { 1 };
+        let mut annotation = String::new();
+        for _ in 0..rng.gen_range(0..=3) {
+            let mut fact = Atom::new(["p", "q"][rng.gen_range(0..2)], vec![world_const(rng)]);
+            if rng.gen_bool(0.4) {
+                fact = fact.with_trace(Trace::from_indices([rng.gen_range(1..=children)]));
+            }
+            annotation.push_str(&format!(" {fact}."));
+        }
+        if rng.gen_bool(0.15) {
+            annotation.push_str(" e(1) :- not e(2). e(2) :- not e(1).");
+        }
+        let rhs = match cont {
+            Some(c) => format!("\"{tok}\" n{c}"),
+            None => format!("\"{tok}\""),
+        };
+        if annotation.is_empty() {
+            src.push_str(&format!("n{lhs} -> {rhs}\n"));
+        } else {
+            src.push_str(&format!("n{lhs} -> {rhs} {{{annotation} }}\n"));
+        }
+    }
+    let grammar: Asg = src.parse().expect("generated world grammar is well-formed");
+    let mut context = Program::new();
+    for _ in 0..rng.gen_range(0..=3) {
+        context.push(Rule::fact(Atom::new("c", vec![world_const(rng)])));
+    }
+    let mut candidates = Vec::new();
+    for _ in 0..24 {
+        if candidates.len() == 6 {
+            break;
+        }
+        let target = ProdId::from_index(rng.gen_range(0..shape.prods.len()));
+        let body = if rng.gen_bool(0.4) {
+            world_chain(rng)
+        } else {
+            (0..rng.gen_range(1..=3))
+                .map(|_| world_literal(rng))
+                .collect()
+        };
+        let rule = Rule::constraint(body);
+        if rule.unsafe_var().is_none() {
+            candidates.push((target, rule));
+        }
+    }
+    WorldTask {
+        grammar,
+        context,
+        candidates,
+    }
+}
+
+fn world_const(rng: &mut StdRng) -> Term {
+    if rng.gen_bool(0.8) {
+        Term::Int(WORLD_INTS[rng.gen_range(0..WORLD_INTS.len())])
+    } else {
+        Term::sym(WORLD_SYMS[rng.gen_range(0..WORLD_SYMS.len())])
+    }
+}
+
+/// `X` or `Y` mostly, so literals share variables; `Z` now and then.
+fn world_var(rng: &mut StdRng) -> Term {
+    let i = if rng.gen_bool(0.1) {
+        2
+    } else {
+        rng.gen_range(0..2)
+    };
+    Term::var(WORLD_VARS[i])
+}
+
+/// A variable (mostly) or a constant.
+fn world_arg(rng: &mut StdRng) -> Term {
+    if rng.gen_bool(0.7) {
+        world_var(rng)
+    } else {
+        world_const(rng)
+    }
+}
+
+/// Two distinct variables.
+fn world_var_pair(rng: &mut StdRng) -> (Term, Term) {
+    let a = world_var(rng);
+    loop {
+        let b = world_var(rng);
+        if b != a {
+            return (a, b);
+        }
+    }
+}
+
+/// `v + 1`.
+fn successor(v: Term) -> Term {
+    Term::Arith(ArithOp::Add, Box::new(v), Box::new(Term::Int(1)))
+}
+
+fn world_literal(rng: &mut StdRng) -> Literal {
+    match rng.gen_range(0..10) {
+        0..=3 => Literal::Pos(world_atom(rng)),
+        4..=5 => Literal::Neg(world_atom(rng)),
+        6..=7 => {
+            let (a, b) = world_var_pair(rng);
+            let rhs = match rng.gen_range(0..4) {
+                0 => world_const(rng),
+                1 => successor(b),
+                _ => b,
+            };
+            Literal::Cmp(WORLD_OPS[rng.gen_range(0..WORLD_OPS.len())], a, rhs)
+        }
+        _ => {
+            let (var, from) = world_var_pair(rng);
+            let value = if rng.gen_bool(0.7) {
+                successor(from)
+            } else {
+                from
+            };
+            if rng.gen_bool(0.5) {
+                Literal::Cmp(CmpOp::Eq, var, value)
+            } else {
+                Literal::Cmp(CmpOp::Eq, value, var)
+            }
+        }
+    }
+}
+
+/// A chained body, in random order: an atom binds `V`, an `=` binder
+/// derives `W` from it (`W = V + 1`, `V + 1 = W`, or plainly `W = V`), and
+/// a positive or negated atom or a comparison tests `W`.
+fn world_chain(rng: &mut StdRng) -> Vec<Literal> {
+    let (v, w) = world_var_pair(rng);
+    let mut source = world_atom(rng);
+    source.args = vec![v.clone()];
+    let value = if rng.gen_bool(0.8) { successor(v) } else { v };
+    let binder = if rng.gen_bool(0.5) {
+        Literal::Cmp(CmpOp::Eq, w.clone(), value)
+    } else {
+        Literal::Cmp(CmpOp::Eq, value, w.clone())
+    };
+    let mut target = world_atom(rng);
+    target.args = vec![w.clone()];
+    let test = match rng.gen_range(0..3) {
+        0 => Literal::Pos(target),
+        1 => Literal::Neg(target),
+        _ => Literal::Cmp(
+            WORLD_OPS[rng.gen_range(0..WORLD_OPS.len())],
+            w,
+            world_const(rng),
+        ),
+    };
+    let mut body = vec![Literal::Pos(source), binder, test];
+    body.shuffle(rng);
+    body
+}
+
+/// An atom over a world predicate; the context's `c`, which holds at
+/// every node, half the time.
+fn world_atom(rng: &mut StdRng) -> Atom {
+    let pred = if rng.gen_bool(0.5) {
+        "c"
+    } else {
+        WORLD_PREDS[rng.gen_range(0..WORLD_PREDS.len())]
+    };
+    let atom = Atom::new(pred, vec![world_arg(rng)]);
+    // Child 2 is the nonterminal of `A -> tok B`; child 1, the token,
+    // holds only the `@1` facts of annotations.
+    match rng.gen_range(0..10) {
+        0 => atom.with_trace(Trace::from_indices([1])),
+        1..=2 => atom.with_trace(Trace::from_indices([2])),
+        _ => atom,
+    }
 }

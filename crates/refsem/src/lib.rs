@@ -13,8 +13,9 @@
 //! Three pillars:
 //!
 //! * [`gen`] — **seeded generators** for safe stratified ASP programs,
-//!   right-linear answer set grammars, XACML-style policy sets, and request
-//!   streams. All randomness flows through the deterministic offline `rand`
+//!   right-linear answer set grammars (plain, or annotated with constraint
+//!   candidates for the learner's world coverage), XACML-style policy sets,
+//!   and request streams. All randomness flows through the deterministic offline `rand`
 //!   shim, so a case is fully reproduced by one `u64` seed.
 //! * [`reference`](mod@reference) — the **reference evaluator**: naive full-universe
 //!   grounding, a stratum-by-stratum perfect-model fixpoint, a brute-force
@@ -50,5 +51,6 @@ pub mod shrink;
 
 pub use diff::{
     run_asg_case, run_asp_case, run_metamorphic_asp_case, run_metamorphic_pdp_case, run_pdp_case,
+    run_world_case,
 };
 pub use reference::Model;
