@@ -16,7 +16,7 @@
 use crate::log::DecisionLog;
 use crate::miner::{MineStats, Miner};
 use crate::obs::AdaptMetrics;
-use agenp_core::arch::{Ams, AmsError, DegradedMode, PdpHandle};
+use agenp_core::arch::{Ams, AmsError, DegradedMode, PdpHandle, RefreshStats};
 use std::sync::Arc;
 
 /// Records the decision log holds before it drops the oldest.
@@ -64,6 +64,17 @@ pub struct RoundReport {
     pub rules_generated: usize,
     /// This round's mining accounting.
     pub stats: MineStats,
+    /// The round's [`Ams::adapt`] call, in nanoseconds.
+    pub adapt_ns: u64,
+    /// Of which relearning: compiling, searching and building the GPM.
+    pub learn_ns: u64,
+    /// Of which compiling new examples and computing their coverage.
+    pub compile_ns: u64,
+    /// Of which searching, or checking that the last optimum still holds.
+    pub search_ns: u64,
+    /// Of which regenerating the policies: the path taken and the
+    /// generate, screen, translate and publish times.
+    pub refresh: RefreshStats,
 }
 
 /// The adaptation plane for one party.
@@ -161,6 +172,11 @@ impl AdaptPlane {
                     constraints_learned: adaptation.hypothesis.rules.len(),
                     rules_generated: snapshot.policies().iter().map(|p| p.rules.len()).sum(),
                     stats,
+                    adapt_ns: adaptation.adapt_ns,
+                    learn_ns: adaptation.learn_ns,
+                    compile_ns: adaptation.stats.compile_ns,
+                    search_ns: adaptation.stats.search_ns,
+                    refresh: adaptation.refresh,
                 })
             }
             Err(e) => {

@@ -56,6 +56,11 @@ impl AnswerSet {
             .filter(move |a| a.pred.with_name(|n| n == pred))
     }
 
+    /// Consumes the answer set, returning its atoms in the same order.
+    pub fn into_atoms(self) -> Vec<Atom> {
+        self.atoms
+    }
+
     /// Number of atoms.
     pub fn len(&self) -> usize {
         self.atoms.len()

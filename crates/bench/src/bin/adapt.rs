@@ -17,10 +17,15 @@
 //! - **time-to-adoption**: per round, the time from the round's start
 //!   until a deciding thread first serves a decision at the refined epoch
 //!   (claims: the p50 and the max over the published rounds).
+//! - **stages that add up**: each round row splits its `Ams::adapt` call
+//!   into learn (of which compile and search), generate, screen,
+//!   translate and publish times; at the round with the median
+//!   `adapt_us`, learn through publish must sum to within 10% of it.
 //!
 //! Writes `BENCH_adapt.json` (through [`agenp_bench::write_bench`]).
 //! `--smoke` runs reduced scales. Both modes exit nonzero on malformed
-//! output, any stale decision, epoch regression, failed round, or (on
+//! output, any stale decision, epoch regression, failed round, stages
+//! more than 10% off their round's `adapt_us`, or (on
 //! machines with >= 4 CPUs) a relearn-phase throughput below 75% of the
 //! idle phase.
 //!
@@ -53,6 +58,13 @@ struct RoundRow {
     round_ms: f64,
     adoption_ms: f64,
     published: bool,
+    /// `Ams::adapt` and its stages, in microseconds; `path` is where
+    /// generation and screening read from.
+    adapt_us: f64,
+    stages: [(&'static str, f64); 5],
+    /// The learn stage's compile and search parts.
+    learner: [(&'static str, f64); 2],
+    path: &'static str,
 }
 
 impl PhaseRow {
@@ -67,7 +79,7 @@ impl PhaseRow {
 
 impl RoundRow {
     fn json(&self) -> Json {
-        Json::obj([
+        let columns = [
             ("round", self.round.into()),
             ("published", self.published.into()),
             ("epoch", self.epoch.into()),
@@ -76,9 +88,36 @@ impl RoundRow {
             ("rules", self.rules.into()),
             ("round_ms", fixed(self.round_ms, 2)),
             ("adoption_ms", fixed(self.adoption_ms, 2)),
-        ])
+            ("adapt_us", fixed(self.adapt_us, 1)),
+        ];
+        let stages = self.stages[..1]
+            .iter()
+            .chain(&self.learner)
+            .chain(&self.stages[1..])
+            .map(|&(name, us)| (name, fixed(us, 1)));
+        Json::obj(
+            columns
+                .into_iter()
+                .chain(stages)
+                .chain([("path", self.path.into())]),
+        )
+    }
+
+    /// How far the stages' sum is from `adapt_us`, as a fraction of it.
+    fn unattributed(&self) -> f64 {
+        let sum: f64 = self.stages.iter().map(|(_, us)| us).sum();
+        (self.adapt_us - sum).abs() / self.adapt_us
     }
 }
+
+/// The stages of a round row, in the order `Ams::adapt` runs them.
+const STAGES: [&str; 5] = [
+    "learn_us",
+    "generate_us",
+    "screen_us",
+    "translate_us",
+    "publish_us",
+];
 
 /// Serving-invariant counters shared by the deciding threads.
 #[derive(Default)]
@@ -159,6 +198,10 @@ fn main() {
     adoptions.sort_by(f64::total_cmp);
     let p50_adoption = percentile(&adoptions, 50.0);
     let max_adoption = adoptions.last().copied().unwrap_or(0.0);
+    let mut by_adapt: Vec<&RoundRow> = round_rows.iter().filter(|r| r.published).collect();
+    by_adapt.sort_by(|a, b| a.adapt_us.total_cmp(&b.adapt_us));
+    let median_round = by_adapt.get(by_adapt.len() / 2).copied();
+    let unattributed = median_round.map_or(0.0, RoundRow::unattributed);
     let final_epoch = handle.snapshot().epoch();
     let cpus = cpus();
 
@@ -211,6 +254,7 @@ fn main() {
             ("relearn_over_idle_throughput", fixed(ratio, 4)),
             ("p50_adoption_ms", fixed(p50_adoption, 2)),
             ("max_adoption_ms", fixed(max_adoption, 2)),
+            ("median_round_unattributed", fixed(unattributed, 4)),
         ],
     );
 
@@ -224,6 +268,15 @@ fn main() {
     }
     if published != rounds {
         eprintln!("adapt: only {published} of {rounds} adaptation rounds published");
+        std::process::exit(1);
+    }
+    if let Some(round) = median_round.filter(|_| unattributed > 0.10) {
+        eprintln!(
+            "adapt: at the median round ({}), the stages sum to {:.1}% off its {:.1} us adapt",
+            round.round,
+            unattributed * 100.0,
+            round.adapt_us
+        );
         std::process::exit(1);
     }
     if final_epoch != first_epoch + rounds as u64 {
@@ -359,6 +412,10 @@ fn drive_round(round: usize, plane: &mut AdaptPlane, inv: &Invariants) -> RoundR
         round_ms,
         adoption_ms: 0.0,
         published: false,
+        adapt_us: 0.0,
+        stages: STAGES.map(|name| (name, 0.0)),
+        learner: [("compile_us", 0.0), ("search_us", 0.0)],
+        path: "",
     };
     match outcome {
         RoundOutcome::Published(report) => {
@@ -378,6 +435,22 @@ fn drive_round(round: usize, plane: &mut AdaptPlane, inv: &Invariants) -> RoundR
             row.constraints = report.constraints_learned;
             row.rules = report.rules_generated;
             row.published = true;
+            let us = |ns: u64| ns as f64 / 1000.0;
+            let r = &report.refresh;
+            row.adapt_us = us(report.adapt_ns);
+            let times = [
+                report.learn_ns,
+                r.generate_ns,
+                r.screen_ns,
+                r.translate_ns,
+                r.publish_ns,
+            ];
+            row.stages = std::array::from_fn(|i| (STAGES[i], us(times[i])));
+            row.learner = [
+                ("compile_us", us(report.compile_ns)),
+                ("search_us", us(report.search_ns)),
+            ];
+            row.path = r.path.name();
         }
         RoundOutcome::Skipped { buffered, .. } => {
             eprintln!("adapt: round {round} skipped with {buffered} buffered examples");

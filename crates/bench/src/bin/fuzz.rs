@@ -3,9 +3,11 @@
 //!
 //! Each case is one seed pushed through one of the harness's runners:
 //! fast-vs-reference differential checks for the ASP solver, the serving
-//! PDP (all four `decide`/`decide_batch` paths), ASG membership, and the
+//! PDP (all four `decide`/`decide_batch` paths), ASG membership, the
 //! learner's world coverage (compiled candidate plans against brute-force
-//! stable models), plus the metamorphic transform suites. Any mismatch
+//! stable models), and generation plus PCP screening on a learning
+//! session's worlds (against grounding every tree and string), plus the
+//! metamorphic transform suites. Any mismatch
 //! prints a one-line repro leading with the seed —
 //! `(repro: run_pdp_case(8231))` — and exits nonzero, so CI failures
 //! replay locally from a single integer.
@@ -22,8 +24,8 @@
 //!   --base N       first seed (default 0; shift to explore new ground).
 
 use agenp_refsem::{
-    run_asg_case, run_asp_case, run_metamorphic_asp_case, run_metamorphic_pdp_case, run_pdp_case,
-    run_world_case,
+    run_asg_case, run_asp_case, run_generate_case, run_metamorphic_asp_case,
+    run_metamorphic_pdp_case, run_pdp_case, run_world_case,
 };
 use std::time::Instant;
 
@@ -33,12 +35,13 @@ type CaseRunner = fn(u64) -> Result<(), String>;
 /// One rotation of the case mix. ASG membership is exhaustive over all
 /// strings up to length 4 per grammar, so it rides on a fraction of seeds
 /// rather than a full rotation slot.
-const KINDS: [(&str, CaseRunner); 5] = [
+const KINDS: [(&str, CaseRunner); 6] = [
     ("asp", run_asp_case),
     ("pdp", run_pdp_case),
     ("metamorphic-asp", run_metamorphic_asp_case),
     ("metamorphic-pdp", run_metamorphic_pdp_case),
     ("world", run_world_case),
+    ("generate", run_generate_case),
 ];
 
 /// Every `ASG_EVERY`-th case additionally runs the grammar differential.

@@ -15,15 +15,21 @@ use crate::arch::goals::{GoalMonitor, GoalPolicy, GoalViolation};
 use crate::arch::lifecycle::{DegradedMode, Lifecycle, Trigger};
 use crate::arch::padap::{Adaptation, Feedback, Padap};
 use crate::arch::pcp::{Pcp, Verdict};
-use crate::arch::prep::{CanonicalTranslator, PolicyTranslator, Prep};
+use crate::arch::prep::{
+    elapsed_ns, CanonicalTranslator, Learned, PolicyTranslator, Prep, RefreshStats,
+};
 use crate::arch::repr::RepresentationsRepository;
 use crate::arch::serve::{DecisionOutcome, DecisionSnapshot, PdpHandle};
-use agenp_asp::{Exhausted, Program, RunBudget};
-use agenp_grammar::{Asg, AsgError};
+use agenp_asp::{Exhausted, Program, Rule, RunBudget};
+use agenp_grammar::{Asg, AsgError, Generator, ParseTree, ProdId};
 use agenp_learn::{HypothesisSpace, LearnError, LearnOptions};
 use agenp_policy::{CombiningAlg, Decision, Policy, PolicyRepository, QualityReport, Request};
 use std::fmt;
 use std::sync::Mutex;
+use std::time::Instant;
+
+/// Generated policy strings with their PCP verdicts.
+type Screened = Vec<(String, Verdict)>;
 
 /// Errors surfaced by the AMS control loop.
 ///
@@ -100,6 +106,13 @@ pub struct Ams {
     pub name: String,
     /// The current (possibly learned) GPM.
     gpm: Asg,
+    /// `H` while `gpm` is the PAdaP session's grammar plus `H`, so a
+    /// refresh can read the session's worlds; `None` after
+    /// [`Ams::adopt_gpm`].
+    learned: Option<Vec<(ProdId, Rule)>>,
+    /// The session grammar's CFG trees within the PReP's bounds,
+    /// enumerated by the first refresh that needs them.
+    trees: Option<Vec<ParseTree>>,
     repr_repo: RepresentationsRepository,
     policy_repo: PolicyRepository,
     lifecycle: Lifecycle,
@@ -126,6 +139,8 @@ impl Ams {
         let mut ams = Ams {
             name: name.to_owned(),
             gpm: initial_gpm.clone(),
+            learned: Some(Vec::new()),
+            trees: None,
             repr_repo,
             policy_repo: PolicyRepository::new(),
             lifecycle: Lifecycle::default(),
@@ -258,6 +273,7 @@ impl Ams {
     pub fn adopt_gpm(&mut self, gpm: Asg, note: &str) {
         self.repr_repo.store(gpm.clone(), note);
         self.gpm = gpm;
+        self.learned = None;
         self.publish(Trigger::Changed);
     }
 
@@ -286,6 +302,11 @@ impl Ams {
     /// budget, and publishes the result as a new snapshot. Returns the
     /// generated strings with their verdicts.
     ///
+    /// While the GPM is the learned one (the initial GPM plus what
+    /// [`Ams::adapt`] learned, not an adopted one), generation and
+    /// screening read the worlds of the PAdaP's learning session where
+    /// [`Prep::generate_screened`] allows, with the same outcome.
+    ///
     /// On failure the serving tier degrades per [`DegradedMode`]:
     /// deny-by-default publishes a denying snapshot carrying the error;
     /// serve-last-good leaves the previous snapshot in place.
@@ -294,23 +315,37 @@ impl Ams {
     ///
     /// [`AmsError::Generation`] on grounding failures.
     pub fn refresh_policies(&mut self) -> Result<Vec<(String, Verdict)>, AmsError> {
-        self.refresh(None)
+        self.refresh(None).map(|(screened, _)| screened)
     }
 
-    /// [`Ams::refresh_policies`] from `candidate` (or the current GPM).
-    /// A candidate GPM becomes the current one only if the refresh
-    /// succeeds, so the GPM and the policies served from it never part.
-    fn refresh(&mut self, candidate: Option<&Asg>) -> Result<Vec<(String, Verdict)>, AmsError> {
+    /// [`Ams::refresh_policies`] from `candidate`, a GPM with the
+    /// hypothesis it adds to the session's grammar (or the current GPM).
+    /// A candidate becomes the current GPM only if the refresh succeeds,
+    /// so the GPM and the policies served from it never part.
+    fn refresh(
+        &mut self,
+        candidate: Option<(&Asg, &[(ProdId, Rule)])>,
+    ) -> Result<(Screened, RefreshStats), AmsError> {
         let mut span = agenp_obs::span!("ams.refresh");
-        match self.generate_policies(candidate.unwrap_or(&self.gpm)) {
-            Ok((screened, policy)) => {
-                span.record("screened", screened.len());
-                if let Some(gpm) = candidate {
+        let pairs_before = self.padap.session().world_stats();
+        match self.generate_policies(candidate) {
+            Ok((screened, policy, mut stats)) => {
+                if span.is_live() {
+                    let pairs = self.padap.session().world_stats();
+                    span.record("screened", screened.len());
+                    span.record("path", stats.path.name());
+                    span.record("pairs", pairs.lookups - pairs_before.lookups);
+                    span.record("pairs_computed", pairs.computed - pairs_before.computed);
+                }
+                let started = Instant::now();
+                if let Some((gpm, hypothesis)) = candidate {
                     self.gpm = gpm.clone();
+                    self.learned = Some(hypothesis.to_vec());
                 }
                 self.policy_repo.replace_all(vec![policy]);
                 self.publish(Trigger::Refreshed);
-                Ok(screened)
+                stats.publish_ns = elapsed_ns(started);
+                Ok((screened, stats))
             }
             Err(e) => {
                 span.record("error", true);
@@ -332,14 +367,33 @@ impl Ams {
         }
     }
 
-    /// Generates `gpm`'s policy strings under the current context, screens
-    /// them through the PCP, and translates the accepted ones into one
-    /// policy. Touches no state.
-    fn generate_policies(&self, gpm: &Asg) -> Result<(Vec<(String, Verdict)>, Policy), AmsError> {
-        let strings = self.prep.generate(gpm, &self.context)?;
-        let screened = self
-            .pcp
-            .screen_within(gpm, &self.context, &strings, &self.budget)?;
+    /// Generates the policy strings of `candidate` (or the current GPM)
+    /// under the current context, screens them through the PCP, and
+    /// translates the accepted ones into one policy. Changes no state but
+    /// the session's worlds and the enumerated trees.
+    fn generate_policies(
+        &mut self,
+        candidate: Option<(&Asg, &[(ProdId, Rule)])>,
+    ) -> Result<(Screened, Policy, RefreshStats), AmsError> {
+        let (gpm, hypothesis) = match candidate {
+            Some((gpm, hypothesis)) => (gpm, Some(hypothesis)),
+            None => (&self.gpm, self.learned.as_deref()),
+        };
+        let learned = hypothesis.map(|hypothesis| {
+            let (prep, padap) = (&self.prep, &mut self.padap);
+            let trees = self.trees.get_or_insert_with(|| {
+                Generator::new(padap.session().grammar().cfg()).trees(prep.gen_options)
+            });
+            Learned {
+                session: padap.session_mut(),
+                hypothesis,
+                trees,
+            }
+        });
+        let (screened, mut stats) =
+            self.prep
+                .generate_screened(gpm, &self.context, &self.pcp, learned)?;
+        let started = Instant::now();
         let rules = screened
             .iter()
             .filter(|(_, v)| *v == Verdict::Accepted)
@@ -349,13 +403,14 @@ impl Ams {
                     .translate(s, &format!("{}-r{}", self.name, i))
             })
             .collect();
+        stats.translate_ns = elapsed_ns(started);
         let policy = Policy {
             id: format!("{}-generated", self.name),
             rules,
             combining: CombiningAlg::DenyOverrides,
             obligations: Vec::new(),
         };
-        Ok((screened, policy))
+        Ok((screened, policy, stats))
     }
 
     /// PDP + PEP step: decides a request against the currently served
@@ -423,8 +478,9 @@ impl Ams {
     /// [`AmsError::Learning`] if the feedback admits no hypothesis;
     /// [`AmsError::Generation`] if regeneration fails.
     pub fn adapt(&mut self) -> Result<Adaptation, AmsError> {
+        let started = Instant::now();
         let mut span = agenp_obs::span!("ams.adapt", observations = self.padap.observations());
-        let adaptation = match self.padap.adapt() {
+        let mut adaptation = match self.padap.adapt() {
             Ok(a) => a,
             Err(e) => {
                 span.record("error", true);
@@ -438,14 +494,27 @@ impl Ams {
         span.record("coverage_ns", stats.coverage_ns);
         span.record("search_ns", stats.search_ns);
         span.record("search_skipped", stats.search_skipped);
-        if let Err(e) = self.refresh(Some(&adaptation.gpm)) {
-            span.record("error", true);
-            return Err(e);
+        span.record("learn_ns", adaptation.learn_ns);
+        match self.refresh(Some((&adaptation.gpm, &adaptation.hypothesis.rules))) {
+            Ok((_, refresh)) => adaptation.refresh = refresh,
+            Err(e) => {
+                span.record("error", true);
+                return Err(e);
+            }
         }
+        let stored = Instant::now();
         self.repr_repo.store(
             adaptation.gpm.clone(),
             &format!("adapted from {} observations", adaptation.examples_used),
         );
+        let refresh = &mut adaptation.refresh;
+        refresh.publish_ns += elapsed_ns(stored);
+        span.record("path", refresh.path.name());
+        span.record("generate_ns", refresh.generate_ns);
+        span.record("screen_ns", refresh.screen_ns);
+        span.record("translate_ns", refresh.translate_ns);
+        span.record("publish_ns", refresh.publish_ns);
+        adaptation.adapt_ns = elapsed_ns(started);
         Ok(adaptation)
     }
 

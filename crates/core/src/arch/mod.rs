@@ -22,7 +22,9 @@ pub use obs::ServeMetrics;
 pub use padap::{Adaptation, Feedback, Padap};
 pub use pcp::{Pcp, Verdict};
 pub use pip::{ContextProvider, Pip, StaticContext};
-pub use prep::{CanonicalTranslator, FnTranslator, PolicyTranslator, Prep};
+pub use prep::{
+    CanonicalTranslator, FnTranslator, Learned, PolicyTranslator, Prep, RefreshPath, RefreshStats,
+};
 pub use repr::{GpmVersion, RepresentationsRepository};
 pub use serve::{
     DecisionOutcome, DecisionSnapshot, PdpHandle, PdpPin, PdpServer, ServeStats, ServerReport,

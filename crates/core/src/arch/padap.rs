@@ -3,11 +3,13 @@
 //! generative policy model with the ASG learner when the system drifts from
 //! its goals or the context changes.
 
+use crate::arch::prep::{elapsed_ns, RefreshStats};
 use agenp_asp::Program;
 use agenp_grammar::Asg;
 use agenp_learn::{
     Example, Hypothesis, HypothesisSpace, LearnError, LearnOptions, LearnStats, LearningSession,
 };
+use std::time::Instant;
 
 /// One piece of observed feedback: a policy string that turned out to be
 /// valid or invalid in a context.
@@ -63,6 +65,18 @@ pub struct Adaptation {
     /// The learner's work this round: examples compiled, compile and search
     /// time, and whether the search was skipped.
     pub stats: LearnStats,
+    /// Regenerating the policies from `gpm`: the path and the generate,
+    /// screen, translate and publish times ([`Ams::adapt`] fills it in).
+    ///
+    /// [`Ams::adapt`]: crate::arch::Ams::adapt
+    pub refresh: RefreshStats,
+    /// This relearn, in nanoseconds: compiling, searching (`stats`'
+    /// `compile_ns` and `search_ns`) and building `gpm`.
+    pub learn_ns: u64,
+    /// The whole [`Ams::adapt`] call, in nanoseconds.
+    ///
+    /// [`Ams::adapt`]: crate::arch::Ams::adapt
+    pub adapt_ns: u64,
 }
 
 /// The Policy Adaptation Point: one [`LearningSession`] over the initial
@@ -107,6 +121,14 @@ impl Padap {
         self.session.len()
     }
 
+    pub(crate) fn session(&self) -> &LearningSession {
+        &self.session
+    }
+
+    pub(crate) fn session_mut(&mut self) -> &mut LearningSession {
+        &mut self.session
+    }
+
     /// Re-learns the GPM from the *initial* grammar plus all feedback
     /// observed so far, so constraints never stack across rounds. Only the
     /// feedback new since the last round is compiled, and the search is
@@ -117,12 +139,17 @@ impl Padap {
     ///
     /// Propagates learner failures (unsatisfiable feedback, budget, …).
     pub fn adapt(&mut self) -> Result<Adaptation, LearnError> {
+        let started = Instant::now();
         let (hypothesis, stats) = self.session.solve()?;
+        let gpm = hypothesis.apply(self.session.grammar());
         Ok(Adaptation {
-            gpm: hypothesis.apply(self.session.grammar()),
+            gpm,
             hypothesis,
             examples_used: self.session.len(),
             stats,
+            learn_ns: elapsed_ns(started),
+            refresh: RefreshStats::default(),
+            adapt_ns: 0,
         })
     }
 }

@@ -4,7 +4,8 @@
 //! pre-defined restriction constraints before they reach the repository.
 
 use agenp_asp::{Program, Rule, RunBudget};
-use agenp_grammar::{Asg, AsgError, ProdId};
+use agenp_grammar::{Asg, AsgError, Cfg, EarleyParser, ParseOptions, ProdId};
+use agenp_learn::{CandidatePlan, LearningSession};
 use agenp_policy::{Policy, QualityChecker, QualityReport, Request};
 
 /// The verdict on one checked policy string.
@@ -74,30 +75,44 @@ impl Pcp {
         policies: &[String],
         budget: &RunBudget,
     ) -> Result<Vec<(String, Verdict)>, AsgError> {
+        self.screen_on(gpm, context, policies, budget, None)
+            .map(|(screened, _)| screened)
+    }
+
+    /// [`Pcp::screen_within`], taking the verdicts from `worlds` when they
+    /// decide every string. Also returns whether they did.
+    pub(crate) fn screen_on(
+        &self,
+        gpm: &Asg,
+        context: &Program,
+        policies: &[String],
+        budget: &RunBudget,
+        worlds: Option<ScreenWorlds<'_>>,
+    ) -> Result<(Vec<(String, Verdict)>, bool), AsgError> {
         let mut span = agenp_obs::span!(
             "core.pcp.screen",
             candidates = policies.len(),
             restrictions = self.restrictions.len(),
         );
-        let restricted = gpm
-            .with_added_rules(&self.restrictions)?
-            .with_context(context);
-        let unrestricted = gpm.with_context(context);
-        let mut out = Vec::with_capacity(policies.len());
+        let from_worlds = worlds.and_then(|w| w.verdicts(gpm.cfg(), context, policies, budget));
+        let on_worlds = from_worlds.is_some();
+        let verdicts = match from_worlds {
+            Some(verdicts) => verdicts,
+            None => self.tree_verdicts(gpm, context, policies, budget)?,
+        };
         let (mut accepted, mut violations, mut malformed) = (0u64, 0u64, 0u64);
-        for p in policies {
-            let verdict = if restricted.accepts_within(p, budget)? {
-                accepted += 1;
-                Verdict::Accepted
-            } else if unrestricted.accepts_within(p, budget)? {
-                violations += 1;
-                Verdict::Violation
-            } else {
-                malformed += 1;
-                Verdict::Malformed
-            };
-            out.push((p.clone(), verdict));
-        }
+        let out: Vec<(String, Verdict)> = policies
+            .iter()
+            .zip(verdicts)
+            .map(|(p, verdict)| {
+                *match verdict {
+                    Verdict::Accepted => &mut accepted,
+                    Verdict::Violation => &mut violations,
+                    Verdict::Malformed => &mut malformed,
+                } += 1;
+                (p.clone(), verdict)
+            })
+            .collect();
         if span.is_live() {
             span.record("accepted", accepted);
             span.record("violations", violations);
@@ -107,13 +122,87 @@ impl Pcp {
             r.counter("core.pcp.violations").add(violations);
             r.counter("core.pcp.malformed").add(malformed);
         }
-        Ok(out)
+        Ok((out, on_worlds))
+    }
+
+    /// Each string's verdict by membership checks: grounding and solving
+    /// its parse trees against the GPM plus restrictions, then against the
+    /// GPM alone.
+    fn tree_verdicts(
+        &self,
+        gpm: &Asg,
+        context: &Program,
+        policies: &[String],
+        budget: &RunBudget,
+    ) -> Result<Vec<Verdict>, AsgError> {
+        let restricted = gpm
+            .with_added_rules(&self.restrictions)?
+            .with_context(context);
+        let unrestricted = gpm.with_context(context);
+        policies
+            .iter()
+            .map(|p| {
+                Ok(if restricted.accepts_within(p, budget)? {
+                    Verdict::Accepted
+                } else if unrestricted.accepts_within(p, budget)? {
+                    Verdict::Violation
+                } else {
+                    Verdict::Malformed
+                })
+            })
+            .collect()
     }
 
     /// Assesses enforceable policies against a request space (the Quality
     /// Checker; see [`QualityChecker::assess`]).
     pub fn assess(&self, policies: &[Policy], space: &[Request]) -> QualityReport {
         self.checker.assess(policies, space)
+    }
+}
+
+/// Verdicts read from the worlds of a learning session whose grammar plus
+/// the `hypothesis` constraints is the GPM being screened.
+pub(crate) struct ScreenWorlds<'a> {
+    pub session: &'a mut LearningSession,
+    /// The plans of the hypothesis's constraints.
+    pub hypothesis: &'a [&'a CandidatePlan],
+    /// The hypothesis's plans plus the restrictions'.
+    pub restricted: &'a [&'a CandidatePlan],
+}
+
+impl ScreenWorlds<'_> {
+    /// Each string's verdict: accepted if a parse tree has a world that no
+    /// restricted plan holds on, a violation if it has one only the
+    /// restrictions hold on, malformed otherwise. `None` if a parse tree's
+    /// worlds cannot decide it: over the world cap, or not computable
+    /// within `budget`.
+    fn verdicts(
+        self,
+        cfg: &Cfg,
+        context: &Program,
+        policies: &[String],
+        budget: &RunBudget,
+    ) -> Option<Vec<Verdict>> {
+        let parser = EarleyParser::new(cfg);
+        policies
+            .iter()
+            .map(|p| {
+                let mut verdict = Verdict::Malformed;
+                for tree in parser.parse_with(&Cfg::tokenize(p), ParseOptions::default()) {
+                    let worlds = self.session.worlds_within(&tree, context, budget).ok()?;
+                    if !worlds.complete() {
+                        return None;
+                    }
+                    if worlds.admits(self.restricted) {
+                        return Some(Verdict::Accepted);
+                    }
+                    if worlds.admits(self.hypothesis) {
+                        verdict = Verdict::Violation;
+                    }
+                }
+                Some(verdict)
+            })
+            .collect()
     }
 }
 

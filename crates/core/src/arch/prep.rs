@@ -3,10 +3,13 @@
 //! i.e. an ASG) and the current context, and *generates* the concrete
 //! policies the AMS will operate with.
 
-use agenp_asp::{Program, RunBudget};
-use agenp_grammar::{Asg, AsgError, GenOptions};
+use crate::arch::pcp::{Pcp, ScreenWorlds, Verdict};
+use agenp_asp::{Program, Rule, RunBudget};
+use agenp_grammar::{Asg, AsgError, GenOptions, ParseTree, ProdId};
+use agenp_learn::{CandidatePlan, LearningSession};
 use agenp_policy::{rule_from_text, PolicyRule};
 use std::fmt;
+use std::time::Instant;
 
 /// Translates generated policy strings into enforceable [`PolicyRule`]s.
 ///
@@ -102,6 +105,187 @@ impl Prep {
         gpm.with_context(context)
             .language_within(self.gen_options, &self.budget)
     }
+
+    /// Generates `gpm`'s policy strings under `context` and screens them
+    /// through `pcp`: [`Prep::generate`], then [`Pcp::screen_within`] under
+    /// this PReP's budget, with the same strings in the same order, the
+    /// same verdicts and the same errors. The stats carry the path and
+    /// the two stages' times.
+    ///
+    /// Both stages read `learned`'s worlds instead of grounding every tree
+    /// and string when all of these hold (otherwise they take the trees
+    /// path, [`RefreshPath::Trees`]):
+    ///
+    /// * `gpm` is the session's grammar plus `learned.hypothesis`, and the
+    ///   session's space has constraints only;
+    /// * every hypothesis rule and PCP restriction is a safe constraint on
+    ///   a production of the grammar ([`CandidatePlan::new`]);
+    /// * the budget leaves solver steps unlimited and grounding at least
+    ///   the default atom cap: a tighter cap can fall between a tree's
+    ///   program and the same program with the constraints added, which
+    ///   only the trees path grounds;
+    /// * every tree's worlds are complete (within the compile options'
+    ///   world cap) and computable within the budget. A string whose
+    ///   parse trees fail this sends screening alone to the trees path.
+    ///
+    /// # Errors
+    ///
+    /// What [`Prep::generate`] and [`Pcp::screen_within`] return.
+    pub fn generate_screened(
+        &self,
+        gpm: &Asg,
+        context: &Program,
+        pcp: &Pcp,
+        learned: Option<Learned<'_>>,
+    ) -> Result<(Vec<(String, Verdict)>, RefreshStats), AsgError> {
+        let mut stats = RefreshStats::default();
+        let started = Instant::now();
+        let mut worlds = learned.and_then(|learned| {
+            let (hypothesis, restrictions) = self.plans(&learned, pcp)?;
+            Some((learned, hypothesis, restrictions))
+        });
+        let generated = worlds.as_mut().and_then(|(learned, hypothesis, _)| {
+            let hypothesis: Vec<&CandidatePlan> = hypothesis.iter().collect();
+            generate_on_worlds(learned, &hypothesis, context, &self.budget)
+        });
+        let strings = match generated {
+            Some(strings) => strings,
+            None => {
+                worlds = None;
+                self.generate(gpm, context)?
+            }
+        };
+        stats.generate_ns = elapsed_ns(started);
+        let started = Instant::now();
+        let (screened, on_worlds) = match &mut worlds {
+            Some((learned, hypothesis, restrictions)) => {
+                let restricted: Vec<&CandidatePlan> =
+                    hypothesis.iter().chain(restrictions.iter()).collect();
+                let hypothesis: Vec<&CandidatePlan> = hypothesis.iter().collect();
+                let worlds = ScreenWorlds {
+                    session: learned.session,
+                    hypothesis: &hypothesis,
+                    restricted: &restricted,
+                };
+                pcp.screen_on(gpm, context, &strings, &self.budget, Some(worlds))?
+            }
+            None => pcp.screen_on(gpm, context, &strings, &self.budget, None)?,
+        };
+        stats.screen_ns = elapsed_ns(started);
+        if on_worlds {
+            stats.path = RefreshPath::Worlds;
+        }
+        Ok((screened, stats))
+    }
+
+    /// The plans of `learned`'s hypothesis and of `pcp`'s restrictions, if
+    /// the worlds path applies to them under this PReP's budget.
+    fn plans(
+        &self,
+        learned: &Learned<'_>,
+        pcp: &Pcp,
+    ) -> Option<(Vec<CandidatePlan>, Vec<CandidatePlan>)> {
+        let caps = RunBudget::default();
+        if self.budget.max_steps != caps.max_steps
+            || self.budget.max_atoms < caps.max_atoms
+            || !learned.session.constraints_only()
+        {
+            return None;
+        }
+        let productions = learned.session.grammar().cfg().production_count();
+        let plan = |(target, rule): &(ProdId, Rule)| {
+            (target.index() < productions)
+                .then(|| CandidatePlan::new(*target, rule))
+                .flatten()
+        };
+        let hypothesis = learned.hypothesis.iter().map(plan).collect::<Option<_>>()?;
+        let restrictions = pcp.restrictions().iter().map(plan).collect::<Option<_>>()?;
+        Some((hypothesis, restrictions))
+    }
+}
+
+/// A learning session whose grammar plus `hypothesis` is the GPM being
+/// generated from (see [`Prep::generate_screened`]).
+#[derive(Debug)]
+pub struct Learned<'a> {
+    /// The session, whose worlds both stages read and extend.
+    pub session: &'a mut LearningSession,
+    /// The learned rules, each with its target production.
+    pub hypothesis: &'a [(ProdId, Rule)],
+    /// The trees of the session grammar's CFG within the PReP's
+    /// generation bounds, in [`Generator::trees`] order.
+    ///
+    /// [`Generator::trees`]: agenp_grammar::Generator::trees
+    pub trees: &'a [ParseTree],
+}
+
+/// Which evaluation a refresh generated and screened on.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum RefreshPath {
+    /// Both stages read the learning session's worlds.
+    Worlds,
+    /// A stage ran [`Prep::generate`] or [`Pcp::screen_within`], which
+    /// ground and solve every tree and string.
+    #[default]
+    Trees,
+}
+
+impl RefreshPath {
+    /// `"worlds"` or `"trees"`, as telemetry records it.
+    pub fn name(self) -> &'static str {
+        match self {
+            RefreshPath::Worlds => "worlds",
+            RefreshPath::Trees => "trees",
+        }
+    }
+}
+
+/// What regenerating the policies from a GPM cost, stage by stage, in
+/// nanoseconds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RefreshStats {
+    /// The evaluation generation and screening ran on.
+    pub path: RefreshPath,
+    /// Generating the admitted strings.
+    pub generate_ns: u64,
+    /// Screening them through the PCP.
+    pub screen_ns: u64,
+    /// Translating the accepted strings into policy rules.
+    pub translate_ns: u64,
+    /// Committing the result and publishing the snapshot: the new GPM
+    /// (and, in [`Ams::adapt`], its stored version) and the policy.
+    ///
+    /// [`Ams::adapt`]: crate::arch::Ams::adapt
+    pub publish_ns: u64,
+}
+
+/// The texts of the trees with a world no `hypothesis` plan holds on,
+/// sorted and deduplicated as [`Asg::language_within`] returns them.
+/// `None` if a tree's worlds cannot decide it: over the world cap, or not
+/// computable within `budget`.
+fn generate_on_worlds(
+    learned: &mut Learned<'_>,
+    hypothesis: &[&CandidatePlan],
+    context: &Program,
+    budget: &RunBudget,
+) -> Option<Vec<String>> {
+    let mut out = Vec::new();
+    for tree in learned.trees {
+        let worlds = learned.session.worlds_within(tree, context, budget).ok()?;
+        if !worlds.complete() {
+            return None;
+        }
+        if worlds.admits(hypothesis) {
+            out.push(tree.text());
+        }
+    }
+    out.sort();
+    out.dedup();
+    Some(out)
+}
+
+pub(crate) fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

@@ -19,12 +19,15 @@ use agenp_asp::{
     RunBudget, Solver, Symbol,
 };
 use std::fmt;
+use std::sync::Arc;
 
 /// An answer set grammar: a [`Cfg`] plus one annotated ASP [`Program`] per
 /// production rule.
 #[derive(Clone, Debug)]
 pub struct Asg {
-    cfg: Cfg,
+    /// Shared: `G : H`, `G(C)` and every other derived grammar change only
+    /// annotations, so clones copy the annotations alone.
+    cfg: Arc<Cfg>,
     annotations: Vec<Program>,
 }
 
@@ -62,7 +65,10 @@ impl Asg {
     /// Wraps a CFG with empty annotations.
     pub fn from_cfg(cfg: Cfg) -> Asg {
         let annotations = vec![Program::new(); cfg.production_count()];
-        Asg { cfg, annotations }
+        Asg {
+            cfg: Arc::new(cfg),
+            annotations,
+        }
     }
 
     /// The underlying CFG (`G_CF`: the grammar with annotations removed).
@@ -133,10 +139,28 @@ impl Asg {
     /// `G[PT]` — the ASP program induced by a parse tree: each node's
     /// annotation instantiated at the node's trace.
     pub fn tree_program(&self, tree: &ParseTree) -> Program {
+        self.tree_program_in(tree, &Program::new())
+    }
+
+    /// `G(C)[PT]` without building `G(C)`: the same rules in the same order
+    /// as `self.with_context(context).tree_program(tree)`.
+    pub fn tree_program_in(&self, tree: &ParseTree, context: &Program) -> Program {
         let mut out = Program::new();
+        let mut weaks = Vec::new();
         tree.visit_nodes(|node, trace| {
-            out.extend_from(&self.annotations[node.prod.index()].instantiate_at(trace));
+            for program in [&self.annotations[node.prod.index()], context] {
+                out.extend(program.rules().iter().map(|r| r.instantiate_at(trace)));
+                weaks.extend(
+                    program
+                        .weak_constraints()
+                        .iter()
+                        .map(|w| w.instantiate_at(trace)),
+                );
+            }
         });
+        for w in weaks {
+            out.push_weak(w);
+        }
         out
     }
 
@@ -587,6 +611,20 @@ mod tests {
         // as-node at trace [1] receives `size(X+1) :- size(X)@1_2.`
         assert!(text.contains("size(0)@1_2"), "program was:\n{text}");
         assert!(text.contains("size(0)@2_2"), "program was:\n{text}");
+    }
+
+    #[test]
+    fn tree_program_in_matches_the_context_grammar() {
+        let g: Asg = r#"
+            policy -> "allow" level { ok :- lvl(X)@2, X > 0. :~ storm. [1] }
+            level -> "one" { lvl(1). }
+        "#
+        .parse()
+        .unwrap();
+        let ctx: Program = "storm. calm :- not storm. :~ calm. [2]".parse().unwrap();
+        let tree = EarleyParser::new(g.cfg()).parse_text("allow one").remove(0);
+        let want = g.with_context(&ctx).tree_program(&tree);
+        assert_eq!(g.tree_program_in(&tree, &ctx), want);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::fmt;
 
 /// A child of a parse-tree node: either a subtree (nonterminal) or a
 /// terminal leaf.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum TreeChild {
     /// A nonterminal child with its own subtree.
     Node(ParseTree),
@@ -17,7 +17,7 @@ pub enum TreeChild {
 
 /// A parse tree: the production applied at the root plus one child per
 /// right-hand-side symbol.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ParseTree {
     /// The production applied at this node.
     pub prod: ProdId,

@@ -13,12 +13,12 @@ use crate::example::Example;
 use crate::learner::LearnError;
 use crate::space::Candidate;
 use agenp_asp::{
-    schedule_body, ArithOp, Atom, BodyStep, CmpOp, GroundError, GroundOptions, GroundStats,
-    IncrementalGrounder, Rule, Solver, Symbol, Term, Trace,
+    ground_with_stats, schedule_body, ArithOp, Atom, BodyStep, CmpOp, Exhausted, GroundError,
+    GroundOptions, GroundStats, IncrementalGrounder, Program, Rule, RunBudget, SolveResult, Solver,
+    Symbol, Term, Trace,
 };
-use agenp_grammar::{Asg, EarleyParser, ParseOptions, ParseTree, ProdId};
+use agenp_grammar::{Asg, AsgError, EarleyParser, ParseOptions, ParseTree, ProdId};
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 /// A single answer set of a base program, its atoms grouped by predicate
 /// and arity for plan evaluation.
@@ -376,17 +376,142 @@ impl Pattern {
     }
 }
 
-/// A compiled parse tree of an example.
+/// The answer sets ("worlds") of one parse tree's program `G(C)[PT]`,
+/// with the node traces a candidate is instantiated at.
+#[derive(Clone, Debug)]
+pub struct TreeWorlds {
+    /// Node traces by production, ascending, each production's root first.
+    traces_by_prod: Vec<(ProdId, Vec<Trace>)>,
+    worlds: Vec<World>,
+    complete: bool,
+}
+
+impl TreeWorlds {
+    fn new(tree: &ParseTree, result: SolveResult) -> TreeWorlds {
+        let mut nodes: Vec<(ProdId, Trace)> = Vec::new();
+        tree.visit_nodes(|node, trace| nodes.push((node.prod, trace.clone())));
+        nodes.sort_by_key(|(prod, _)| *prod);
+        let mut traces_by_prod: Vec<(ProdId, Vec<Trace>)> = Vec::new();
+        for (prod, trace) in nodes {
+            match traces_by_prod.last_mut() {
+                Some((last, traces)) if *last == prod => traces.push(trace),
+                _ => traces_by_prod.push((prod, vec![trace])),
+            }
+        }
+        let complete = result.complete();
+        TreeWorlds {
+            traces_by_prod,
+            worlds: result
+                .into_models()
+                .into_iter()
+                .map(|m| World::from_atoms(m.into_atoms()))
+                .collect(),
+            complete,
+        }
+    }
+
+    /// The answer sets (none if the program is unsatisfiable).
+    pub fn worlds(&self) -> &[World] {
+        &self.worlds
+    }
+
+    /// False if world enumeration hit its cap: more worlds may exist, so
+    /// constraints cannot be decided on these alone.
+    pub fn complete(&self) -> bool {
+        self.complete
+    }
+
+    /// The traces of the nodes expanding `prod`, root first.
+    pub fn traces(&self, prod: ProdId) -> &[Trace] {
+        match self.traces_by_prod.binary_search_by_key(&prod, |(p, _)| *p) {
+            Ok(i) => &self.traces_by_prod[i].1,
+            Err(_) => &[],
+        }
+    }
+
+    /// Does `world` (one of these worlds) violate the planned constraint
+    /// at some node of its target production?
+    pub fn violates(&self, world: &World, plan: &CandidatePlan) -> bool {
+        self.traces(plan.target())
+            .iter()
+            .any(|node| plan.holds_at(world, node))
+    }
+
+    /// Does the tree's program stay satisfiable once the planned
+    /// constraints are added, i.e. does some world violate none of them?
+    /// Exact only for [`complete`](TreeWorlds::complete) worlds.
+    pub fn admits(&self, plans: &[&CandidatePlan]) -> bool {
+        self.worlds
+            .iter()
+            .any(|world| !plans.iter().any(|plan| self.violates(world, plan)))
+    }
+}
+
+/// Why a tree's worlds could not be computed.
+#[derive(Clone, Debug)]
+pub(crate) enum WorldsError {
+    /// Grounding `G(C)[PT]` failed.
+    Ground(GroundError),
+    /// The solver ran out of budget before enumerating every world.
+    Solve(Exhausted),
+}
+
+impl From<WorldsError> for AsgError {
+    /// The error [`Asg::tree_admitted_within`] reports for the same
+    /// failure.
+    fn from(e: WorldsError) -> AsgError {
+        match e {
+            WorldsError::Ground(g) => match g.exhausted() {
+                Some(kind) => AsgError::Exhausted(kind),
+                None => AsgError::Ground(g),
+            },
+            WorldsError::Solve(kind) => AsgError::Exhausted(kind),
+        }
+    }
+}
+
+impl From<WorldsError> for LearnError {
+    fn from(e: WorldsError) -> LearnError {
+        match e {
+            WorldsError::Ground(g) => LearnError::Ground(g),
+            WorldsError::Solve(kind) => LearnError::Exhausted(kind),
+        }
+    }
+}
+
+/// The worlds of `tree` under `context`: one `ground_with` and one solve
+/// of `G(C)[PT]` under `budget`'s atom cap, step cap and deadline,
+/// enumerating at most `max_worlds` answer sets. Also returns the
+/// grounding work.
+pub(crate) fn tree_worlds(
+    grammar: &Asg,
+    tree: &ParseTree,
+    context: &Program,
+    max_worlds: usize,
+    budget: &RunBudget,
+) -> Result<(TreeWorlds, GroundStats), WorldsError> {
+    let program = grammar.tree_program_in(tree, context);
+    let options = GroundOptions::default()
+        .with_max_atoms(budget.max_atoms)
+        .with_deadline(budget.deadline);
+    let (ground, stats) = ground_with_stats(&program, options).map_err(WorldsError::Ground)?;
+    let result = Solver::new()
+        .max_models(max_worlds)
+        .with_budget(budget)
+        .solve(&ground);
+    match result.exhausted() {
+        Some(kind) => Err(WorldsError::Solve(kind)),
+        None => Ok((TreeWorlds::new(tree, result), stats)),
+    }
+}
+
+/// A compiled parse tree of an example, for the generic search.
 #[derive(Debug)]
 pub struct CompiledTree {
     /// The parse tree itself.
     pub tree: ParseTree,
-    /// Node traces grouped by production id (for hypothesis instantiation).
-    pub traces_by_prod: HashMap<ProdId, Vec<Trace>>,
-    /// The answer sets of the base program (empty if it is unsatisfiable).
-    pub worlds: Vec<World>,
-    /// False if world enumeration hit the cap (monotone path unusable).
-    pub worlds_complete: bool,
+    /// The answer sets of the base program `G(C)[PT]`.
+    pub worlds: TreeWorlds,
     /// The saturated grounding of `G(C)[PT]` (annotations plus context,
     /// instantiated at every node; see [`IncrementalGrounder::base`]).
     /// Hypotheses are grounded as deltas on top of it.
@@ -396,23 +521,11 @@ pub struct CompiledTree {
 impl CompiledTree {
     /// Instantiates a candidate's rule at every node the candidate targets.
     pub fn instantiate(&self, candidate: &Candidate) -> Vec<Rule> {
-        self.traces_by_prod
-            .get(&candidate.target)
-            .map(|traces| {
-                traces
-                    .iter()
-                    .map(|t| candidate.rule.instantiate_at(t))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Does `world` (an answer set of the base program) violate the planned
-    /// constraint at some node of its target production?
-    pub fn world_violates(&self, world: &World, plan: &CandidatePlan) -> bool {
-        self.traces_by_prod
-            .get(&plan.target())
-            .is_some_and(|nodes| nodes.iter().any(|node| plan.holds_at(world, node)))
+        self.worlds
+            .traces(candidate.target)
+            .iter()
+            .map(|t| candidate.rule.instantiate_at(t))
+            .collect()
     }
 }
 
@@ -475,18 +588,26 @@ impl CompiledExample {
             .iter()
             .map(|(target, rule)| CandidatePlan::new(*target, rule))
             .collect::<Option<Vec<_>>>()?;
-        if self.trees.iter().any(|t| !t.worlds_complete) {
+        if self.trees.iter().any(|t| !t.worlds.complete()) {
             return None;
         }
-        Some(self.trees.iter().any(|tree| {
-            tree.worlds
-                .iter()
-                .any(|world| !plans.iter().any(|plan| tree.world_violates(world, plan)))
-        }))
+        let plans: Vec<&CandidatePlan> = plans.iter().collect();
+        Some(self.trees.iter().any(|tree| tree.worlds.admits(&plans)))
     }
 }
 
-/// Compiles an example against `grammar`.
+/// The parse trees of an example's text, at most `max_trees`.
+pub(crate) fn parse_example(grammar: &Asg, text: &str, max_trees: usize) -> Vec<ParseTree> {
+    EarleyParser::new(grammar.cfg()).parse_with(
+        &agenp_grammar::Cfg::tokenize(text),
+        ParseOptions { max_trees },
+    )
+}
+
+/// Compiles an example against `grammar` for the generic search: each
+/// parse tree's base program is saturated once in an
+/// [`IncrementalGrounder`], and its worlds are enumerated from that
+/// grounding.
 ///
 /// # Errors
 ///
@@ -497,27 +618,12 @@ pub fn compile_example(
     is_pos: bool,
     opts: CompileOptions,
 ) -> Result<CompiledExample, GroundError> {
-    let with_ctx = grammar.with_context(&example.context);
-    let parser = EarleyParser::new(grammar.cfg());
-    let tokens = agenp_grammar::Cfg::tokenize(&example.text);
-    let trees = parser.parse_with(
-        &tokens,
-        ParseOptions {
-            max_trees: opts.max_trees,
-        },
-    );
+    let trees = parse_example(grammar, &example.text, opts.max_trees);
     let mut compiled = Vec::with_capacity(trees.len());
     let mut ground_stats = GroundStats::default();
     let mut solver_calls = 0u64;
     for tree in trees {
-        let base = with_ctx.tree_program(&tree);
-        let mut traces_by_prod: HashMap<ProdId, Vec<Trace>> = HashMap::new();
-        tree.visit_nodes(|node, trace| {
-            traces_by_prod
-                .entry(node.prod)
-                .or_default()
-                .push(trace.clone());
-        });
+        let base = grammar.tree_program_in(&tree, &example.context);
         // Ground the base once. The incremental grounder saturates it and
         // keeps the state around so candidate hypotheses can later be
         // grounded as deltas without redoing this work.
@@ -527,17 +633,9 @@ pub fn compile_example(
         ground_stats.absorb(st);
         let result = Solver::new().max_models(opts.max_worlds).solve(&g);
         solver_calls += 1;
-        let worlds_complete = result.complete();
-        let worlds = result
-            .models()
-            .iter()
-            .map(|m| World::from_atoms(m.atoms().to_vec()))
-            .collect();
         compiled.push(CompiledTree {
+            worlds: TreeWorlds::new(&tree, result),
             tree,
-            traces_by_prod,
-            worlds,
-            worlds_complete,
             grounder,
         });
     }
@@ -678,10 +776,10 @@ mod tests {
         let c = compile_example(&g, &ex, true, CompileOptions::default()).unwrap();
         assert!(c.is_pos);
         assert_eq!(c.trees.len(), 1);
-        let t = &c.trees[0];
-        assert_eq!(t.worlds.len(), 1);
-        assert!(t.worlds_complete);
-        assert!(t.worlds[0].contains(&"ok".parse().unwrap()));
+        let t = &c.trees[0].worlds;
+        assert_eq!(t.worlds().len(), 1);
+        assert!(t.complete());
+        assert!(t.worlds()[0].contains(&"ok".parse().unwrap()));
     }
 
     #[test]

@@ -57,11 +57,12 @@ mod session;
 mod space;
 
 pub use compile::{
-    compile_example, CandidatePlan, CompileOptions, CompiledExample, CompiledTree, World,
+    compile_example, CandidatePlan, CompileOptions, CompiledExample, CompiledTree, TreeWorlds,
+    World,
 };
 pub use example::Example;
 pub use learner::{
     Branching, Hypothesis, LearnError, LearnOptions, LearnStats, Learner, LearningTask,
 };
-pub use session::LearningSession;
+pub use session::{LearningSession, WorldStats};
 pub use space::{Candidate, HypothesisSpace, ModeArg, ModeAtom, ModeBias, ModeCmp, ModeLiteral};

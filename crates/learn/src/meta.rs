@@ -59,7 +59,7 @@ impl Learner {
         }
         if compiled
             .iter()
-            .any(|e| e.trees.iter().any(|t| !t.worlds_complete))
+            .any(|e| e.trees.iter().any(|t| !t.worlds.complete()))
         {
             return Err(LearnError::MetaInapplicable(
                 "world enumeration hit its cap; the meta encoding would be unsound".to_owned(),
@@ -84,10 +84,10 @@ impl Learner {
                 src.push_str(&format!("negex({ei}).\n"));
             }
             for tree in &ex.trees {
-                for world in &tree.worlds {
+                for world in tree.worlds.worlds() {
                     src.push_str(&format!("eworld({ei}, {world_id}).\n"));
                     for (ci, plan) in plans.iter().enumerate() {
-                        if tree.world_violates(world, plan) {
+                        if tree.worlds.violates(world, plan) {
                             src.push_str(&format!("kills({ci}, {world_id}).\n"));
                         }
                     }

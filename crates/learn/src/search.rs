@@ -490,8 +490,10 @@ pub(crate) fn relevant(tree: &CompiledTree, candidates: &[Candidate], chosen: &[
         .iter()
         .copied()
         .filter(|&ci| {
-            tree.traces_by_prod
-                .contains_key(&candidates[ci as usize].target)
+            !tree
+                .worlds
+                .traces(candidates[ci as usize].target)
+                .is_empty()
         })
         .collect()
 }

@@ -7,9 +7,14 @@
 //!   every observation, so costs and `sacrificed` indices are those of the
 //!   full example list.
 //! * On the monotone path a session keeps, per distinct example, only the
-//!   [`Example`] and one candidate bitset per world; the compiled trees and
-//!   their grounders are dropped. The generic path keeps the
-//!   [`CompiledExample`]s it evaluates hypotheses on.
+//!   [`Example`] and one candidate bitset per world. The generic path
+//!   keeps the [`CompiledExample`]s it evaluates hypotheses on.
+//! * The session keeps the worlds of every (parse tree, context) pair it
+//!   evaluates, for examples and for the trees a generator asks about
+//!   ([`LearningSession::worlds_within`]) alike: one budgeted ground and
+//!   solve of `G(C)[PT]` per pair. Only the generic search grounds an
+//!   example's trees again, into the [`IncrementalGrounder`]s it evaluates
+//!   hypotheses with.
 //! * [`LearningSession::solve`] reuses the previous optimum without
 //!   searching when that is provably safe: the previous search ran to the
 //!   end, the options have not changed since, and the previous hypothesis
@@ -18,13 +23,19 @@
 //!   is still optimal, and a proven [`LearnError::Unsatisfiable`] stays
 //!   unsatisfiable. A reused optimum may differ from the one a fresh search
 //!   would pick among hypotheses of equal cost.
+//!
+//! [`IncrementalGrounder`]: agenp_asp::IncrementalGrounder
 
-use crate::compile::{compile_example, plan_candidates, CandidatePlan, CompiledExample};
+use crate::compile::{
+    compile_example, parse_example, plan_candidates, tree_worlds, CandidatePlan, CompiledExample,
+    TreeWorlds, WorldsError,
+};
 use crate::example::Example;
 use crate::learner::{Hypothesis, LearnError, LearnOptions, LearnStats};
 use crate::search::{self, Examples, Kills, Searched};
 use crate::space::HypothesisSpace;
-use agenp_grammar::Asg;
+use agenp_asp::{Exhausted, GroundStats, Program, RunBudget};
+use agenp_grammar::{Asg, AsgError, ParseTree};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
@@ -76,6 +87,101 @@ pub struct LearningSession {
     incomplete: bool,
     /// The last search that ran to the end.
     proven: Option<Proven>,
+    /// The worlds of every (parse tree, context) pair evaluated so far.
+    worlds: WorldCache,
+}
+
+/// How many (parse tree, context) pairs a session was asked for, and how
+/// many of those it grounded and solved rather than reused.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorldStats {
+    /// Pairs looked up, for examples and generated trees alike.
+    pub lookups: u64,
+    /// Lookups that computed the pair's worlds.
+    pub computed: u64,
+}
+
+/// The worlds of (parse tree, context) pairs: each distinct context gets
+/// an id, and each pair an entry.
+#[derive(Debug, Default)]
+struct WorldCache {
+    contexts: HashMap<Program, usize>,
+    /// Per context id, the entry of each tree evaluated under it.
+    trees: Vec<HashMap<ParseTree, usize>>,
+    entries: Vec<Cached>,
+    stats: WorldStats,
+}
+
+/// A pair's worlds and the caps they were computed under.
+#[derive(Debug)]
+struct Cached {
+    worlds: TreeWorlds,
+    /// Grounding and solving under these caps ran to the end, so they
+    /// would under any larger ones, with the same worlds.
+    max_atoms: usize,
+    max_steps: u64,
+}
+
+impl WorldCache {
+    /// The worlds of `tree` under `context`: cached ones if they were
+    /// computed under atom and step caps no larger than `budget`'s,
+    /// otherwise computed under `budget`, with the grounding work.
+    fn get(
+        &mut self,
+        grammar: &Asg,
+        tree: &ParseTree,
+        context: &Program,
+        max_worlds: usize,
+        budget: &RunBudget,
+    ) -> Result<(&TreeWorlds, Option<GroundStats>), WorldsError> {
+        self.stats.lookups += 1;
+        let id = match self.contexts.get(context) {
+            Some(&id) => id,
+            None => {
+                self.contexts.insert(context.clone(), self.trees.len());
+                self.trees.push(HashMap::new());
+                self.trees.len() - 1
+            }
+        };
+        let found = self.trees[id].get(tree).copied();
+        if let Some(entry) = found {
+            let cached = &self.entries[entry];
+            if cached.max_atoms <= budget.max_atoms && cached.max_steps <= budget.max_steps {
+                return Ok((&self.entries[entry].worlds, None));
+            }
+        }
+        self.stats.computed += 1;
+        let (worlds, work) = tree_worlds(grammar, tree, context, max_worlds, budget)?;
+        let entry = match found {
+            // Grounding needed no more atoms than either cap and solving
+            // no more steps, so the same worlds hold under the smaller of
+            // each.
+            Some(entry) => {
+                let old = &mut self.entries[entry];
+                old.worlds = worlds;
+                old.max_atoms = old.max_atoms.min(budget.max_atoms);
+                old.max_steps = old.max_steps.min(budget.max_steps);
+                entry
+            }
+            None => {
+                self.entries.push(Cached {
+                    worlds,
+                    max_atoms: budget.max_atoms,
+                    max_steps: budget.max_steps,
+                });
+                self.trees[id].insert(tree.clone(), self.entries.len() - 1);
+                self.entries.len() - 1
+            }
+        };
+        Ok((&self.entries[entry].worlds, Some(work)))
+    }
+
+    /// Forgets every pair.
+    fn clear(&mut self) {
+        self.contexts.clear();
+        self.trees.clear();
+        self.entries.clear();
+    }
 }
 
 /// A distinct example and its cached coverage.
@@ -132,6 +238,7 @@ impl LearningSession {
             negatives: Vec::new(),
             incomplete: false,
             proven: None,
+            worlds: WorldCache::default(),
         }
     }
 
@@ -142,15 +249,61 @@ impl LearningSession {
 
     /// Replaces the options. The next solve searches afresh if they differ
     /// from those of the last completed search, and recompiles every
-    /// example if the compile options differ.
+    /// example and forgets every pair's worlds if the compile options
+    /// differ.
     pub fn set_options(&mut self, options: LearnOptions) {
         if options.compile != self.options.compile {
             for entry in &mut self.entries {
                 entry.coverage = Coverage::Pending;
             }
             self.incomplete = false;
+            self.worlds.clear();
         }
         self.options = options;
+    }
+
+    /// True if every hypothesis the space admits is constraints only.
+    pub fn constraints_only(&self) -> bool {
+        self.space.constraints_only()
+    }
+
+    /// The worlds of `tree`, a parse tree of the session's grammar, under
+    /// `context`: the answer sets of `G(C)[PT]`, at most the compile
+    /// options' `max_worlds` of them. One ground and one solve of the
+    /// program computes a pair's worlds, which the session keeps for
+    /// examples and generated trees alike. It reuses them only under a
+    /// budget whose atom and step caps are at least those they were
+    /// computed under, and otherwise computes them again under `budget`.
+    ///
+    /// # Errors
+    ///
+    /// What the per-tree step of [`Asg::admitted_trees_within`] reports
+    /// under the same budget: [`AsgError::Exhausted`] once the deadline
+    /// has passed or grounding or solving runs out of budget,
+    /// [`AsgError::Ground`] for other grounding failures. Enumerating every
+    /// world can take more solver steps than finding one, so under a step
+    /// cap a lookup can run out where that step finds a world. A failed
+    /// pair is not kept.
+    pub fn worlds_within(
+        &mut self,
+        tree: &ParseTree,
+        context: &Program,
+        budget: &RunBudget,
+    ) -> Result<&TreeWorlds, AsgError> {
+        if budget.deadline.expired() {
+            return Err(AsgError::Exhausted(Exhausted::Deadline));
+        }
+        let max_worlds = self.options.compile.max_worlds;
+        self.worlds
+            .get(&self.grammar, tree, context, max_worlds, budget)
+            .map(|(worlds, _)| worlds)
+            .map_err(AsgError::from)
+    }
+
+    /// Pairs looked up and computed so far (see
+    /// [`LearningSession::worlds_within`]).
+    pub fn world_stats(&self) -> WorldStats {
+        self.worlds.stats
     }
 
     /// Adds a positive example.
@@ -228,7 +381,7 @@ impl LearningSession {
             .chain(&self.negatives)
             .map(|o| match &self.entries[o.entry as usize].coverage {
                 Coverage::Worlds(worlds) => worlds.len(),
-                Coverage::Compiled(ex) => ex.trees.iter().map(|t| t.worlds.len()).sum(),
+                Coverage::Compiled(ex) => ex.trees.iter().map(|t| t.worlds.worlds().len()).sum(),
                 Coverage::Pending => unreachable!("compiled above"),
             })
             .sum();
@@ -252,24 +405,31 @@ impl LearningSession {
             self.plans = plan_candidates(self.space.candidates())?;
             stats.coverage_ns += elapsed_ns(started);
         }
-        for entry in &mut self.entries {
-            if !matches!(entry.coverage, Coverage::Pending) {
+        for id in 0..self.entries.len() {
+            if !matches!(self.entries[id].coverage, Coverage::Pending) {
                 continue;
             }
-            let compiled = compile(&self.grammar, entry, &self.options, stats)?;
-            let complete = compiled.trees.iter().all(|t| t.worlds_complete);
-            self.incomplete |= !complete;
-            entry.coverage = if worlds_usable && complete {
-                Coverage::Worlds(kill_sets(&compiled, &self.plans, stats))
+            let kills = if worlds_usable {
+                self.example_kills(id, stats)?
             } else {
-                Coverage::Compiled(compiled)
+                None
+            };
+            let entry = &mut self.entries[id];
+            entry.coverage = match kills {
+                Some(kills) => Coverage::Worlds(kills),
+                None => {
+                    let compiled = compile(&self.grammar, entry, &self.options, stats)?;
+                    self.incomplete |= compiled.trees.iter().any(|t| !t.worlds.complete());
+                    Coverage::Compiled(compiled)
+                }
             };
         }
         let monotone = self.monotone();
         for entry in &mut self.entries {
             match &entry.coverage {
                 Coverage::Compiled(compiled) if monotone => {
-                    entry.coverage = Coverage::Worlds(kill_sets(compiled, &self.plans, stats));
+                    let trees = compiled.trees.iter().map(|t| &t.worlds);
+                    entry.coverage = Coverage::Worlds(kill_sets(trees, &self.plans, stats));
                 }
                 Coverage::Worlds(_) if !monotone => {
                     let compiled = compile(&self.grammar, entry, &self.options, stats)?;
@@ -279,6 +439,39 @@ impl LearningSession {
             }
         }
         Ok(())
+    }
+
+    /// The kill sets of an entry's worlds, trees in parse order, from the
+    /// session's (parse tree, context) worlds. `None`, marking the session
+    /// incomplete, if a tree has more worlds than the cap.
+    fn example_kills(
+        &mut self,
+        id: usize,
+        stats: &mut LearnStats,
+    ) -> Result<Option<Vec<Kills>>, LearnError> {
+        let example = &self.entries[id].example;
+        let compile = self.options.compile;
+        let mut kills = Vec::new();
+        for tree in parse_example(&self.grammar, &example.text, compile.max_trees) {
+            let (worlds, work) = self.worlds.get(
+                &self.grammar,
+                &tree,
+                &example.context,
+                compile.max_worlds,
+                &RunBudget::default(),
+            )?;
+            if let Some(work) = work {
+                stats.absorb_ground(work);
+                stats.solver_calls += 1;
+            }
+            if !worlds.complete() {
+                self.incomplete = true;
+                return Ok(None);
+            }
+            kills.extend(kill_sets([worlds], &self.plans, stats));
+        }
+        stats.examples_compiled += 1;
+        Ok(Some(kills))
     }
 
     /// Reuses the last proven outcome if every new example keeps it
@@ -474,26 +667,25 @@ fn compile(
     Ok(compiled)
 }
 
-/// The kill set of each world of a compiled example over the plans of a
-/// constraint-only space, trees in parse order. Adds its time to
+/// The kill set of each world of `trees` over the plans of a
+/// constraint-only space, trees in order. Adds its time to
 /// `stats.coverage_ns`.
-fn kill_sets(
-    compiled: &CompiledExample,
+fn kill_sets<'a>(
+    trees: impl IntoIterator<Item = &'a TreeWorlds>,
     plans: &[CandidatePlan],
     stats: &mut LearnStats,
 ) -> Vec<Kills> {
     let started = Instant::now();
-    let kills = compiled
-        .trees
-        .iter()
+    let kills = trees
+        .into_iter()
         .flat_map(|tree| {
-            tree.worlds.iter().map(move |world| {
+            tree.worlds().iter().map(move |world| {
                 Kills::new(
                     plans.len(),
                     plans
                         .iter()
                         .enumerate()
-                        .filter(|(_, plan)| tree.world_violates(world, plan))
+                        .filter(|(_, plan)| tree.violates(world, plan))
                         .map(|(ci, _)| ci),
                 )
             })

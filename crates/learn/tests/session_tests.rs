@@ -6,13 +6,15 @@
 //! (`cargo test --release -p agenp-learn`); debug builds run a few
 //! seconds' worth of the same checks.
 
+use agenp_asp::{Deadline, Exhausted, Program, RunBudget};
 use agenp_core::scenarios::cav;
-use agenp_grammar::{Asg, ProdId};
+use agenp_grammar::{Asg, AsgError, EarleyParser, GenOptions, ProdId};
 use agenp_learn::{
     Branching, Example, HypothesisSpace, LearnError, LearnOptions, Learner, LearningSession,
-    LearningTask,
+    LearningTask, WorldStats,
 };
 use std::collections::HashSet;
+use std::time::Duration;
 
 /// Full-size suites in optimized builds.
 const FULL: bool = !cfg!(debug_assertions);
@@ -250,4 +252,154 @@ fn each_round_compiles_only_its_new_distinct_examples() {
     }
     assert_eq!(session.len(), 2 * rounds);
     assert!(skipped > rounds / 2, "{skipped} of {rounds} rounds skipped");
+}
+
+/// The exhausted resource behind a failed evaluation.
+fn exhausted<T: std::fmt::Debug>(result: Result<T, AsgError>) -> Exhausted {
+    match result {
+        Err(AsgError::Exhausted(kind)) => kind,
+        other => panic!("expected an exhausted budget, got {other:?}"),
+    }
+}
+
+/// A pair cached under the default budget is reused only under budgets at
+/// least as large. Under a smaller atom cap or an expired deadline the
+/// lookup computes again and fails as generation and membership checks do
+/// under that budget.
+#[test]
+fn cached_worlds_are_reused_only_under_a_budget_as_large() {
+    let g: Asg = r#"
+        policy -> "allow" level { ok :- lvl(X)@2. }
+        level -> "high" { lvl(high). }
+    "#
+    .parse()
+    .unwrap();
+    let context: Program = "storm.".parse().unwrap();
+    let tree = EarleyParser::new(g.cfg())
+        .parse_text("allow high")
+        .remove(0);
+    let mut session =
+        LearningSession::new(g.clone(), HypothesisSpace::new(), LearnOptions::default());
+    let worlds = session
+        .worlds_within(&tree, &context, &RunBudget::default())
+        .unwrap();
+    assert!(worlds.complete());
+    assert_eq!(worlds.worlds().len(), 1);
+    session
+        .worlds_within(&tree, &context, &RunBudget::unlimited())
+        .unwrap();
+    assert_eq!(session.world_stats().computed, 1, "a larger budget reuses");
+    // A step cap below the cached one computes again; the stratified
+    // program needs no steps, so the pair then holds under that cap too.
+    let capped = RunBudget::default().with_max_steps(10);
+    session.worlds_within(&tree, &context, &capped).unwrap();
+    session.worlds_within(&tree, &context, &capped).unwrap();
+    session
+        .worlds_within(&tree, &context, &RunBudget::default())
+        .unwrap();
+    assert_eq!(
+        session.world_stats(),
+        WorldStats {
+            lookups: 5,
+            computed: 2
+        }
+    );
+
+    let plain = g.with_context(&context);
+    let opts = GenOptions {
+        max_depth: 3,
+        max_trees: 8,
+    };
+    let atoms = RunBudget::default().with_max_atoms(1);
+    assert_eq!(
+        exhausted(plain.admitted_trees_within(opts, &atoms)),
+        Exhausted::Atoms
+    );
+    assert_eq!(
+        exhausted(plain.accepts_within("allow high", &atoms)),
+        Exhausted::Atoms
+    );
+    assert_eq!(
+        exhausted(session.worlds_within(&tree, &context, &atoms)),
+        Exhausted::Atoms
+    );
+    let expired = RunBudget::default().with_deadline(Deadline::after(Duration::ZERO));
+    assert_eq!(
+        exhausted(plain.admitted_trees_within(opts, &expired)),
+        Exhausted::Deadline
+    );
+    assert_eq!(
+        exhausted(plain.accepts_within("allow high", &expired)),
+        Exhausted::Deadline
+    );
+    assert_eq!(
+        exhausted(session.worlds_within(&tree, &context, &expired)),
+        Exhausted::Deadline
+    );
+    // The failures kept the cached pair.
+    session
+        .worlds_within(&tree, &context, &RunBudget::default())
+        .unwrap();
+    assert_eq!(session.world_stats().computed, 3);
+}
+
+/// A non-stratified annotation needs the solver's search, which a zero
+/// step budget stops before its first decision, for the cached pair as
+/// for today's membership check.
+#[test]
+fn a_zero_step_budget_exhausts_a_cached_non_stratified_tree() {
+    let g: Asg = r#"
+        policy -> "allow" { p :- not q. q :- not p. }
+    "#
+    .parse()
+    .unwrap();
+    let tree = EarleyParser::new(g.cfg()).parse_text("allow").remove(0);
+    let context = Program::new();
+    let mut session =
+        LearningSession::new(g.clone(), HypothesisSpace::new(), LearnOptions::default());
+    let worlds = session
+        .worlds_within(&tree, &context, &RunBudget::default())
+        .unwrap();
+    assert_eq!(worlds.worlds().len(), 2);
+    let steps = RunBudget::default().with_max_steps(0);
+    assert_eq!(
+        exhausted(g.accepts_within("allow", &steps)),
+        Exhausted::Steps
+    );
+    assert_eq!(
+        exhausted(session.worlds_within(&tree, &context, &steps)),
+        Exhausted::Steps
+    );
+}
+
+/// Examples and lookups share pairs: an example's parse tree under its
+/// context is compiled once, and a later lookup of that pair reuses it.
+#[test]
+fn examples_and_lookups_share_worlds() {
+    let mut session = cav_session(LearnOptions::default());
+    let sample = cav::samples(1, 3).remove(0);
+    let context = sample.context.to_program();
+    let text = cav::policy_text(sample.task);
+    session.add_negative(Example::in_context(&text, context.clone()));
+    session.solve().ok();
+    assert_eq!(
+        session.world_stats(),
+        WorldStats {
+            lookups: 1,
+            computed: 1
+        }
+    );
+    let tree = EarleyParser::new(cav::grammar().cfg())
+        .parse_text(&text)
+        .remove(0);
+    session
+        .worlds_within(&tree, &context, &RunBudget::default())
+        .unwrap();
+    assert_eq!(
+        session.world_stats(),
+        WorldStats {
+            lookups: 2,
+            computed: 1
+        }
+    );
 }

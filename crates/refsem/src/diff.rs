@@ -11,11 +11,20 @@ use crate::gen;
 use crate::metamorphic;
 use crate::reference::{self, Model};
 use crate::shrink;
-use agenp_asp::{ground_with, Atom, AtomId, GroundOptions, Literal, Program, Rule, Solver, Term};
-use agenp_core::arch::{DecisionSnapshot, PdpHandle};
-use agenp_grammar::{ParseTree, ProdId};
-use agenp_learn::{compile_example, CandidatePlan, CompileOptions, Example};
+use agenp_asp::{
+    ground_with, Atom, AtomId, Deadline, GroundOptions, Literal, Program, Rule, RunBudget, Solver,
+    Term,
+};
+use agenp_core::arch::{
+    DecisionSnapshot, Learned, Pcp, PdpHandle, Prep, RefreshPath, RefreshStats, Verdict,
+};
+use agenp_grammar::{Asg, AsgError, GenOptions, Generator, ParseTree, ProdId};
+use agenp_learn::{
+    compile_example, Candidate, CandidatePlan, CompileOptions, Example, HypothesisSpace,
+    LearnOptions, LearningSession,
+};
 use agenp_policy::{CombiningAlg, DecisionEffects, Policy, Request};
+use rand::Rng;
 use std::collections::BTreeSet;
 
 /// Brute-force budget: at most this many non-fact candidate atoms before
@@ -468,12 +477,12 @@ pub fn run_metamorphic_pdp_case(seed: u64) -> Result<(), String> {
 /// Differential world-coverage case: the learner's compiled candidate
 /// plans against brute-force stable models. For every parse tree and world
 /// of every string of the generated grammar's language up to length 3, and
-/// every generated candidate, [`CompiledTree::world_violates`] must equal
+/// every generated candidate, [`TreeWorlds::violates`] must equal
 /// "the world's atoms as facts, plus the candidate instantiated at each
 /// node of its target production, have no answer set"
 /// ([`reference::stable_models_bruteforce`]).
 ///
-/// [`CompiledTree::world_violates`]: agenp_learn::CompiledTree::world_violates
+/// [`TreeWorlds::violates`]: agenp_learn::TreeWorlds::violates
 pub fn run_world_case(seed: u64) -> Result<(), String> {
     let ctx =
         |msg: String| format!("seed={seed} kind=world: {msg} (repro: run_world_case({seed}))");
@@ -493,12 +502,12 @@ pub fn run_world_case(seed: u64) -> Result<(), String> {
         let compiled = compile_example(&task.grammar, &example, true, CompileOptions::default())
             .map_err(|e| ctx(format!("compiling {text:?} failed: {e}")))?;
         for tree in &compiled.trees {
-            if !tree.worlds_complete {
+            if !tree.worlds.complete() {
                 return Err(ctx(format!("{text:?} has more worlds than the cap")));
             }
-            for world in &tree.worlds {
+            for world in tree.worlds.worlds() {
                 for ((target, rule), plan) in task.candidates.iter().zip(&plans) {
-                    let fast = tree.world_violates(world, plan);
+                    let fast = tree.worlds.violates(world, plan);
                     let want = violated_reference(world.atoms(), &tree.tree, *target, rule);
                     if fast != want {
                         let atoms: Vec<String> =
@@ -565,4 +574,176 @@ fn violated_reference(world: &[Atom], tree: &ParseTree, target: ProdId, rule: &R
     reference::stable_models_bruteforce(&program, 0)
         .expect("facts and constraints leave no atom to guess")
         .is_empty()
+}
+
+/// Strings with their verdicts, or the kind of error that stopped them.
+type Screened = Result<Vec<(String, Verdict)>, String>;
+
+/// An error's kind: the exhausted resource, or the error's variant.
+fn error_kind(e: &AsgError) -> String {
+    match e {
+        AsgError::Exhausted(kind) => format!("exhausted {kind:?}"),
+        AsgError::Ground(g) => match g.exhausted() {
+            Some(kind) => format!("exhausted {kind:?}"),
+            None => "ground".to_owned(),
+        },
+        AsgError::BadProduction(_) => "bad production".to_owned(),
+    }
+}
+
+/// Today's refresh: [`Prep::generate`] then [`Pcp::screen_within`], each
+/// grounding and solving every tree and string.
+pub fn screened_on_trees(prep: &Prep, pcp: &Pcp, gpm: &Asg, context: &Program) -> Screened {
+    prep.generate(gpm, context)
+        .and_then(|strings| pcp.screen_within(gpm, context, &strings, &prep.budget))
+        .map_err(|e| error_kind(&e))
+}
+
+/// [`Prep::generate_screened`] for `session`'s grammar plus `hypothesis`
+/// (which must be `gpm`), with the path it took.
+pub fn screened_on_worlds(
+    prep: &Prep,
+    pcp: &Pcp,
+    gpm: &Asg,
+    context: &Program,
+    session: &mut LearningSession,
+    hypothesis: &[(ProdId, Rule)],
+) -> (Screened, RefreshPath) {
+    let trees = Generator::new(session.grammar().cfg()).trees(prep.gen_options);
+    let learned = Learned {
+        session,
+        hypothesis,
+        trees: &trees,
+    };
+    match prep.generate_screened(gpm, context, pcp, Some(learned)) {
+        Ok((screened, RefreshStats { path, .. })) => (Ok(screened), path),
+        Err(e) => (Err(error_kind(&e)), RefreshPath::Trees),
+    }
+}
+
+/// Differential generation case: the worlds path of
+/// [`Prep::generate_screened`] against today's [`Prep::generate`] plus
+/// [`Pcp::screen_within`], which must return the same strings in the same
+/// order, the same verdicts and the same error kinds.
+///
+/// A [`gen::world_task`] grammar (whose even loops give a tree several
+/// worlds) gets a random constraint-only `H` drawn from its candidates
+/// and a constraint on one side of the loops,
+/// random PCP restrictions (now and then a normal rule or an unknown
+/// production, which send screening to the trees path), a world cap that
+/// some trees exceed, and three contexts. After each refresh, every tree's
+/// worlds are looked up again under a tight atom cap and an expired
+/// deadline, and must fail or succeed as the per-tree step of
+/// [`Asg::admitted_trees_within`] does under that budget: a deadline check,
+/// then [`Asg::tree_admitted_within`].
+pub fn run_generate_case(seed: u64) -> Result<(), String> {
+    let ctx = |msg: String| {
+        format!("seed={seed} kind=generate: {msg} (repro: run_generate_case({seed}))")
+    };
+    let mut rng = gen::rng_for(seed);
+    let task = gen::world_task(&mut rng);
+    let productions = task.grammar.cfg().production_count();
+    let mut candidates = task.candidates.clone();
+    // A constraint on one side of the even loops, so a tree's admission
+    // depends on which of its worlds the enumeration reached.
+    candidates.push((
+        ProdId::from_index(rng.gen_range(0..productions)),
+        format!(":- e({}).", rng.gen_range(1..=2))
+            .parse()
+            .expect("rule parses"),
+    ));
+    let hypothesis: Vec<(ProdId, Rule)> = candidates
+        .iter()
+        .filter(|_| rng.gen_bool(0.4))
+        .cloned()
+        .collect();
+    let mut pcp = Pcp::new();
+    for (target, rule) in &candidates {
+        if rng.gen_bool(0.25) {
+            pcp.add_restriction(*target, rule.clone());
+        }
+    }
+    match rng.gen_range(0..10) {
+        0 => pcp.add_restriction(
+            ProdId::from_index(rng.gen_range(0..productions)),
+            "p(1) :- c(1).".parse().expect("rule parses"),
+        ),
+        1 => pcp.add_restriction(
+            ProdId::from_index(productions),
+            ":- c(1).".parse().expect("rule parses"),
+        ),
+        _ => {}
+    }
+    let max_worlds = if rng.gen_bool(0.3) {
+        rng.gen_range(1..=3)
+    } else {
+        CompileOptions::default().max_worlds
+    };
+    let options =
+        LearnOptions::default().with_compile(CompileOptions::default().with_max_worlds(max_worlds));
+    let space = HypothesisSpace::from_candidates(
+        candidates
+            .iter()
+            .map(|(target, rule)| Candidate::new(*target, rule.clone())),
+    );
+    let mut session = LearningSession::new(task.grammar.clone(), space, options);
+    let gpm = task
+        .grammar
+        .with_added_rules(&hypothesis)
+        .map_err(|e| ctx(format!("hypothesis does not apply: {e}")))?;
+    let prep = Prep {
+        gen_options: GenOptions {
+            max_depth: 4,
+            max_trees: 64,
+        },
+        budget: RunBudget::default(),
+    };
+    let trees = Generator::new(task.grammar.cfg()).trees(prep.gen_options);
+    let contexts = [
+        task.context.clone(),
+        gen::world_context(&mut rng),
+        task.context.clone(),
+    ];
+    let tight = RunBudget::default().with_max_atoms(rng.gen_range(0..=8));
+    let expired = RunBudget::default().with_deadline(Deadline::after(std::time::Duration::ZERO));
+    for context in &contexts {
+        let want = screened_on_trees(&prep, &pcp, &gpm, context);
+        let (got, path) = screened_on_worlds(&prep, &pcp, &gpm, context, &mut session, &hypothesis);
+        if got != want {
+            return Err(ctx(format!(
+                "context {{{context}}}: worlds path ({}) returned {got:?}, trees path {want:?}\n\
+                 H: {hypothesis:?}\nrestrictions: {:?}\nworld cap: {max_worlds}\ngrammar:\n{}",
+                path.name(),
+                pcp.restrictions(),
+                task.grammar
+            )));
+        }
+        let plain = task.grammar.with_context(context);
+        for tree in &trees {
+            for budget in [&tight, &expired] {
+                let want = if budget.deadline.expired() {
+                    Err(AsgError::Exhausted(agenp_asp::Exhausted::Deadline))
+                } else {
+                    plain.tree_admitted_within(tree, budget)
+                };
+                let got = session.worlds_within(tree, context, budget);
+                let agrees = match (&want, &got) {
+                    (Err(a), Err(b)) => error_kind(a) == error_kind(b),
+                    (Ok(admitted), Ok(worlds)) if worlds.complete() => {
+                        *admitted != worlds.worlds().is_empty()
+                    }
+                    (Ok(admitted), Ok(_)) => *admitted,
+                    _ => false,
+                };
+                if !agrees {
+                    return Err(ctx(format!(
+                        "tree {tree} in context {{{context}}} under {budget:?}: lookup \
+                         returned {:?}, tree_admitted_within {want:?}",
+                        got.map(|w| w.worlds().len())
+                    )));
+                }
+            }
+        }
+    }
+    Ok(())
 }

@@ -675,10 +675,7 @@ pub fn world_task(rng: &mut StdRng) -> WorldTask {
         }
     }
     let grammar: Asg = src.parse().expect("generated world grammar is well-formed");
-    let mut context = Program::new();
-    for _ in 0..rng.gen_range(0..=3) {
-        context.push(Rule::fact(Atom::new("c", vec![world_const(rng)])));
-    }
+    let context = world_context(rng);
     let mut candidates = Vec::new();
     for _ in 0..24 {
         if candidates.len() == 6 {
@@ -702,6 +699,15 @@ pub fn world_task(rng: &mut StdRng) -> WorldTask {
         context,
         candidates,
     }
+}
+
+/// A world task's context: zero to three `c(k)` facts.
+pub fn world_context(rng: &mut StdRng) -> Program {
+    let mut context = Program::new();
+    for _ in 0..rng.gen_range(0..=3) {
+        context.push(Rule::fact(Atom::new("c", vec![world_const(rng)])));
+    }
+    context
 }
 
 fn world_const(rng: &mut StdRng) -> Term {
