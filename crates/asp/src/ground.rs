@@ -19,6 +19,12 @@
 //! constraints are grounded last, as full-window units over the saturated
 //! approximation, through the same walk and merge as rules.
 //!
+//! A ground fact (no body, a ground head free of arithmetic) is not walked:
+//! the seed pass interns and indexes its head as written, in rule order
+//! between the other rules' merges, and dedups it by a per-atom bit. The
+//! result is exactly what walking it would give: the same rules, atom ids,
+//! errors and [`GroundStats`].
+//!
 //! # Index-driven joins and frozen passes
 //!
 //! Every signature slice of the join index additionally maintains an
@@ -344,7 +350,8 @@ pub struct GroundStats {
     /// weak-constraint pass derives no atoms and is not counted.
     pub passes: u64,
     /// Complete ground-rule (and weak-constraint) instantiations emitted by
-    /// the join machinery, counted before deduplication.
+    /// the join machinery, counted before deduplication. A ground fact,
+    /// merged without a walk, counts once, as its walk would.
     pub rules_instantiated: u64,
     /// Candidate atoms scanned across all join steps (after argument-value
     /// index probing — this is what indexing collapses).
@@ -427,6 +434,10 @@ struct ScheduledRule<'p> {
     joins: Vec<SigKey>,
     /// Weight term and level of a weak constraint; `None` for rules.
     weak: Option<(&'p Term, i64)>,
+    /// A ground fact ([`Rule::is_fact`]: no body, a ground head free of
+    /// arithmetic). The seed pass merges its head as written instead of
+    /// walking it.
+    fact: bool,
 }
 
 fn schedule_rule<'p>(
@@ -439,7 +450,10 @@ fn schedule_rule<'p>(
             var,
         });
     }
-    schedule_rule_body(rule.head.as_ref(), &rule.body, traces, &|| rule.to_string())
+    let mut scheduled =
+        schedule_rule_body(rule.head.as_ref(), &rule.body, traces, &|| rule.to_string())?;
+    scheduled.fact = rule.is_fact();
+    Ok(scheduled)
 }
 
 fn schedule_weak<'p>(
@@ -492,6 +506,7 @@ fn schedule_rule_body<'p>(
         steps,
         joins,
         weak: None,
+        fact: false,
     })
 }
 
@@ -645,13 +660,45 @@ struct SigEntry {
     by_arg: Vec<HashMap<Term, Vec<u32>>>,
 }
 
+/// A set of atom ids, one bit per id of the atom table.
+#[derive(Clone, Debug, Default)]
+struct AtomBits(Vec<u64>);
+
+impl AtomBits {
+    /// Adds `id`; true if it was absent.
+    fn insert(&mut self, id: AtomId) -> bool {
+        let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let absent = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        absent
+    }
+
+    fn contains(&self, id: AtomId) -> bool {
+        self.0
+            .get(id as usize / 64)
+            .is_some_and(|word| word & (1u64 << (id % 64)) != 0)
+    }
+
+    /// The ids in the set, ascending.
+    fn iter(&self) -> impl Iterator<Item = AtomId> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            (0..64u32)
+                .filter(move |b| word & (1u64 << b) != 0)
+                .map(move |b| w as AtomId * 64 + b)
+        })
+    }
+}
+
 /// Join index over the current over-approximation, keyed by `Copy`
 /// signature keys — candidate lookups clone nothing.
 #[derive(Clone, Debug, Default)]
 struct PossibleIndex {
     by_sig: HashMap<SigKey, SigEntry>,
     /// All derivable atoms (the heads emitted so far).
-    derivable: HashSet<AtomId>,
+    derivable: AtomBits,
 }
 
 impl PossibleIndex {
@@ -732,6 +779,21 @@ struct EvalView<'e> {
     max_atoms: usize,
 }
 
+impl EvalView<'_> {
+    /// The checks a walk of a fact would make on its single emission: the
+    /// deadline, then the per-unit emission bound, which one emission
+    /// exceeds only under a zero atom budget.
+    fn check_fact(&self) -> Result<(), GroundError> {
+        if self.deadline.expired() {
+            return Err(GroundError::Exhausted(Exhausted::Deadline));
+        }
+        if self.max_atoms == 0 {
+            return Err(GroundError::Budget { max_atoms: 0 });
+        }
+        Ok(())
+    }
+}
+
 /// One complete body instantiation produced by a unit's walk. The merge step
 /// interns the head and negative atoms; positive atoms need no interning —
 /// they are the matched candidates, recorded by id during the walk.
@@ -760,6 +822,15 @@ struct UnitOut {
 struct Unit<'a, 'p> {
     rule: &'a ScheduledRule<'p>,
     plan: JoinPlan,
+}
+
+/// One entry of a saturation pass, evaluated and then merged in order.
+enum Work<'a, 'p> {
+    /// A rule variant, walked against the frozen view.
+    Unit(Unit<'a, 'p>),
+    /// A ground fact of the seed pass. It builds no unit, emission or
+    /// substitution: the merge interns and indexes its head as written.
+    Fact(&'a ScheduledRule<'p>),
 }
 
 /// The candidate positions one join visits: a window-clipped bucket of the
@@ -972,7 +1043,11 @@ struct Engine {
     table: AtomTable,
     traces: TraceIds,
     possible: PossibleIndex,
+    /// Emitted rules with a body or no head, for dedup.
     seen_rules: HashSet<GroundRule>,
+    /// Heads of the emitted facts (rules with a head and an empty ground
+    /// body): a fact's dedup key, in place of `seen_rules`.
+    facts: AtomBits,
     rules: Vec<GroundRule>,
     weaks: Vec<GroundWeak>,
     seen_weaks: HashSet<GroundWeak>,
@@ -987,6 +1062,7 @@ impl Engine {
             traces: TraceIds::default(),
             possible: PossibleIndex::default(),
             seen_rules: HashSet::new(),
+            facts: AtomBits::default(),
             rules: Vec::new(),
             weaks: Vec::new(),
             seen_weaks: HashSet::new(),
@@ -1001,7 +1077,7 @@ impl Engine {
         &self,
         rule: &'a ScheduledRule<'p>,
         plan: JoinPlan,
-        units: &mut Vec<Unit<'a, 'p>>,
+        work: &mut Vec<Work<'a, 'p>>,
     ) {
         if let Some(key0) = rule.joins.first() {
             let Some(entry) = self.possible.by_sig.get(key0) else {
@@ -1012,39 +1088,46 @@ impl Engine {
                 return;
             }
         }
-        units.push(Unit { rule, plan });
+        work.push(Work::Unit(Unit { rule, plan }));
     }
 
-    /// Runs one saturation pass over `units`.
-    fn run_pass(&mut self, units: &[Unit<'_, '_>]) -> Result<(), GroundError> {
+    /// Runs one saturation pass over `work`.
+    fn run_pass(&mut self, work: &[Work<'_, '_>]) -> Result<(), GroundError> {
         self.stats.passes += 1;
-        self.run_units(units)
+        self.run_units(work)
     }
 
-    /// Evaluates `units` in order against a frozen view of the current
-    /// state, stopping at the first unit that fails, then merges their
+    /// Evaluates `work` in order against a frozen view of the current
+    /// state, stopping at the first entry that fails, then merges the
     /// results in the same order.
-    fn run_units(&mut self, units: &[Unit<'_, '_>]) -> Result<(), GroundError> {
+    fn run_units(&mut self, work: &[Work<'_, '_>]) -> Result<(), GroundError> {
         let view = EvalView {
             table: &self.table,
             possible: &self.possible,
             deadline: self.opts.deadline,
             max_atoms: self.opts.max_atoms,
         };
-        let outs = units
+        let outs = work
             .iter()
-            .map(|unit| eval_unit(&view, unit))
+            .map(|entry| match entry {
+                Work::Unit(unit) => eval_unit(&view, unit),
+                Work::Fact(_) => view.check_fact().map(|()| UnitOut::default()),
+            })
             .collect::<Result<Vec<_>, _>>()?;
-        for (unit, out) in units.iter().zip(outs) {
-            self.merge_unit(unit, out)?;
+        for (entry, out) in work.iter().zip(outs) {
+            match entry {
+                Work::Unit(unit) => self.merge_unit(unit, out)?,
+                Work::Fact(rule) => self.merge_fact(rule)?,
+            }
         }
         Ok(())
     }
 
     /// Folds one unit's result into the engine in emission (walk) order:
-    /// interns the head and negative atoms, dedups rules against
-    /// `seen_rules` and weak constraints against `seen_weaks`, indexes new
-    /// head atoms, and enforces the exact atom budget after each emission.
+    /// interns the head and negative atoms, dedups facts against `facts`,
+    /// other rules against `seen_rules` and weak constraints against
+    /// `seen_weaks`, indexes new head atoms, and enforces the exact atom
+    /// budget after each emission.
     fn merge_unit(&mut self, unit: &Unit<'_, '_>, out: UnitOut) -> Result<(), GroundError> {
         self.stats.rules_instantiated += out.rules_instantiated;
         self.stats.join_candidates += out.join_candidates;
@@ -1069,7 +1152,11 @@ impl Engine {
                     pos: em.pos,
                     neg,
                 };
-                if self.seen_rules.insert(gr.clone()) {
+                let fresh = match gr.head {
+                    Some(h) if gr.is_fact() => self.facts.insert(h),
+                    _ => self.seen_rules.insert(gr.clone()),
+                };
+                if fresh {
                     if let Some(h) = gr.head {
                         let key = unit.rule.head_key.expect("headed rules carry a head key");
                         let atom = em.head.as_ref().expect("head id implies a head atom");
@@ -1078,44 +1165,74 @@ impl Engine {
                     self.rules.push(gr);
                 }
             }
-            // Exact budget check after every emission: semi-naive evaluation
-            // visits each instantiation once, so an entry-only check would
-            // let a small program overshoot the cap and finish without ever
-            // reporting exhaustion.
-            if self.table.len() > self.opts.max_atoms {
-                return Err(GroundError::Budget {
-                    max_atoms: self.opts.max_atoms,
-                });
-            }
+            self.check_atom_budget()?;
         }
         Ok(())
     }
 
-    /// Evaluates every rule once against the currently visible window.
-    fn seed_pass(&mut self, rules: &[ScheduledRule<'_>]) -> Result<(), GroundError> {
-        let mut units = Vec::new();
-        for rule in rules {
-            self.push_unit(rule, JoinPlan::Full, &mut units);
+    /// Folds a ground fact into the engine as the merge of a walk's single
+    /// emission of it would: interns its head, dedups it against `facts`,
+    /// indexes a new head, and enforces the exact atom budget.
+    fn merge_fact(&mut self, rule: &ScheduledRule<'_>) -> Result<(), GroundError> {
+        self.stats.rules_instantiated += 1;
+        let atom = rule.head.expect("facts have heads");
+        let h = self.table.intern(atom);
+        if self.facts.insert(h) {
+            let key = rule.head_key.expect("headed rules carry a head key");
+            self.possible.insert(h, key, atom);
+            self.rules.push(GroundRule {
+                head: Some(h),
+                pos: Vec::new(),
+                neg: Vec::new(),
+            });
         }
-        self.run_pass(&units)
+        self.check_atom_budget()
+    }
+
+    /// Exact budget check after every emission: semi-naive evaluation
+    /// visits each instantiation once, so an entry-only check would let a
+    /// small program overshoot the cap and finish without ever reporting
+    /// exhaustion.
+    fn check_atom_budget(&self) -> Result<(), GroundError> {
+        if self.table.len() > self.opts.max_atoms {
+            return Err(GroundError::Budget {
+                max_atoms: self.opts.max_atoms,
+            });
+        }
+        Ok(())
+    }
+
+    /// Evaluates every rule once against the currently visible window. A
+    /// ground fact is merged directly, in rule order between the units'
+    /// merges.
+    fn seed_pass(&mut self, rules: &[ScheduledRule<'_>]) -> Result<(), GroundError> {
+        let mut work = Vec::with_capacity(rules.len());
+        for rule in rules {
+            if rule.fact {
+                work.push(Work::Fact(rule));
+            } else {
+                self.push_unit(rule, JoinPlan::Full, &mut work);
+            }
+        }
+        self.run_pass(&work)
     }
 
     /// Semi-naive rounds: repeat until no new atoms appear, evaluating only
     /// the delta variants whose join signature actually gained atoms.
     fn delta_rounds(&mut self, sets: &[&[ScheduledRule<'_>]]) -> Result<(), GroundError> {
         while self.possible.advance() {
-            let mut units = Vec::new();
+            let mut work = Vec::new();
             for rules in sets {
                 for rule in *rules {
                     for (d, key) in rule.joins.iter().enumerate() {
                         if !self.possible.has_delta(*key) {
                             continue;
                         }
-                        self.push_unit(rule, JoinPlan::Delta(d), &mut units);
+                        self.push_unit(rule, JoinPlan::Delta(d), &mut work);
                     }
                 }
             }
-            self.run_pass(&units)?;
+            self.run_pass(&work)?;
         }
         Ok(())
     }
@@ -1130,11 +1247,11 @@ impl Engine {
             .iter()
             .map(|w| schedule_weak(w, &mut self.traces))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut units = Vec::new();
+        let mut work = Vec::new();
         for rule in &scheduled {
-            self.push_unit(rule, JoinPlan::Full, &mut units);
+            self.push_unit(rule, JoinPlan::Full, &mut work);
         }
-        self.run_units(&units)
+        self.run_units(&work)
     }
 
     /// Consumes the engine, applying fact-folding simplification (unless
@@ -1143,6 +1260,7 @@ impl Engine {
         let Engine {
             table,
             possible,
+            facts,
             rules: ground_rules,
             weaks: ground_weaks,
             opts,
@@ -1151,13 +1269,7 @@ impl Engine {
 
         if !opts.simplify {
             // Keep the instantiation untouched (used by explanation tooling).
-            let mut definite_facts: Vec<AtomId> = ground_rules
-                .iter()
-                .filter(|r| r.is_fact())
-                .map(|r| r.head.expect("facts have heads"))
-                .collect();
-            definite_facts.sort_unstable();
-            definite_facts.dedup();
+            // The definite facts are the heads of the emitted facts.
             let inconsistent = ground_rules
                 .iter()
                 .any(|r| r.is_constraint() && r.pos.is_empty() && r.neg.is_empty());
@@ -1165,7 +1277,7 @@ impl Engine {
                 table,
                 rules: ground_rules,
                 weaks: ground_weaks,
-                definite_facts,
+                definite_facts: facts.iter().collect(),
                 inconsistent,
             };
         }
@@ -1177,13 +1289,13 @@ impl Engine {
         // fact decrements its watchers) — one pass over the rules instead of
         // a quadratic fixpoint.
         let derivable = &possible.derivable;
-        let mut fact_set: HashSet<AtomId> = HashSet::new();
+        let mut fact_set = AtomBits::default();
         {
             let mut need: Vec<usize> = Vec::with_capacity(ground_rules.len());
             let mut watch: HashMap<AtomId, Vec<usize>> = HashMap::new();
             let mut queue: Vec<AtomId> = Vec::new();
             for (ri, r) in ground_rules.iter().enumerate() {
-                let eligible = r.head.is_some() && r.neg.iter().all(|n| !derivable.contains(n));
+                let eligible = r.head.is_some() && r.neg.iter().all(|&n| !derivable.contains(n));
                 if !eligible {
                     need.push(usize::MAX);
                     continue;
@@ -1222,7 +1334,7 @@ impl Engine {
         for r in &ground_rules {
             // A rule whose head is a definite fact contributes nothing beyond
             // the fact itself.
-            if r.head.is_some_and(|h| fact_set.contains(&h)) {
+            if r.head.is_some_and(|h| fact_set.contains(h)) {
                 continue;
             }
             let Some((pos, neg)) = simplify_body(&r.pos, &r.neg, &fact_set, derivable) else {
@@ -1240,18 +1352,14 @@ impl Engine {
                 simplified.push(new_rule);
             }
         }
-        let mut definite_facts: Vec<AtomId> = fact_set.iter().copied().collect();
-        definite_facts.sort_unstable();
-        for &f in &definite_facts {
-            let fact = GroundRule {
-                head: Some(f),
-                pos: Vec::new(),
-                neg: Vec::new(),
-            };
-            if seen_simplified.insert(fact.clone()) {
-                simplified.push(fact);
-            }
-        }
+        // Every rule kept above has no head or a head that is not a definite
+        // fact, and the ids are distinct: no fact can repeat a kept rule.
+        let definite_facts: Vec<AtomId> = fact_set.iter().collect();
+        simplified.extend(definite_facts.iter().map(|&f| GroundRule {
+            head: Some(f),
+            pos: Vec::new(),
+            neg: Vec::new(),
+        }));
 
         let mut weaks: Vec<GroundWeak> = Vec::new();
         let mut seen_weaks: HashSet<GroundWeak> = HashSet::new();
@@ -1288,21 +1396,25 @@ impl Engine {
 fn simplify_body(
     pos: &[AtomId],
     neg: &[AtomId],
-    facts: &HashSet<AtomId>,
-    derivable: &HashSet<AtomId>,
+    facts: &AtomBits,
+    derivable: &AtomBits,
 ) -> Option<(Vec<AtomId>, Vec<AtomId>)> {
-    if neg.iter().any(|n| facts.contains(n))
+    if neg.iter().any(|&n| facts.contains(n))
         || pos
             .iter()
-            .any(|p| !derivable.contains(p) && !facts.contains(p))
+            .any(|&p| !derivable.contains(p) && !facts.contains(p))
     {
         return None;
     }
-    let pos = pos.iter().copied().filter(|p| !facts.contains(p)).collect();
+    let pos = pos
+        .iter()
+        .copied()
+        .filter(|&p| !facts.contains(p))
+        .collect();
     let neg = neg
         .iter()
         .copied()
-        .filter(|n| derivable.contains(n))
+        .filter(|&n| derivable.contains(n))
         .collect();
     Some((pos, neg))
 }
@@ -1873,6 +1985,214 @@ mod tests {
         assert_eq!(a.passes, 3);
         assert_eq!(a.rules_instantiated, 13);
         assert_eq!(a.join_candidates, 12);
+    }
+
+    /// `program` with every fact `a.` rewritten as `a :- 0 = 0.`: the
+    /// filter body sends the rule through the join walk.
+    fn walked(program: &Program) -> Program {
+        let zero = Term::Int(0);
+        let mut out: Program = program
+            .rules()
+            .iter()
+            .map(|r| match &r.head {
+                Some(head) if r.is_fact() => Rule::new(
+                    head.clone(),
+                    vec![Literal::Cmp(CmpOp::Eq, zero.clone(), zero.clone())],
+                ),
+                _ => r.clone(),
+            })
+            .collect();
+        for w in program.weak_constraints() {
+            out.push_weak(w.clone());
+        }
+        out
+    }
+
+    /// Everything a grounding shows: its rendering, its atoms in table
+    /// order, its definite facts and whether it is proven inconsistent.
+    fn fingerprint(g: &GroundProgram) -> (String, Vec<String>, Vec<AtomId>, bool) {
+        let atoms = g.atoms().iter().map(|(_, a)| a.to_string()).collect();
+        (
+            g.to_string(),
+            atoms,
+            g.definite_facts().to_vec(),
+            g.proven_inconsistent(),
+        )
+    }
+
+    /// Grounds `text` under `opts` with its facts on the direct path and,
+    /// rewritten by [`walked`], on the walk: both must ground to the same
+    /// program with the same stats, or fail with the same error.
+    fn ground_both(text: &str, opts: GroundOptions) -> Result<GroundProgram, GroundError> {
+        ground_program_both(&text.parse().unwrap(), opts)
+    }
+
+    fn ground_program_both(p: &Program, opts: GroundOptions) -> Result<GroundProgram, GroundError> {
+        let text = p.to_string();
+        let direct = ground_with_stats(p, opts);
+        let walk = ground_with_stats(&walked(p), opts);
+        match (&direct, &walk) {
+            (Ok((a, a_stats)), Ok((b, b_stats))) => {
+                assert_eq!(fingerprint(a), fingerprint(b), "{text}");
+                assert_eq!(a_stats, b_stats, "{text}");
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{text}"),
+            _ => panic!("{text}: direct {direct:?}, walked {walk:?}"),
+        }
+        direct.map(|(g, _)| g)
+    }
+
+    #[test]
+    fn duplicate_facts_ground_once() {
+        let opts = GroundOptions::default();
+        let g = ground_both("a. p(1). a. p(1). b :- a. a.", opts).unwrap();
+        assert_eq!(rendered_lines(&g), ["a.", "b.", "p(1)."]);
+        let raw = ground_both("a. p(1). a. p(1). b :- a. a.", opts.with_simplify(false)).unwrap();
+        assert_eq!(raw.to_string(), "a.\np(1).\nb :- a.\n");
+    }
+
+    #[test]
+    fn arithmetic_fact_heads_are_walked() {
+        let p: Program = "p(1 + 2). q(2 * 3, 7 - 7).".parse().unwrap();
+        assert!(p.rules().iter().all(|r| !r.is_fact()));
+        let g = ground_both("p(1 + 2). q(2 * 3, 7 - 7).", GroundOptions::default()).unwrap();
+        assert_eq!(atoms_of(&g), ["p(3)", "q(6, 0)"]);
+        // A head whose arithmetic fails emits nothing.
+        let g = ground_both("p(1 / 0). q.", GroundOptions::default()).unwrap();
+        assert_eq!(atoms_of(&g), ["q"]);
+    }
+
+    #[test]
+    fn annotated_facts_take_the_fact_path() {
+        let text = "p@2. p. q(1)@1. r(X) :- q(X)@1. s :- p@2, not p@3.";
+        let g = ground_both(text, GroundOptions::default()).unwrap();
+        assert_eq!(atoms_of(&g), ["p", "p@2", "q(1)@1", "r(1)", "s"]);
+        // Instantiated at a tree node, as a tree program's rules are.
+        let p: Program = text.parse().unwrap();
+        let at = p.instantiate_at(&Trace::from_indices([1, 2]));
+        let g = ground_program_both(&at, GroundOptions::default()).unwrap();
+        assert_eq!(
+            atoms_of(&g),
+            ["p@1_2", "p@1_2_2", "q(1)@1_2_1", "r(1)@1_2", "s@1_2"]
+        );
+    }
+
+    #[test]
+    fn a_fact_and_a_walked_rule_share_one_ground_rule() {
+        for text in ["p(1). p(X) :- X = 1.", "p(X) :- X = 1. p(1)."] {
+            for simplify in [true, false] {
+                let opts = GroundOptions::default().with_simplify(simplify);
+                let g = ground_both(text, opts).unwrap();
+                assert_eq!(g.rules().len(), 1, "{text} (simplify {simplify})");
+                assert_eq!(g.to_string(), "p(1).\n");
+            }
+        }
+    }
+
+    #[test]
+    fn facts_merge_in_rule_order() {
+        // The atom table interns each head where its rule stands: `a`
+        // after the unit emitting `q` (and its negated `r`), `b` after the
+        // binder's `p(1)`.
+        let text = "q :- not r. a. p(X) :- X = 1. b. c :- a, b.";
+        for simplify in [true, false] {
+            let opts = GroundOptions::default().with_simplify(simplify);
+            let g = ground_both(text, opts).unwrap();
+            let atoms: Vec<String> = g.atoms().iter().map(|(_, a)| a.to_string()).collect();
+            assert_eq!(atoms, ["q", "r", "a", "p(1)", "b", "c"]);
+        }
+    }
+
+    #[test]
+    fn facts_only_budgets_fail_as_the_walk_does() {
+        let facts = "a. b. c(1). c(2).";
+        let opts = GroundOptions::default();
+        assert_eq!(
+            ground_both(facts, opts.with_max_atoms(0)).unwrap_err(),
+            GroundError::Budget { max_atoms: 0 }
+        );
+        assert_eq!(
+            ground_both(facts, opts.with_max_atoms(1)).unwrap_err(),
+            GroundError::Budget { max_atoms: 1 }
+        );
+        assert_eq!(
+            ground_both(facts, opts.with_max_atoms(4))
+                .unwrap()
+                .atoms()
+                .len(),
+            4
+        );
+        let expired = opts.with_deadline(Deadline::after(std::time::Duration::ZERO));
+        assert_eq!(
+            ground_both(facts, expired).unwrap_err(),
+            GroundError::Exhausted(Exhausted::Deadline)
+        );
+        // A fact after a walked rule meets the same checks in rule order.
+        let mixed = "q :- not r. a. b.";
+        assert_eq!(
+            ground_both(mixed, opts.with_max_atoms(0)).unwrap_err(),
+            GroundError::Budget { max_atoms: 0 }
+        );
+        assert_eq!(
+            ground_both(mixed, opts.with_max_atoms(3)).unwrap_err(),
+            GroundError::Budget { max_atoms: 3 }
+        );
+        assert_eq!(
+            ground_both(mixed, expired.with_max_atoms(0)).unwrap_err(),
+            GroundError::Exhausted(Exhausted::Deadline)
+        );
+    }
+
+    #[test]
+    fn facts_keep_their_structure_without_simplification() {
+        let text = "
+            edge(1, 2). edge(2, 3). edge(1, 2).
+            path(X, Y) :- edge(X, Y).
+            blocked :- path(1, 2), not open.
+            :- blocked, edge(2, 3).
+            :~ edge(X, Y). [1@0]
+        ";
+        let opts = GroundOptions::default().with_simplify(false);
+        let g = ground_both(text, opts).unwrap();
+        let facts: Vec<String> = g
+            .definite_facts()
+            .iter()
+            .map(|&f| g.atoms().resolve(f).to_string())
+            .collect();
+        assert_eq!(facts, ["edge(1, 2)", "edge(2, 3)"]);
+        assert_eq!(g.rules().iter().filter(|r| r.is_fact()).count(), 2);
+        assert_eq!(g.weak_constraints().len(), 2);
+        assert!(!g.proven_inconsistent());
+        let simplified = ground_both(text, GroundOptions::default()).unwrap();
+        assert!(simplified.proven_inconsistent());
+    }
+
+    #[test]
+    fn incremental_fact_deltas_match_monolithic() {
+        let base: Program = "
+            edge(1, 2).
+            path(X, Y) :- edge(X, Y).
+            path(X, Z) :- edge(X, Y), path(Y, Z).
+            :~ path(1, X). [1@0]
+        "
+        .parse()
+        .unwrap();
+        let delta: Program = "edge(2, 3). edge(1, 2). edge(3, 4). mark.".parse().unwrap();
+        for simplify in [true, false] {
+            let opts = GroundOptions::default().with_simplify(simplify);
+            let inc = IncrementalGrounder::new(&base, opts).unwrap();
+            let (direct, direct_stats) = inc.ground_delta_with_stats(delta.rules()).unwrap();
+            let (walk, walk_stats) = inc.ground_delta_with_stats(walked(&delta).rules()).unwrap();
+            assert_eq!(fingerprint(&direct), fingerprint(&walk));
+            assert_eq!(direct_stats, walk_stats);
+            let mut combined = base.clone();
+            for r in delta.rules() {
+                combined.push(r.clone());
+            }
+            let monolithic = ground_with(&combined, opts).unwrap();
+            assert_eq!(rendered_lines(&direct), rendered_lines(&monolithic));
+            assert_eq!(atoms_of(&direct), atoms_of(&monolithic));
+        }
     }
 
     /// A transitive-closure chain of `n` edges.

@@ -5,7 +5,8 @@
 //!
 //! * **Stratified fast path** — if no cycle through negation exists, the
 //!   program has at most one answer set (its perfect model), computed
-//!   stratum by stratum in linear-ish time.
+//!   stratum by stratum in linear-ish time. A program of facts alone is
+//!   answered with its heads, without building the dependency graph.
 //! * **DPLL search** — otherwise the Clark completion (with one auxiliary
 //!   variable per rule body) is searched with unit propagation and
 //!   chronological backtracking; every total model is verified against the
@@ -253,6 +254,24 @@ impl Solver {
         if program.proven_inconsistent() {
             return SolveResult {
                 models: Vec::new(),
+                complete: true,
+                exhausted: None,
+                stats,
+            };
+        }
+        if !self.force_search
+            && program.weak_constraints().is_empty()
+            && program.rules().iter().all(GroundRule::is_fact)
+        {
+            // Facts alone are stratified and tight, and their perfect model
+            // is their heads.
+            let mut heads: Vec<AtomId> = program.rules().iter().filter_map(|r| r.head).collect();
+            heads.sort_unstable();
+            heads.dedup();
+            stats.tight = true;
+            stats.used_stratified = true;
+            return SolveResult {
+                models: vec![AnswerSet::from_ids(&heads, program)],
                 complete: true,
                 exhausted: None,
                 stats,
@@ -1364,6 +1383,66 @@ mod tests {
         );
         // 2^3 colorings minus those with node 1 red = 4.
         assert_eq!(r.models().len(), 4);
+    }
+
+    /// What the stratified path returns for `g`: its perfect model, with
+    /// the dependency graph's stratification and tightness.
+    fn stratified_reference(g: &GroundProgram) -> (Vec<AnswerSet>, SolveStats) {
+        let deps = Dependencies::build(g, g.atoms().len());
+        assert!(deps.stratified);
+        let models = stratified_model(g, &deps)
+            .map(|ids| vec![AnswerSet::from_ids(&ids, g)])
+            .unwrap_or_default();
+        let stats = SolveStats {
+            used_stratified: true,
+            tight: deps.tight,
+            ..SolveStats::default()
+        };
+        (models, stats)
+    }
+
+    #[test]
+    fn facts_only_programs_match_the_stratified_path() {
+        for src in [
+            "",
+            "a.",
+            "a. a. b. a.",
+            "p(2). p(1). q(1)@1. p(2). p(X) :- X = 1.",
+            "a. b :- a. c :- not d.",
+        ] {
+            let g = ground(&src.parse::<Program>().unwrap()).unwrap();
+            assert!(g.rules().iter().all(GroundRule::is_fact), "{src}");
+            let (models, stats) = stratified_reference(&g);
+            for solver in [Solver::new(), Solver::new().max_models(1)] {
+                let r = solver.solve(&g);
+                assert_eq!(r.models(), models.as_slice(), "{src}");
+                assert_eq!(*r.stats(), stats, "{src}");
+                assert!(r.complete());
+                assert_eq!(r.exhausted(), None);
+            }
+        }
+        assert_eq!(model_strings(&solve_text("")), ["{}"]);
+        assert_eq!(model_strings(&solve_text("b. a. b.")), ["{a, b}"]);
+    }
+
+    #[test]
+    fn facts_only_programs_still_search_when_forced() {
+        let g = ground(&"a. b. c(1).".parse::<Program>().unwrap()).unwrap();
+        let fast = Solver::new().solve(&g);
+        let slow = Solver::new().force_search(true).solve(&g);
+        assert_eq!(model_strings(&fast), model_strings(&slow));
+        assert!(fast.stats().used_stratified);
+        assert!(!slow.stats().used_stratified);
+        assert!(slow.stats().tight);
+        assert!(slow.stats().propagations > 0);
+        // Weak constraints keep the program off the facts-only path; the
+        // stratified path answers it as before.
+        let weak = ground(&"a. :~ a. [1@0]".parse::<Program>().unwrap()).unwrap();
+        assert!(weak.rules().iter().all(GroundRule::is_fact));
+        let (models, stats) = stratified_reference(&weak);
+        let r = Solver::new().solve(&weak);
+        assert_eq!(r.models(), models.as_slice());
+        assert_eq!(*r.stats(), stats);
     }
 
     #[test]

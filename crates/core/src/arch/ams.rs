@@ -25,11 +25,14 @@ use agenp_grammar::{Asg, AsgError, Generator, ParseTree, ProdId};
 use agenp_learn::{HypothesisSpace, LearnError, LearnOptions};
 use agenp_policy::{CombiningAlg, Decision, Policy, PolicyRepository, QualityReport, Request};
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Generated policy strings with their PCP verdicts.
 type Screened = Vec<(String, Verdict)>;
+
+/// A learned GPM with the hypothesis it adds to the session's grammar.
+type LearnedGpm<'a> = (&'a Arc<Asg>, &'a [(ProdId, Rule)]);
 
 /// Errors surfaced by the AMS control loop.
 ///
@@ -104,8 +107,9 @@ impl From<LearnError> for AmsError {
 pub struct Ams {
     /// Party name (for coalition interactions and diagnostics).
     pub name: String,
-    /// The current (possibly learned) GPM.
-    gpm: Asg,
+    /// The current (possibly learned) GPM, shared with the served snapshot
+    /// and the representations repository.
+    gpm: Arc<Asg>,
     /// `H` while `gpm` is the PAdaP session's grammar plus `H`, so a
     /// refresh can read the session's worlds; `None` after
     /// [`Ams::adopt_gpm`].
@@ -134,11 +138,12 @@ impl Ams {
     /// Creates an AMS from the PBMS characterization: the initial grammar
     /// and the hypothesis space the PAdaP may learn within.
     pub fn new(name: &str, initial_gpm: Asg, space: HypothesisSpace) -> Ams {
+        let gpm = Arc::new(initial_gpm.clone());
         let mut repr_repo = RepresentationsRepository::new();
-        repr_repo.store(initial_gpm.clone(), "initial");
+        repr_repo.store(Arc::clone(&gpm), "initial");
         let mut ams = Ams {
             name: name.to_owned(),
-            gpm: initial_gpm.clone(),
+            gpm,
             learned: Some(Vec::new()),
             trees: None,
             repr_repo,
@@ -269,9 +274,11 @@ impl Ams {
     /// Replaces the current GPM directly (e.g. when adopting a model shared
     /// by a trusted coalition partner), records it, and publishes a
     /// snapshot — degraded while a deny-by-default refresh failure is
-    /// unrecovered.
-    pub fn adopt_gpm(&mut self, gpm: Asg, note: &str) {
-        self.repr_repo.store(gpm.clone(), note);
+    /// unrecovered. An `Arc<Asg>` (say, a stored version rolled back to)
+    /// is shared, not copied.
+    pub fn adopt_gpm(&mut self, gpm: impl Into<Arc<Asg>>, note: &str) {
+        let gpm = gpm.into();
+        self.repr_repo.store(Arc::clone(&gpm), note);
         self.gpm = gpm;
         self.learned = None;
         self.publish(Trigger::Changed);
@@ -292,7 +299,7 @@ impl Ams {
     fn publish(&mut self, trigger: Trigger<'_>) {
         self.lifecycle.publish(trigger, || {
             DecisionSnapshot::new(self.policy_repo.policies().to_vec(), self.combining)
-                .with_gpm(self.gpm.clone())
+                .with_gpm(Arc::clone(&self.gpm))
                 .with_context(self.context.clone())
         });
     }
@@ -324,7 +331,7 @@ impl Ams {
     /// so the GPM and the policies served from it never part.
     fn refresh(
         &mut self,
-        candidate: Option<(&Asg, &[(ProdId, Rule)])>,
+        candidate: Option<LearnedGpm<'_>>,
     ) -> Result<(Screened, RefreshStats), AmsError> {
         let mut span = agenp_obs::span!("ams.refresh");
         let pairs_before = self.padap.session().world_stats();
@@ -339,7 +346,7 @@ impl Ams {
                 }
                 let started = Instant::now();
                 if let Some((gpm, hypothesis)) = candidate {
-                    self.gpm = gpm.clone();
+                    self.gpm = Arc::clone(gpm);
                     self.learned = Some(hypothesis.to_vec());
                 }
                 self.policy_repo.replace_all(vec![policy]);
@@ -373,11 +380,11 @@ impl Ams {
     /// the session's worlds and the enumerated trees.
     fn generate_policies(
         &mut self,
-        candidate: Option<(&Asg, &[(ProdId, Rule)])>,
+        candidate: Option<LearnedGpm<'_>>,
     ) -> Result<(Screened, Policy, RefreshStats), AmsError> {
         let (gpm, hypothesis) = match candidate {
-            Some((gpm, hypothesis)) => (gpm, Some(hypothesis)),
-            None => (&self.gpm, self.learned.as_deref()),
+            Some((gpm, hypothesis)) => (&**gpm, Some(hypothesis)),
+            None => (&*self.gpm, self.learned.as_deref()),
         };
         let learned = hypothesis.map(|hypothesis| {
             let (prep, padap) = (&self.prep, &mut self.padap);
@@ -504,7 +511,7 @@ impl Ams {
         }
         let stored = Instant::now();
         self.repr_repo.store(
-            adaptation.gpm.clone(),
+            Arc::clone(&adaptation.gpm),
             &format!("adapted from {} observations", adaptation.examples_used),
         );
         let refresh = &mut adaptation.refresh;

@@ -9,6 +9,7 @@ use agenp_grammar::Asg;
 use agenp_learn::{
     Example, Hypothesis, HypothesisSpace, LearnError, LearnOptions, LearnStats, LearningSession,
 };
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One piece of observed feedback: a policy string that turned out to be
@@ -56,8 +57,9 @@ impl Feedback {
 /// The outcome of an adaptation round.
 #[derive(Debug)]
 pub struct Adaptation {
-    /// The re-learned GPM.
-    pub gpm: Asg,
+    /// The re-learned GPM, shared with the AMS that adopts it, its
+    /// snapshots and its representations repository.
+    pub gpm: Arc<Asg>,
     /// The hypothesis that produced it.
     pub hypothesis: Hypothesis,
     /// Number of examples the learner saw.
@@ -141,7 +143,7 @@ impl Padap {
     pub fn adapt(&mut self) -> Result<Adaptation, LearnError> {
         let started = Instant::now();
         let (hypothesis, stats) = self.session.solve()?;
-        let gpm = hypothesis.apply(self.session.grammar());
+        let gpm = Arc::new(hypothesis.apply(self.session.grammar()));
         Ok(Adaptation {
             gpm,
             hypothesis,

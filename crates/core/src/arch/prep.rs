@@ -9,6 +9,7 @@ use agenp_grammar::{Asg, AsgError, GenOptions, ParseTree, ProdId};
 use agenp_learn::{CandidatePlan, LearningSession};
 use agenp_policy::{rule_from_text, PolicyRule};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Translates generated policy strings into enforceable [`PolicyRule`]s.
@@ -119,7 +120,10 @@ impl Prep {
     /// * `gpm` is the session's grammar plus `learned.hypothesis`, and the
     ///   session's space has constraints only;
     /// * every hypothesis rule and PCP restriction is a safe constraint on
-    ///   a production of the grammar ([`CandidatePlan::new`]);
+    ///   a production of the grammar ([`CandidatePlan::new`]). A
+    ///   hypothesis rule that is a candidate of the session's space takes
+    ///   the session's plan ([`LearningSession::candidate_plan`]) instead
+    ///   of a new one;
     /// * the budget leaves solver steps unlimited and grounding at least
     ///   the default atom cap: a tighter cap can fall between a tree's
     ///   program and the same program with the constraints added, which
@@ -140,12 +144,12 @@ impl Prep {
     ) -> Result<(Vec<(String, Verdict)>, RefreshStats), AsgError> {
         let mut stats = RefreshStats::default();
         let started = Instant::now();
-        let mut worlds = learned.and_then(|learned| {
-            let (hypothesis, restrictions) = self.plans(&learned, pcp)?;
+        let mut worlds = learned.and_then(|mut learned| {
+            let (hypothesis, restrictions) = self.plans(&mut learned, pcp)?;
             Some((learned, hypothesis, restrictions))
         });
         let generated = worlds.as_mut().and_then(|(learned, hypothesis, _)| {
-            let hypothesis: Vec<&CandidatePlan> = hypothesis.iter().collect();
+            let hypothesis: Vec<&CandidatePlan> = hypothesis.iter().map(|p| &**p).collect();
             generate_on_worlds(learned, &hypothesis, context, &self.budget)
         });
         let strings = match generated {
@@ -159,9 +163,12 @@ impl Prep {
         let started = Instant::now();
         let (screened, on_worlds) = match &mut worlds {
             Some((learned, hypothesis, restrictions)) => {
-                let restricted: Vec<&CandidatePlan> =
-                    hypothesis.iter().chain(restrictions.iter()).collect();
-                let hypothesis: Vec<&CandidatePlan> = hypothesis.iter().collect();
+                let hypothesis: Vec<&CandidatePlan> = hypothesis.iter().map(|p| &**p).collect();
+                let restricted: Vec<&CandidatePlan> = hypothesis
+                    .iter()
+                    .copied()
+                    .chain(restrictions.iter())
+                    .collect();
                 let worlds = ScreenWorlds {
                     session: learned.session,
                     hypothesis: &hypothesis,
@@ -178,13 +185,14 @@ impl Prep {
         Ok((screened, stats))
     }
 
-    /// The plans of `learned`'s hypothesis and of `pcp`'s restrictions, if
-    /// the worlds path applies to them under this PReP's budget.
+    /// The plans of `learned`'s hypothesis (the session's, for its
+    /// candidates) and of `pcp`'s restrictions, if the worlds path applies
+    /// to them under this PReP's budget.
     fn plans(
         &self,
-        learned: &Learned<'_>,
+        learned: &mut Learned<'_>,
         pcp: &Pcp,
-    ) -> Option<(Vec<CandidatePlan>, Vec<CandidatePlan>)> {
+    ) -> Option<(Vec<Arc<CandidatePlan>>, Vec<CandidatePlan>)> {
         let caps = RunBudget::default();
         if self.budget.max_steps != caps.max_steps
             || self.budget.max_atoms < caps.max_atoms
@@ -198,7 +206,16 @@ impl Prep {
                 .then(|| CandidatePlan::new(*target, rule))
                 .flatten()
         };
-        let hypothesis = learned.hypothesis.iter().map(plan).collect::<Option<_>>()?;
+        let session = &mut *learned.session;
+        let hypothesis = learned
+            .hypothesis
+            .iter()
+            .map(|pair| {
+                session
+                    .candidate_plan(pair.0, &pair.1)
+                    .or_else(|| plan(pair).map(Arc::new))
+            })
+            .collect::<Option<_>>()?;
         let restrictions = pcp.restrictions().iter().map(plan).collect::<Option<_>>()?;
         Some((hypothesis, restrictions))
     }

@@ -3,14 +3,16 @@
 //! has access to the latest representation and can roll back.
 
 use agenp_grammar::Asg;
+use std::sync::Arc;
 
 /// One stored GPM version.
 #[derive(Clone, Debug)]
 pub struct GpmVersion {
     /// Monotone version number (1-based).
     pub version: u64,
-    /// The stored grammar.
-    pub gpm: Asg,
+    /// The stored grammar, shared with whoever else holds it (the AMS and
+    /// its snapshots).
+    pub gpm: Arc<Asg>,
     /// Free-form provenance note ("initial", "adapted after 12 decisions"…).
     pub note: String,
 }
@@ -27,12 +29,13 @@ impl RepresentationsRepository {
         RepresentationsRepository::default()
     }
 
-    /// Stores a new version, returning its version number.
-    pub fn store(&mut self, gpm: Asg, note: &str) -> u64 {
+    /// Stores a new version, returning its version number. An `Arc<Asg>`
+    /// is shared, not copied.
+    pub fn store(&mut self, gpm: impl Into<Arc<Asg>>, note: &str) -> u64 {
         let version = self.versions.len() as u64 + 1;
         self.versions.push(GpmVersion {
             version,
-            gpm,
+            gpm: gpm.into(),
             note: note.to_owned(),
         });
         version

@@ -113,7 +113,7 @@ impl std::fmt::Debug for StripedU64 {
 pub struct DecisionSnapshot {
     epoch: u64,
     policies: CompiledPolicies,
-    gpm: Option<Asg>,
+    gpm: Option<Arc<Asg>>,
     context: Program,
     error: Option<AmsError>,
 }
@@ -134,9 +134,9 @@ impl DecisionSnapshot {
     }
 
     /// Attaches the GPM the policies were generated from, enabling
-    /// [`DecisionSnapshot::admits`].
-    pub fn with_gpm(mut self, gpm: Asg) -> DecisionSnapshot {
-        self.gpm = Some(gpm);
+    /// [`DecisionSnapshot::admits`]. An `Arc<Asg>` is shared, not copied.
+    pub fn with_gpm(mut self, gpm: impl Into<Arc<Asg>>) -> DecisionSnapshot {
+        self.gpm = Some(gpm.into());
         self
     }
 
@@ -170,7 +170,7 @@ impl DecisionSnapshot {
 
     /// The GPM the policies were generated from, if attached.
     pub fn gpm(&self) -> Option<&Asg> {
-        self.gpm.as_ref()
+        self.gpm.as_deref()
     }
 
     /// The context the policies were generated under.

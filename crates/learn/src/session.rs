@@ -34,11 +34,12 @@ use crate::example::Example;
 use crate::learner::{Hypothesis, LearnError, LearnOptions, LearnStats};
 use crate::search::{self, Examples, Kills, Searched};
 use crate::space::HypothesisSpace;
-use agenp_asp::{Exhausted, GroundStats, Program, RunBudget};
-use agenp_grammar::{Asg, AsgError, ParseTree};
+use agenp_asp::{Exhausted, GroundStats, Program, Rule, RunBudget};
+use agenp_grammar::{Asg, AsgError, ParseTree, ProdId};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// An incremental learning session over one grammar and hypothesis space.
@@ -72,8 +73,12 @@ pub struct LearningSession {
     /// Why the space is malformed, if it is; found once, at construction.
     invalid: Option<LearnError>,
     /// The space's candidates compiled for world evaluation, one per
-    /// candidate; built by the first solve that computes kill sets.
-    plans: Vec<CandidatePlan>,
+    /// candidate; built by the first solve that computes kill sets, or
+    /// the first [`LearningSession::candidate_plan`] lookup.
+    plans: Vec<Arc<CandidatePlan>>,
+    /// `(hash of target and rule, candidate id)`, sorted, built with
+    /// `plans`: the candidate a lookup asks for.
+    plan_ids: Vec<(u64, u32)>,
     /// Distinct examples with their cached coverage, in arrival order.
     entries: Vec<Entry>,
     /// Entry ids by a hash of their text, context and label, keyed per
@@ -231,6 +236,7 @@ impl LearningSession {
             options,
             invalid,
             plans: Vec::new(),
+            plan_ids: Vec::new(),
             entries: Vec::new(),
             index: HashMap::new(),
             hasher: RandomState::new(),
@@ -265,6 +271,46 @@ impl LearningSession {
     /// True if every hypothesis the space admits is constraints only.
     pub fn constraints_only(&self) -> bool {
         self.space.constraints_only()
+    }
+
+    /// The compiled plan of `rule` on `target` if that pair is a candidate
+    /// of the session's space: the plan the searches' kill sets evaluate,
+    /// shared, compiled with every candidate's plan on first use. `None`
+    /// if the pair is no candidate, or the space is malformed or has a
+    /// candidate without a plan (one that is not a safe constraint).
+    pub fn candidate_plan(&mut self, target: ProdId, rule: &Rule) -> Option<Arc<CandidatePlan>> {
+        if self.invalid.is_some() {
+            return None;
+        }
+        self.compile_plans().ok()?;
+        let key = self.hasher.hash_one((target, rule));
+        let from = self.plan_ids.partition_point(|&(hash, _)| hash < key);
+        let candidates = self.space.candidates();
+        self.plan_ids[from..]
+            .iter()
+            .take_while(|&&(hash, _)| hash == key)
+            .map(|&(_, id)| id as usize)
+            .find(|&id| candidates[id].target == target && candidates[id].rule == *rule)
+            .map(|id| Arc::clone(&self.plans[id]))
+    }
+
+    /// Compiles every candidate's plan, unless that is done.
+    fn compile_plans(&mut self) -> Result<(), LearnError> {
+        if self.plans.len() == self.space.len() {
+            return Ok(());
+        }
+        let candidates = self.space.candidates();
+        self.plans = plan_candidates(candidates)?
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        self.plan_ids = candidates
+            .iter()
+            .enumerate()
+            .map(|(id, c)| (self.hasher.hash_one((c.target, &c.rule)), id as u32))
+            .collect();
+        self.plan_ids.sort_unstable();
+        Ok(())
     }
 
     /// The worlds of `tree`, a parse tree of the session's grammar, under
@@ -402,7 +448,7 @@ impl LearningSession {
         let worlds_usable = !self.options.force_generic && self.space.constraints_only();
         if worlds_usable && self.plans.len() != self.space.len() {
             let started = Instant::now();
-            self.plans = plan_candidates(self.space.candidates())?;
+            self.compile_plans()?;
             stats.coverage_ns += elapsed_ns(started);
         }
         for id in 0..self.entries.len() {
@@ -672,7 +718,7 @@ fn compile(
 /// `stats.coverage_ns`.
 fn kill_sets<'a>(
     trees: impl IntoIterator<Item = &'a TreeWorlds>,
-    plans: &[CandidatePlan],
+    plans: &[Arc<CandidatePlan>],
     stats: &mut LearnStats,
 ) -> Vec<Kills> {
     let started = Instant::now();

@@ -12,8 +12,8 @@ use crate::metamorphic;
 use crate::reference::{self, Model};
 use crate::shrink;
 use agenp_asp::{
-    ground_with, Atom, AtomId, Deadline, GroundOptions, Literal, Program, Rule, RunBudget, Solver,
-    Term,
+    ground_with, ground_with_stats, Atom, AtomId, Deadline, GroundOptions, GroundProgram, Literal,
+    Program, Rule, RunBudget, Solver, Term,
 };
 use agenp_core::arch::{
     DecisionSnapshot, Learned, Pcp, PdpHandle, Prep, RefreshPath, RefreshStats, Verdict,
@@ -351,7 +351,9 @@ pub fn run_asg_case(seed: u64) -> Result<(), String> {
 
 /// Metamorphic ASP case: rule permutation and inert-rule insertion must
 /// leave answer sets unchanged; bijective predicate renaming must map them
-/// through exactly that bijection.
+/// through exactly that bijection; and the program, as generated and
+/// permuted, must ground exactly as its facts-as-filters rewrite does
+/// (`check_facts_walked`).
 pub fn run_metamorphic_asp_case(seed: u64) -> Result<(), String> {
     let ctx = |msg: String| {
         format!("seed={seed} kind=mm-asp: {msg} (repro: run_metamorphic_asp_case({seed}))")
@@ -359,6 +361,7 @@ pub fn run_metamorphic_asp_case(seed: u64) -> Result<(), String> {
     let mut rng = gen::rng_for(seed);
     let program = gen::stratified_program(&mut rng);
     let base = fast_models(&program).map_err(&ctx)?;
+    check_facts_walked(&program, &base).map_err(&ctx)?;
 
     let permuted = metamorphic::permute_rules(&program, &mut rng);
     let permuted_models = fast_models(&permuted).map_err(&ctx)?;
@@ -367,6 +370,8 @@ pub fn run_metamorphic_asp_case(seed: u64) -> Result<(), String> {
             "rule permutation changed answer sets: {base:?} -> {permuted_models:?}"
         )));
     }
+    // Permuted, facts stand between the other rules.
+    check_facts_walked(&permuted, &base).map_err(&ctx)?;
 
     let padded = metamorphic::insert_inert_rules(&program, &mut rng);
     let padded_models = fast_models(&padded).map_err(&ctx)?;
@@ -387,6 +392,62 @@ pub fn run_metamorphic_asp_case(seed: u64) -> Result<(), String> {
         return Err(ctx(format!(
             "predicate renaming broke the model bijection: expected {expected:?}, got {renamed_models:?}"
         )));
+    }
+    Ok(())
+}
+
+/// Everything a grounding shows: its rendering, its atoms in table order,
+/// its definite facts and whether it is proven inconsistent.
+fn grounding_of(g: &GroundProgram) -> (String, Vec<String>, Vec<AtomId>, bool) {
+    let atoms = g.atoms().iter().map(|(_, a)| a.to_string()).collect();
+    (
+        g.to_string(),
+        atoms,
+        g.definite_facts().to_vec(),
+        g.proven_inconsistent(),
+    )
+}
+
+/// The grounder's direct path for facts against its join walk:
+/// `program` and its [`metamorphic::facts_as_filters`] rewrite must ground
+/// to the same rendering, atom table order, definite facts and
+/// inconsistency with equal [`GroundStats`](agenp_asp::GroundStats), with
+/// and without simplification, and the rewrite must have `models`, the
+/// answer sets of `program`.
+fn check_facts_walked(program: &Program, models: &[Model]) -> Result<(), String> {
+    let walked = metamorphic::facts_as_filters(program);
+    for opts in [
+        GroundOptions::default(),
+        GroundOptions::default().with_simplify(false),
+    ] {
+        let direct = ground_with_stats(program, opts);
+        let walk = ground_with_stats(&walked, opts);
+        let same = match (&direct, &walk) {
+            (Ok((a, a_stats)), Ok((b, b_stats))) => {
+                grounding_of(a) == grounding_of(b) && a_stats == b_stats
+            }
+            (Err(a), Err(b)) => a == b,
+            _ => false,
+        };
+        if !same {
+            let show = |r: &Result<(GroundProgram, _), _>| match r {
+                Ok((g, stats)) => format!("{:?} {stats:?}", grounding_of(g)),
+                Err(e) => format!("{e:?}"),
+            };
+            return Err(format!(
+                "facts ground differently on the walk (simplify {}): direct {}, walked {}\n\
+                 program:\n{program}",
+                opts.simplify,
+                show(&direct),
+                show(&walk)
+            ));
+        }
+    }
+    let walked_models = fast_models(&walked)?;
+    if walked_models != models {
+        return Err(format!(
+            "facts as filters changed answer sets: {models:?} -> {walked_models:?}"
+        ));
     }
     Ok(())
 }

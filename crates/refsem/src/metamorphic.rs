@@ -18,10 +18,14 @@
 //!   combining algorithm) leaves answer sets and decisions untouched.
 //! * [`shuffle_requests`] — reordering a request stream permutes the
 //!   decision vector by exactly the same permutation.
+//! * [`facts_as_filters`] — giving every fact a body that always holds
+//!   (`a :- 0 = 0.`) changes no answer set, and the grounder must ground
+//!   the rewritten program exactly as it grounds the original: the same
+//!   rules, atom ids, definite facts and work counters.
 
 use crate::gen::{map_program_preds, program_preds};
 use crate::reference::Model;
-use agenp_asp::{Atom, Literal, Program, Rule, Term};
+use agenp_asp::{Atom, CmpOp, Literal, Program, Rule, Term};
 use agenp_policy::{Cond, Effect, Policy, PolicyRule, Request};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -97,6 +101,26 @@ pub fn insert_inert_rules(program: &Program, rng: &mut StdRng) -> Program {
         rules.insert(at, Rule::new(head, body));
     }
     let mut out: Program = rules.into_iter().collect();
+    for w in program.weak_constraints() {
+        out.push_weak(w.clone());
+    }
+    out
+}
+
+/// Rewrites every fact `a.` ([`Rule::is_fact`]) as `a :- 0 = 0.`, in
+/// place. The body is a filter that always holds, so the rule means the
+/// same, but the grounder walks it where it merges a fact directly: the
+/// rewritten program must ground exactly as the original does.
+pub fn facts_as_filters(program: &Program) -> Program {
+    let always = Literal::Cmp(CmpOp::Eq, Term::Int(0), Term::Int(0));
+    let mut out: Program = program
+        .rules()
+        .iter()
+        .map(|rule| match &rule.head {
+            Some(head) if rule.is_fact() => Rule::new(head.clone(), vec![always.clone()]),
+            _ => rule.clone(),
+        })
+        .collect();
     for w in program.weak_constraints() {
         out.push_weak(w.clone());
     }
