@@ -10,7 +10,7 @@
 //! symbolic learning task and the tabular form the shallow-ML baselines
 //! consume — preserving the structure of the paper's comparison.
 
-use agenp_asp::{CmpOp, Program, Term};
+use agenp_asp::{Atom, CmpOp, Program, Rule, Term};
 use agenp_baselines::{Dataset, Feature};
 use agenp_grammar::{Asg, ProdId};
 use agenp_learn::{
@@ -42,17 +42,25 @@ pub struct CavContext {
 }
 
 impl CavContext {
-    /// Encodes the context as ASP facts.
+    /// Encodes the context as ASP facts: `loa(L). limit(M).
+    /// weather(rain|clear). emergency(yes|no).`
     pub fn to_program(self) -> Program {
-        format!(
-            "loa({}). limit({}). weather({}). emergency({}).",
-            self.loa,
-            self.limit,
-            if self.rain { "rain" } else { "clear" },
-            if self.emergency { "yes" } else { "no" },
-        )
-        .parse()
-        .expect("context facts always parse")
+        let mut program = Program::new();
+        for (pred, value) in [
+            ("loa", Term::Int(self.loa)),
+            ("limit", Term::Int(self.limit)),
+            (
+                "weather",
+                Term::sym(if self.rain { "rain" } else { "clear" }),
+            ),
+            (
+                "emergency",
+                Term::sym(if self.emergency { "yes" } else { "no" }),
+            ),
+        ] {
+            program.push(Rule::fact(Atom::new(pred, vec![value])));
+        }
+        program
     }
 
     /// Samples a uniform random context.
@@ -259,6 +267,33 @@ pub fn to_dataset(samples: &[Sample]) -> Dataset {
 mod tests {
     use super::*;
     use agenp_learn::Learner;
+
+    #[test]
+    fn context_programs_equal_their_parsed_text() {
+        let mut seen = 0;
+        for loa in 0..=5 {
+            for limit in 0..=5 {
+                for rain in [false, true] {
+                    for emergency in [false, true] {
+                        let ctx = CavContext {
+                            loa,
+                            limit,
+                            rain,
+                            emergency,
+                        };
+                        let text = format!(
+                            "loa({loa}). limit({limit}). weather({}). emergency({}).",
+                            if rain { "rain" } else { "clear" },
+                            if emergency { "yes" } else { "no" },
+                        );
+                        assert_eq!(ctx.to_program(), text.parse::<Program>().unwrap(), "{text}");
+                        seen += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, 144);
+    }
 
     #[test]
     fn oracle_matches_spec() {

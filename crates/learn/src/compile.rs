@@ -67,6 +67,35 @@ impl World {
     pub fn atoms(&self) -> &[Atom] {
         &self.atoms
     }
+
+    /// The union of this world and `other`, which share no predicate and
+    /// arity: the world [`World::from_atoms`] builds from both worlds'
+    /// atoms, merged a signature's run at a time instead of sorted again.
+    fn merged(&self, other: &World) -> World {
+        let mut atoms = Vec::with_capacity(self.atoms.len() + other.atoms.len());
+        let mut sigs = Vec::with_capacity(self.sigs.len() + other.sigs.len());
+        let (mut mine, mut theirs) = (self.sigs.iter().peekable(), other.sigs.iter().peekable());
+        loop {
+            let take_mine = match (mine.peek(), theirs.peek()) {
+                (Some(a), Some(b)) => {
+                    debug_assert!((a.0, a.1) != (b.0, b.1), "merged worlds share a signature");
+                    (a.0, a.1) < (b.0, b.1)
+                }
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            let (world, (pred, arity, range)) = if take_mine {
+                (self, mine.next().expect("peeked"))
+            } else {
+                (other, theirs.next().expect("peeked"))
+            };
+            let start = atoms.len();
+            atoms.extend_from_slice(&world.atoms[range.clone()]);
+            sigs.push((*pred, *arity, start..atoms.len()));
+        }
+        World { atoms, sigs }
+    }
 }
 
 /// Plans for every candidate of a constraint-only space, in order.
@@ -388,6 +417,12 @@ pub struct TreeWorlds {
 
 impl TreeWorlds {
     fn new(tree: &ParseTree, result: SolveResult) -> TreeWorlds {
+        let complete = result.complete();
+        TreeWorlds::from_worlds(tree, worlds_of(result), complete)
+    }
+
+    /// `worlds` of `tree`'s program, with the tree's node traces.
+    pub(crate) fn from_worlds(tree: &ParseTree, worlds: Vec<World>, complete: bool) -> TreeWorlds {
         let mut nodes: Vec<(ProdId, Trace)> = Vec::new();
         tree.visit_nodes(|node, trace| nodes.push((node.prod, trace.clone())));
         nodes.sort_by_key(|(prod, _)| *prod);
@@ -398,15 +433,20 @@ impl TreeWorlds {
                 _ => traces_by_prod.push((prod, vec![trace])),
             }
         }
-        let complete = result.complete();
         TreeWorlds {
             traces_by_prod,
-            worlds: result
-                .into_models()
-                .into_iter()
-                .map(|m| World::from_atoms(m.into_atoms()))
-                .collect(),
+            worlds,
             complete,
+        }
+    }
+
+    /// These worlds, each merged with `context`, a world that shares no
+    /// predicate and arity with any of them.
+    pub(crate) fn merged_with(&self, context: &World) -> TreeWorlds {
+        TreeWorlds {
+            traces_by_prod: self.traces_by_prod.clone(),
+            worlds: self.worlds.iter().map(|w| w.merged(context)).collect(),
+            complete: self.complete,
         }
     }
 
@@ -479,30 +519,53 @@ impl From<WorldsError> for LearnError {
     }
 }
 
-/// The worlds of `tree` under `context`: one `ground_with` and one solve
-/// of `G(C)[PT]` under `budget`'s atom cap, step cap and deadline,
-/// enumerating at most `max_worlds` answer sets. Also returns the
-/// grounding work.
-pub(crate) fn tree_worlds(
-    grammar: &Asg,
-    tree: &ParseTree,
-    context: &Program,
+/// The answer sets of one program, from one ground and one solve.
+#[derive(Debug)]
+pub(crate) struct Solved {
+    /// The worlds, in the solver's order.
+    pub(crate) worlds: Vec<World>,
+    /// False if enumeration stopped at the world cap.
+    pub(crate) complete: bool,
+    /// The ground atoms the program needed: what an atom cap counts.
+    pub(crate) atoms: usize,
+    /// The grounding work.
+    pub(crate) stats: GroundStats,
+}
+
+/// The worlds of `program` (a tree's `G(C)[PT]`, or one part of it): one
+/// `ground_with` and one solve under `budget`'s atom cap, step cap and
+/// deadline, enumerating at most `max_worlds` answer sets.
+pub(crate) fn solve_program(
+    program: &Program,
     max_worlds: usize,
     budget: &RunBudget,
-) -> Result<(TreeWorlds, GroundStats), WorldsError> {
-    let program = grammar.tree_program_in(tree, context);
+) -> Result<Solved, WorldsError> {
     let options = GroundOptions::default()
         .with_max_atoms(budget.max_atoms)
         .with_deadline(budget.deadline);
-    let (ground, stats) = ground_with_stats(&program, options).map_err(WorldsError::Ground)?;
+    let (ground, stats) = ground_with_stats(program, options).map_err(WorldsError::Ground)?;
     let result = Solver::new()
         .max_models(max_worlds)
         .with_budget(budget)
         .solve(&ground);
     match result.exhausted() {
         Some(kind) => Err(WorldsError::Solve(kind)),
-        None => Ok((TreeWorlds::new(tree, result), stats)),
+        None => Ok(Solved {
+            complete: result.complete(),
+            worlds: worlds_of(result),
+            atoms: ground.atoms().len(),
+            stats,
+        }),
     }
+}
+
+/// A solve's answer sets as worlds, in order.
+fn worlds_of(result: SolveResult) -> Vec<World> {
+    result
+        .into_models()
+        .into_iter()
+        .map(|m| World::from_atoms(m.into_atoms()))
+        .collect()
 }
 
 /// A compiled parse tree of an example, for the generic search.

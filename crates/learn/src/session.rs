@@ -11,10 +11,12 @@
 //!   keeps the [`CompiledExample`]s it evaluates hypotheses on.
 //! * The session keeps the worlds of every (parse tree, context) pair it
 //!   evaluates, for examples and for the trees a generator asks about
-//!   ([`LearningSession::worlds_within`]) alike: one budgeted ground and
-//!   solve of `G(C)[PT]` per pair. Only the generic search grounds an
-//!   example's trees again, into the [`IncrementalGrounder`]s it evaluates
-//!   hypotheses with.
+//!   ([`LearningSession::worlds_within`]) alike. It builds a pair from two
+//!   parts, each ground and solved once per session: the tree's own
+//!   program `G[PT]` and the context at the tree's node traces; a pair
+//!   whose parts could interact is ground and solved whole, as one program
+//!   `G(C)[PT]`. Only the generic search grounds an example's trees again,
+//!   into the [`IncrementalGrounder`]s it evaluates hypotheses with.
 //! * [`LearningSession::solve`] reuses the previous optimum without
 //!   searching when that is provably safe: the previous search ran to the
 //!   end, the options have not changed since, and the previous hypothesis
@@ -27,14 +29,14 @@
 //! [`IncrementalGrounder`]: agenp_asp::IncrementalGrounder
 
 use crate::compile::{
-    compile_example, parse_example, plan_candidates, tree_worlds, CandidatePlan, CompiledExample,
-    TreeWorlds, WorldsError,
+    compile_example, parse_example, plan_candidates, solve_program, CandidatePlan, CompiledExample,
+    Solved, TreeWorlds, WorldsError,
 };
 use crate::example::Example;
 use crate::learner::{Hypothesis, LearnError, LearnOptions, LearnStats};
 use crate::search::{self, Examples, Kills, Searched};
 use crate::space::HypothesisSpace;
-use agenp_asp::{Exhausted, GroundStats, Program, Rule, RunBudget};
+use agenp_asp::{Atom, Exhausted, GroundStats, Literal, Program, Rule, RunBudget, Symbol, Trace};
 use agenp_grammar::{Asg, AsgError, ParseTree, ProdId};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -96,25 +98,125 @@ pub struct LearningSession {
     worlds: WorldCache,
 }
 
-/// How many (parse tree, context) pairs a session was asked for, and how
-/// many of those it grounded and solved rather than reused.
+/// How many (parse tree, context) pairs a session was asked for, how many
+/// of those it computed rather than reused, and the ground-and-solve runs
+/// that took: a pair is built from its two parts, each solved once per
+/// session, or else solved whole.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorldStats {
     /// Pairs looked up, for examples and generated trees alike.
     pub lookups: u64,
     /// Lookups that computed the pair's worlds.
     pub computed: u64,
+    /// Computed pairs ground and solved whole, as one program `G(C)[PT]`.
+    pub whole: u64,
+    /// Trees' own programs `G[PT]` ground and solved.
+    pub tree_parts: u64,
+    /// Contexts ground and solved at the node traces of a tree.
+    pub context_parts: u64,
 }
 
-/// The worlds of (parse tree, context) pairs: each distinct context gets
-/// an id, and each pair an entry.
+/// A predicate and its arity.
+type Signature = (Symbol, usize);
+
+/// The worlds of (parse tree, context) pairs, and the parts they are built
+/// from.
+///
+/// A pair's program `G(C)[PT]` is the union of two parts: the tree's own
+/// program `G[PT]`, and the context instantiated at each of the tree's node
+/// traces. When the parts share no predicate and arity, no rule of one
+/// reads an atom of the other, so (by the splitting-set theorem) each
+/// answer set of the union is one answer set of each part put together. A
+/// missing pair is then built from the parts, each ground and solved once
+/// and kept: every world of the tree part merged with the context part's
+/// one world. Grounding interns each part's atoms in the same relative
+/// order alone as in the union, and the solver enumerates models in the
+/// lexicographic order of their atom ids, so the worlds come in the order
+/// one solve of the union finds them. The pair is ground and solved whole
+/// instead, as one program, whenever that product could differ from one
+/// solve of the union under the lookup's budget: the parts share a
+/// signature, either has a weak constraint, the context part has other
+/// than exactly one world, either part is incomplete or failed, the
+/// product reaches the world cap, the budget has a step cap, or its atom
+/// cap is below the default or below the two parts' atoms together.
 #[derive(Debug, Default)]
 struct WorldCache {
+    /// The compile options' world cap: the most worlds a solve enumerates.
+    max_worlds: usize,
     contexts: HashMap<Program, usize>,
-    /// Per context id, the entry of each tree evaluated under it.
-    trees: Vec<HashMap<ParseTree, usize>>,
+    /// Per context id: its pairs and its parts.
+    by_context: Vec<ContextEntry>,
     entries: Vec<Cached>,
+    /// Every tree's own part.
+    trees: HashMap<ParseTree, TreePart>,
     stats: WorldStats,
+}
+
+/// One context's pairs and parts.
+#[derive(Debug)]
+struct ContextEntry {
+    /// The entry of each tree evaluated under the context.
+    pairs: HashMap<ParseTree, usize>,
+    /// The signatures of the context's atoms, sorted; `None` if it has
+    /// weak constraints.
+    signatures: Option<Vec<Signature>>,
+    /// The context instantiated at a tree's node traces, by those traces.
+    parts: HashMap<Vec<Trace>, Solved>,
+}
+
+/// A tree's own program `G[PT]`.
+#[derive(Debug)]
+struct TreePart {
+    /// The tree's node traces in [`Asg::tree_program_in`]'s node order,
+    /// which key the context part that completes a pair.
+    traces: Vec<Trace>,
+    /// The signatures of the program's atoms, sorted; `None` if it has
+    /// weak constraints.
+    signatures: Option<Vec<Signature>>,
+    /// Its worlds and ground atoms, once a pair needed them.
+    solved: Option<(TreeWorlds, usize)>,
+}
+
+impl TreePart {
+    fn new(grammar: &Asg, tree: &ParseTree) -> TreePart {
+        let mut traces = Vec::new();
+        let mut prods = Vec::new();
+        tree.visit_nodes(|node, trace| {
+            traces.push(trace.clone());
+            prods.push(node.prod);
+        });
+        prods.sort_unstable();
+        prods.dedup();
+        let signatures = prods
+            .iter()
+            .map(|&prod| signatures(grammar.annotation(prod)))
+            .collect::<Option<Vec<_>>>()
+            .map(|each| sorted(each.concat()));
+        TreePart {
+            traces,
+            signatures,
+            solved: None,
+        }
+    }
+}
+
+/// The signatures of `program`'s atoms (an instantiation at any trace has
+/// the same), sorted; `None` if it has weak constraints.
+fn signatures(program: &Program) -> Option<Vec<Signature>> {
+    if !program.weak_constraints().is_empty() {
+        return None;
+    }
+    let atoms = program
+        .rules()
+        .iter()
+        .flat_map(|r| r.head.iter().chain(r.body.iter().filter_map(Literal::atom)));
+    Some(sorted(atoms.map(Atom::signature).collect()))
+}
+
+fn sorted(mut signatures: Vec<Signature>) -> Vec<Signature> {
+    signatures.sort_unstable();
+    signatures.dedup();
+    signatures
 }
 
 /// A pair's worlds and the caps they were computed under.
@@ -127,36 +229,71 @@ struct Cached {
     max_steps: u64,
 }
 
+/// The grounding and solving one lookup did.
+#[derive(Debug, Default)]
+struct Work {
+    ground: GroundStats,
+    solves: u64,
+}
+
+impl Work {
+    fn add(&mut self, solved: &Solved) {
+        self.ground.absorb(solved.stats);
+        self.solves += 1;
+    }
+}
+
 impl WorldCache {
+    /// An empty cache whose solves enumerate at most `max_worlds` worlds.
+    fn new(max_worlds: usize) -> WorldCache {
+        WorldCache {
+            max_worlds,
+            ..WorldCache::default()
+        }
+    }
+
     /// The worlds of `tree` under `context`: cached ones if they were
     /// computed under atom and step caps no larger than `budget`'s,
-    /// otherwise computed under `budget`, with the grounding work.
+    /// otherwise computed under `budget`, with the work that took.
     fn get(
         &mut self,
         grammar: &Asg,
         tree: &ParseTree,
         context: &Program,
-        max_worlds: usize,
         budget: &RunBudget,
-    ) -> Result<(&TreeWorlds, Option<GroundStats>), WorldsError> {
+    ) -> Result<(&TreeWorlds, Work), WorldsError> {
         self.stats.lookups += 1;
         let id = match self.contexts.get(context) {
             Some(&id) => id,
             None => {
-                self.contexts.insert(context.clone(), self.trees.len());
-                self.trees.push(HashMap::new());
-                self.trees.len() - 1
+                self.contexts.insert(context.clone(), self.by_context.len());
+                self.by_context.push(ContextEntry {
+                    pairs: HashMap::new(),
+                    signatures: signatures(context),
+                    parts: HashMap::new(),
+                });
+                self.by_context.len() - 1
             }
         };
-        let found = self.trees[id].get(tree).copied();
+        let found = self.by_context[id].pairs.get(tree).copied();
         if let Some(entry) = found {
             let cached = &self.entries[entry];
             if cached.max_atoms <= budget.max_atoms && cached.max_steps <= budget.max_steps {
-                return Ok((&self.entries[entry].worlds, None));
+                return Ok((&self.entries[entry].worlds, Work::default()));
             }
         }
         self.stats.computed += 1;
-        let (worlds, work) = tree_worlds(grammar, tree, context, max_worlds, budget)?;
+        let mut work = Work::default();
+        let worlds = match self.product(grammar, tree, id, context, budget, &mut work) {
+            Some(worlds) => worlds,
+            None => {
+                self.stats.whole += 1;
+                let program = grammar.tree_program_in(tree, context);
+                let solved = solve_program(&program, self.max_worlds, budget)?;
+                work.add(&solved);
+                TreeWorlds::from_worlds(tree, solved.worlds, solved.complete)
+            }
+        };
         let entry = match found {
             // Grounding needed no more atoms than either cap and solving
             // no more steps, so the same worlds hold under the smaller of
@@ -174,18 +311,82 @@ impl WorldCache {
                     max_atoms: budget.max_atoms,
                     max_steps: budget.max_steps,
                 });
-                self.trees[id].insert(tree.clone(), self.entries.len() - 1);
+                self.by_context[id]
+                    .pairs
+                    .insert(tree.clone(), self.entries.len() - 1);
                 self.entries.len() - 1
             }
         };
-        Ok((&self.entries[entry].worlds, Some(work)))
+        Ok((&self.entries[entry].worlds, work))
     }
 
-    /// Forgets every pair.
-    fn clear(&mut self) {
-        self.contexts.clear();
-        self.trees.clear();
-        self.entries.clear();
+    /// The worlds of `tree` under context `id` as the product of the two
+    /// parts, solving whichever is not kept yet; `None` if the pair must be
+    /// solved whole (see [`WorldCache`]).
+    fn product(
+        &mut self,
+        grammar: &Asg,
+        tree: &ParseTree,
+        id: usize,
+        context: &Program,
+        budget: &RunBudget,
+        work: &mut Work,
+    ) -> Option<TreeWorlds> {
+        if budget.max_steps != u64::MAX || budget.max_atoms < RunBudget::default().max_atoms {
+            return None;
+        }
+        let max_worlds = self.max_worlds;
+        let entry = &mut self.by_context[id];
+        let context_signatures = entry.signatures.as_deref()?;
+        if !self.trees.contains_key(tree) {
+            self.trees
+                .insert(tree.clone(), TreePart::new(grammar, tree));
+        }
+        let part = self.trees.get_mut(tree).expect("inserted above");
+        let shared = |sig| context_signatures.binary_search(sig).is_ok();
+        if part.signatures.as_deref()?.iter().any(shared) {
+            return None;
+        }
+        if part.solved.is_none() {
+            self.stats.tree_parts += 1;
+            let solved = solve_program(&grammar.tree_program(tree), max_worlds, budget).ok()?;
+            work.add(&solved);
+            let worlds = TreeWorlds::from_worlds(tree, solved.worlds, solved.complete);
+            part.solved = Some((worlds, solved.atoms));
+        }
+        let (tree_worlds, tree_atoms) = part.solved.as_ref().expect("solved above");
+        if !tree_worlds.complete() || (max_worlds != 0 && tree_worlds.worlds().len() >= max_worlds)
+        {
+            return None;
+        }
+        if !entry.parts.contains_key(part.traces.as_slice()) {
+            self.stats.context_parts += 1;
+            let mut program = Program::new();
+            for trace in &part.traces {
+                program.extend(context.rules().iter().map(|r| r.instantiate_at(trace)));
+            }
+            let solved = solve_program(&program, max_worlds, budget).ok()?;
+            work.add(&solved);
+            entry.parts.insert(part.traces.clone(), solved);
+        }
+        let context_part = &entry.parts[part.traces.as_slice()];
+        match context_part.worlds.as_slice() {
+            [world]
+                if context_part.complete && tree_atoms + context_part.atoms <= budget.max_atoms =>
+            {
+                Some(tree_worlds.merged_with(world))
+            }
+            _ => None,
+        }
+    }
+
+    /// Forgets every pair and part; later solves enumerate at most
+    /// `max_worlds` worlds.
+    fn reset(&mut self, max_worlds: usize) {
+        *self = WorldCache {
+            stats: self.stats,
+            ..WorldCache::new(max_worlds)
+        };
     }
 }
 
@@ -244,7 +445,7 @@ impl LearningSession {
             negatives: Vec::new(),
             incomplete: false,
             proven: None,
-            worlds: WorldCache::default(),
+            worlds: WorldCache::new(options.compile.max_worlds),
         }
     }
 
@@ -255,15 +456,15 @@ impl LearningSession {
 
     /// Replaces the options. The next solve searches afresh if they differ
     /// from those of the last completed search, and recompiles every
-    /// example and forgets every pair's worlds if the compile options
-    /// differ.
+    /// example and forgets every pair's worlds and every part if the
+    /// compile options differ.
     pub fn set_options(&mut self, options: LearnOptions) {
         if options.compile != self.options.compile {
             for entry in &mut self.entries {
                 entry.coverage = Coverage::Pending;
             }
             self.incomplete = false;
-            self.worlds.clear();
+            self.worlds.reset(options.compile.max_worlds);
         }
         self.options = options;
     }
@@ -315,11 +516,14 @@ impl LearningSession {
 
     /// The worlds of `tree`, a parse tree of the session's grammar, under
     /// `context`: the answer sets of `G(C)[PT]`, at most the compile
-    /// options' `max_worlds` of them. One ground and one solve of the
-    /// program computes a pair's worlds, which the session keeps for
-    /// examples and generated trees alike. It reuses them only under a
-    /// budget whose atom and step caps are at least those they were
-    /// computed under, and otherwise computes them again under `budget`.
+    /// options' `max_worlds` of them, in the order one ground and one solve
+    /// of the program under `budget` finds them. The session keeps a pair's
+    /// worlds for examples and generated trees alike, and builds a new
+    /// pair from parts it keeps where that gives the same worlds (the
+    /// tree's own program and the context at its nodes, each solved once),
+    /// or else grounds and solves `G(C)[PT]` whole. It reuses a pair only
+    /// under a budget whose atom and step caps are at least those it was
+    /// computed under, and otherwise computes it again under `budget`.
     ///
     /// # Errors
     ///
@@ -339,9 +543,8 @@ impl LearningSession {
         if budget.deadline.expired() {
             return Err(AsgError::Exhausted(Exhausted::Deadline));
         }
-        let max_worlds = self.options.compile.max_worlds;
         self.worlds
-            .get(&self.grammar, tree, context, max_worlds, budget)
+            .get(&self.grammar, tree, context, budget)
             .map(|(worlds, _)| worlds)
             .map_err(AsgError::from)
     }
@@ -503,13 +706,10 @@ impl LearningSession {
                 &self.grammar,
                 &tree,
                 &example.context,
-                compile.max_worlds,
                 &RunBudget::default(),
             )?;
-            if let Some(work) = work {
-                stats.absorb_ground(work);
-                stats.solver_calls += 1;
-            }
+            stats.absorb_ground(work.ground);
+            stats.solver_calls += work.solves;
             if !worlds.complete() {
                 self.incomplete = true;
                 return Ok(None);

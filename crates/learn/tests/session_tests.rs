@@ -6,12 +6,14 @@
 //! (`cargo test --release -p agenp-learn`); debug builds run a few
 //! seconds' worth of the same checks.
 
-use agenp_asp::{Deadline, Exhausted, Program, RunBudget};
+use agenp_asp::{
+    ground_with, Atom, Deadline, Exhausted, GroundOptions, Program, RunBudget, Solver,
+};
 use agenp_core::scenarios::cav;
-use agenp_grammar::{Asg, AsgError, EarleyParser, GenOptions, ProdId};
+use agenp_grammar::{Asg, AsgError, EarleyParser, GenOptions, ParseTree, ProdId};
 use agenp_learn::{
-    Branching, Example, HypothesisSpace, LearnError, LearnOptions, Learner, LearningSession,
-    LearningTask, WorldStats,
+    Branching, CompileOptions, Example, HypothesisSpace, LearnError, LearnOptions, Learner,
+    LearningSession, LearningTask, TreeWorlds, World, WorldStats,
 };
 use std::collections::HashSet;
 use std::time::Duration;
@@ -301,7 +303,10 @@ fn cached_worlds_are_reused_only_under_a_budget_as_large() {
         session.world_stats(),
         WorldStats {
             lookups: 5,
-            computed: 2
+            computed: 2,
+            whole: 1,
+            tree_parts: 1,
+            context_parts: 1,
         }
     );
 
@@ -386,7 +391,10 @@ fn examples_and_lookups_share_worlds() {
         session.world_stats(),
         WorldStats {
             lookups: 1,
-            computed: 1
+            computed: 1,
+            whole: 0,
+            tree_parts: 1,
+            context_parts: 1,
         }
     );
     let tree = EarleyParser::new(cav::grammar().cfg())
@@ -399,7 +407,243 @@ fn examples_and_lookups_share_worlds() {
         session.world_stats(),
         WorldStats {
             lookups: 2,
-            computed: 1
+            computed: 1,
+            whole: 0,
+            tree_parts: 1,
+            context_parts: 1,
         }
+    );
+}
+
+/// A pair's worlds as one `ground_with` and one solve of `G(C)[PT]` under
+/// `budget` give them: each world's atoms, in order, and completeness; or
+/// the error.
+type Whole = Result<(Vec<Vec<Atom>>, bool), String>;
+
+fn solved_whole(
+    g: &Asg,
+    tree: &ParseTree,
+    context: &Program,
+    max_worlds: usize,
+    budget: &RunBudget,
+) -> Whole {
+    let options = GroundOptions::default()
+        .with_max_atoms(budget.max_atoms)
+        .with_deadline(budget.deadline);
+    let ground = ground_with(&g.tree_program_in(tree, context), options).map_err(|e| {
+        format!(
+            "{:?}",
+            match e.exhausted() {
+                Some(kind) => AsgError::Exhausted(kind),
+                None => AsgError::Ground(e),
+            }
+        )
+    })?;
+    let result = Solver::new()
+        .max_models(max_worlds)
+        .with_budget(budget)
+        .solve(&ground);
+    if let Some(kind) = result.exhausted() {
+        return Err(format!("{:?}", AsgError::Exhausted(kind)));
+    }
+    let complete = result.complete();
+    let worlds = result
+        .into_models()
+        .into_iter()
+        .map(|m| World::from_atoms(m.into_atoms()).atoms().to_vec())
+        .collect();
+    Ok((worlds, complete))
+}
+
+/// A lookup's answer in [`solved_whole`]'s terms.
+fn looked_up(result: Result<&TreeWorlds, AsgError>) -> Whole {
+    result
+        .map(|w| {
+            let worlds = w.worlds().iter().map(|w| w.atoms().to_vec()).collect();
+            (worlds, w.complete())
+        })
+        .map_err(|e| format!("{e:?}"))
+}
+
+fn parse(g: &Asg, text: &str) -> ParseTree {
+    EarleyParser::new(g.cfg()).parse_text(text).remove(0)
+}
+
+/// CAV's four trees under three contexts: each tree's own program is
+/// solved once, each context once (the trees share their node traces),
+/// and every pair's worlds are those of one solve of `G(C)[PT]`.
+#[test]
+fn cav_pairs_are_built_from_one_part_per_tree_and_per_context() {
+    let g = cav::grammar();
+    let mut session = cav_session(LearnOptions::default());
+    let trees: Vec<ParseTree> = cav::TASKS
+        .iter()
+        .map(|(task, _)| parse(&g, &cav::policy_text(task)))
+        .collect();
+    let contexts: Vec<Program> = cav::samples(3, 11)
+        .iter()
+        .map(|s| s.context.to_program())
+        .collect();
+    let budget = RunBudget::default();
+    let max_worlds = CompileOptions::default().max_worlds;
+    for round in 0..2 {
+        for context in &contexts {
+            for tree in &trees {
+                let want = solved_whole(&g, tree, context, max_worlds, &budget);
+                assert!(matches!(&want, Ok((worlds, true)) if worlds.len() == 1));
+                let got = looked_up(session.worlds_within(tree, context, &budget));
+                assert_eq!(got, want, "round {round}, {tree} in {{{context}}}");
+            }
+        }
+    }
+    assert_eq!(
+        session.world_stats(),
+        WorldStats {
+            lookups: 24,
+            computed: 12,
+            whole: 0,
+            tree_parts: 4,
+            context_parts: 3,
+        }
+    );
+}
+
+/// Non-stratified trees and contexts: the product keeps the order in
+/// which one solve of the union enumerates its worlds.
+#[test]
+fn products_keep_the_joint_world_order() {
+    let g: Asg = r#"
+        policy -> "a" choice { p(1) :- not p(2). p(2) :- not p(1). }
+        choice -> "x" { q(1) :- not q(2). q(2) :- not q(1). r :- q(2). }
+        choice -> "y" { r. }
+    "#
+    .parse()
+    .unwrap();
+    let contexts: [Program; 3] = [
+        "c(1). d :- c(1).".parse().unwrap(),
+        "c(1) :- not c(2). c(2) :- not c(1). :- c(2)."
+            .parse()
+            .unwrap(),
+        "z(3). c(X) :- z(X).".parse().unwrap(),
+    ];
+    let mut session =
+        LearningSession::new(g.clone(), HypothesisSpace::new(), LearnOptions::default());
+    let budget = RunBudget::default();
+    for context in &contexts {
+        for text in ["a x", "a y"] {
+            let tree = parse(&g, text);
+            let want = solved_whole(&g, &tree, context, 64, &budget);
+            let got = looked_up(session.worlds_within(&tree, context, &budget));
+            assert_eq!(got, want, "{text} in {{{context}}}");
+        }
+    }
+    let stats = session.world_stats();
+    assert_eq!(
+        (stats.whole, stats.tree_parts, stats.context_parts),
+        (0, 2, 3)
+    );
+}
+
+/// An annotation that reads a context atom: the parts share a signature,
+/// so the pair is solved whole, and no part is computed for it.
+#[test]
+fn parts_that_share_a_signature_are_solved_whole() {
+    let g: Asg = r#"policy -> "a" { :- alert. }"#.parse().unwrap();
+    let tree = parse(&g, "a");
+    let mut session =
+        LearningSession::new(g.clone(), HypothesisSpace::new(), LearnOptions::default());
+    let budget = RunBudget::default();
+    for (context, admitted) in [("alert.", false), ("calm.", true)] {
+        let context: Program = context.parse().unwrap();
+        let want = solved_whole(&g, &tree, &context, 64, &budget);
+        assert_eq!(want.as_ref().map(|(w, _)| !w.is_empty()), Ok(admitted));
+        let got = looked_up(session.worlds_within(&tree, &context, &budget));
+        assert_eq!(got, want, "{{{context}}}");
+    }
+    assert_eq!(
+        session.world_stats(),
+        WorldStats {
+            lookups: 2,
+            computed: 2,
+            whole: 1,
+            tree_parts: 1,
+            context_parts: 1,
+        }
+    );
+}
+
+/// The budgets and caps under which a product could differ from one solve
+/// of the union: each pair is solved whole and answers as
+/// [`Asg::tree_admitted_within`] does.
+#[test]
+fn caps_the_product_could_miss_solve_the_whole_program() {
+    let g: Asg = r#"
+        policy -> "fact" { ok. }
+        policy -> "loop" { p :- not q. q :- not p. }
+    "#
+    .parse()
+    .unwrap();
+    let context: Program = "c(1). c(2).".parse().unwrap();
+    let plain = g.with_context(&context);
+    let (fact, choice) = (parse(&g, "fact"), parse(&g, "loop"));
+    let solved_whole_once = |max_worlds: usize, tree: &ParseTree, budget: &RunBudget| {
+        let options = LearnOptions::default()
+            .with_compile(CompileOptions::default().with_max_worlds(max_worlds));
+        let mut session = LearningSession::new(g.clone(), HypothesisSpace::new(), options);
+        let want = solved_whole(&g, tree, &context, max_worlds, budget);
+        let got = looked_up(session.worlds_within(tree, &context, budget));
+        let at = format!("{tree} under {budget:?}, world cap {max_worlds}");
+        assert_eq!(got, want, "{at}");
+        assert_eq!(session.world_stats().whole, 1, "{at}");
+        assert_eq!(session.world_stats().context_parts, 0, "{at}");
+        let admitted = plain
+            .tree_admitted_within(tree, budget)
+            .map_err(|e| format!("{e:?}"));
+        assert_eq!(got.map(|(worlds, _)| !worlds.is_empty()), admitted, "{at}");
+    };
+    // One world under a cap of one: the product reaches the cap.
+    solved_whole_once(1, &fact, &RunBudget::default());
+    // Two worlds under a cap of two: the tree part is incomplete.
+    solved_whole_once(2, &choice, &RunBudget::default());
+    for tree in [&fact, &choice] {
+        for budget in [
+            RunBudget::default().with_max_steps(0),
+            RunBudget::default().with_max_steps(100),
+            RunBudget::default().with_max_atoms(1),
+            RunBudget::default().with_max_atoms(100),
+        ] {
+            solved_whole_once(64, tree, &budget);
+        }
+    }
+
+    // Under the default budget the same pairs are built from parts, and
+    // changed compile options clear them.
+    let mut session =
+        LearningSession::new(g.clone(), HypothesisSpace::new(), LearnOptions::default());
+    let budget = RunBudget::default();
+    for tree in [&fact, &choice] {
+        let want = solved_whole(&g, tree, &context, 64, &budget);
+        assert_eq!(
+            looked_up(session.worlds_within(tree, &context, &budget)),
+            want
+        );
+    }
+    let stats = session.world_stats();
+    assert_eq!(
+        (stats.whole, stats.tree_parts, stats.context_parts),
+        (0, 2, 1)
+    );
+    session.set_options(
+        LearnOptions::default().with_compile(CompileOptions::default().with_max_worlds(2)),
+    );
+    let want = solved_whole(&g, &fact, &context, 2, &budget);
+    assert_eq!(
+        looked_up(session.worlds_within(&fact, &context, &budget)),
+        want
+    );
+    let stats = session.world_stats();
+    assert_eq!(
+        (stats.whole, stats.tree_parts, stats.context_parts),
+        (0, 3, 2)
     );
 }

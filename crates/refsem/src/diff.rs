@@ -21,7 +21,7 @@ use agenp_core::arch::{
 use agenp_grammar::{Asg, AsgError, GenOptions, Generator, ParseTree, ProdId};
 use agenp_learn::{
     compile_example, Candidate, CandidatePlan, CompileOptions, Example, HypothesisSpace,
-    LearnOptions, LearningSession,
+    LearnOptions, LearningSession, World,
 };
 use agenp_policy::{CombiningAlg, DecisionEffects, Policy, Request};
 use rand::Rng;
@@ -652,6 +652,48 @@ fn error_kind(e: &AsgError) -> String {
     }
 }
 
+/// Each world's atoms, in order.
+fn world_atoms(worlds: &[World]) -> Vec<Vec<Atom>> {
+    worlds.iter().map(|w| w.atoms().to_vec()).collect()
+}
+
+/// What a session's lookup of `tree`'s worlds under `context` must return:
+/// after the deadline check a lookup makes first, one `ground_with` and
+/// one solve of `G(C)[PT]` under `budget`, enumerating at most
+/// `max_worlds` answer sets; each world's atoms in order with
+/// completeness, or the error's kind.
+fn worlds_whole(
+    grammar: &Asg,
+    tree: &ParseTree,
+    context: &Program,
+    max_worlds: usize,
+    budget: &RunBudget,
+) -> Result<(Vec<Vec<Atom>>, bool), String> {
+    let exhausted = |kind| error_kind(&AsgError::Exhausted(kind));
+    if budget.deadline.expired() {
+        return Err(exhausted(agenp_asp::Exhausted::Deadline));
+    }
+    let options = GroundOptions::default()
+        .with_max_atoms(budget.max_atoms)
+        .with_deadline(budget.deadline);
+    let ground = ground_with(&grammar.tree_program_in(tree, context), options)
+        .map_err(|e| error_kind(&AsgError::Ground(e)))?;
+    let result = Solver::new()
+        .max_models(max_worlds)
+        .with_budget(budget)
+        .solve(&ground);
+    if let Some(kind) = result.exhausted() {
+        return Err(exhausted(kind));
+    }
+    let complete = result.complete();
+    let worlds: Vec<World> = result
+        .into_models()
+        .into_iter()
+        .map(|m| World::from_atoms(m.into_atoms()))
+        .collect();
+    Ok((world_atoms(&worlds), complete))
+}
+
 /// Today's refresh: [`Prep::generate`] then [`Pcp::screen_within`], each
 /// grounding and solving every tree and string.
 pub fn screened_on_trees(prep: &Prep, pcp: &Pcp, gpm: &Asg, context: &Program) -> Screened {
@@ -692,11 +734,16 @@ pub fn screened_on_worlds(
 /// and a constraint on one side of the loops,
 /// random PCP restrictions (now and then a normal rule or an unknown
 /// production, which send screening to the trees path), a world cap that
-/// some trees exceed, and three contexts. After each refresh, every tree's
-/// worlds are looked up again under a tight atom cap and an expired
-/// deadline, and must fail or succeed as the per-tree step of
-/// [`Asg::admitted_trees_within`] does under that budget: a deadline check,
-/// then [`Asg::tree_admitted_within`].
+/// some trees exceed, and four contexts: the task's twice and two
+/// [`gen::generate_context`]s, which may share a predicate with the
+/// annotations or have two worlds. After each refresh, every tree's
+/// worlds are looked up again under the default budget, a tight atom cap,
+/// a step cap and an expired deadline, and each lookup must return what
+/// one ground and solve of `G(C)[PT]` returns under that budget: the same
+/// worlds in the same order, the same completeness, the same error kind.
+/// Except under the step cap, it must also fail or succeed as the
+/// per-tree step of [`Asg::admitted_trees_within`] does: a deadline
+/// check, then [`Asg::tree_admitted_within`].
 pub fn run_generate_case(seed: u64) -> Result<(), String> {
     let ctx = |msg: String| {
         format!("seed={seed} kind=generate: {msg} (repro: run_generate_case({seed}))")
@@ -762,10 +809,12 @@ pub fn run_generate_case(seed: u64) -> Result<(), String> {
     let trees = Generator::new(task.grammar.cfg()).trees(prep.gen_options);
     let contexts = [
         task.context.clone(),
-        gen::world_context(&mut rng),
+        gen::generate_context(&mut rng),
         task.context.clone(),
+        gen::generate_context(&mut rng),
     ];
     let tight = RunBudget::default().with_max_atoms(rng.gen_range(0..=8));
+    let steps = RunBudget::default().with_max_steps(rng.gen_range(0..=6));
     let expired = RunBudget::default().with_deadline(Deadline::after(std::time::Duration::ZERO));
     for context in &contexts {
         let want = screened_on_trees(&prep, &pcp, &gpm, context);
@@ -781,13 +830,29 @@ pub fn run_generate_case(seed: u64) -> Result<(), String> {
         }
         let plain = task.grammar.with_context(context);
         for tree in &trees {
-            for budget in [&tight, &expired] {
+            for budget in [&prep.budget, &tight, &steps, &expired] {
+                let got = session.worlds_within(tree, context, budget);
+                let whole = worlds_whole(&task.grammar, tree, context, max_worlds, budget);
+                let looked_up = got
+                    .as_ref()
+                    .map(|w| (world_atoms(w.worlds()), w.complete()))
+                    .map_err(error_kind);
+                if looked_up != whole {
+                    return Err(ctx(format!(
+                        "tree {tree} in context {{{context}}} under {budget:?}: lookup \
+                         returned {looked_up:?}, one solve of G(C)[PT] {whole:?}"
+                    )));
+                }
+                if budget.max_steps != u64::MAX {
+                    // Enumerating every world may run out of steps where
+                    // finding one does not.
+                    continue;
+                }
                 let want = if budget.deadline.expired() {
                     Err(AsgError::Exhausted(agenp_asp::Exhausted::Deadline))
                 } else {
                     plain.tree_admitted_within(tree, budget)
                 };
-                let got = session.worlds_within(tree, context, budget);
                 let agrees = match (&want, &got) {
                     (Err(a), Err(b)) => error_kind(a) == error_kind(b),
                     (Ok(admitted), Ok(worlds)) if worlds.complete() => {

@@ -710,6 +710,28 @@ pub fn world_context(rng: &mut StdRng) -> Program {
     context
 }
 
+/// A context for generation cases: [`world_context`]'s facts, now and
+/// then with rules that make it interact with the annotations (a `p(k)`
+/// fact, or `q(X) :- c(X).`) or give it two worlds (an even loop over
+/// `c(1)` and `c(2)`, which a `c(1)` or `c(2)` fact breaks).
+pub fn generate_context(rng: &mut StdRng) -> Program {
+    let mut context = world_context(rng);
+    if rng.gen_bool(0.25) {
+        context.push(Rule::fact(Atom::new("p", vec![world_const(rng)])));
+    }
+    if rng.gen_bool(0.25) {
+        context.push("q(X) :- c(X).".parse().expect("rule parses"));
+    }
+    if rng.gen_bool(0.3) {
+        context.extend_from(
+            &"c(1) :- not c(2). c(2) :- not c(1)."
+                .parse()
+                .expect("rules parse"),
+        );
+    }
+    context
+}
+
 fn world_const(rng: &mut StdRng) -> Term {
     if rng.gen_bool(0.8) {
         Term::Int(WORLD_INTS[rng.gen_range(0..WORLD_INTS.len())])
