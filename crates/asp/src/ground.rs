@@ -1529,11 +1529,6 @@ impl IncrementalGrounder {
         self.base_stats
     }
 
-    /// The base program this grounder was built from.
-    pub fn base(&self) -> &Program {
-        &self.base
-    }
-
     /// Grounds base + `delta`, reusing the saturated base state. With an
     /// empty delta this is equivalent to `ground_with(base, opts)`.
     ///

@@ -166,14 +166,14 @@ impl Asg {
 
     /// Does `tree` (a parse tree of the underlying CFG) satisfy the ASG's
     /// semantic conditions, i.e. does `G[PT]` have an answer set?
+    /// [`Asg::tree_admitted_within`] under [`RunBudget::default`].
     ///
     /// # Errors
     ///
-    /// [`AsgError::Ground`] if the induced program fails to ground.
+    /// [`AsgError::Exhausted`] past the default atom cap;
+    /// [`AsgError::Ground`] for other grounding failures.
     pub fn tree_admitted(&self, tree: &ParseTree) -> Result<bool, AsgError> {
-        let program = self.tree_program(tree);
-        let g = ground(&program)?;
-        Ok(Solver::new().max_models(1).solve(&g).satisfiable())
+        self.tree_admitted_within(tree, &RunBudget::default())
     }
 
     /// Like [`Asg::tree_admitted`], but bounded by a [`RunBudget`]: the
@@ -215,28 +215,14 @@ impl Asg {
     }
 
     /// Is the token sequence in `L(G)`? True iff at least one parse tree is
-    /// admitted.
+    /// admitted. [`Asg::accepts_tokens_within`] under
+    /// [`RunBudget::default`].
     ///
     /// # Errors
     ///
-    /// Propagates grounding failures from annotation programs.
+    /// See [`Asg::tree_admitted`].
     pub fn accepts_tokens(&self, tokens: &[Symbol]) -> Result<bool, AsgError> {
-        let mut span = agenp_obs::span!("grammar.membership", tokens = tokens.len());
-        let result = self.accepts_tokens_inner(tokens);
-        if span.is_live() {
-            record_membership(&mut span, &result);
-        }
-        result
-    }
-
-    fn accepts_tokens_inner(&self, tokens: &[Symbol]) -> Result<bool, AsgError> {
-        let parser = EarleyParser::new(&self.cfg);
-        for tree in parser.parse_with(tokens, ParseOptions::default()) {
-            if self.tree_admitted(&tree)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        self.accepts_tokens_within(tokens, &RunBudget::default())
     }
 
     /// Budgeted variant of [`Asg::accepts_tokens`].
@@ -295,19 +281,13 @@ impl Asg {
 
     /// Enumerates the admitted parse trees of the grammar up to generation
     /// bounds — the *generated policies* of the GPM.
+    /// [`Asg::admitted_trees_within`] under [`RunBudget::default`].
     ///
     /// # Errors
     ///
-    /// Propagates grounding failures.
+    /// See [`Asg::tree_admitted`].
     pub fn admitted_trees(&self, opts: GenOptions) -> Result<Vec<ParseTree>, AsgError> {
-        let gen = Generator::new(&self.cfg);
-        let mut out = Vec::new();
-        for tree in gen.trees(opts) {
-            if self.tree_admitted(&tree)? {
-                out.push(tree);
-            }
-        }
-        Ok(out)
+        self.admitted_trees_within(opts, &RunBudget::default())
     }
 
     /// Budgeted variant of [`Asg::admitted_trees`]: every per-tree
@@ -337,19 +317,13 @@ impl Asg {
     }
 
     /// Enumerates the admitted strings (deduplicated, sorted).
+    /// [`Asg::language_within`] under [`RunBudget::default`].
     ///
     /// # Errors
     ///
-    /// Propagates grounding failures.
+    /// See [`Asg::tree_admitted`].
     pub fn language(&self, opts: GenOptions) -> Result<Vec<String>, AsgError> {
-        let mut out: Vec<String> = self
-            .admitted_trees(opts)?
-            .iter()
-            .map(ParseTree::text)
-            .collect();
-        out.sort();
-        out.dedup();
-        Ok(out)
+        self.language_within(opts, &RunBudget::default())
     }
 
     /// Budgeted variant of [`Asg::language`].

@@ -1,7 +1,8 @@
-//! Example compilation: parse each example once, build the per-parse-tree
-//! base programs `G(C)[PT]`, and — when the hypothesis space is
-//! constraint-only — enumerate the answer sets ("worlds") of each base
-//! program so candidate constraints can be evaluated as pure filters.
+//! Candidate plans and worlds: a constraint candidate compiled once for
+//! evaluation, the answer sets ("worlds") of a parse tree's program
+//! `G(C)[PT]` it is evaluated against, and the one helper that grounds and
+//! solves a program for its worlds. The learning session's world cache
+//! (`session.rs`) is the only caller of that helper.
 //!
 //! Soundness of the world view: for any program `P` and set of constraints
 //! `C`, the stable models of `P ∪ C` are exactly the stable models of `P`
@@ -9,13 +10,11 @@
 //! `G(C):H` iff some world of its base program violates no chosen
 //! constraint.
 
-use crate::example::Example;
 use crate::learner::LearnError;
 use crate::space::Candidate;
 use agenp_asp::{
     ground_with_stats, schedule_body, ArithOp, Atom, BodyStep, CmpOp, Exhausted, GroundError,
-    GroundOptions, GroundStats, IncrementalGrounder, Program, Rule, RunBudget, SolveResult, Solver,
-    Symbol, Term, Trace,
+    GroundOptions, GroundStats, Program, Rule, RunBudget, SolveResult, Solver, Symbol, Term, Trace,
 };
 use agenp_grammar::{Asg, AsgError, EarleyParser, ParseOptions, ParseTree, ProdId};
 use std::borrow::Cow;
@@ -405,36 +404,52 @@ impl Pattern {
     }
 }
 
+/// A parse tree's node traces by production: where a candidate targeting
+/// a production is instantiated.
+#[derive(Clone, Debug)]
+pub(crate) struct NodeTraces(
+    /// Ascending by production, each production's root first.
+    Vec<(ProdId, Vec<Trace>)>,
+);
+
+impl NodeTraces {
+    fn of(tree: &ParseTree) -> NodeTraces {
+        let mut nodes: Vec<(ProdId, Trace)> = Vec::new();
+        tree.visit_nodes(|node, trace| nodes.push((node.prod, trace.clone())));
+        nodes.sort_by_key(|(prod, _)| *prod);
+        let mut by_prod: Vec<(ProdId, Vec<Trace>)> = Vec::new();
+        for (prod, trace) in nodes {
+            match by_prod.last_mut() {
+                Some((last, traces)) if *last == prod => traces.push(trace),
+                _ => by_prod.push((prod, vec![trace])),
+            }
+        }
+        NodeTraces(by_prod)
+    }
+
+    /// The traces of the nodes expanding `prod`, root first.
+    pub(crate) fn get(&self, prod: ProdId) -> &[Trace] {
+        match self.0.binary_search_by_key(&prod, |(p, _)| *p) {
+            Ok(i) => &self.0[i].1,
+            Err(_) => &[],
+        }
+    }
+}
+
 /// The answer sets ("worlds") of one parse tree's program `G(C)[PT]`,
 /// with the node traces a candidate is instantiated at.
 #[derive(Clone, Debug)]
 pub struct TreeWorlds {
-    /// Node traces by production, ascending, each production's root first.
-    traces_by_prod: Vec<(ProdId, Vec<Trace>)>,
+    traces: NodeTraces,
     worlds: Vec<World>,
     complete: bool,
 }
 
 impl TreeWorlds {
-    fn new(tree: &ParseTree, result: SolveResult) -> TreeWorlds {
-        let complete = result.complete();
-        TreeWorlds::from_worlds(tree, worlds_of(result), complete)
-    }
-
     /// `worlds` of `tree`'s program, with the tree's node traces.
     pub(crate) fn from_worlds(tree: &ParseTree, worlds: Vec<World>, complete: bool) -> TreeWorlds {
-        let mut nodes: Vec<(ProdId, Trace)> = Vec::new();
-        tree.visit_nodes(|node, trace| nodes.push((node.prod, trace.clone())));
-        nodes.sort_by_key(|(prod, _)| *prod);
-        let mut traces_by_prod: Vec<(ProdId, Vec<Trace>)> = Vec::new();
-        for (prod, trace) in nodes {
-            match traces_by_prod.last_mut() {
-                Some((last, traces)) if *last == prod => traces.push(trace),
-                _ => traces_by_prod.push((prod, vec![trace])),
-            }
-        }
         TreeWorlds {
-            traces_by_prod,
+            traces: NodeTraces::of(tree),
             worlds,
             complete,
         }
@@ -444,7 +459,7 @@ impl TreeWorlds {
     /// predicate and arity with any of them.
     pub(crate) fn merged_with(&self, context: &World) -> TreeWorlds {
         TreeWorlds {
-            traces_by_prod: self.traces_by_prod.clone(),
+            traces: self.traces.clone(),
             worlds: self.worlds.iter().map(|w| w.merged(context)).collect(),
             complete: self.complete,
         }
@@ -461,12 +476,14 @@ impl TreeWorlds {
         self.complete
     }
 
+    /// The tree's node traces by production.
+    pub(crate) fn node_traces(&self) -> &NodeTraces {
+        &self.traces
+    }
+
     /// The traces of the nodes expanding `prod`, root first.
     pub fn traces(&self, prod: ProdId) -> &[Trace] {
-        match self.traces_by_prod.binary_search_by_key(&prod, |(p, _)| *p) {
-            Ok(i) => &self.traces_by_prod[i].1,
-            Err(_) => &[],
-        }
+        self.traces.get(prod)
     }
 
     /// Does `world` (one of these worlds) violate the planned constraint
@@ -568,47 +585,6 @@ fn worlds_of(result: SolveResult) -> Vec<World> {
         .collect()
 }
 
-/// A compiled parse tree of an example, for the generic search.
-#[derive(Debug)]
-pub struct CompiledTree {
-    /// The parse tree itself.
-    pub tree: ParseTree,
-    /// The answer sets of the base program `G(C)[PT]`.
-    pub worlds: TreeWorlds,
-    /// The saturated grounding of `G(C)[PT]` (annotations plus context,
-    /// instantiated at every node; see [`IncrementalGrounder::base`]).
-    /// Hypotheses are grounded as deltas on top of it.
-    pub grounder: IncrementalGrounder,
-}
-
-impl CompiledTree {
-    /// Instantiates a candidate's rule at every node the candidate targets.
-    pub fn instantiate(&self, candidate: &Candidate) -> Vec<Rule> {
-        self.worlds
-            .traces(candidate.target)
-            .iter()
-            .map(|t| candidate.rule.instantiate_at(t))
-            .collect()
-    }
-}
-
-/// A compiled example: its parse trees plus metadata.
-#[derive(Debug)]
-pub struct CompiledExample {
-    /// Index into the task's example list (positives first, then negatives).
-    pub is_pos: bool,
-    /// Violation penalty (None = hard).
-    pub penalty: Option<u32>,
-    /// Compiled parse trees (empty if the string is not in the CFG).
-    pub trees: Vec<CompiledTree>,
-    /// Rendered example text (diagnostics).
-    pub text: String,
-    /// Grounding work spent on this example's tree bases at compile time.
-    pub ground_stats: GroundStats,
-    /// Solver calls made while enumerating worlds.
-    pub solver_calls: u64,
-}
-
 /// Options for example compilation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompileOptions {
@@ -641,75 +617,12 @@ impl CompileOptions {
     }
 }
 
-impl CompiledExample {
-    /// Is the example's string admitted under the hypothesis? Only valid
-    /// for hypotheses of safe constraints, over completely enumerated
-    /// worlds; returns `None` when that precondition fails (callers fall
-    /// back to full semantics).
-    pub fn accepted_by(&self, rules: &[(ProdId, Rule)]) -> Option<bool> {
-        let plans = rules
-            .iter()
-            .map(|(target, rule)| CandidatePlan::new(*target, rule))
-            .collect::<Option<Vec<_>>>()?;
-        if self.trees.iter().any(|t| !t.worlds.complete()) {
-            return None;
-        }
-        let plans: Vec<&CandidatePlan> = plans.iter().collect();
-        Some(self.trees.iter().any(|tree| tree.worlds.admits(&plans)))
-    }
-}
-
 /// The parse trees of an example's text, at most `max_trees`.
 pub(crate) fn parse_example(grammar: &Asg, text: &str, max_trees: usize) -> Vec<ParseTree> {
     EarleyParser::new(grammar.cfg()).parse_with(
         &agenp_grammar::Cfg::tokenize(text),
         ParseOptions { max_trees },
     )
-}
-
-/// Compiles an example against `grammar` for the generic search: each
-/// parse tree's base program is saturated once in an
-/// [`IncrementalGrounder`], and its worlds are enumerated from that
-/// grounding.
-///
-/// # Errors
-///
-/// Propagates grounding failures from annotation or context programs.
-pub fn compile_example(
-    grammar: &Asg,
-    example: &Example,
-    is_pos: bool,
-    opts: CompileOptions,
-) -> Result<CompiledExample, GroundError> {
-    let trees = parse_example(grammar, &example.text, opts.max_trees);
-    let mut compiled = Vec::with_capacity(trees.len());
-    let mut ground_stats = GroundStats::default();
-    let mut solver_calls = 0u64;
-    for tree in trees {
-        let base = grammar.tree_program_in(&tree, &example.context);
-        // Ground the base once. The incremental grounder saturates it and
-        // keeps the state around so candidate hypotheses can later be
-        // grounded as deltas without redoing this work.
-        let grounder = IncrementalGrounder::new(&base, GroundOptions::default())?;
-        ground_stats.absorb(grounder.base_stats());
-        let (g, st) = grounder.ground_delta_with_stats(&[])?;
-        ground_stats.absorb(st);
-        let result = Solver::new().max_models(opts.max_worlds).solve(&g);
-        solver_calls += 1;
-        compiled.push(CompiledTree {
-            worlds: TreeWorlds::new(&tree, result),
-            tree,
-            grounder,
-        });
-    }
-    Ok(CompiledExample {
-        is_pos,
-        penalty: example.penalty,
-        trees: compiled,
-        text: example.text.clone(),
-        ground_stats,
-        solver_calls,
-    })
 }
 
 #[cfg(test)]
@@ -825,58 +738,5 @@ mod tests {
         assert!(
             !w.contains(&Atom::new("p", vec![Term::Int(1)]).with_trace(Trace::from_indices([1])))
         );
-    }
-
-    #[test]
-    fn compile_builds_worlds() {
-        let g: Asg = r#"
-            policy -> "allow" { ok :- not vetoed. }
-            policy -> "deny"
-        "#
-        .parse()
-        .unwrap();
-        let ex = Example::new("allow");
-        let c = compile_example(&g, &ex, true, CompileOptions::default()).unwrap();
-        assert!(c.is_pos);
-        assert_eq!(c.trees.len(), 1);
-        let t = &c.trees[0].worlds;
-        assert_eq!(t.worlds().len(), 1);
-        assert!(t.complete());
-        assert!(t.worlds()[0].contains(&"ok".parse().unwrap()));
-    }
-
-    #[test]
-    fn accepted_by_matches_full_semantics() {
-        let g: Asg = r#"
-            policy -> "allow" { act(allow). }
-        "#
-        .parse()
-        .unwrap();
-        let storm: agenp_asp::Program = "storm.".parse().unwrap();
-        let ex = Example::in_context("allow", storm.clone());
-        let c = compile_example(&g, &ex, true, CompileOptions::default()).unwrap();
-        let block: (agenp_grammar::ProdId, Rule) = (
-            agenp_grammar::ProdId::from_index(0),
-            ":- storm.".parse().unwrap(),
-        );
-        assert_eq!(c.accepted_by(&[]), Some(true));
-        assert_eq!(c.accepted_by(std::slice::from_ref(&block)), Some(false));
-        // Cross-check with full ASG semantics.
-        let g2 = g.with_added_rules(std::slice::from_ref(&block)).unwrap();
-        assert!(!g2.with_context(&storm).accepts("allow").unwrap());
-        // Normal rules disable the fast check.
-        let normal: (agenp_grammar::ProdId, Rule) = (
-            agenp_grammar::ProdId::from_index(0),
-            "ok :- storm.".parse().unwrap(),
-        );
-        assert_eq!(c.accepted_by(std::slice::from_ref(&normal)), None);
-    }
-
-    #[test]
-    fn unparseable_example_has_no_trees() {
-        let g: Asg = "policy -> \"allow\"".parse().unwrap();
-        let ex = Example::new("forbidden string");
-        let c = compile_example(&g, &ex, false, CompileOptions::default()).unwrap();
-        assert!(c.trees.is_empty());
     }
 }

@@ -16,7 +16,7 @@ use crate::example::Example;
 use crate::session::LearningSession;
 use crate::space::HypothesisSpace;
 use agenp_asp::{Deadline, Exhausted, GroundError, GroundStats, Rule};
-use agenp_grammar::{Asg, ProdId};
+use agenp_grammar::{Asg, AsgError, ProdId};
 use std::fmt;
 
 /// A context-dependent ASG learning task.
@@ -61,34 +61,30 @@ impl LearningTask {
     ///
     /// # Errors
     ///
-    /// Propagates grounding failures.
+    /// Propagates grounding failures; a grounding past the default atom
+    /// cap is [`GroundError::Exhausted`].
     pub fn violations(&self, hypothesis: &Hypothesis) -> Result<Vec<(bool, usize)>, GroundError> {
         let g = self
             .grammar
             .with_added_rules(&hypothesis.rules)
             .expect("hypothesis targets validated at learn time");
+        let accepts = |e: &Example| {
+            g.with_context(&e.context)
+                .accepts(&e.text)
+                .map_err(|err| match err {
+                    AsgError::Ground(g) => g,
+                    AsgError::Exhausted(kind) => GroundError::Exhausted(kind),
+                    other => panic!("unexpected ASG error: {other}"),
+                })
+        };
         let mut out = Vec::new();
         for (i, e) in self.positive.iter().enumerate() {
-            let accepted =
-                g.with_context(&e.context)
-                    .accepts(&e.text)
-                    .map_err(|err| match err {
-                        agenp_grammar::AsgError::Ground(g) => g,
-                        other => panic!("unexpected ASG error: {other}"),
-                    })?;
-            if !accepted {
+            if !accepts(e)? {
                 out.push((true, i));
             }
         }
         for (i, e) in self.negative.iter().enumerate() {
-            let accepted =
-                g.with_context(&e.context)
-                    .accepts(&e.text)
-                    .map_err(|err| match err {
-                        agenp_grammar::AsgError::Ground(g) => g,
-                        other => panic!("unexpected ASG error: {other}"),
-                    })?;
-            if accepted {
+            if accepts(e)? {
                 out.push((false, i));
             }
         }
@@ -103,7 +99,8 @@ pub struct Hypothesis {
     pub rules: Vec<(ProdId, Rule)>,
     /// Total cost: rule lengths plus penalties of sacrificed examples.
     pub cost: u64,
-    /// Sacrificed (violated) soft examples as `(is_positive, index)`.
+    /// Sacrificed (violated) soft examples as `(is_positive, index)`:
+    /// positives first, each in example order.
     pub sacrificed: Vec<(bool, usize)>,
 }
 
@@ -352,14 +349,6 @@ impl Learner {
         &self,
         task: &LearningTask,
     ) -> Result<(Hypothesis, LearnStats), LearnError> {
-        let mut session =
-            LearningSession::new(task.grammar.clone(), task.space.clone(), self.options);
-        for e in &task.positive {
-            session.add_positive(e.clone());
-        }
-        for e in &task.negative {
-            session.add_negative(e.clone());
-        }
-        session.solve()
+        LearningSession::for_task(task, self.options).solve()
     }
 }

@@ -19,7 +19,10 @@
 //! * ILASP-style **noise handling** via per-example penalties,
 //! * a **learning session** ([`LearningSession`]) that compiles each example
 //!   once as it arrives and skips the search while its last optimum still
-//!   covers the new examples,
+//!   covers the new examples; its world cache is the one place the worlds
+//!   of a (parse tree, context) pair are computed, for both searches, the
+//!   meta encoding and the generator's lookups
+//!   ([`LearningSession::worlds_within`]),
 //! * hypothesis-space generation from **mode biases**.
 //!
 //! ```
@@ -56,10 +59,7 @@ mod search;
 mod session;
 mod space;
 
-pub use compile::{
-    compile_example, CandidatePlan, CompileOptions, CompiledExample, CompiledTree, TreeWorlds,
-    World,
-};
+pub use compile::{CandidatePlan, CompileOptions, TreeWorlds, World};
 pub use example::Example;
 pub use learner::{
     Branching, Hypothesis, LearnError, LearnOptions, LearnStats, Learner, LearningTask,

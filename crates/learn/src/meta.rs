@@ -4,18 +4,22 @@
 //! hypothesis minimality plus example penalties with weak constraints; the
 //! engine's branch-and-bound optimizer then returns the optimal hypothesis.
 //!
-//! Applicable to constraint-only hypothesis spaces with completely
-//! enumerable worlds (the same precondition as the monotone fast path);
-//! used to cross-validate the native branch-and-bound learner and as an
-//! ablation backend.
+//! The kill sets are those a [`LearningSession`] computes for its monotone
+//! search, one list per observation, so the encoding applies where that
+//! search does: constraint-only hypothesis spaces with completely
+//! enumerable worlds. Used to cross-validate the native branch-and-bound
+//! learner and as an ablation backend.
 
-use crate::compile::{compile_example, plan_candidates, CompiledExample};
 use crate::learner::{Hypothesis, LearnError, Learner, LearningTask};
+use crate::session::LearningSession;
 use agenp_asp::{ground, Program, Solver};
 
 impl Learner {
     /// Learns by compiling the task into a single ASP optimization program
-    /// and solving it with the engine's branch-and-bound optimizer.
+    /// and solving it with the engine's branch-and-bound optimizer. The
+    /// task's examples are compiled by a [`LearningSession`] (with the
+    /// monotone path allowed whatever the options' `force_generic`), whose
+    /// kill sets the program encodes.
     ///
     /// # Errors
     ///
@@ -24,51 +28,21 @@ impl Learner {
     /// no hypothesis covers the hard examples; [`LearnError::Budget`] if the
     /// ASP search exhausts its step budget.
     pub fn learn_meta(&self, task: &LearningTask) -> Result<Hypothesis, LearnError> {
-        for c in task.space.candidates() {
-            if let Some(v) = c.rule.unsafe_var() {
-                return Err(LearnError::UnsafeCandidate(format!(
-                    "{} ({v} unbound)",
-                    c.rule
-                )));
-            }
-            if c.target.index() >= task.grammar.cfg().production_count() {
-                return Err(LearnError::BadTarget(c.target.index()));
-            }
-        }
-        if !task.space.constraints_only() {
+        let options = self.options().with_force_generic(false);
+        let mut session = LearningSession::for_task(task, options);
+        let Some(examples) = session.monotone_examples()? else {
             return Err(LearnError::MetaInapplicable(
-                "the meta encoding requires a constraint-only hypothesis space".to_owned(),
+                if task.space.constraints_only() {
+                    "world enumeration hit its cap; the meta encoding would be unsound"
+                } else {
+                    "the meta encoding requires a constraint-only hypothesis space"
+                }
+                .to_owned(),
             ));
-        }
-        let mut compiled: Vec<CompiledExample> = Vec::new();
-        for e in &task.positive {
-            compiled.push(compile_example(
-                &task.grammar,
-                e,
-                true,
-                self.options().compile,
-            )?);
-        }
-        for e in &task.negative {
-            compiled.push(compile_example(
-                &task.grammar,
-                e,
-                false,
-                self.options().compile,
-            )?);
-        }
-        if compiled
-            .iter()
-            .any(|e| e.trees.iter().any(|t| !t.worlds.complete()))
-        {
-            return Err(LearnError::MetaInapplicable(
-                "world enumeration hit its cap; the meta encoding would be unsound".to_owned(),
-            ));
-        }
+        };
 
         // --- Encode ---------------------------------------------------
         let candidates = task.space.candidates();
-        let plans = plan_candidates(candidates)?;
         let mut src = String::new();
         for (ci, _) in candidates.iter().enumerate() {
             src.push_str(&format!("cand({ci}).\n"));
@@ -77,22 +51,18 @@ impl Learner {
         src.push_str("nsel(I) :- cand(I), not sel(I).\n");
         // Kill facts + example/world structure.
         let mut world_id = 0usize;
-        for (ei, ex) in compiled.iter().enumerate() {
-            if ex.is_pos {
+        for (ei, worlds) in examples.coverage.iter().enumerate() {
+            if examples.is_pos(ei) {
                 src.push_str(&format!("posex({ei}).\n"));
             } else {
                 src.push_str(&format!("negex({ei}).\n"));
             }
-            for tree in &ex.trees {
-                for world in tree.worlds.worlds() {
-                    src.push_str(&format!("eworld({ei}, {world_id}).\n"));
-                    for (ci, plan) in plans.iter().enumerate() {
-                        if tree.worlds.violates(world, plan) {
-                            src.push_str(&format!("kills({ci}, {world_id}).\n"));
-                        }
-                    }
-                    world_id += 1;
+            for kills in worlds.iter() {
+                src.push_str(&format!("eworld({ei}, {world_id}).\n"));
+                for ci in kills.iter() {
+                    src.push_str(&format!("kills({ci}, {world_id}).\n"));
                 }
+                world_id += 1;
             }
         }
         src.push_str("wdead(W) :- kills(C, W), sel(C).\n");
@@ -101,9 +71,13 @@ impl Learner {
         src.push_str("alive(E) :- eworld(E, W), not wdead(W).\n");
         src.push_str("pviol(E) :- posex(E), not alive(E).\n");
         src.push_str("nviol(E) :- negex(E), alive(E).\n");
-        for (ei, ex) in compiled.iter().enumerate() {
-            let viol = if ex.is_pos { "pviol" } else { "nviol" };
-            match ex.penalty {
+        for (ei, penalty) in examples.penalties.iter().enumerate() {
+            let viol = if examples.is_pos(ei) {
+                "pviol"
+            } else {
+                "nviol"
+            };
+            match penalty {
                 None => src.push_str(&format!(":- {viol}({ei}).\n")),
                 Some(p) => src.push_str(&format!(":~ {viol}({ei}). [{p}]\n")),
             }
@@ -138,12 +112,13 @@ impl Learner {
         }
         let mut sacrificed = Vec::new();
         let mut penalty_cost: u64 = 0;
-        for (ei, ex) in compiled.iter().enumerate() {
-            let viol = if ex.is_pos { "pviol" } else { "nviol" };
+        for (ei, penalty) in examples.penalties.iter().enumerate() {
+            let is_pos = examples.is_pos(ei);
+            let viol = if is_pos { "pviol" } else { "nviol" };
             let atom: agenp_asp::Atom = format!("{viol}({ei})").parse().expect("viol atom parses");
             if best.contains(&atom) {
-                sacrificed.push((ex.is_pos, local_index(&compiled, ei)));
-                penalty_cost += u64::from(ex.penalty.unwrap_or(0));
+                sacrificed.push((is_pos, examples.local(ei)));
+                penalty_cost += u64::from(penalty.unwrap_or(0));
             }
         }
         Ok(Hypothesis {
@@ -151,14 +126,6 @@ impl Learner {
             cost: rule_cost + penalty_cost,
             sacrificed,
         })
-    }
-}
-
-fn local_index(compiled: &[CompiledExample], ei: usize) -> usize {
-    if compiled[ei].is_pos {
-        ei
-    } else {
-        ei - compiled.iter().filter(|e| e.is_pos).count()
     }
 }
 

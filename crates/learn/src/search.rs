@@ -7,15 +7,17 @@
 //!   by branch and bound.
 //! * **Generic** (spaces with normal rules): iterative-deepening search over
 //!   hypothesis subsets, checking each subset's full answer-set coverage
-//!   by grounding it as a delta over each tree's saturated base.
+//!   by grounding it as a delta over each tree's saturated base and
+//!   solving. It reads neither worlds nor plans, so it checks the monotone
+//!   search and the meta encoding independently of them.
 //!
 //! Both see the examples as one flat list: positives first, then
 //! negatives, each in arrival order.
 
-use crate::compile::{CompiledExample, CompiledTree};
+use crate::compile::NodeTraces;
 use crate::learner::{Branching, LearnError, LearnOptions, LearnStats};
 use crate::space::Candidate;
-use agenp_asp::{Deadline, Exhausted, Rule, Solver};
+use agenp_asp::{Deadline, Exhausted, IncrementalGrounder, Rule, Solver};
 use std::collections::HashMap;
 
 /// A solution: (total cost, chosen candidate indices, sacrificed examples).
@@ -42,12 +44,13 @@ pub(crate) struct Examples<'a, C: ?Sized> {
 }
 
 impl<C: ?Sized> Examples<'_, C> {
-    fn is_pos(&self, ei: usize) -> bool {
+    /// Is example `ei` positive?
+    pub fn is_pos(&self, ei: usize) -> bool {
         ei < self.positives
     }
 
     /// The example's index within its own (positive or negative) list.
-    fn local(&self, ei: usize) -> usize {
+    pub fn local(&self, ei: usize) -> usize {
         if self.is_pos(ei) {
             ei
         } else {
@@ -188,6 +191,12 @@ pub(crate) fn monotone(
     };
     search.dfs(state);
     *nodes_out = search.nodes;
+    // In example order, as the generic search and the meta encoding list
+    // them; the search sacrifices in branching order.
+    let mut best = search.best;
+    if let Some((_, _, sacrificed)) = &mut best {
+        sacrificed.sort_unstable_by_key(|&(is_pos, i)| (!is_pos, i));
+    }
     // NOTE: if the node budget ran out after a solution was found, the
     // solution is returned even though minimality is no longer proven.
     let cut = if search.interrupted {
@@ -197,10 +206,7 @@ pub(crate) fn monotone(
     } else {
         None
     };
-    Searched {
-        best: search.best,
-        cut,
-    }
+    Searched { best, cut }
 }
 
 struct MonotoneSearch<'a> {
@@ -355,8 +361,19 @@ impl MonotoneSearch<'_> {
 
 // --- Generic path ------------------------------------------------------------
 
+/// One parse tree of an example, as the generic search evaluates hypotheses
+/// on it.
+#[derive(Debug)]
+pub(crate) struct GroundedTree {
+    /// Where each candidate is instantiated.
+    pub traces: NodeTraces,
+    /// The tree's `G(C)[PT]`, saturated once; a hypothesis is grounded as
+    /// a delta on top of it.
+    pub grounder: IncrementalGrounder,
+}
+
 /// Iterative deepening over rule cost, evaluating each subset against every
-/// example's compiled trees. Counts nodes, grounding and solver work into
+/// example's grounded trees. Counts nodes, grounding and solver work into
 /// `stats`.
 ///
 /// # Errors
@@ -365,7 +382,7 @@ impl MonotoneSearch<'_> {
 pub(crate) fn generic(
     candidates: &[Candidate],
     options: &LearnOptions,
-    examples: &Examples<'_, CompiledExample>,
+    examples: &Examples<'_, [GroundedTree]>,
     stats: &mut LearnStats,
 ) -> Result<Searched, LearnError> {
     let max_rule_cost: u64 = candidates
@@ -408,7 +425,7 @@ pub(crate) fn generic(
 struct GenericSearch<'a, 's> {
     candidates: &'a [Candidate],
     options: &'a LearnOptions,
-    examples: &'a Examples<'a, CompiledExample>,
+    examples: &'a Examples<'a, [GroundedTree]>,
     stats: &'s mut LearnStats,
     deadline_hit: bool,
     best: Option<BestSolution>,
@@ -452,9 +469,9 @@ impl GenericSearch<'_, '_> {
     fn evaluate(&mut self, chosen: &[u32]) -> Result<(), LearnError> {
         let mut total = self.rule_cost(chosen);
         let mut sacrificed = Vec::new();
-        for (ei, ex) in self.examples.coverage.iter().enumerate() {
+        for (ei, trees) in self.examples.coverage.iter().enumerate() {
             let mut accepted = false;
-            for tree in &ex.trees {
+            for tree in trees.iter() {
                 self.stats.eval_cache_misses += 1;
                 let relevant = relevant(tree, self.candidates, chosen);
                 if tree_accepts(tree, self.candidates, &relevant, self.stats)? {
@@ -485,16 +502,11 @@ impl GenericSearch<'_, '_> {
 
 /// The chosen candidates whose target production occurs in `tree`; only
 /// they can change whether the tree is admitted.
-pub(crate) fn relevant(tree: &CompiledTree, candidates: &[Candidate], chosen: &[u32]) -> Vec<u32> {
+pub(crate) fn relevant(tree: &GroundedTree, candidates: &[Candidate], chosen: &[u32]) -> Vec<u32> {
     chosen
         .iter()
         .copied()
-        .filter(|&ci| {
-            !tree
-                .worlds
-                .traces(candidates[ci as usize].target)
-                .is_empty()
-        })
+        .filter(|&ci| !tree.traces.get(candidates[ci as usize].target).is_empty())
         .collect()
 }
 
@@ -506,14 +518,16 @@ pub(crate) fn relevant(tree: &CompiledTree, candidates: &[Candidate], chosen: &[
 ///
 /// Propagates grounding failures.
 pub(crate) fn tree_accepts(
-    tree: &CompiledTree,
+    tree: &GroundedTree,
     candidates: &[Candidate],
     relevant: &[u32],
     stats: &mut LearnStats,
 ) -> Result<bool, LearnError> {
     let mut delta: Vec<Rule> = Vec::new();
     for &ci in relevant {
-        delta.extend(tree.instantiate(&candidates[ci as usize]));
+        let candidate = &candidates[ci as usize];
+        let traces = tree.traces.get(candidate.target);
+        delta.extend(traces.iter().map(|t| candidate.rule.instantiate_at(t)));
     }
     let (g, st) = tree.grounder.ground_delta_with_stats(&delta)?;
     stats.absorb_ground(st);

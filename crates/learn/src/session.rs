@@ -6,17 +6,22 @@
 //!   after it arrives. Repeats share that coverage; the search still sees
 //!   every observation, so costs and `sacrificed` indices are those of the
 //!   full example list.
-//! * On the monotone path a session keeps, per distinct example, only the
-//!   [`Example`] and one candidate bitset per world. The generic path
-//!   keeps the [`CompiledExample`]s it evaluates hypotheses on.
-//! * The session keeps the worlds of every (parse tree, context) pair it
-//!   evaluates, for examples and for the trees a generator asks about
+//! * The session's world cache is the only code in the learner that
+//!   computes the worlds of a (parse tree, context) pair, for examples and
+//!   for the trees a generator asks about
 //!   ([`LearningSession::worlds_within`]) alike. It builds a pair from two
 //!   parts, each ground and solved once per session: the tree's own
 //!   program `G[PT]` and the context at the tree's node traces; a pair
 //!   whose parts could interact is ground and solved whole, as one program
-//!   `G(C)[PT]`. Only the generic search grounds an example's trees again,
-//!   into the [`IncrementalGrounder`]s it evaluates hypotheses with.
+//!   `G(C)[PT]`.
+//! * On the monotone path a session keeps, per distinct example, only the
+//!   [`Example`] and the kill set of each of its worlds (one candidate
+//!   bitset per world), computed from the cache's worlds. The generic path
+//!   keeps, per parse tree, its node traces and its `G(C)[PT]` saturated in
+//!   an [`IncrementalGrounder`] that hypotheses are grounded on as deltas;
+//!   its world counts and world-cap check come from the cache too. The
+//!   meta encoding ([`Learner::learn_meta`](crate::Learner::learn_meta))
+//!   encodes the monotone path's kill sets.
 //! * [`LearningSession::solve`] reuses the previous optimum without
 //!   searching when that is provably safe: the previous search ran to the
 //!   end, the options have not changed since, and the previous hypothesis
@@ -29,14 +34,16 @@
 //! [`IncrementalGrounder`]: agenp_asp::IncrementalGrounder
 
 use crate::compile::{
-    compile_example, parse_example, plan_candidates, solve_program, CandidatePlan, CompiledExample,
-    Solved, TreeWorlds, WorldsError,
+    parse_example, plan_candidates, solve_program, CandidatePlan, Solved, TreeWorlds, WorldsError,
 };
 use crate::example::Example;
-use crate::learner::{Hypothesis, LearnError, LearnOptions, LearnStats};
-use crate::search::{self, Examples, Kills, Searched};
+use crate::learner::{Hypothesis, LearnError, LearnOptions, LearnStats, LearningTask};
+use crate::search::{self, Examples, GroundedTree, Kills, Searched};
 use crate::space::HypothesisSpace;
-use agenp_asp::{Atom, Exhausted, GroundStats, Literal, Program, Rule, RunBudget, Symbol, Trace};
+use agenp_asp::{
+    Atom, Exhausted, GroundOptions, GroundStats, IncrementalGrounder, Literal, Program, Rule,
+    RunBudget, Symbol, Trace,
+};
 use agenp_grammar::{Asg, AsgError, ParseTree, ProdId};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -320,6 +327,22 @@ impl WorldCache {
         Ok((&self.entries[entry].worlds, work))
     }
 
+    /// The worlds of an example's `tree` under its `context`:
+    /// [`WorldCache::get`] under the default budget, with its work counted
+    /// into `stats`.
+    fn lookup(
+        &mut self,
+        grammar: &Asg,
+        tree: &ParseTree,
+        context: &Program,
+        stats: &mut LearnStats,
+    ) -> Result<&TreeWorlds, WorldsError> {
+        let (worlds, work) = self.get(grammar, tree, context, &RunBudget::default())?;
+        stats.absorb_ground(work.ground);
+        stats.solver_calls += work.solves;
+        Ok(worlds)
+    }
+
     /// The worlds of `tree` under context `id` as the product of the two
     /// parts, solving whichever is not kept yet; `None` if the pair must be
     /// solved whole (see [`WorldCache`]).
@@ -404,8 +427,12 @@ enum Coverage {
     Pending,
     /// Monotone path: the kill set of each world, trees in parse order.
     Worlds(Vec<Kills>),
-    /// Generic path: the compiled example itself.
-    Compiled(CompiledExample),
+    /// Generic path: each parse tree grounded for hypothesis evaluation,
+    /// and how many worlds the trees have together.
+    Grounded {
+        trees: Vec<GroundedTree>,
+        worlds: usize,
+    },
 }
 
 /// One observation of an entry, as the search sees it.
@@ -447,6 +474,18 @@ impl LearningSession {
             proven: None,
             worlds: WorldCache::new(options.compile.max_worlds),
         }
+    }
+
+    /// A session with the task's positives, then its negatives.
+    pub(crate) fn for_task(task: &LearningTask, options: LearnOptions) -> LearningSession {
+        let mut session = LearningSession::new(task.grammar.clone(), task.space.clone(), options);
+        for e in &task.positive {
+            session.add_positive(e.clone());
+        }
+        for e in &task.negative {
+            session.add_negative(e.clone());
+        }
+        session
     }
 
     /// The grammar `G` hypotheses extend.
@@ -629,8 +668,8 @@ impl LearningSession {
             .iter()
             .chain(&self.negatives)
             .map(|o| match &self.entries[o.entry as usize].coverage {
-                Coverage::Worlds(worlds) => worlds.len(),
-                Coverage::Compiled(ex) => ex.trees.iter().map(|t| t.worlds.worlds().len()).sum(),
+                Coverage::Worlds(kills) => kills.len(),
+                Coverage::Grounded { worlds, .. } => *worlds,
                 Coverage::Pending => unreachable!("compiled above"),
             })
             .sum();
@@ -663,29 +702,25 @@ impl LearningSession {
             } else {
                 None
             };
-            let entry = &mut self.entries[id];
-            entry.coverage = match kills {
+            self.entries[id].coverage = match kills {
                 Some(kills) => Coverage::Worlds(kills),
-                None => {
-                    let compiled = compile(&self.grammar, entry, &self.options, stats)?;
-                    self.incomplete |= compiled.trees.iter().any(|t| !t.worlds.complete());
-                    Coverage::Compiled(compiled)
-                }
+                None => self.grounded(id, stats)?,
             };
+            stats.examples_compiled += 1;
         }
         let monotone = self.monotone();
-        for entry in &mut self.entries {
-            match &entry.coverage {
-                Coverage::Compiled(compiled) if monotone => {
-                    let trees = compiled.trees.iter().map(|t| &t.worlds);
-                    entry.coverage = Coverage::Worlds(kill_sets(trees, &self.plans, stats));
+        for id in 0..self.entries.len() {
+            self.entries[id].coverage = match self.entries[id].coverage {
+                Coverage::Grounded { .. } if monotone => {
+                    let kills = self.example_kills(id, stats)?;
+                    Coverage::Worlds(kills.expect("a monotone session's worlds are complete"))
                 }
                 Coverage::Worlds(_) if !monotone => {
-                    let compiled = compile(&self.grammar, entry, &self.options, stats)?;
-                    entry.coverage = Coverage::Compiled(compiled);
+                    stats.examples_compiled += 1;
+                    self.grounded(id, stats)?
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
         }
         Ok(())
     }
@@ -699,25 +734,89 @@ impl LearningSession {
         stats: &mut LearnStats,
     ) -> Result<Option<Vec<Kills>>, LearnError> {
         let example = &self.entries[id].example;
-        let compile = self.options.compile;
         let mut kills = Vec::new();
-        for tree in parse_example(&self.grammar, &example.text, compile.max_trees) {
-            let (worlds, work) = self.worlds.get(
-                &self.grammar,
-                &tree,
-                &example.context,
-                &RunBudget::default(),
-            )?;
-            stats.absorb_ground(work.ground);
-            stats.solver_calls += work.solves;
+        for tree in parse_example(&self.grammar, &example.text, self.options.compile.max_trees) {
+            let worlds = self
+                .worlds
+                .lookup(&self.grammar, &tree, &example.context, stats)?;
             if !worlds.complete() {
                 self.incomplete = true;
                 return Ok(None);
             }
-            kills.extend(kill_sets([worlds], &self.plans, stats));
+            kills.extend(kill_sets(worlds, &self.plans, stats));
         }
-        stats.examples_compiled += 1;
         Ok(Some(kills))
+    }
+
+    /// The generic path's coverage of an entry: each parse tree's node
+    /// traces and its `G(C)[PT]` saturated in an [`IncrementalGrounder`],
+    /// with the trees' world count from the session's worlds. Marks the
+    /// session incomplete if a tree has more worlds than the cap.
+    fn grounded(&mut self, id: usize, stats: &mut LearnStats) -> Result<Coverage, LearnError> {
+        let example = &self.entries[id].example;
+        let mut trees = Vec::new();
+        let mut worlds = 0;
+        for tree in parse_example(&self.grammar, &example.text, self.options.compile.max_trees) {
+            let tree_worlds = self
+                .worlds
+                .lookup(&self.grammar, &tree, &example.context, stats)?;
+            worlds += tree_worlds.worlds().len();
+            self.incomplete |= !tree_worlds.complete();
+            let traces = tree_worlds.node_traces().clone();
+            let base = self.grammar.tree_program_in(&tree, &example.context);
+            let grounder = IncrementalGrounder::new(&base, GroundOptions::default())?;
+            stats.absorb_ground(grounder.base_stats());
+            trees.push(GroundedTree { traces, grounder });
+        }
+        Ok(Coverage::Grounded { trees, worlds })
+    }
+
+    /// Compiles every pending example for the monotone search and returns
+    /// the examples as it sees them: per observation, positives first, the
+    /// kill set of each world of its parse trees. `None` if the monotone
+    /// search cannot run on them: the options force the generic path, the
+    /// space has normal rules (then nothing is compiled), or a tree has
+    /// more worlds than the cap.
+    ///
+    /// # Errors
+    ///
+    /// The space's validation error, and compile failures.
+    pub(crate) fn monotone_examples(
+        &mut self,
+    ) -> Result<Option<Examples<'_, [Kills]>>, LearnError> {
+        if let Some(e) = &self.invalid {
+            return Err(e.clone());
+        }
+        if !self.monotone() {
+            return Ok(None);
+        }
+        self.compile_pending(&mut LearnStats::default())?;
+        Ok(self.monotone().then(|| {
+            self.examples(|coverage| match coverage {
+                Coverage::Worlds(kills) => kills.as_slice(),
+                _ => unreachable!("monotone entries hold kill sets"),
+            })
+        }))
+    }
+
+    /// Every observation with its entry's coverage, as `coverage` views it.
+    fn examples<'a, C: ?Sized>(
+        &'a self,
+        coverage: impl Fn(&'a Coverage) -> &'a C,
+    ) -> Examples<'a, C> {
+        Examples {
+            positives: self.positives.len(),
+            penalties: self
+                .positives
+                .iter()
+                .chain(&self.negatives)
+                .map(|o| o.penalty)
+                .collect(),
+            coverage: self
+                .observed()
+                .map(|entry| coverage(&entry.coverage))
+                .collect(),
+        }
     }
 
     /// Reuses the last proven outcome if every new example keeps it
@@ -743,24 +842,11 @@ impl LearningSession {
             }
         }
         let candidates = self.space.candidates();
-        let penalties = self
-            .positives
-            .iter()
-            .chain(&self.negatives)
-            .map(|o| o.penalty)
-            .collect();
         let Searched { best, cut } = if self.monotone() {
-            let examples = Examples {
-                positives,
-                penalties,
-                coverage: self
-                    .observed()
-                    .map(|entry| match &entry.coverage {
-                        Coverage::Worlds(worlds) => worlds.as_slice(),
-                        _ => unreachable!("monotone entries hold worlds"),
-                    })
-                    .collect(),
-            };
+            let examples = self.examples(|coverage| match coverage {
+                Coverage::Worlds(kills) => kills.as_slice(),
+                _ => unreachable!("monotone entries hold kill sets"),
+            });
             search::monotone(
                 candidates,
                 &self.options,
@@ -768,17 +854,10 @@ impl LearningSession {
                 &mut stats.search_nodes,
             )
         } else {
-            let examples = Examples {
-                positives,
-                penalties,
-                coverage: self
-                    .observed()
-                    .map(|entry| match &entry.coverage {
-                        Coverage::Compiled(compiled) => compiled,
-                        _ => unreachable!("generic entries hold compiled examples"),
-                    })
-                    .collect(),
-            };
+            let examples = self.examples(|coverage| match coverage {
+                Coverage::Grounded { trees, .. } => trees.as_slice(),
+                _ => unreachable!("generic entries hold grounded trees"),
+            });
             search::generic(candidates, &self.options, &examples, stats)?
         };
         let complete = cut.is_none();
@@ -833,10 +912,10 @@ impl LearningSession {
         for observation in new {
             let entry = &self.entries[observation.entry as usize];
             let accepted = match &entry.coverage {
-                Coverage::Worlds(worlds) => worlds.iter().any(|w| w.disjoint(&chosen_set)),
-                Coverage::Compiled(compiled) => {
+                Coverage::Worlds(kills) => kills.iter().any(|w| w.disjoint(&chosen_set)),
+                Coverage::Grounded { trees, .. } => {
                     let mut accepted = false;
-                    for tree in &compiled.trees {
+                    for tree in trees {
                         let relevant = search::relevant(tree, candidates, chosen);
                         if search::tree_accepts(tree, candidates, &relevant, stats)? {
                             accepted = true;
@@ -899,42 +978,26 @@ fn validate(grammar: &Asg, space: &HypothesisSpace) -> Option<LearnError> {
     })
 }
 
-/// Compiles one entry, counting the work into `stats`.
-fn compile(
-    grammar: &Asg,
-    entry: &Entry,
-    options: &LearnOptions,
-    stats: &mut LearnStats,
-) -> Result<CompiledExample, LearnError> {
-    let compiled = compile_example(grammar, &entry.example, entry.positive, options.compile)?;
-    stats.examples_compiled += 1;
-    stats.absorb_ground(compiled.ground_stats);
-    stats.solver_calls += compiled.solver_calls;
-    Ok(compiled)
-}
-
-/// The kill set of each world of `trees` over the plans of a
-/// constraint-only space, trees in order. Adds its time to
-/// `stats.coverage_ns`.
-fn kill_sets<'a>(
-    trees: impl IntoIterator<Item = &'a TreeWorlds>,
+/// The kill set of each world of `tree` over the plans of a
+/// constraint-only space. Adds its time to `stats.coverage_ns`.
+fn kill_sets(
+    tree: &TreeWorlds,
     plans: &[Arc<CandidatePlan>],
     stats: &mut LearnStats,
 ) -> Vec<Kills> {
     let started = Instant::now();
-    let kills = trees
-        .into_iter()
-        .flat_map(|tree| {
-            tree.worlds().iter().map(move |world| {
-                Kills::new(
-                    plans.len(),
-                    plans
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, plan)| tree.violates(world, plan))
-                        .map(|(ci, _)| ci),
-                )
-            })
+    let kills = tree
+        .worlds()
+        .iter()
+        .map(|world| {
+            Kills::new(
+                plans.len(),
+                plans
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, plan)| tree.violates(world, plan))
+                    .map(|(ci, _)| ci),
+            )
         })
         .collect();
     stats.coverage_ns += elapsed_ns(started);

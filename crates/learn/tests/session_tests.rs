@@ -647,3 +647,109 @@ fn caps_the_product_could_miss_solve_the_whole_program() {
         (0, 3, 2)
     );
 }
+
+/// A session that moves between the monotone and the generic path, by its
+/// options and then by an example whose tree has more worlds than the cap,
+/// answers every round as a fresh learn with the same options does. Every
+/// option set has the same world cap, so changing options changes only
+/// the path and keeps every entry's coverage.
+#[test]
+fn a_session_that_changes_path_matches_a_fresh_learn() {
+    let g: Asg = r#"
+        policy -> "allow" { act(allow). }
+        policy -> "deny"  { act(deny). }
+        policy -> "toss"  { e(1) :- not e(2). e(2) :- not e(1). }
+    "#
+    .parse()
+    .unwrap();
+    let space = HypothesisSpace::from_texts(&[
+        (ProdId::from_index(0), ":- weather(rain)."),
+        (ProdId::from_index(0), ":- wind(high)."),
+        (ProdId::from_index(0), ":- weather(rain), wind(high)."),
+        (ProdId::from_index(1), ":- weather(clear)."),
+        (ProdId::from_index(1), ":- weather(clear), wind(low)."),
+        (ProdId::from_index(2), ":- e(1)."),
+    ]);
+    let monotone =
+        LearnOptions::default().with_compile(CompileOptions::default().with_max_worlds(1));
+    let generic = monotone.with_force_generic(true);
+    let example = |text: &str, weather: &str, wind: &str| {
+        Example::in_context(
+            text,
+            format!("weather({weather}). wind({wind}).")
+                .parse()
+                .unwrap(),
+        )
+    };
+    // (options, positives, negatives) added before each solve.
+    let rounds = [
+        (
+            monotone,
+            vec![example("allow", "clear", "low")],
+            vec![example("allow", "rain", "low")],
+        ),
+        (
+            monotone,
+            vec![example("deny", "rain", "low")],
+            vec![example("deny", "clear", "low")],
+        ),
+        (monotone, vec![example("deny", "clear", "high")], vec![]),
+        (generic, vec![], vec![]),
+        (generic, vec![], vec![example("allow", "clear", "high")]),
+        (
+            generic,
+            vec![
+                example("allow", "snow", "low"),
+                example("allow", "clear", "low"),
+            ],
+            vec![example("allow", "snow", "high")],
+        ),
+        (
+            generic,
+            vec![example("allow", "rain", "high").with_penalty(2)],
+            vec![],
+        ),
+        (monotone, vec![], vec![]),
+        (
+            monotone,
+            vec![example("deny", "snow", "high")],
+            vec![example("deny", "snow", "low").with_penalty(1)],
+        ),
+        // The tree of `toss` has two worlds, past the cap of one.
+        (monotone, vec![example("toss", "clear", "low")], vec![]),
+        (
+            monotone,
+            vec![],
+            vec![example("toss", "rain", "low").with_penalty(1)],
+        ),
+    ];
+    let mut session = LearningSession::new(g.clone(), space.clone(), monotone);
+    let mut task = LearningTask::new(g, space);
+    let mut paths = Vec::new();
+    for (round, (options, positives, negatives)) in rounds.into_iter().enumerate() {
+        session.set_options(options);
+        for e in positives {
+            session.add_positive(e.clone());
+            task = task.pos(e);
+        }
+        for e in negatives {
+            session.add_negative(e.clone());
+            task = task.neg(e);
+        }
+        let (h, stats) = session.solve().expect("learnable");
+        let (cold, cold_stats) = Learner::with_options(options)
+            .learn_with_stats(&task)
+            .expect("learnable");
+        let at = format!("round {round}");
+        assert_eq!(h.cost, cold.cost, "{at}");
+        assert_eq!(h.rules, cold.rules, "{at}");
+        assert_eq!(h.sacrificed, cold.sacrificed, "{at}");
+        assert_eq!(stats.used_monotone, cold_stats.used_monotone, "{at}");
+        assert_eq!(stats.worlds, cold_stats.worlds, "{at}");
+        paths.push(stats.used_monotone);
+    }
+    assert_eq!(
+        paths,
+        [true, true, true, false, false, false, false, true, true, false, false]
+    );
+}

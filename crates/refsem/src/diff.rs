@@ -18,10 +18,11 @@ use agenp_asp::{
 use agenp_core::arch::{
     DecisionSnapshot, Learned, Pcp, PdpHandle, Prep, RefreshPath, RefreshStats, Verdict,
 };
-use agenp_grammar::{Asg, AsgError, GenOptions, Generator, ParseTree, ProdId};
+use agenp_grammar::{
+    Asg, AsgError, Cfg, EarleyParser, GenOptions, Generator, ParseOptions, ParseTree, ProdId,
+};
 use agenp_learn::{
-    compile_example, Candidate, CandidatePlan, CompileOptions, Example, HypothesisSpace,
-    LearnOptions, LearningSession, World,
+    Candidate, CandidatePlan, CompileOptions, HypothesisSpace, LearnOptions, LearningSession, World,
 };
 use agenp_policy::{CombiningAlg, DecisionEffects, Policy, Request};
 use rand::Rng;
@@ -536,11 +537,15 @@ pub fn run_metamorphic_pdp_case(seed: u64) -> Result<(), String> {
 }
 
 /// Differential world-coverage case: the learner's compiled candidate
-/// plans against brute-force stable models. For every parse tree and world
-/// of every string of the generated grammar's language up to length 3, and
-/// every generated candidate, [`TreeWorlds::violates`] must equal
-/// "the world's atoms as facts, plus the candidate instantiated at each
-/// node of its target production, have no answer set"
+/// plans against brute-force stable models. For every parse tree of every
+/// string up to length 3 (the trees an example of that string compiles),
+/// every world a [`LearningSession`] looks up for the tree under the
+/// context ([`LearningSession::worlds_within`]: the worlds the monotone
+/// search's and the meta encoding's kill sets are computed on, built from
+/// the tree's and the context's parts where the session would), and every
+/// generated candidate, [`TreeWorlds::violates`] must equal "the world's
+/// atoms as facts, plus the candidate instantiated at each node of its
+/// target production, have no answer set"
 /// ([`reference::stable_models_bruteforce`]).
 ///
 /// [`TreeWorlds::violates`]: agenp_learn::TreeWorlds::violates
@@ -557,19 +562,28 @@ pub fn run_world_case(seed: u64) -> Result<(), String> {
                 .ok_or_else(|| ctx(format!("safe constraint {rule} has no plan")))
         })
         .collect::<Result<Vec<_>, _>>()?;
+    let mut session = LearningSession::new(
+        task.grammar.clone(),
+        HypothesisSpace::new(),
+        LearnOptions::default(),
+    );
+    let parse = ParseOptions {
+        max_trees: CompileOptions::default().max_trees,
+    };
     for tokens in gen::all_strings(3) {
         let text = tokens.join(" ");
-        let example = Example::in_context(text.as_str(), task.context.clone());
-        let compiled = compile_example(&task.grammar, &example, true, CompileOptions::default())
-            .map_err(|e| ctx(format!("compiling {text:?} failed: {e}")))?;
-        for tree in &compiled.trees {
-            if !tree.worlds.complete() {
+        let trees = EarleyParser::new(task.grammar.cfg()).parse_with(&Cfg::tokenize(&text), parse);
+        for tree in &trees {
+            let worlds = session
+                .worlds_within(tree, &task.context, &RunBudget::default())
+                .map_err(|e| ctx(format!("looking up the worlds of {text:?} failed: {e}")))?;
+            if !worlds.complete() {
                 return Err(ctx(format!("{text:?} has more worlds than the cap")));
             }
-            for world in tree.worlds.worlds() {
+            for world in worlds.worlds() {
                 for ((target, rule), plan) in task.candidates.iter().zip(&plans) {
-                    let fast = tree.worlds.violates(world, plan);
-                    let want = violated_reference(world.atoms(), &tree.tree, *target, rule);
+                    let fast = worlds.violates(world, plan);
+                    let want = violated_reference(world.atoms(), tree, *target, rule);
                     if fast != want {
                         let atoms: Vec<String> =
                             world.atoms().iter().map(|a| a.to_string()).collect();

@@ -1,7 +1,7 @@
 //! Cross-crate property tests: the learner's output always satisfies
 //! Definition 3 on its training set (verified with full ASG semantics), the
-//! monotone and generic learner paths agree, and scenario encodings are
-//! mutually consistent.
+//! monotone, generic and meta-encoding learners agree, and scenario
+//! encodings are mutually consistent.
 
 use agenp_core::scenarios::{cav, resupply, xacml};
 use agenp_learn::{LearnOptions, Learner};
@@ -133,5 +133,28 @@ proptest! {
             (Ok(_), Err(agenp_learn::LearnError::Budget), Err(agenp_learn::LearnError::Budget)) => {}
             other => prop_assert!(false, "backends disagree: {other:?}"),
         }
+    }
+
+    /// The meta encoding on soft, noisy examples, each observed twice:
+    /// repeats share one session entry but stay separate examples. It finds
+    /// the native learner's optimal cost, ignores `force_generic`, and its
+    /// `sacrificed` lists exactly the examples full ASG semantics says its
+    /// hypothesis violates.
+    #[test]
+    fn meta_learns_soft_and_repeated_examples(seed in 0u64..100) {
+        let mut samples = cav::samples(5, seed);
+        cav::inject_noise(&mut samples, 0.3, seed);
+        let repeated: Vec<cav::Sample> = samples.iter().chain(&samples).cloned().collect();
+        let task = cav::learning_task(&repeated, Some(1));
+        let native = Learner::new().learn(&task).unwrap();
+        let meta = Learner::new().learn_meta(&task).unwrap();
+        let forced = Learner::with_options(LearnOptions::default().with_force_generic(true))
+            .learn_meta(&task)
+            .unwrap();
+        prop_assert_eq!(meta.cost, native.cost);
+        prop_assert_eq!(&meta.rules, &forced.rules);
+        prop_assert_eq!(meta.cost, forced.cost);
+        prop_assert_eq!(&meta.sacrificed, &forced.sacrificed);
+        prop_assert_eq!(meta.sacrificed, task.violations(&meta).unwrap());
     }
 }
