@@ -5,7 +5,7 @@
 
 use agenp_asp::{Program, Rule, RunBudget};
 use agenp_grammar::{Asg, AsgError, Cfg, EarleyParser, ParseOptions, ProdId};
-use agenp_learn::{CandidatePlan, LearningSession};
+use agenp_learn::{LearningSession, PlanTrie};
 use agenp_policy::{Policy, QualityChecker, QualityReport, Request};
 
 /// The verdict on one checked policy string.
@@ -161,21 +161,20 @@ impl Pcp {
 }
 
 /// Verdicts read from the worlds of a learning session whose grammar plus
-/// the `hypothesis` constraints is the GPM being screened.
+/// the hypothesis's constraints is the GPM being screened.
 pub(crate) struct ScreenWorlds<'a> {
     pub session: &'a mut LearningSession,
-    /// The plans of the hypothesis's constraints.
-    pub hypothesis: &'a [&'a CandidatePlan],
-    /// The hypothesis's plans plus the restrictions'.
-    pub restricted: &'a [&'a CandidatePlan],
+    /// The plans of the hypothesis's constraints, then the restrictions'.
+    pub plans: &'a PlanTrie,
+    /// How many of `plans` are the hypothesis's.
+    pub hypothesis: usize,
 }
 
 impl ScreenWorlds<'_> {
     /// Each string's verdict: accepted if a parse tree has a world that no
-    /// restricted plan holds on, a violation if it has one only the
-    /// restrictions hold on, malformed otherwise. `None` if a parse tree's
-    /// worlds cannot decide it: over the world cap, or not computable
-    /// within `budget`.
+    /// plan holds on, a violation if it has one only the restrictions hold
+    /// on, malformed otherwise. `None` if a parse tree's worlds cannot
+    /// decide it: over the world cap, or not computable within `budget`.
     fn verdicts(
         self,
         cfg: &Cfg,
@@ -193,11 +192,14 @@ impl ScreenWorlds<'_> {
                     if !worlds.complete() {
                         return None;
                     }
-                    if worlds.admits(self.restricted) {
-                        return Some(Verdict::Accepted);
-                    }
-                    if worlds.admits(self.hypothesis) {
-                        verdict = Verdict::Violation;
+                    for world in worlds.worlds() {
+                        match worlds.kills(world, self.plans).iter().next() {
+                            None => return Some(Verdict::Accepted),
+                            Some(first) if first as usize >= self.hypothesis => {
+                                verdict = Verdict::Violation;
+                            }
+                            Some(_) => {}
+                        }
                     }
                 }
                 Some(verdict)

@@ -6,7 +6,7 @@
 use crate::arch::pcp::{Pcp, ScreenWorlds, Verdict};
 use agenp_asp::{Program, Rule, RunBudget};
 use agenp_grammar::{Asg, AsgError, GenOptions, ParseTree, ProdId};
-use agenp_learn::{CandidatePlan, LearningSession};
+use agenp_learn::{CandidatePlan, LearningSession, PlanTrie};
 use agenp_policy::{rule_from_text, PolicyRule};
 use std::fmt;
 use std::sync::Arc;
@@ -145,12 +145,12 @@ impl Prep {
         let mut stats = RefreshStats::default();
         let started = Instant::now();
         let mut worlds = learned.and_then(|mut learned| {
-            let (hypothesis, restrictions) = self.plans(&mut learned, pcp)?;
-            Some((learned, hypothesis, restrictions))
+            let plans = self.plans(&mut learned, pcp)?;
+            Some((learned, plans))
         });
-        let generated = worlds.as_mut().and_then(|(learned, hypothesis, _)| {
-            let hypothesis: Vec<&CandidatePlan> = hypothesis.iter().map(|p| &**p).collect();
-            generate_on_worlds(learned, &hypothesis, context, &self.budget)
+        let generated = worlds.as_mut().and_then(|(learned, plans)| {
+            let hypothesis = learned.hypothesis.len();
+            generate_on_worlds(learned, plans, hypothesis, context, &self.budget)
         });
         let strings = match generated {
             Some(strings) => strings,
@@ -162,17 +162,11 @@ impl Prep {
         stats.generate_ns = elapsed_ns(started);
         let started = Instant::now();
         let (screened, on_worlds) = match &mut worlds {
-            Some((learned, hypothesis, restrictions)) => {
-                let hypothesis: Vec<&CandidatePlan> = hypothesis.iter().map(|p| &**p).collect();
-                let restricted: Vec<&CandidatePlan> = hypothesis
-                    .iter()
-                    .copied()
-                    .chain(restrictions.iter())
-                    .collect();
+            Some((learned, plans)) => {
                 let worlds = ScreenWorlds {
                     session: learned.session,
-                    hypothesis: &hypothesis,
-                    restricted: &restricted,
+                    plans,
+                    hypothesis: learned.hypothesis.len(),
                 };
                 pcp.screen_on(gpm, context, &strings, &self.budget, Some(worlds))?
             }
@@ -185,14 +179,10 @@ impl Prep {
         Ok((screened, stats))
     }
 
-    /// The plans of `learned`'s hypothesis (the session's, for its
-    /// candidates) and of `pcp`'s restrictions, if the worlds path applies
-    /// to them under this PReP's budget.
-    fn plans(
-        &self,
-        learned: &mut Learned<'_>,
-        pcp: &Pcp,
-    ) -> Option<(Vec<Arc<CandidatePlan>>, Vec<CandidatePlan>)> {
+    /// One trie of the plans of `learned`'s hypothesis (the session's, for
+    /// its candidates), then of `pcp`'s restrictions, if the worlds path
+    /// applies to them under this PReP's budget.
+    fn plans(&self, learned: &mut Learned<'_>, pcp: &Pcp) -> Option<PlanTrie> {
         let caps = RunBudget::default();
         if self.budget.max_steps != caps.max_steps
             || self.budget.max_atoms < caps.max_atoms
@@ -207,7 +197,7 @@ impl Prep {
                 .flatten()
         };
         let session = &mut *learned.session;
-        let hypothesis = learned
+        let hypothesis: Vec<Arc<CandidatePlan>> = learned
             .hypothesis
             .iter()
             .map(|pair| {
@@ -216,8 +206,11 @@ impl Prep {
                     .or_else(|| plan(pair).map(Arc::new))
             })
             .collect::<Option<_>>()?;
-        let restrictions = pcp.restrictions().iter().map(plan).collect::<Option<_>>()?;
-        Some((hypothesis, restrictions))
+        let restrictions: Vec<CandidatePlan> =
+            pcp.restrictions().iter().map(plan).collect::<Option<_>>()?;
+        Some(PlanTrie::new(
+            hypothesis.iter().map(|p| &**p).chain(&restrictions),
+        ))
     }
 }
 
@@ -276,13 +269,14 @@ pub struct RefreshStats {
     pub publish_ns: u64,
 }
 
-/// The texts of the trees with a world no `hypothesis` plan holds on,
-/// sorted and deduplicated as [`Asg::language_within`] returns them.
-/// `None` if a tree's worlds cannot decide it: over the world cap, or not
-/// computable within `budget`.
+/// The texts of the trees with a world none of the first `hypothesis`
+/// plans of `plans` holds on, sorted and deduplicated as
+/// [`Asg::language_within`] returns them. `None` if a tree's worlds cannot
+/// decide it: over the world cap, or not computable within `budget`.
 fn generate_on_worlds(
     learned: &mut Learned<'_>,
-    hypothesis: &[&CandidatePlan],
+    plans: &PlanTrie,
+    hypothesis: usize,
     context: &Program,
     budget: &RunBudget,
 ) -> Option<Vec<String>> {
@@ -292,7 +286,7 @@ fn generate_on_worlds(
         if !worlds.complete() {
             return None;
         }
-        if worlds.admits(hypothesis) {
+        if worlds.admits(plans, hypothesis) {
             out.push(tree.text());
         }
     }

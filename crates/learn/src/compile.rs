@@ -1,8 +1,11 @@
 //! Candidate plans and worlds: a constraint candidate compiled once for
-//! evaluation, the answer sets ("worlds") of a parse tree's program
-//! `G(C)[PT]` it is evaluated against, and the one helper that grounds and
-//! solves a program for its worlds. The learning session's world cache
-//! (`session.rs`) is the only caller of that helper.
+//! evaluation, the trie of shared step prefixes a set of plans is
+//! evaluated as ([`PlanTrie`], the one plan evaluator: the session's kill
+//! sets, generation, screening and refsem all walk it), the answer sets
+//! ("worlds") of a parse tree's program `G(C)[PT]` it is evaluated
+//! against, and the one helper that grounds and solves a program for its
+//! worlds. The learning session's world cache (`session.rs`) is the only
+//! caller of that helper.
 //!
 //! Soundness of the world view: for any program `P` and set of constraints
 //! `C`, the stable models of `P ∪ C` are exactly the stable models of `P`
@@ -11,6 +14,7 @@
 //! constraint.
 
 use crate::learner::LearnError;
+use crate::search::Kills;
 use crate::space::Candidate;
 use agenp_asp::{
     ground_with_stats, schedule_body, ArithOp, Atom, BodyStep, CmpOp, Exhausted, GroundError,
@@ -18,6 +22,7 @@ use agenp_asp::{
 };
 use agenp_grammar::{Asg, AsgError, EarleyParser, ParseOptions, ParseTree, ProdId};
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// A single answer set of a base program, its atoms grouped by predicate
 /// and arity for plan evaluation.
@@ -112,19 +117,15 @@ pub(crate) fn plan_candidates(candidates: &[Candidate]) -> Result<Vec<CandidateP
         .collect()
 }
 
-/// A constraint candidate compiled once for evaluation against worlds.
+/// A constraint candidate compiled once for evaluation against worlds,
+/// as a [`PlanTrie`] evaluates it.
 ///
 /// The body is ordered by the grounder's own rules ([`schedule_body`]),
 /// its variables are numbered into slots in the order they are bound, and
 /// each atom keeps its trace as a suffix: instantiated at parse-tree node
-/// `t`, it matches a world atom whose trace equals `t ++ suffix`, compared
-/// in place. Evaluation instantiates no rule and clones no atom, and the
-/// bindings are a fixed slot array: each step's mark is the number of
-/// slots bound before it, so a failed match needs no undo — the slots at or
-/// past the mark are dead and the next match overwrites them. It allocates
-/// only a heap slot array for a plan of more than eight variables and the
-/// compound term a comparison or binder builds from a compound with
-/// variables inside.
+/// `t`, it matches a world atom whose trace equals `t ++ suffix`. Two plans
+/// whose bodies schedule to the same steps up to some point, variables
+/// renamed, therefore agree step for step up to there.
 #[derive(Clone, Debug)]
 pub struct CandidatePlan {
     target: ProdId,
@@ -132,7 +133,7 @@ pub struct CandidatePlan {
     slots: usize,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 enum PlanStep {
     /// Match a positive atom against the world.
     Join(PlanAtom),
@@ -144,7 +145,7 @@ enum PlanStep {
     Naf(PlanAtom),
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct PlanAtom {
     pred: Symbol,
     args: Vec<Pattern>,
@@ -153,7 +154,7 @@ struct PlanAtom {
 }
 
 /// A term of a plan.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 enum Pattern {
     /// A ground term.
     Ground(Term),
@@ -206,58 +207,252 @@ impl CandidatePlan {
     pub fn target(&self) -> ProdId {
         self.target
     }
+}
 
-    /// Does some grounding of the body, instantiated at parse-tree node
-    /// `node`, make every literal true in `world`?
-    pub fn holds_at(&self, world: &World, node: &Trace) -> bool {
-        let node = node.indices();
-        if self.slots <= INLINE_SLOTS {
-            let mut slots: [Cow<'_, Term>; INLINE_SLOTS] =
-                std::array::from_fn(|_| Cow::Owned(Term::Int(0)));
-            self.run(0, world, node, &mut slots)
-        } else {
-            let mut slots = vec![Cow::Owned(Term::Int(0)); self.slots];
-            self.run(0, world, node, &mut slots)
+/// Candidate plans compiled into one trie of shared step prefixes: the one
+/// evaluator of constraint candidates against worlds.
+///
+/// Plans on the same target production share the trie's path for as long
+/// as their steps agree (slot numbers and trace suffixes included), and a
+/// plan ends at the node its last step leads to; a plan with an empty body
+/// ends at its target's root. A world's kill set is one depth-first walk
+/// from the target's root per node trace of the target: reaching a node
+/// means some binding makes every step on its path hold at that node, so
+/// every plan ending there is violated. The walk skips every subtree whose
+/// plans are all violated already, at this node or an earlier one.
+///
+/// The bindings are a fixed slot array: each step's mark is the number of
+/// slots bound before it, so a failed match needs no undo — the slots at or
+/// past the mark are dead and the next match overwrites them. A walk
+/// instantiates no rule and clones no atom. It allocates the kill set, the
+/// per-node counts of plans not yet violated, a heap slot array if some
+/// plan has more than eight variables, and the compound term a comparison
+/// or binder builds from a compound with variables inside.
+#[derive(Clone, Debug, Default)]
+pub struct PlanTrie {
+    /// Each target production with a plan, ascending, and its root node.
+    roots: Vec<(ProdId, u32)>,
+    /// Breadth-first, roots first, so each node's children are contiguous.
+    nodes: Vec<TrieNode>,
+    /// The plans ending at each node, by index; [`TrieNode::ends`] ranges
+    /// into it.
+    ends: Vec<u32>,
+    /// Per node, how many plans end in its subtree: what a walk starts
+    /// counting down from.
+    below: Vec<u32>,
+    /// How many plans the trie was built from.
+    plans: usize,
+    /// The most slots any plan binds.
+    slots: usize,
+}
+
+#[derive(Clone, Debug)]
+struct TrieNode {
+    /// The step from the parent; `None` at a root.
+    step: Option<PlanStep>,
+    /// The parent node; [`NO_PARENT`] at a root.
+    parent: u32,
+    children: Range<u32>,
+    ends: Range<u32>,
+}
+
+const NO_PARENT: u32 = u32::MAX;
+
+impl PlanTrie {
+    /// The trie of `plans`; plan `i` of the iterator is plan `i` of every
+    /// kill set the trie computes.
+    pub fn new<'p>(plans: impl IntoIterator<Item = &'p CandidatePlan>) -> PlanTrie {
+        /// A node of the trie as it is built, before the layout.
+        struct Draft<'p> {
+            step: Option<&'p PlanStep>,
+            children: Vec<usize>,
+            ends: Vec<u32>,
+        }
+        let draft = |step| Draft {
+            step,
+            children: Vec::new(),
+            ends: Vec::new(),
+        };
+        let mut drafts: Vec<Draft<'p>> = Vec::new();
+        let mut roots: Vec<(ProdId, usize)> = Vec::new();
+        let (mut count, mut slots) = (0, 0);
+        for (i, plan) in plans.into_iter().enumerate() {
+            count = i + 1;
+            slots = slots.max(plan.slots);
+            let mut at = match roots.iter().find(|(target, _)| *target == plan.target) {
+                Some(&(_, root)) => root,
+                None => {
+                    drafts.push(draft(None));
+                    roots.push((plan.target, drafts.len() - 1));
+                    drafts.len() - 1
+                }
+            };
+            for step in &plan.steps {
+                let shared = drafts[at]
+                    .children
+                    .iter()
+                    .copied()
+                    .find(|&child| drafts[child].step == Some(step));
+                at = shared.unwrap_or_else(|| {
+                    drafts.push(draft(Some(step)));
+                    let child = drafts.len() - 1;
+                    drafts[at].children.push(child);
+                    child
+                });
+            }
+            drafts[at].ends.push(i as u32);
+        }
+        roots.sort_unstable_by_key(|&(target, _)| target);
+        // Breadth-first layout: `order[i]` is node i's draft and parent.
+        let mut order: Vec<(usize, u32)> = roots.iter().map(|&(_, d)| (d, NO_PARENT)).collect();
+        let (mut nodes, mut ends) = (Vec::with_capacity(drafts.len()), Vec::new());
+        while let Some(&(d, parent)) = order.get(nodes.len()) {
+            let id = nodes.len() as u32;
+            let children = order.len() as u32..(order.len() + drafts[d].children.len()) as u32;
+            order.extend(drafts[d].children.iter().map(|&child| (child, id)));
+            let first = ends.len() as u32;
+            ends.extend_from_slice(&drafts[d].ends);
+            nodes.push(TrieNode {
+                step: drafts[d].step.cloned(),
+                parent,
+                children,
+                ends: first..ends.len() as u32,
+            });
+        }
+        let mut below: Vec<u32> = nodes.iter().map(|n| n.ends.len() as u32).collect();
+        for id in (0..nodes.len()).rev() {
+            if nodes[id].parent != NO_PARENT {
+                below[nodes[id].parent as usize] += below[id];
+            }
+        }
+        PlanTrie {
+            roots: roots
+                .iter()
+                .enumerate()
+                .map(|(id, &(target, _))| (target, id as u32))
+                .collect(),
+            nodes,
+            ends,
+            below,
+            plans: count,
+            slots,
         }
     }
 
-    fn run<'a>(
-        &'a self,
-        step: usize,
-        world: &'a World,
-        node: &[u16],
-        slots: &mut [Cow<'a, Term>],
-    ) -> bool {
-        let Some(current) = self.steps.get(step) else {
-            return true;
+    /// The plans `world` violates at some node of their target production,
+    /// each target's nodes being `traces`.
+    pub(crate) fn kills(&self, traces: &NodeTraces, world: &World) -> Kills {
+        let mut walk = Walk {
+            trie: self,
+            world,
+            node: &[],
+            kills: Kills::new(self.plans, []),
+            alive: self.below.clone(),
         };
-        match current {
-            PlanStep::Join(atom) => world
-                .with_signature(atom.pred, atom.args.len())
-                .iter()
-                .any(|w| atom.bind(w, node, slots) && self.run(step + 1, world, node, slots)),
-            PlanStep::Filter(op, a, b) => match (a.eval(slots), b.eval(slots)) {
-                (Some(a), Some(b)) => op.eval(&a, &b) && self.run(step + 1, world, node, slots),
-                _ => false,
-            },
-            PlanStep::Bind(slot, expr) => match expr.eval(slots) {
-                Some(value) => {
-                    slots[*slot] = value;
-                    self.run(step + 1, world, node, slots)
+        if self.slots <= INLINE_SLOTS {
+            let mut slots: [Cow<'_, Term>; INLINE_SLOTS] =
+                std::array::from_fn(|_| Cow::Owned(Term::Int(0)));
+            walk.roots(traces, &mut slots);
+        } else {
+            let mut slots = vec![Cow::Owned(Term::Int(0)); self.slots];
+            walk.roots(traces, &mut slots);
+        }
+        walk.kills
+    }
+}
+
+/// One world's walk of a [`PlanTrie`].
+struct Walk<'a> {
+    trie: &'a PlanTrie,
+    world: &'a World,
+    /// The trace of the parse-tree node the walk is at.
+    node: &'a [u16],
+    kills: Kills,
+    /// Per trie node, how many plans ending in its subtree are not yet
+    /// violated.
+    alive: Vec<u32>,
+}
+
+impl<'a> Walk<'a> {
+    /// Walks each target's plans from its root at each of its nodes.
+    fn roots(&mut self, traces: &'a NodeTraces, slots: &mut [Cow<'a, Term>]) {
+        for &(target, root) in &self.trie.roots {
+            for node in traces.get(target) {
+                if self.alive[root as usize] == 0 {
+                    break;
                 }
-                None => false,
-            },
-            PlanStep::Naf(atom) => {
-                // A negation whose arithmetic fails does not hold, as the
-                // grounder drops that instance.
-                if !atom.args.iter().all(|p| p.evaluates(slots)) {
-                    return false;
+                self.node = node.indices();
+                self.visit(root as usize, slots);
+            }
+        }
+    }
+
+    /// Some binding, the one in `slots`, makes every step from the root to
+    /// trie node `at` hold: violates the plans ending there and walks on
+    /// into the children with plans not yet violated.
+    fn visit(&mut self, at: usize, slots: &mut [Cow<'a, Term>]) {
+        let trie = self.trie;
+        let node = &trie.nodes[at];
+        let ends = &trie.ends[node.ends.start as usize..node.ends.end as usize];
+        let violated = ends
+            .iter()
+            .filter(|&&plan| self.kills.insert(plan as usize))
+            .count() as u32;
+        if violated > 0 {
+            let mut up = at as u32;
+            while up != NO_PARENT {
+                self.alive[up as usize] -= violated;
+                up = trie.nodes[up as usize].parent;
+            }
+        }
+        for child in node.children.clone() {
+            let child = child as usize;
+            if self.alive[at] == 0 {
+                return;
+            }
+            if self.alive[child] == 0 {
+                continue;
+            }
+            let step = trie.nodes[child].step.as_ref();
+            match step.expect("only roots have no step") {
+                PlanStep::Join(atom) => {
+                    for w in self.world.with_signature(atom.pred, atom.args.len()) {
+                        if atom.bind(w, self.node, slots) {
+                            self.visit(child, slots);
+                            if self.alive[child] == 0 {
+                                break;
+                            }
+                        }
+                    }
                 }
-                let present = world
-                    .with_signature(atom.pred, atom.args.len())
-                    .iter()
-                    .any(|w| atom.equals(w, node, slots));
-                !present && self.run(step + 1, world, node, slots)
+                PlanStep::Filter(op, a, b) => {
+                    let holds = match (a.eval(slots), b.eval(slots)) {
+                        (Some(a), Some(b)) => op.eval(&a, &b),
+                        _ => false,
+                    };
+                    if holds {
+                        self.visit(child, slots);
+                    }
+                }
+                PlanStep::Bind(slot, expr) => {
+                    if let Some(value) = expr.eval(slots) {
+                        slots[*slot] = value;
+                        self.visit(child, slots);
+                    }
+                }
+                PlanStep::Naf(atom) => {
+                    // A negation whose arithmetic fails does not hold, as
+                    // the grounder drops that instance.
+                    let holds = atom.args.iter().all(|p| p.evaluates(slots))
+                        && !self
+                            .world
+                            .with_signature(atom.pred, atom.args.len())
+                            .iter()
+                            .any(|w| atom.equals(w, self.node, slots));
+                    if holds {
+                        self.visit(child, slots);
+                    }
+                }
             }
         }
     }
@@ -486,21 +681,21 @@ impl TreeWorlds {
         self.traces.get(prod)
     }
 
-    /// Does `world` (one of these worlds) violate the planned constraint
-    /// at some node of its target production?
-    pub fn violates(&self, world: &World, plan: &CandidatePlan) -> bool {
-        self.traces(plan.target())
-            .iter()
-            .any(|node| plan.holds_at(world, node))
+    /// The kill set of `world` (one of these worlds) over `plans`: the
+    /// plans, by index, that hold at some node of their target production.
+    pub fn kills(&self, world: &World, plans: &PlanTrie) -> Kills {
+        plans.kills(&self.traces, world)
     }
 
-    /// Does the tree's program stay satisfiable once the planned
+    /// Does the tree's program stay satisfiable once the first `n` plans'
     /// constraints are added, i.e. does some world violate none of them?
     /// Exact only for [`complete`](TreeWorlds::complete) worlds.
-    pub fn admits(&self, plans: &[&CandidatePlan]) -> bool {
-        self.worlds
-            .iter()
-            .any(|world| !plans.iter().any(|plan| self.violates(world, plan)))
+    pub fn admits(&self, plans: &PlanTrie, n: usize) -> bool {
+        self.worlds.iter().any(|world| {
+            self.kills(world, plans)
+                .iter()
+                .all(|plan| plan as usize >= n)
+        })
     }
 }
 
@@ -634,12 +829,72 @@ mod tests {
         World::from_atoms(atoms.iter().map(|s| s.parse().unwrap()).collect())
     }
 
+    fn pid(i: usize) -> ProdId {
+        ProdId::from_index(i)
+    }
+
     fn plan(rule: &str) -> CandidatePlan {
-        CandidatePlan::new(ProdId::from_index(0), &rule.parse().unwrap()).unwrap()
+        CandidatePlan::new(pid(0), &rule.parse().unwrap()).unwrap()
+    }
+
+    /// Does the plan of `rule`, on production 0, hold at `node` of `w`? A
+    /// walk of the trie of that plan alone, at that one node.
+    fn holds_at(rule: &str, w: &World, node: Trace) -> bool {
+        let nodes = NodeTraces(vec![(pid(0), vec![node])]);
+        PlanTrie::new([&plan(rule)]).kills(&nodes, w).contains(0)
     }
 
     fn holds(rule: &str, w: &World) -> bool {
-        plan(rule).holds_at(w, &Trace::root())
+        holds_at(rule, w, Trace::root())
+    }
+
+    /// The kill set of `w` over one trie of `rules` (each on its
+    /// production) at `nodes`, checked against the engine: candidate `i`
+    /// is in it iff `w`'s atoms as facts, plus rule `i` instantiated at
+    /// each node of its production, have no answer set. Also checks that
+    /// every candidate's verdict is the one a trie of it alone gives.
+    fn kills_as_the_engine(rules: &[(usize, Rule)], w: &World, nodes: &NodeTraces) -> Vec<bool> {
+        let plans: Vec<CandidatePlan> = rules
+            .iter()
+            .map(|(target, rule)| CandidatePlan::new(pid(*target), rule).unwrap())
+            .collect();
+        let kills = PlanTrie::new(&plans).kills(nodes, w);
+        let mut facts = Program::new();
+        for atom in w.atoms() {
+            facts.push(Rule::fact(atom.clone()));
+        }
+        rules
+            .iter()
+            .zip(&plans)
+            .enumerate()
+            .map(|(i, ((target, rule), plan))| {
+                let mut program = facts.clone();
+                for node in nodes.get(pid(*target)) {
+                    program.push(rule.instantiate_at(node));
+                }
+                let sat = Solver::new().solve_program(&program).unwrap().satisfiable();
+                assert_eq!(
+                    kills.contains(i),
+                    !sat,
+                    "{rule} on {target} against the engine"
+                );
+                let alone = PlanTrie::new([plan]).kills(nodes, w).contains(0);
+                assert_eq!(kills.contains(i), alone, "{rule} on {target} alone");
+                kills.contains(i)
+            })
+            .collect()
+    }
+
+    fn rules(texts: &[(usize, &str)]) -> Vec<(usize, Rule)> {
+        texts
+            .iter()
+            .map(|(target, text)| (*target, text.parse().unwrap()))
+            .collect()
+    }
+
+    /// Production 0's nodes: the root alone.
+    fn at_root() -> NodeTraces {
+        NodeTraces(vec![(pid(0), vec![Trace::root()])])
     }
 
     #[test]
@@ -667,12 +922,12 @@ mod tests {
         let mut atoms: Vec<Atom> = ["size(2)@1", "ok@1"].map(|a| a.parse().unwrap()).into();
         atoms.push(deep);
         let w3 = World::from_atoms(atoms);
-        let p = plan(":- size(X), size(X)@2, ok.");
-        assert!(p.holds_at(&w3, &Trace::from_indices([1])));
-        assert!(!p.holds_at(&w3, &Trace::root()));
-        assert!(!p.holds_at(&w3, &Trace::from_indices([2])));
-        assert!(plan(":- not ok.").holds_at(&w3, &Trace::root()));
-        assert!(!plan(":- not ok.").holds_at(&w3, &Trace::from_indices([1])));
+        let p = ":- size(X), size(X)@2, ok.";
+        assert!(holds_at(p, &w3, Trace::from_indices([1])));
+        assert!(!holds_at(p, &w3, Trace::root()));
+        assert!(!holds_at(p, &w3, Trace::from_indices([2])));
+        assert!(holds_at(":- not ok.", &w3, Trace::root()));
+        assert!(!holds_at(":- not ok.", &w3, Trace::from_indices([1])));
     }
 
     #[test]
@@ -721,6 +976,162 @@ mod tests {
             let sat = Solver::new().solve_program(&program).unwrap().satisfiable();
             assert_eq!(sat, !expected, "engine on {rule}");
         }
+        // The same cases in one trie, sharing their first joins.
+        let all: Vec<(usize, &str)> = cases.iter().map(|&(rule, _)| (0, rule)).collect();
+        let together = kills_as_the_engine(&rules(&all), &w, &at_root());
+        let expected: Vec<bool> = cases.iter().map(|&(_, e)| e).collect();
+        assert_eq!(together, expected);
+    }
+
+    #[test]
+    fn a_plan_that_is_a_prefix_of_another_keeps_both() {
+        // `p(X)` ends the first plan and starts the second: the walk
+        // violates the first at p(1) and must still try p(2) for the
+        // second, whatever the order of the plans or of the atoms.
+        let texts = [(0, ":- p(X)."), (0, ":- p(X), q(X).")];
+        let reversed = [(0, ":- p(X), q(X)."), (0, ":- p(X).")];
+        for atoms in [["p(1)", "p(2)", "q(2)"], ["q(2)", "p(2)", "p(1)"]] {
+            let w = world(&atoms);
+            assert_eq!(
+                kills_as_the_engine(&rules(&texts), &w, &at_root()),
+                [true, true]
+            );
+            assert_eq!(
+                kills_as_the_engine(&rules(&reversed), &w, &at_root()),
+                [true, true]
+            );
+        }
+        let w = world(&["p(1)", "q(2)"]);
+        assert_eq!(
+            kills_as_the_engine(&rules(&texts), &w, &at_root()),
+            [true, false]
+        );
+        let plans: Vec<CandidatePlan> = texts.iter().map(|(_, r)| plan(r)).collect();
+        assert_eq!(PlanTrie::new(&plans).nodes.len(), 3, "root, p(X), q(X)");
+    }
+
+    #[test]
+    fn candidates_with_the_same_target_and_rule_share_a_node() {
+        let texts = [
+            (0, ":- p(X), q(X)."),
+            (0, ":- p(X), q(X)."),
+            // The same steps under other variable names.
+            (0, ":- p(Y), q(Y)."),
+            // The same rule on another production.
+            (1, ":- p(X), q(X)."),
+        ];
+        let nodes = NodeTraces(vec![(pid(0), vec![Trace::root()])]);
+        let w = world(&["p(2)", "q(2)"]);
+        assert_eq!(
+            kills_as_the_engine(&rules(&texts), &w, &nodes),
+            [true, true, true, false]
+        );
+        let w = world(&["p(1)", "q(2)"]);
+        assert_eq!(kills_as_the_engine(&rules(&texts), &w, &nodes), [false; 4]);
+        let plans: Vec<CandidatePlan> = rules(&texts)
+            .iter()
+            .map(|(t, r)| CandidatePlan::new(pid(*t), r).unwrap())
+            .collect();
+        let trie = PlanTrie::new(&plans);
+        assert_eq!(trie.nodes.len(), 6, "two roots, each with p(X) and q(X)");
+        assert_eq!(trie.plans, 4);
+    }
+
+    #[test]
+    fn an_empty_body_holds_at_every_node_of_its_target() {
+        let empty = Rule::constraint(Vec::new());
+        let candidates = vec![
+            (0, empty.clone()),
+            (0, ":- p(X).".parse().unwrap()),
+            (1, empty.clone()),
+            (2, empty),
+        ];
+        // Production 0 has two nodes, production 1 none, production 2 one.
+        let nodes = NodeTraces(vec![
+            (pid(0), vec![Trace::root(), Trace::from_indices([1])]),
+            (pid(2), vec![Trace::from_indices([2])]),
+        ]);
+        assert_eq!(
+            kills_as_the_engine(&candidates, &world(&[]), &nodes),
+            [true, false, false, true]
+        );
+        assert_eq!(
+            kills_as_the_engine(&candidates, &world(&["p(1)@1"]), &nodes),
+            [true, true, false, true]
+        );
+    }
+
+    #[test]
+    fn a_target_with_no_node_in_the_tree_is_never_violated() {
+        let candidates = rules(&[(0, ":- p(X)."), (1, ":- p(X)."), (1, ":- not q.")]);
+        let w = world(&["p(1)"]);
+        assert_eq!(
+            kills_as_the_engine(&candidates, &w, &at_root()),
+            [true, false, false]
+        );
+        let none = NodeTraces(Vec::new());
+        assert_eq!(kills_as_the_engine(&candidates, &w, &none), [false; 3]);
+    }
+
+    #[test]
+    fn plans_of_more_than_eight_variables_bind_heap_slots() {
+        let chain = ":- p(A), p(B), p(C), p(D), p(E), p(F), p(G), p(H), p(I), \
+                     A < B, B < C, C < D, D < E, E < F, F < G, G < H, H < I.";
+        // The short plan is the long one's first three steps.
+        let texts = [(0, ":- p(A), p(B), A < B."), (0, chain)];
+        let plans: Vec<CandidatePlan> = texts.iter().map(|(_, r)| plan(r)).collect();
+        let trie = PlanTrie::new(&plans);
+        assert!(trie.slots > INLINE_SLOTS);
+        assert_eq!(trie.nodes.len(), 1 + 17, "the chain's 17 steps, 3 shared");
+        let nine: Vec<String> = (1..=9).map(|i| format!("p({i})")).collect();
+        let nine: Vec<&str> = nine.iter().map(String::as_str).collect();
+        assert_eq!(
+            kills_as_the_engine(&rules(&texts), &world(&nine), &at_root()),
+            [true, true]
+        );
+        assert_eq!(
+            kills_as_the_engine(&rules(&texts), &world(&nine[..8]), &at_root()),
+            [true, false]
+        );
+    }
+
+    #[test]
+    fn negation_binders_and_comparisons_after_a_shared_join() {
+        let texts = [
+            (0, ":- p(X), not q(X)."),
+            (0, ":- p(X), Y = X + 1, q(Y)."),
+            (0, ":- p(X), X > 1."),
+            (0, ":- p(X), Y = X + 1, not q(Y)."),
+            (0, ":- p(X), X + 1 = Y, Y > 3."),
+            (0, ":- p(X), q(X), X < 2."),
+            (0, ":- p(X), not q(X + 2)."),
+            (0, ":- p(X)@1, not q(X)."),
+        ];
+        let nodes = NodeTraces(vec![(
+            pid(0),
+            vec![Trace::root(), Trace::from_indices([2])],
+        )]);
+        for atoms in [
+            vec!["p(1)", "p(2)", "q(2)", "q(3)"],
+            vec!["p(2)", "q(1)", "q(2)", "q(3)", "q(4)"],
+            vec!["p(1)", "q(1)", "p(1)@2", "p(3)@2_1", "q(3)@2"],
+            vec!["p(a)", "q(2)"],
+        ] {
+            let atoms: Vec<Atom> = atoms
+                .iter()
+                .map(|a| match a.split_once("@2_1") {
+                    Some((a, _)) => a
+                        .parse::<Atom>()
+                        .unwrap()
+                        .with_trace(Trace::from_indices([2, 1])),
+                    None => a.parse().unwrap(),
+                })
+                .collect();
+            kills_as_the_engine(&rules(&texts), &World::from_atoms(atoms), &nodes);
+        }
+        let plans: Vec<CandidatePlan> = texts[..7].iter().map(|(_, r)| plan(r)).collect();
+        let shared = PlanTrie::new(&plans).nodes[0].children.len();
+        assert_eq!(shared, 1, "the first seven share their join p(X)");
     }
 
     #[test]

@@ -59,10 +59,11 @@ mod search;
 mod session;
 mod space;
 
-pub use compile::{CandidatePlan, CompileOptions, TreeWorlds, World};
+pub use compile::{CandidatePlan, CompileOptions, PlanTrie, TreeWorlds, World};
 pub use example::Example;
 pub use learner::{
     Branching, Hypothesis, LearnError, LearnOptions, LearnStats, Learner, LearningTask,
 };
+pub use search::Kills;
 pub use session::{LearningSession, WorldStats};
 pub use space::{Candidate, HypothesisSpace, ModeArg, ModeAtom, ModeBias, ModeCmp, ModeLiteral};

@@ -59,18 +59,34 @@ impl<C: ?Sized> Examples<'_, C> {
     }
 }
 
-/// The candidates that violate one world: a bitset over candidate indices.
+/// The candidates (or plans of a [`PlanTrie`](crate::PlanTrie)) that
+/// violate one world: a bitset over their indices.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct Kills(Box<[u64]>);
+pub struct Kills(Box<[u64]>);
 
 impl Kills {
     /// The set of `ones` among `n` candidates.
-    pub fn new(n: usize, ones: impl IntoIterator<Item = usize>) -> Kills {
+    pub(crate) fn new(n: usize, ones: impl IntoIterator<Item = usize>) -> Kills {
         let mut words = vec![0u64; n.div_ceil(64)].into_boxed_slice();
         for c in ones {
             words[c / 64] |= 1 << (c % 64);
         }
         Kills(words)
+    }
+
+    /// Adds candidate `c`; false if it was a member already.
+    pub(crate) fn insert(&mut self, c: usize) -> bool {
+        let (word, bit) = (&mut self.0[c / 64], 1 << (c % 64));
+        let new = *word & bit == 0;
+        *word |= bit;
+        new
+    }
+
+    /// Is candidate `c` a member?
+    pub fn contains(&self, c: usize) -> bool {
+        self.0
+            .get(c / 64)
+            .is_some_and(|word| word & (1 << (c % 64)) != 0)
     }
 
     /// The members, in ascending order.
@@ -88,7 +104,7 @@ impl Kills {
     }
 
     /// True if no candidate is in both sets.
-    pub fn disjoint(&self, other: &Kills) -> bool {
+    pub(crate) fn disjoint(&self, other: &Kills) -> bool {
         self.0.iter().zip(other.0.iter()).all(|(a, b)| a & b == 0)
     }
 }

@@ -10,15 +10,17 @@
 //!   computes the worlds of a (parse tree, context) pair, for examples and
 //!   for the trees a generator asks about
 //!   ([`LearningSession::worlds_within`]) alike. It builds a pair from two
-//!   parts, each ground and solved once per session: the tree's own
-//!   program `G[PT]` and the context at the tree's node traces; a pair
-//!   whose parts could interact is ground and solved whole, as one program
-//!   `G(C)[PT]`.
+//!   parts, each computed once per session: the tree's own program
+//!   `G[PT]`, ground and solved, and the context at the tree's node
+//!   traces, which is its own one world if it is ground facts alone and is
+//!   ground and solved otherwise; a pair whose parts could interact is
+//!   ground and solved whole, as one program `G(C)[PT]`.
 //! * On the monotone path a session keeps, per distinct example, only the
 //!   [`Example`] and the kill set of each of its worlds (one candidate
-//!   bitset per world), computed from the cache's worlds. The generic path
-//!   keeps, per parse tree, its node traces and its `G(C)[PT]` saturated in
-//!   an [`IncrementalGrounder`] that hypotheses are grounded on as deltas;
+//!   bitset per world), computed from the cache's worlds by one walk of
+//!   the space's [`PlanTrie`] per world. The generic path keeps, per parse
+//!   tree, its node traces and its `G(C)[PT]` saturated in an
+//!   [`IncrementalGrounder`] that hypotheses are grounded on as deltas;
 //!   its world counts and world-cap check come from the cache too. The
 //!   meta encoding ([`Learner::learn_meta`](crate::Learner::learn_meta))
 //!   encodes the monotone path's kill sets.
@@ -34,7 +36,8 @@
 //! [`IncrementalGrounder`]: agenp_asp::IncrementalGrounder
 
 use crate::compile::{
-    parse_example, plan_candidates, solve_program, CandidatePlan, Solved, TreeWorlds, WorldsError,
+    parse_example, plan_candidates, solve_program, CandidatePlan, PlanTrie, Solved, TreeWorlds,
+    World, WorldsError,
 };
 use crate::example::Example;
 use crate::learner::{Hypothesis, LearnError, LearnOptions, LearnStats, LearningTask};
@@ -85,6 +88,9 @@ pub struct LearningSession {
     /// candidate; built by the first solve that computes kill sets, or
     /// the first [`LearningSession::candidate_plan`] lookup.
     plans: Vec<Arc<CandidatePlan>>,
+    /// `plans` as one trie of shared step prefixes, built with them: what
+    /// kill sets are computed by.
+    trie: PlanTrie,
     /// `(hash of target and rule, candidate id)`, sorted, built with
     /// `plans`: the candidate a lookup asks for.
     plan_ids: Vec<(u64, u32)>,
@@ -106,9 +112,9 @@ pub struct LearningSession {
 }
 
 /// How many (parse tree, context) pairs a session was asked for, how many
-/// of those it computed rather than reused, and the ground-and-solve runs
-/// that took: a pair is built from its two parts, each solved once per
-/// session, or else solved whole.
+/// of those it computed rather than reused, and the parts and whole
+/// programs that took: a pair is built from its two parts, each computed
+/// once per session, or else ground and solved whole.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorldStats {
     /// Pairs looked up, for examples and generated trees alike.
@@ -119,7 +125,8 @@ pub struct WorldStats {
     pub whole: u64,
     /// Trees' own programs `G[PT]` ground and solved.
     pub tree_parts: u64,
-    /// Contexts ground and solved at the node traces of a tree.
+    /// Contexts instantiated at the node traces of a tree: built directly
+    /// for a context of ground facts, ground and solved otherwise.
     pub context_parts: u64,
 }
 
@@ -134,16 +141,20 @@ type Signature = (Symbol, usize);
 /// traces. When the parts share no predicate and arity, no rule of one
 /// reads an atom of the other, so (by the splitting-set theorem) each
 /// answer set of the union is one answer set of each part put together. A
-/// missing pair is then built from the parts, each ground and solved once
-/// and kept: every world of the tree part merged with the context part's
-/// one world. Grounding interns each part's atoms in the same relative
-/// order alone as in the union, and the solver enumerates models in the
-/// lexicographic order of their atom ids, so the worlds come in the order
-/// one solve of the union finds them. The pair is ground and solved whole
-/// instead, as one program, whenever that product could differ from one
-/// solve of the union under the lookup's budget: the parts share a
-/// signature, either has a weak constraint, the context part has other
-/// than exactly one world, either part is incomplete or failed, the
+/// missing pair is then built from the parts, each computed once and kept:
+/// every world of the tree part merged with the context part's one world.
+/// A context of ground facts alone, without weak constraints, is its own
+/// one world at any node traces: the facts at every trace, sorted by
+/// [`Atom::ground_cmp`] and deduplicated as a solve's answer set is, so
+/// such a context part is built without grounding or solving. Any other
+/// part is ground and solved. Grounding interns each part's atoms in the
+/// same relative order alone as in the union, and the solver enumerates
+/// models in the lexicographic order of their atom ids, so the worlds come
+/// in the order one solve of the union finds them. The pair is ground and
+/// solved whole instead, as one program, whenever that product could
+/// differ from one solve of the union under the lookup's budget: the parts
+/// share a signature, either has a weak constraint, the context part has
+/// other than exactly one world, either part is incomplete or failed, the
 /// product reaches the world cap, the budget has a step cap, or its atom
 /// cap is below the default or below the two parts' atoms together.
 #[derive(Debug, Default)]
@@ -167,6 +178,9 @@ struct ContextEntry {
     /// The signatures of the context's atoms, sorted; `None` if it has
     /// weak constraints.
     signatures: Option<Vec<Signature>>,
+    /// True if the context is ground facts alone ([`Rule::is_fact`]), so
+    /// each of its parts is its own one world.
+    facts: bool,
     /// The context instantiated at a tree's node traces, by those traces.
     parts: HashMap<Vec<Trace>, Solved>,
 }
@@ -277,6 +291,8 @@ impl WorldCache {
                 self.by_context.push(ContextEntry {
                     pairs: HashMap::new(),
                     signatures: signatures(context),
+                    facts: context.weak_constraints().is_empty()
+                        && context.rules().iter().all(Rule::is_fact),
                     parts: HashMap::new(),
                 });
                 self.by_context.len() - 1
@@ -384,12 +400,17 @@ impl WorldCache {
         }
         if !entry.parts.contains_key(part.traces.as_slice()) {
             self.stats.context_parts += 1;
-            let mut program = Program::new();
-            for trace in &part.traces {
-                program.extend(context.rules().iter().map(|r| r.instantiate_at(trace)));
-            }
-            let solved = solve_program(&program, max_worlds, budget).ok()?;
-            work.add(&solved);
+            let solved = if entry.facts {
+                facts_at(context, &part.traces, budget)?
+            } else {
+                let mut program = Program::new();
+                for trace in &part.traces {
+                    program.extend(context.rules().iter().map(|r| r.instantiate_at(trace)));
+                }
+                let solved = solve_program(&program, max_worlds, budget).ok()?;
+                work.add(&solved);
+                solved
+            };
             entry.parts.insert(part.traces.clone(), solved);
         }
         let context_part = &entry.parts[part.traces.as_slice()];
@@ -411,6 +432,36 @@ impl WorldCache {
             ..WorldCache::new(max_worlds)
         };
     }
+}
+
+/// The context part of a context of ground facts at `traces`: its one
+/// world, every fact at every trace, deduplicated and in the order
+/// [`World::from_atoms`] gives a solve's answer set (which is sorted by
+/// [`Atom::ground_cmp`]): by signature, then by `ground_cmp`. That is the
+/// world one ground and solve of the instantiated facts find, built
+/// without grounding or solving. `None`, as that grounding fails, if there
+/// is a fact and the deadline has passed.
+fn facts_at(context: &Program, traces: &[Trace], budget: &RunBudget) -> Option<Solved> {
+    if !context.rules().is_empty() && budget.deadline.expired() {
+        return None;
+    }
+    let heads = context.rules().iter().filter_map(|rule| rule.head.as_ref());
+    let mut atoms: Vec<Atom> = traces
+        .iter()
+        .flat_map(|trace| heads.clone().map(move |head| head.instantiate_at(trace)))
+        .collect();
+    atoms.sort_by(|a, b| {
+        a.signature()
+            .cmp(&b.signature())
+            .then_with(|| a.ground_cmp(b))
+    });
+    atoms.dedup();
+    Some(Solved {
+        atoms: atoms.len(),
+        worlds: vec![World::from_atoms(atoms)],
+        complete: true,
+        stats: GroundStats::default(),
+    })
 }
 
 /// A distinct example and its cached coverage.
@@ -464,6 +515,7 @@ impl LearningSession {
             options,
             invalid,
             plans: Vec::new(),
+            trie: PlanTrie::default(),
             plan_ids: Vec::new(),
             entries: Vec::new(),
             index: HashMap::new(),
@@ -544,6 +596,7 @@ impl LearningSession {
             .into_iter()
             .map(Arc::new)
             .collect();
+        self.trie = PlanTrie::new(self.plans.iter().map(|plan| &**plan));
         self.plan_ids = candidates
             .iter()
             .enumerate()
@@ -743,7 +796,7 @@ impl LearningSession {
                 self.incomplete = true;
                 return Ok(None);
             }
-            kills.extend(kill_sets(worlds, &self.plans, stats));
+            kills.extend(kill_sets(worlds, &self.trie, stats));
         }
         Ok(Some(kills))
     }
@@ -979,26 +1032,14 @@ fn validate(grammar: &Asg, space: &HypothesisSpace) -> Option<LearnError> {
 }
 
 /// The kill set of each world of `tree` over the plans of a
-/// constraint-only space. Adds its time to `stats.coverage_ns`.
-fn kill_sets(
-    tree: &TreeWorlds,
-    plans: &[Arc<CandidatePlan>],
-    stats: &mut LearnStats,
-) -> Vec<Kills> {
+/// constraint-only space: one walk of their trie per world. Adds its time
+/// to `stats.coverage_ns`.
+fn kill_sets(tree: &TreeWorlds, trie: &PlanTrie, stats: &mut LearnStats) -> Vec<Kills> {
     let started = Instant::now();
     let kills = tree
         .worlds()
         .iter()
-        .map(|world| {
-            Kills::new(
-                plans.len(),
-                plans
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, plan)| tree.violates(world, plan))
-                    .map(|(ci, _)| ci),
-            )
-        })
+        .map(|world| tree.kills(world, trie))
         .collect();
     stats.coverage_ns += elapsed_ns(started);
     kills

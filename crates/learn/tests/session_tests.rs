@@ -572,6 +572,75 @@ fn parts_that_share_a_signature_are_solved_whole() {
     );
 }
 
+/// A context of ground facts is its own one world at a tree's node traces:
+/// duplicate facts, facts of one signature out of order, traced facts and
+/// the empty context each look up as one ground and solve of `G(C)[PT]`
+/// finds them (worlds, atom order, completeness; and under an expired
+/// deadline, the error), and an example under one costs its tree part's
+/// grounding and solve alone: `context_parts` counts the part, the
+/// learner's grounding passes and solver calls do not. An arithmetic head
+/// (`c(1+2).`) is no fact, so that context is ground and solved.
+#[test]
+fn fact_contexts_are_their_own_world() {
+    let g: Asg = r#"
+        policy -> "a" item { ok. }
+        item -> "x" { val(1). }
+        item -> "y" { p :- not q. q :- not p. }
+    "#
+    .parse()
+    .unwrap();
+    let trees = [parse(&g, "a x"), parse(&g, "a y")];
+    let tree_part = |tree: &ParseTree| {
+        let (_, stats) =
+            agenp_asp::ground_with_stats(&g.tree_program(tree), GroundOptions::default()).unwrap();
+        stats.passes
+    };
+    let budget = RunBudget::default();
+    let expired = RunBudget::default().with_deadline(Deadline::after(Duration::ZERO));
+    for (context, facts) in [
+        ("c(1). c(1). d(2). d(2).", true),
+        ("c(3). c(1). c(2). d(b). d(a).", true),
+        ("c(1)@1. c(2)@2. c(1). c(1)@2.", true),
+        ("", true),
+        ("c(1+2). c(1).", false),
+    ] {
+        let context: Program = context.parse().unwrap();
+        let mut session =
+            LearningSession::new(g.clone(), HypothesisSpace::new(), LearnOptions::default());
+        for tree in &trees {
+            let at = format!("{tree} in {{{context}}}");
+            let want = solved_whole(&g, tree, &context, 64, &budget);
+            assert!(matches!(&want, Ok((_, true))), "{at}");
+            let got = looked_up(session.worlds_within(tree, &context, &budget));
+            assert_eq!(got, want, "{at}");
+            let want = solved_whole(&g, tree, &context, 64, &expired);
+            let got = looked_up(session.worlds_within(tree, &context, &expired));
+            assert_eq!(got, want, "{at}, expired deadline");
+        }
+        // The two trees share their node traces, and so one context part.
+        let stats = session.world_stats();
+        assert_eq!(
+            (stats.whole, stats.tree_parts, stats.context_parts),
+            (0, 2, 1),
+            "{{{context}}}"
+        );
+
+        let mut session =
+            LearningSession::new(g.clone(), HypothesisSpace::new(), LearnOptions::default());
+        session.add_positive(Example::in_context("a x", context.clone()));
+        let (_, stats) = session.solve().unwrap();
+        assert_eq!(session.world_stats().context_parts, 1, "{{{context}}}");
+        let context_part = u64::from(!facts);
+        assert_eq!(stats.solver_calls, 1 + context_part, "{{{context}}}");
+        let passes = tree_part(&trees[0]);
+        if facts {
+            assert_eq!(stats.grounding_passes, passes, "{{{context}}}");
+        } else {
+            assert!(stats.grounding_passes > passes, "{{{context}}}");
+        }
+    }
+}
+
 /// The budgets and caps under which a product could differ from one solve
 /// of the union: each pair is solved whole and answers as
 /// [`Asg::tree_admitted_within`] does.

@@ -22,7 +22,8 @@ use agenp_grammar::{
     Asg, AsgError, Cfg, EarleyParser, GenOptions, Generator, ParseOptions, ParseTree, ProdId,
 };
 use agenp_learn::{
-    Candidate, CandidatePlan, CompileOptions, HypothesisSpace, LearnOptions, LearningSession, World,
+    Candidate, CandidatePlan, CompileOptions, HypothesisSpace, LearnOptions, LearningSession,
+    PlanTrie, World,
 };
 use agenp_policy::{CombiningAlg, DecisionEffects, Policy, Request};
 use rand::Rng;
@@ -536,19 +537,23 @@ pub fn run_metamorphic_pdp_case(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Differential world-coverage case: the learner's compiled candidate
-/// plans against brute-force stable models. For every parse tree of every
-/// string up to length 3 (the trees an example of that string compiles),
-/// every world a [`LearningSession`] looks up for the tree under the
-/// context ([`LearningSession::worlds_within`]: the worlds the monotone
-/// search's and the meta encoding's kill sets are computed on, built from
-/// the tree's and the context's parts where the session would), and every
-/// generated candidate, [`TreeWorlds::violates`] must equal "the world's
-/// atoms as facts, plus the candidate instantiated at each node of its
-/// target production, have no answer set"
-/// ([`reference::stable_models_bruteforce`]).
+/// Differential world-coverage case: the learner's candidate plans against
+/// brute-force stable models. For every parse tree of every string up to
+/// length 3 (the trees an example of that string compiles) and every world
+/// a [`LearningSession`] looks up for the tree under the context
+/// ([`LearningSession::worlds_within`]: the worlds the monotone search's
+/// and the meta encoding's kill sets are computed on, built from the
+/// tree's and the context's parts where the session would), the world's
+/// kill set over all the task's candidates, computed by the walk of their
+/// one [`PlanTrie`] that the session's kill sets take
+/// ([`TreeWorlds::kills`]), must hold exactly the candidates for which
+/// "the world's atoms as facts, plus the candidate instantiated at each
+/// node of its target production, have no answer set"
+/// ([`reference::stable_models_bruteforce`]). The task's candidates share
+/// step prefixes ([`gen::world_task`]), so this checks the trie's sharing
+/// and its skipping of subtrees whose candidates are all violated.
 ///
-/// [`TreeWorlds::violates`]: agenp_learn::TreeWorlds::violates
+/// [`TreeWorlds::kills`]: agenp_learn::TreeWorlds::kills
 pub fn run_world_case(seed: u64) -> Result<(), String> {
     let ctx =
         |msg: String| format!("seed={seed} kind=world: {msg} (repro: run_world_case({seed}))");
@@ -562,6 +567,7 @@ pub fn run_world_case(seed: u64) -> Result<(), String> {
                 .ok_or_else(|| ctx(format!("safe constraint {rule} has no plan")))
         })
         .collect::<Result<Vec<_>, _>>()?;
+    let trie = PlanTrie::new(&plans);
     let mut session = LearningSession::new(
         task.grammar.clone(),
         HypothesisSpace::new(),
@@ -581,15 +587,16 @@ pub fn run_world_case(seed: u64) -> Result<(), String> {
                 return Err(ctx(format!("{text:?} has more worlds than the cap")));
             }
             for world in worlds.worlds() {
-                for ((target, rule), plan) in task.candidates.iter().zip(&plans) {
-                    let fast = worlds.violates(world, plan);
+                let kills = worlds.kills(world, &trie);
+                for (i, (target, rule)) in task.candidates.iter().enumerate() {
+                    let fast = kills.contains(i);
                     let want = violated_reference(world.atoms(), tree, *target, rule);
                     if fast != want {
                         let atoms: Vec<String> =
                             world.atoms().iter().map(|a| a.to_string()).collect();
                         return Err(ctx(format!(
                             "{text:?}, world {{{}}}, candidate {rule} on production {}: \
-                             world_violates = {fast}, brute force = {want}\ngrammar:\n{}context: {}",
+                             in the kill set = {fast}, brute force = {want}\ngrammar:\n{}context: {}",
                             atoms.join(", "),
                             target.index(),
                             task.grammar,

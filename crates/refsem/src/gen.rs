@@ -647,7 +647,10 @@ const WORLD_OPS: [CmpOp; 6] = [
 /// Generates a world-coverage case: up to six safe constraint candidates
 /// of one to three literals (positive and negated atoms with and without
 /// `@i`, shared variables, constants, comparisons, and `=` binders in both
-/// orientations) over an annotated grammar and a context.
+/// orientations) over an annotated grammar and a context, then up to two
+/// that share a prefix with one of those: an earlier body extended by a
+/// literal, and an earlier body's first positive literal followed by one
+/// or two new ones.
 pub fn world_task(rng: &mut StdRng) -> WorldTask {
     let shape = linear_grammar(rng);
     let mut src = String::new();
@@ -692,6 +695,31 @@ pub fn world_task(rng: &mut StdRng) -> WorldTask {
         let rule = Rule::constraint(body);
         if rule.unsafe_var().is_none() {
             candidates.push((target, rule));
+        }
+    }
+    // Candidates that share a prefix with earlier ones, drawn after those
+    // so that a seed keeps its grammar, context and first candidates: one
+    // extends an earlier body by a literal, and one repeats an earlier
+    // body's first positive literal (the first it joins) before new ones.
+    for extend in [true, false] {
+        for _ in 0..4 {
+            if candidates.is_empty() {
+                break;
+            }
+            let (target, earlier) = candidates[rng.gen_range(0..candidates.len())].clone();
+            let mut body = if extend {
+                earlier.body
+            } else {
+                let first = earlier.body.iter().find(|l| matches!(l, Literal::Pos(_)));
+                first.into_iter().cloned().collect()
+            };
+            let new = if extend { 1 } else { rng.gen_range(1..=2) };
+            body.extend((0..new).map(|_| world_literal(rng)));
+            let rule = Rule::constraint(body);
+            if rule.unsafe_var().is_none() {
+                candidates.push((target, rule));
+                break;
+            }
         }
     }
     WorldTask {

@@ -1,6 +1,7 @@
-//! Differential suite: the learner's compiled candidate plans decide
-//! whether a world violates a constraint exactly as brute-force stable
-//! models do, on seeded annotated grammars, contexts and candidates.
+//! Differential suite: the learner's candidate plans, walked as one trie of
+//! shared step prefixes, give each world the kill set brute-force stable
+//! models give it, on seeded annotated grammars, contexts and candidates
+//! (some of which share a prefix with others).
 
 use agenp_refsem::run_world_case;
 
