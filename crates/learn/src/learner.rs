@@ -246,7 +246,8 @@ pub struct LearnOptions {
     pub compile: CompileOptions,
     /// Disable the monotone fast path (ablation).
     pub force_generic: bool,
-    /// Search node budget for the generic path.
+    /// Search node budget, on both search paths. A search cut short
+    /// returns the best solution found so far, or [`LearnError::Budget`].
     pub max_nodes: u64,
     /// Branch-ordering heuristic (monotone path).
     pub branching: Branching,
@@ -286,7 +287,7 @@ impl LearnOptions {
         self
     }
 
-    /// Sets the search node budget for the generic path.
+    /// Sets the search node budget of both search paths.
     pub fn with_max_nodes(mut self, max_nodes: u64) -> LearnOptions {
         self.max_nodes = max_nodes;
         self

@@ -18,7 +18,6 @@ use crate::compile::NodeTraces;
 use crate::learner::{Branching, LearnError, LearnOptions, LearnStats};
 use crate::space::Candidate;
 use agenp_asp::{Deadline, Exhausted, IncrementalGrounder, Rule, Solver};
-use std::collections::HashMap;
 
 /// A solution: (total cost, chosen candidate indices, sacrificed examples).
 pub(crate) type BestSolution = (u64, Vec<u32>, Vec<(bool, usize)>);
@@ -91,16 +90,12 @@ impl Kills {
 
     /// The members, in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.0.iter().enumerate().flat_map(|(i, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let bit = rest.trailing_zeros();
-                    rest &= rest - 1;
-                    i as u32 * 64 + bit
-                })
-            })
-        })
+        ones(self.0.iter().copied()).map(|c| c as u32)
+    }
+
+    /// The set's words, candidate `c` at bit `c % 64` of word `c / 64`.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.0
     }
 
     /// True if no candidate is in both sets.
@@ -113,55 +108,44 @@ impl Kills {
 
 /// Branch and bound over the examples' world kill sets. Sets `nodes_out`
 /// to the nodes explored.
+///
+/// Worlds are numbered across examples, in example order. A world's
+/// killers are its [`Kills`] row, read in place; a candidate's kill set is
+/// a bitset over worlds, transposed from the rows once per search. A
+/// branch's state is three bitsets, one frame of a stack indexed by
+/// depth: the candidates chosen or forbidden, the surviving worlds of the
+/// positive examples, and the unhit worlds of the required negative
+/// examples.
 pub(crate) fn monotone(
     candidates: &[Candidate],
     options: &LearnOptions,
     examples: &Examples<'_, [Kills]>,
     nodes_out: &mut u64,
 ) -> Searched {
-    // Flatten worlds across examples. kill[c] lists the worlds candidate c
-    // violates and killers_of_world[w] the candidates violating world w,
-    // both in ascending order.
-    let mut kill: Vec<Vec<u32>> = vec![Vec::new(); candidates.len()];
-    let mut killers_of_world: Vec<Vec<u32>> = Vec::new();
-    let mut worlds_of_ex: Vec<Vec<u32>> = Vec::with_capacity(examples.coverage.len());
-    // Discrimination statistics for guided branching (§V-C): how many
-    // positive and negative worlds each candidate kills.
-    let mut neg_kills = vec![0u32; candidates.len()];
-    let mut pos_kills = vec![0u32; candidates.len()];
-    for (ei, worlds) in examples.coverage.iter().enumerate() {
-        let owner_kills = if examples.is_pos(ei) {
-            &mut pos_kills
-        } else {
-            &mut neg_kills
-        };
-        let mut ids = Vec::with_capacity(worlds.len());
-        for world in worlds.iter() {
-            let wi = killers_of_world.len() as u32;
-            let killers: Vec<u32> = world.iter().collect();
-            for &c in &killers {
-                kill[c as usize].push(wi);
-                owner_kills[c as usize] += 1;
-            }
-            killers_of_world.push(killers);
-            ids.push(wi);
-        }
-        worlds_of_ex.push(ids);
+    let mut first = Vec::with_capacity(examples.coverage.len() + 1);
+    let mut killers: Vec<&Kills> = Vec::new();
+    first.push(0);
+    for worlds in &examples.coverage {
+        killers.extend(worlds.iter());
+        first.push(killers.len());
     }
+    let candidate_words = candidates.len().div_ceil(64);
+    let world_words = killers.len().div_ceil(64);
 
-    // Feasibility of the empty requirement set: positives with no worlds
-    // can never be covered (must be sacrificed or the task fails).
-    let mut base_cost: u64 = 0;
-    let mut base_sacrificed: Vec<(bool, usize)> = Vec::new();
-    let mut pos_alive: HashMap<usize, Vec<u32>> = HashMap::new();
-    let mut neg_pending: Vec<usize> = Vec::new();
-    for (ei, worlds) in worlds_of_ex.iter().enumerate() {
-        if examples.is_pos(ei) {
+    // The root frame. Positives with no worlds can never be covered (must
+    // be sacrificed or the task fails).
+    let mut frames = vec![0u64; candidate_words + 2 * world_words];
+    let mut cost: u64 = 0;
+    let mut sacrificed: Vec<(bool, usize)> = Vec::new();
+    let mut owner = Vec::with_capacity(killers.len());
+    for ei in 0..examples.coverage.len() {
+        let worlds = first[ei]..first[ei + 1];
+        let set = if examples.is_pos(ei) {
             if worlds.is_empty() {
                 match examples.penalties[ei] {
                     Some(p) => {
-                        base_cost += u64::from(p);
-                        base_sacrificed.push((true, ei));
+                        cost += u64::from(p);
+                        sacrificed.push((true, ei));
                     }
                     None => {
                         return Searched {
@@ -170,11 +154,34 @@ pub(crate) fn monotone(
                         }
                     }
                 }
-            } else {
-                pos_alive.insert(ei, worlds.clone());
             }
-        } else if !worlds.is_empty() {
-            neg_pending.push(ei);
+            candidate_words
+        } else {
+            candidate_words + world_words
+        };
+        for w in worlds {
+            frames[set + w / 64] |= 1 << (w % 64);
+            owner.push(ei);
+        }
+    }
+
+    // Transpose the rows: kills[c * world_words..][..world_words] holds the
+    // worlds candidate c violates. Discrimination statistics for guided
+    // branching (§V-C): how many positive and negative worlds each
+    // candidate kills.
+    let mut kills = vec![0u64; candidates.len() * world_words];
+    let mut pos_kills = vec![0u32; candidates.len()];
+    let mut neg_kills = vec![0u32; candidates.len()];
+    for (w, row) in killers.iter().enumerate() {
+        let counts = if examples.is_pos(owner[w]) {
+            &mut pos_kills
+        } else {
+            &mut neg_kills
+        };
+        for c in row.iter() {
+            let c = c as usize;
+            kills[c * world_words + w / 64] |= 1 << (w % 64);
+            counts[c] += 1;
         }
     }
 
@@ -182,10 +189,18 @@ pub(crate) fn monotone(
         candidates,
         positives: examples.positives,
         penalties: &examples.penalties,
-        killers_of_world: &killers_of_world,
-        kill: &kill,
-        neg_kills: &neg_kills,
-        pos_kills: &pos_kills,
+        killers,
+        owner,
+        first,
+        kills,
+        neg_kills,
+        pos_kills,
+        candidate_words,
+        world_words,
+        frames,
+        order: Vec::new(),
+        chosen: Vec::new(),
+        sacrificed,
         branching: options.branching,
         best: None,
         max_cost: options.max_cost,
@@ -194,18 +209,7 @@ pub(crate) fn monotone(
         deadline: options.deadline,
         interrupted: false,
     };
-    let state = MonoState {
-        chosen: Vec::new(),
-        forbidden: vec![false; candidates.len()],
-        cost: base_cost,
-        pos_alive,
-        neg_unhit: neg_pending
-            .iter()
-            .map(|&ei| (ei, worlds_of_ex[ei].clone()))
-            .collect(),
-        sacrificed: base_sacrificed,
-    };
-    search.dfs(state);
+    search.dfs(0, cost);
     *nodes_out = search.nodes;
     // In example order, as the generic search and the meta encoding list
     // them; the search sacrifices in branching order.
@@ -229,10 +233,27 @@ struct MonotoneSearch<'a> {
     candidates: &'a [Candidate],
     positives: usize,
     penalties: &'a [Option<u32>],
-    killers_of_world: &'a [Vec<u32>],
-    kill: &'a [Vec<u32>],
-    neg_kills: &'a [u32],
-    pos_kills: &'a [u32],
+    /// Per world, the candidates that violate it.
+    killers: Vec<&'a Kills>,
+    /// Per world, its example.
+    owner: Vec<usize>,
+    /// Example `ei` owns worlds `first[ei]..first[ei + 1]`.
+    first: Vec<usize>,
+    /// Per candidate, the worlds it violates: `world_words` words each.
+    kills: Vec<u64>,
+    neg_kills: Vec<u32>,
+    pos_kills: Vec<u32>,
+    candidate_words: usize,
+    world_words: usize,
+    /// The frame of the branch at each depth: the chosen or forbidden
+    /// candidates (`candidate_words` words), then the surviving positive
+    /// worlds and the unhit negative worlds (`world_words` words each).
+    frames: Vec<u64>,
+    /// The killers each open branch chooses from, in branching order.
+    order: Vec<u32>,
+    /// The current branch's chosen candidates and sacrificed examples.
+    chosen: Vec<u32>,
+    sacrificed: Vec<(bool, usize)>,
     branching: Branching,
     best: Option<BestSolution>,
     max_cost: u64,
@@ -242,20 +263,12 @@ struct MonotoneSearch<'a> {
     interrupted: bool,
 }
 
-#[derive(Clone)]
-struct MonoState {
-    chosen: Vec<u32>,
-    forbidden: Vec<bool>,
-    cost: u64,
-    /// Surviving worlds per still-satisfiable positive example.
-    pos_alive: HashMap<usize, Vec<u32>>,
-    /// Unhit worlds per still-required negative example.
-    neg_unhit: Vec<(usize, Vec<u32>)>,
-    sacrificed: Vec<(bool, usize)>,
-}
-
 impl MonotoneSearch<'_> {
-    fn dfs(&mut self, state: MonoState) {
+    fn stride(&self) -> usize {
+        self.candidate_words + 2 * self.world_words
+    }
+
+    fn dfs(&mut self, depth: usize, cost: u64) {
         if self.interrupted {
             return;
         }
@@ -267,45 +280,51 @@ impl MonotoneSearch<'_> {
             self.interrupted = true;
             return;
         }
-        if state.cost >= self.best.as_ref().map_or(self.max_cost + 1, |(c, _, _)| *c) {
+        if cost >= self.best.as_ref().map_or(self.max_cost + 1, |(c, _, _)| *c) {
             return;
         }
-        // Pick the unhit negative world with the fewest remaining killers.
-        let mut pick: Option<(usize, u32)> = None; // (neg list index, world)
-        let mut fewest = usize::MAX;
-        for (ni, (_, unhit)) in state.neg_unhit.iter().enumerate() {
-            for &w in unhit {
-                let n = self.killers_of_world[w as usize]
-                    .iter()
-                    .filter(|&&c| !state.forbidden[c as usize] && !state.chosen.contains(&c))
-                    .count();
-                if n < fewest {
-                    fewest = n;
-                    pick = Some((ni, w));
+        let at = depth * self.stride();
+        let blocked = &self.frames[at..at + self.candidate_words];
+        let unhit =
+            &self.frames[at + self.candidate_words + self.world_words..][..self.world_words];
+        // Pick the unhit negative world with the fewest usable (neither
+        // chosen nor forbidden) killers, the first in world order on a tie.
+        let usable = |w: usize| {
+            let row = self.killers[w].words().iter().zip(blocked);
+            row.map(|(k, b)| k & !b)
+        };
+        let mut pick = None;
+        let mut fewest = u32::MAX;
+        for w in ones(unhit.iter().copied()) {
+            let n = usable(w).map(u64::count_ones).sum();
+            if n < fewest {
+                fewest = n;
+                pick = Some(w);
+                if n == 0 {
+                    break;
                 }
             }
         }
-        let Some((ni, w)) = pick else {
+        let Some(w) = pick else {
             // All negative requirements met: record.
-            let better = self.best.as_ref().is_none_or(|(c, _, _)| state.cost < *c);
-            if better && state.cost <= self.max_cost {
-                self.best = Some((state.cost, state.chosen.clone(), state.sacrificed.clone()));
+            let better = self.best.as_ref().is_none_or(|(c, _, _)| cost < *c);
+            if better && cost <= self.max_cost {
+                self.best = Some((cost, self.chosen.clone(), self.sacrificed.clone()));
             }
             return;
         };
-        // Branch 1..k: choose each usable killer of w (excluding previously
-        // tried ones to avoid permutation blowup), best-scored first.
-        let mut killers: Vec<u32> = self.killers_of_world[w as usize]
-            .iter()
-            .copied()
-            .filter(|&c| !state.forbidden[c as usize] && !state.chosen.contains(&c))
-            .collect();
+        // Branch 1..k: choose each usable killer of w, best-scored first;
+        // each branch forbids the killers tried before it, to avoid
+        // permutation blowup.
+        let start = self.order.len();
+        self.order.extend(ones(usable(w)).map(|c| c as u32));
+        let order = &mut self.order[start..];
         match self.branching {
             Branching::CostFirst => {
-                killers.sort_by_key(|&c| self.candidates[c as usize].cost);
+                order.sort_by_key(|&c| self.candidates[c as usize].cost);
             }
             Branching::Guided => {
-                killers.sort_by_key(|&c| {
+                order.sort_by_key(|&c| {
                     let ci = c as usize;
                     (
                         self.candidates[ci].cost,
@@ -315,64 +334,88 @@ impl MonotoneSearch<'_> {
                 });
             }
         }
-        let mut tried: Vec<u32> = Vec::new();
-        for &c in &killers {
-            let mut child = state.clone();
-            for &t in &tried {
-                child.forbidden[t as usize] = true;
-            }
-            tried.push(c);
-            child.chosen.push(c);
-            child.cost += u64::from(self.candidates[c as usize].cost);
-            // Update negative requirements: remove all worlds killed by c.
-            let killed: &[u32] = &self.kill[c as usize];
-            for (_, unhit) in &mut child.neg_unhit {
-                unhit.retain(|x| !killed.contains(x));
-            }
-            child.neg_unhit.retain(|(_, unhit)| !unhit.is_empty());
-            // Update positives: drop killed worlds; dead positives must be
-            // sacrificed (or the branch is infeasible).
-            let mut feasible = true;
-            let mut newly_dead: Vec<usize> = Vec::new();
-            for (&ei, alive) in &mut child.pos_alive {
-                alive.retain(|x| !killed.contains(x));
-                if alive.is_empty() {
-                    newly_dead.push(ei);
-                }
-            }
-            // In example order, so `sacrificed` does not depend on the
-            // map's iteration order.
-            newly_dead.sort_unstable();
-            for ei in newly_dead {
-                child.pos_alive.remove(&ei);
-                match self.penalties[ei] {
-                    Some(p) => {
-                        child.cost += u64::from(p);
-                        child.sacrificed.push((true, ei));
-                    }
-                    None => {
-                        feasible = false;
-                        break;
-                    }
-                }
-            }
-            if feasible {
-                self.dfs(child);
-            }
+        for i in start..self.order.len() {
+            let c = self.order[i] as usize;
+            self.frames[at + c / 64] |= 1 << (c % 64);
+            self.choose(depth, c, cost);
         }
-        // Final branch: sacrifice the negative example (soft only).
-        let (ei, _) = state.neg_unhit[ni];
+        self.order.truncate(start);
+        // Final branch: sacrifice the negative example (soft only). It
+        // takes over this branch's frame, all the killers tried forbidden.
+        let ei = self.owner[w];
         if let Some(p) = self.penalties[ei] {
-            let mut child = state;
-            for &t in &tried {
-                child.forbidden[t as usize] = true;
+            let unhit = at + self.candidate_words + self.world_words;
+            for v in self.first[ei]..self.first[ei + 1] {
+                self.frames[unhit + v / 64] &= !(1 << (v % 64));
             }
-            child.cost += u64::from(p);
-            child.sacrificed.push((false, ei - self.positives));
-            child.neg_unhit.retain(|&(e, _)| e != ei);
-            self.dfs(child);
+            self.sacrificed.push((false, ei - self.positives));
+            self.dfs(depth, cost + u64::from(p));
+            self.sacrificed.pop();
         }
     }
+
+    /// Explores the child of the branch at `depth` that chooses `c`
+    /// (already blocked in its frame), unless `c` kills the last world of
+    /// a hard positive. Positives whose last worlds it kills are
+    /// sacrificed, in example order.
+    fn choose(&mut self, depth: usize, c: usize, mut cost: u64) {
+        let (cw, ww, stride) = (self.candidate_words, self.world_words, self.stride());
+        let at = depth * stride;
+        let kill = &self.kills[c * ww..][..ww];
+        let alive = &self.frames[at + cw..][..ww];
+        let mark = self.sacrificed.len();
+        let mut next = 0;
+        for w in ones(alive.iter().zip(kill).map(|(a, k)| a & k)) {
+            if w < next {
+                continue;
+            }
+            let ei = self.owner[w];
+            next = self.first[ei + 1];
+            let survives = (self.first[ei]..next)
+                .any(|v| (alive[v / 64] & !kill[v / 64]) >> (v % 64) & 1 != 0);
+            if survives {
+                continue;
+            }
+            match self.penalties[ei] {
+                Some(p) => {
+                    cost += u64::from(p);
+                    self.sacrificed.push((true, ei));
+                }
+                None => {
+                    self.sacrificed.truncate(mark);
+                    return;
+                }
+            }
+        }
+        if self.frames.len() < at + 2 * stride {
+            self.frames.resize(at + 2 * stride, 0);
+        }
+        let (parent, child) = self.frames.split_at_mut(at + stride);
+        let parent = &parent[at..];
+        child[..cw].copy_from_slice(&parent[..cw]);
+        for j in 0..ww {
+            child[cw + j] = parent[cw + j] & !kill[j];
+            child[cw + ww + j] = parent[cw + ww + j] & !kill[j];
+        }
+        self.chosen.push(c as u32);
+        self.dfs(depth + 1, cost + u64::from(self.candidates[c].cost));
+        self.chosen.pop();
+        self.sacrificed.truncate(mark);
+    }
+}
+
+/// The members of the bitset with these words, in ascending order.
+fn ones(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.into_iter().enumerate().flat_map(|(i, word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                i * 64 + bit
+            })
+        })
+    })
 }
 
 // --- Generic path ------------------------------------------------------------
@@ -554,6 +597,191 @@ pub(crate) fn tree_accepts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agenp_grammar::ProdId;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::time::Duration;
+
+    /// Optimized builds check thousands of tasks, debug builds a few
+    /// hundred.
+    const FULL: bool = !cfg!(debug_assertions);
+
+    /// A monotone task as the search sees it: candidate costs, and per
+    /// example (positives first) its penalty and its worlds' kill sets.
+    struct Task {
+        costs: Vec<u32>,
+        positives: usize,
+        penalties: Vec<Option<u32>>,
+        worlds: Vec<Vec<Kills>>,
+        max_cost: u64,
+    }
+
+    fn random_task(seed: u64) -> Task {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..=10usize);
+        let costs = (0..n).map(|_| rng.gen_range(1..=3u32)).collect();
+        let examples = rng.gen_range(0..=12usize);
+        let positives = rng.gen_range(0..=examples);
+        let penalties = (0..examples)
+            .map(|_| rng.gen_bool(0.6).then(|| rng.gen_range(1..=4u32)))
+            .collect();
+        let density = rng.gen_range(0.1..0.6);
+        let worlds = (0..examples)
+            .map(|_| {
+                (0..rng.gen_range(0..=3))
+                    .map(|_| Kills::new(n, (0..n).filter(|_| rng.gen_bool(density))))
+                    .collect()
+            })
+            .collect();
+        let max_cost = if rng.gen_bool(0.2) {
+            rng.gen_range(0..=8)
+        } else {
+            64
+        };
+        Task {
+            costs,
+            positives,
+            penalties,
+            worlds,
+            max_cost,
+        }
+    }
+
+    /// The examples `subset` (a bitmask of candidates) violates, as
+    /// `(is_pos, local index)` in example order: a positive when every one
+    /// of its worlds is killed, a negative when one of them is not.
+    fn violated(task: &Task, subset: u32) -> Vec<(bool, usize)> {
+        (0..task.worlds.len())
+            .filter(|&ei| {
+                let survives = task.worlds[ei]
+                    .iter()
+                    .any(|k| k.iter().all(|c| subset >> c & 1 == 0));
+                survives != (ei < task.positives)
+            })
+            .map(|ei| {
+                if ei < task.positives {
+                    (true, ei)
+                } else {
+                    (false, ei - task.positives)
+                }
+            })
+            .collect()
+    }
+
+    /// The score of a subset and the sacrifices it forces: its rules' cost
+    /// plus each violated example's penalty. `None` if it violates a hard
+    /// example or costs more than `max_cost`.
+    fn score(task: &Task, subset: u32, sacrificed: &[(bool, usize)]) -> Option<u64> {
+        let mut cost: u64 = (0..task.costs.len())
+            .filter(|&c| subset >> c & 1 != 0)
+            .map(|c| u64::from(task.costs[c]))
+            .sum();
+        for &(is_pos, i) in sacrificed {
+            let ei = if is_pos { i } else { task.positives + i };
+            cost += u64::from(task.penalties[ei]?);
+        }
+        (cost <= task.max_cost).then_some(cost)
+    }
+
+    fn search(task: &Task, options: LearnOptions) -> (Searched, u64) {
+        let rule: Rule = ":- a.".parse().unwrap();
+        let candidates: Vec<Candidate> = task
+            .costs
+            .iter()
+            .map(|&cost| Candidate {
+                rule: rule.clone(),
+                target: ProdId::from_index(0),
+                cost,
+            })
+            .collect();
+        let examples = Examples {
+            positives: task.positives,
+            penalties: task.penalties.clone(),
+            coverage: task.worlds.iter().map(Vec::as_slice).collect(),
+        };
+        let mut nodes = 0;
+        let searched = monotone(
+            &candidates,
+            &options.with_max_cost(task.max_cost),
+            &examples,
+            &mut nodes,
+        );
+        (searched, nodes)
+    }
+
+    /// `best` chooses distinct candidates, sacrifices exactly the examples
+    /// they violate (in example order), and costs what it says.
+    fn check_solution(task: &Task, best: &BestSolution, at: &str) {
+        let (cost, chosen, sacrificed) = best;
+        let subset = chosen.iter().fold(0u32, |s, &c| s | 1 << c);
+        assert_eq!(subset.count_ones() as usize, chosen.len(), "{at}: {best:?}");
+        assert_eq!(*sacrificed, violated(task, subset), "{at}: {best:?}");
+        assert_eq!(
+            score(task, subset, sacrificed),
+            Some(*cost),
+            "{at}: {best:?}"
+        );
+    }
+
+    #[test]
+    fn the_monotone_search_finds_the_brute_force_optimum() {
+        let seeds = if FULL { 10_000 } else { 500 };
+        let (mut solved, mut unsatisfiable) = (0, 0);
+        for seed in 0..seeds {
+            let task = random_task(seed);
+            let optimum = (0..1u32 << task.costs.len())
+                .filter_map(|s| score(&task, s, &violated(&task, s)))
+                .min();
+            match optimum {
+                Some(_) => solved += 1,
+                None => unsatisfiable += 1,
+            }
+            for branching in [Branching::Guided, Branching::CostFirst] {
+                let at = format!("seed {seed} {branching:?}");
+                let options = LearnOptions::default().with_branching(branching);
+                let (Searched { best, cut }, nodes) = search(&task, options);
+                assert!(cut.is_none(), "{at}: {cut:?}");
+                match (&best, optimum) {
+                    (None, None) => {}
+                    (Some(best), Some(optimum)) => {
+                        assert_eq!(best.0, optimum, "{at}: {best:?}");
+                        check_solution(&task, best, &at);
+                    }
+                    _ => panic!("{at}: found {best:?}, brute force {optimum:?}"),
+                }
+                // A budget of k nodes cuts the search exactly when it
+                // explores k nodes or more; a cut search's solution is
+                // still a solution.
+                let k = 1 + seed % 4;
+                let (cut_short, _) = search(&task, options.with_max_nodes(k));
+                if nodes >= k {
+                    assert!(matches!(cut_short.cut, Some(LearnError::Budget)), "{at}");
+                    if let Some(found) = &cut_short.best {
+                        assert!(optimum.is_some_and(|o| found.0 >= o), "{at}: {found:?}");
+                        check_solution(&task, found, &at);
+                    }
+                } else {
+                    assert!(cut_short.cut.is_none(), "{at}");
+                    assert_eq!(cut_short.best, best, "{at}");
+                }
+                if seed % 16 == 0 && nodes > 0 {
+                    let expired = LearnOptions {
+                        deadline: Deadline::after(Duration::ZERO),
+                        ..options
+                    };
+                    let (late, _) = search(&task, expired);
+                    assert!(
+                        matches!(late.cut, Some(LearnError::Exhausted(Exhausted::Deadline))),
+                        "{at}"
+                    );
+                }
+            }
+        }
+        // The generator draws both kinds of task.
+        assert!(
+            solved > seeds / 4 && unsatisfiable > seeds / 20,
+            "{solved} {unsatisfiable}"
+        );
+    }
 
     #[test]
     fn kills_iterate_in_ascending_order_across_words() {

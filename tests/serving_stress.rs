@@ -10,8 +10,10 @@ use agenp_learn::HypothesisSpace;
 use agenp_policy::{Decision, Request};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// A counting front for the system allocator, installed only in debug
 /// builds: the allocation-budget test reads it to prove the pinned
@@ -93,12 +95,21 @@ fn no_stale_decision_survives_a_mid_stream_gpm_swap() {
     // call), odd ones through a pin (one epoch check per call), so both
     // the load path and the pin's revalidation cross the swap.
     const WORKERS: usize = 4;
-    const MAX_ITERS: usize = 200_000;
+    // Workers stop once they have served a post-swap Deny; the deadline
+    // only guards against a control-thread bug leaving them spinning. A
+    // decision count is no such guard: an optimized worker makes 200,000
+    // decisions in about ten milliseconds, which can pass before the
+    // control thread, sharing the CPUs with the workers, starts the swap.
+    let deadline = Instant::now() + Duration::from_secs(10);
     // Workers that have served a pre-swap Permit. The control thread swaps
     // only once every worker has; each worker's seeded RNG picks a
     // matching request within its first few decisions.
     let permitted = AtomicUsize::new(0);
-    let observed: Vec<Vec<(u64, bool, Decision)>> = thread::scope(|s| {
+    // Per worker: the epoch of its last decision, and how many decisions
+    // it served per (epoch, matching request, decision). Counts, not a
+    // log, so a worker left spinning until the deadline stays small.
+    type Served = (Option<u64>, HashMap<(u64, bool, Decision), u64>);
+    let observed: Vec<Served> = thread::scope(|s| {
         let spawned: Vec<_> = (0..WORKERS)
             .map(|w| {
                 let h = handle.clone();
@@ -107,14 +118,13 @@ fn no_stale_decision_survives_a_mid_stream_gpm_swap() {
                 s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(0xD15C0 + w as u64);
                     let mut pin = (w % 2 == 1).then(|| h.pin());
-                    let mut seen = Vec::new();
+                    let mut seen = HashMap::new();
+                    let (mut decided, mut last_epoch) = (0, None);
                     let mut signalled = false;
                     // Run until this worker has served a post-swap Deny
                     // (only the deny grammar's snapshot answers Deny), so
-                    // every worker crosses the swap and serves both regimes;
-                    // MAX_ITERS only guards against a control-thread bug
-                    // leaving us spinning.
-                    for _ in 0..MAX_ITERS {
+                    // every worker crosses the swap and serves both regimes.
+                    while Instant::now() < deadline {
                         let pick_matching = rng.gen_bool(0.7);
                         let req = if pick_matching { &matching } else { &other };
                         let outcome = match pin.as_mut() {
@@ -126,12 +136,16 @@ fn no_stale_decision_survives_a_mid_stream_gpm_swap() {
                             signalled = true;
                         }
                         let done = outcome.decision == Decision::Deny;
-                        seen.push((outcome.epoch, pick_matching, outcome.decision));
-                        if done && seen.len() >= 100 {
+                        *seen
+                            .entry((outcome.epoch, pick_matching, outcome.decision))
+                            .or_default() += 1;
+                        decided += 1;
+                        last_epoch = Some(outcome.epoch);
+                        if done && decided >= 100 {
                             break;
                         }
                     }
-                    seen
+                    (last_epoch, seen)
                 })
             })
             .collect();
@@ -155,20 +169,20 @@ fn no_stale_decision_survives_a_mid_stream_gpm_swap() {
 
     let mut permits = 0u64;
     let mut denies = 0u64;
-    for (w, seen) in observed.iter().enumerate() {
+    for (w, (last_epoch, seen)) in observed.iter().enumerate() {
         assert!(
-            seen.last().is_some_and(|(e, _, _)| *e >= final_epoch),
+            last_epoch.is_some_and(|e| e >= final_epoch),
             "worker {w} never observed the post-swap snapshot"
         );
-        for &(epoch, was_matching, decision) in seen {
+        for (&(epoch, was_matching, decision), &n) in seen {
             assert_eq!(
                 decision,
                 expected(epoch, first_refresh, was_matching),
                 "worker {w} served a stale decision at epoch {epoch}"
             );
             match decision {
-                Decision::Permit => permits += 1,
-                Decision::Deny => denies += 1,
+                Decision::Permit => permits += n,
+                Decision::Deny => denies += n,
                 _ => {}
             }
         }
