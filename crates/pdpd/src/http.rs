@@ -336,12 +336,21 @@ pub fn reason(status: u16) -> &'static str {
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        503 => "Service Unavailable",
         _ => "Unknown",
     }
 }
 
+/// Room for the longest head [`write_response`] emits (~125 bytes).
+const RESPONSE_HEAD_BYTES: usize = 128;
+
 /// Writes one response with a `Content-Length` body. `close` adds
 /// `Connection: close`.
+///
+/// The head and the body go to `w` in one `write_all`. Written apart,
+/// on a `TCP_NODELAY` socket they leave as two segments, and a client
+/// blocked on the response wakes for the head only to block again for
+/// the body.
 ///
 /// # Errors
 ///
@@ -352,17 +361,19 @@ pub fn write_response(
     body: &[u8],
     close: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut message = Vec::with_capacity(RESPONSE_HEAD_BYTES + body.len());
+    write!(
+        message,
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
         reason(status),
         body.len()
-    );
+    )?;
     if close {
-        head.push_str("Connection: close\r\n");
+        message.extend_from_slice(b"Connection: close\r\n");
     }
-    head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
+    message.extend_from_slice(b"\r\n");
+    message.extend_from_slice(body);
+    w.write_all(&message)?;
     w.flush()
 }
 
@@ -483,13 +494,63 @@ mod tests {
         ));
     }
 
+    /// Keeps the bytes written to it and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn response_round_trip() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, br#"{"ok":true}"#, false).unwrap();
-        let mut conn = ConnBuf::new(Cursor::new(out));
-        let (status, body) = conn.read_response().unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body, br#"{"ok":true}"#);
+        let cases: [(u16, &[u8], bool, &[u8]); 3] = [
+            (
+                200,
+                br#"{"ok":true}"#,
+                false,
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                  Content-Length: 11\r\n\r\n{\"ok\":true}",
+            ),
+            (
+                404,
+                br#"{"error":"no route /x"}"#,
+                true,
+                b"HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n\
+                  Content-Length: 23\r\nConnection: close\r\n\r\n\
+                  {\"error\":\"no route /x\"}",
+            ),
+            (
+                200,
+                b"",
+                false,
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                  Content-Length: 0\r\n\r\n",
+            ),
+        ];
+        for (status, body, close, wire) in cases {
+            let mut out = CountingWriter::default();
+            write_response(&mut out, status, body, close).unwrap();
+            assert_eq!(out.writes, 1, "{status}: one write per response");
+            assert_eq!(
+                out.bytes,
+                wire,
+                "{status}: {:?}",
+                String::from_utf8_lossy(&out.bytes)
+            );
+            let mut conn = ConnBuf::new(Cursor::new(out.bytes));
+            assert_eq!(conn.read_response().unwrap(), (status, body.to_vec()));
+        }
     }
 }

@@ -1,21 +1,26 @@
 //! The serving loop: a blocking `TcpListener` accept thread feeding a fixed
-//! worker pool over an mpsc channel (plain `std::thread` + channels,
+//! worker pool over a bounded channel (plain `std::thread` + channels,
 //! deterministic shutdown, no external runtime). Each worker owns a [`PdpPin`],
 //! so every connection it serves decides against a pinned snapshot revalidated
 //! by one epoch load per call, with no shared lock on the decision path. A
 //! worker drops a connection that idles past [`ServerOptions::idle_deadline`]
 //! or trickles a request past [`ServerOptions::request_deadline`], so an idle
-//! or slow client holds a worker for a bounded time only.
+//! or slow client holds a worker for a bounded time only. A connection that
+//! finds [`ServerOptions::accept_queue`] connections already waiting is
+//! answered `503` and closed, so a flood of connections queues no further.
+//! While telemetry is on, each worker times the stages of about one request
+//! in 64 into the registry's `pdpd.*` histograms.
 
 use crate::http::{write_response, ConnBuf, HttpError, HttpRequest};
 use crate::json::{self, Json};
 use crate::wire;
 use agenp_core::arch::{PdpHandle, PdpPin, ServeStats};
+use agenp_obs::{Histogram, Sampler};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -27,6 +32,15 @@ const IDLE_DEADLINE_READS: u32 = 25;
 /// before it is answered `408` and its connection closed (10 s at the
 /// default read timeout).
 const REQUEST_DEADLINE_READS: u32 = 50;
+
+/// Accepted connections that may wait for a worker, per worker thread.
+const QUEUED_PER_WORKER: usize = 64;
+
+thread_local! {
+    /// Picks the requests this worker times into the `pdpd.*` stage
+    /// histograms (see [`Stages::sample`]).
+    static STAGE_SAMPLER: Sampler = const { Sampler::new() };
+}
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -54,6 +68,13 @@ impl ServerOptions {
     pub fn request_deadline(&self) -> Duration {
         self.read_timeout.saturating_mul(REQUEST_DEADLINE_READS)
     }
+
+    /// How many accepted connections may wait for a worker: 64 per
+    /// worker thread. The accept loop answers any connection beyond them
+    /// `503` with `Connection: close` and closes it.
+    pub fn accept_queue(&self) -> usize {
+        QUEUED_PER_WORKER * self.threads.max(1)
+    }
 }
 
 impl Default for ServerOptions {
@@ -76,6 +97,9 @@ pub struct HttpStats {
     pub client_errors: u64,
     /// Decisions rendered over HTTP (batch requests count each element).
     pub decisions: u64,
+    /// Connections answered `503` because the accept queue was full
+    /// (counted in `connections` too).
+    pub shed: u64,
 }
 
 #[derive(Default, Debug)]
@@ -84,6 +108,7 @@ struct HttpCounters {
     ok: AtomicU64,
     client_errors: AtomicU64,
     decisions: AtomicU64,
+    shed: AtomicU64,
 }
 
 /// A running PDP daemon. Dropping it (or calling
@@ -130,7 +155,7 @@ impl PdpdServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(HttpCounters::default());
         let threads = options.threads.max(1);
-        let (tx, rx) = channel::<(TcpStream, Instant)>();
+        let (tx, rx) = sync_channel::<(TcpStream, Instant)>(options.accept_queue());
         let rx = Arc::new(Mutex::new(rx));
 
         let mut workers = Vec::with_capacity(threads);
@@ -178,6 +203,7 @@ impl PdpdServer {
             ok: self.counters.ok.load(Ordering::Relaxed),
             client_errors: self.counters.client_errors.load(Ordering::Relaxed),
             decisions: self.counters.decisions.load(Ordering::Relaxed),
+            shed: self.counters.shed.load(Ordering::Relaxed),
         }
     }
 
@@ -213,7 +239,7 @@ impl Drop for PdpdServer {
 
 fn accept_loop(
     listener: &TcpListener,
-    tx: &Sender<(TcpStream, Instant)>,
+    tx: &SyncSender<(TcpStream, Instant)>,
     shutdown: &AtomicBool,
     counters: &HttpCounters,
 ) {
@@ -223,8 +249,10 @@ fn accept_loop(
                 counters.connections.fetch_add(1, Ordering::Relaxed);
                 // The idle deadline counts from here, so time spent queued
                 // behind busy workers counts too.
-                if tx.send((stream, Instant::now())).is_err() {
-                    return; // every worker is gone
+                match tx.try_send((stream, Instant::now())) {
+                    Ok(()) => {}
+                    Err(TrySendError::Full((stream, _))) => shed(stream, counters),
+                    Err(TrySendError::Disconnected(_)) => return, // every worker is gone
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -234,6 +262,20 @@ fn accept_loop(
         }
     }
     // Dropping `tx` here closes the channel; workers drain and exit.
+}
+
+/// Answers a connection the full accept queue cannot take with `503` and
+/// `Connection: close`, then closes it. A fresh socket's send buffer
+/// takes the one write without blocking, so shedding never stalls the
+/// accept loop.
+fn shed(mut stream: TcpStream, counters: &HttpCounters) {
+    counters.shed.fetch_add(1, Ordering::Relaxed);
+    let _ = write_response(
+        &mut stream,
+        503,
+        wire::error_body("server busy: accept queue full").as_bytes(),
+        true,
+    );
 }
 
 fn worker_loop(
@@ -334,42 +376,123 @@ fn serve_connection(
             Err(HttpError::Io(_)) => return,
         };
         idle_since = None;
+        let stages = Stages::sample();
         let keep_alive = request.keep_alive;
-        let (status, body) = route(pin, counters, &request);
+        let (status, body) = route(pin, counters, &request, &stages);
         if status < 400 {
             counters.ok.fetch_add(1, Ordering::Relaxed);
         } else {
             counters.client_errors.fetch_add(1, Ordering::Relaxed);
         }
-        if write_response(&mut write_half, status, body.as_bytes(), !keep_alive).is_err() {
+        let written = stages.time(
+            |m| &m.write,
+            || write_response(&mut write_half, status, body.as_bytes(), !keep_alive),
+        );
+        if written.is_err() {
             return;
         }
+        stages.finish();
         if !keep_alive {
             return;
         }
     }
 }
 
+/// The daemon's stage histograms in the global registry (`pdpd.*`), named
+/// as the stages of a request the repository benchmark replays.
+struct StageMetrics {
+    json_parse: Arc<Histogram>,
+    request_build: Arc<Histogram>,
+    encode: Arc<Histogram>,
+    write: Arc<Histogram>,
+    /// From `read_request` returning to the response written; the
+    /// decide itself is `serve.decide_latency_ns`.
+    service: Arc<Histogram>,
+}
+
+impl StageMetrics {
+    fn global() -> &'static StageMetrics {
+        static METRICS: OnceLock<StageMetrics> = OnceLock::new();
+        METRICS.get_or_init(|| {
+            let r = agenp_obs::registry();
+            StageMetrics {
+                json_parse: r.histogram("pdpd.json_parse_ns"),
+                request_build: r.histogram("pdpd.request_build_ns"),
+                encode: r.histogram("pdpd.encode_ns"),
+                write: r.histogram("pdpd.write_ns"),
+                service: r.histogram("pdpd.service_ns"),
+            }
+        })
+    }
+}
+
+/// The stage timing of one request: for a sampled request, its start and
+/// the histograms it records into; otherwise nothing, and no clock read.
+struct Stages(Option<(u64, &'static StageMetrics)>);
+
+impl Stages {
+    /// With telemetry on, one tick of this worker's [`STAGE_SAMPLER`]:
+    /// about one request in 64, at random gaps, is timed. With telemetry
+    /// off, the only cost is one relaxed atomic load.
+    fn sample() -> Stages {
+        if !agenp_obs::enabled() || STAGE_SAMPLER.with(|s| s.tick(1)).is_none() {
+            return Stages(None);
+        }
+        Stages(Some((agenp_obs::monotonic_ns(), StageMetrics::global())))
+    }
+
+    /// Runs `work`, and for a sampled request records its time into the
+    /// histogram `stage` picks.
+    fn time<T>(&self, stage: fn(&StageMetrics) -> &Histogram, work: impl FnOnce() -> T) -> T {
+        let Some((_, metrics)) = self.0 else {
+            return work();
+        };
+        let start = agenp_obs::monotonic_ns();
+        let done = work();
+        stage(metrics).record(agenp_obs::monotonic_ns().saturating_sub(start));
+        done
+    }
+
+    /// Records a sampled request's whole service time.
+    fn finish(self) {
+        if let Some((start, metrics)) = self.0 {
+            let elapsed = agenp_obs::monotonic_ns().saturating_sub(start);
+            metrics.service.record(elapsed);
+        }
+    }
+}
+
 /// Dispatches one request to its endpoint. Returns `(status, JSON body)`.
-fn route(pin: &mut PdpPin, counters: &HttpCounters, request: &HttpRequest) -> (u16, String) {
+fn route(
+    pin: &mut PdpPin,
+    counters: &HttpCounters,
+    request: &HttpRequest,
+    stages: &Stages,
+) -> (u16, String) {
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/decide") => match parse_body(&request.body).and_then(|v| {
-            wire::request_from_json(&v).map_err(|e| format!("bad request shape: {e}"))
-        }) {
+        ("POST", "/decide") => match stages
+            .time(|m| &m.json_parse, || parse_body(&request.body))
+            .and_then(|v| {
+                stages
+                    .time(|m| &m.request_build, || wire::request_from_json(&v))
+                    .map_err(|e| format!("bad request shape: {e}"))
+            }) {
             Ok(req) => {
                 let outcome = pin.decide(&req);
                 counters.decisions.fetch_add(1, Ordering::Relaxed);
-                (200, wire::outcome_to_json(&outcome))
+                let body = stages.time(|m| &m.encode, || wire::outcome_to_json(&outcome));
+                (200, body)
             }
             Err(msg) => (400, wire::error_body(&msg)),
         },
-        ("POST", "/decide_batch") => match parse_batch_body(&request.body) {
+        ("POST", "/decide_batch") => match parse_batch_body(&request.body, stages) {
             Ok(reqs) => {
                 let outcomes = pin.decide_batch(&reqs);
                 counters
                     .decisions
                     .fetch_add(outcomes.len() as u64, Ordering::Relaxed);
-                (200, wire::batch_to_json(&outcomes))
+                let body = stages.time(|m| &m.encode, || wire::batch_to_json(&outcomes));
+                (200, body)
             }
             Err(msg) => (400, wire::error_body(&msg)),
         },
@@ -391,19 +514,24 @@ fn parse_body(body: &[u8]) -> Result<Json, String> {
     json::parse(text).map_err(|e| format!("bad JSON: {e}"))
 }
 
-fn parse_batch_body(body: &[u8]) -> Result<Vec<agenp_policy::Request>, String> {
-    let value = parse_body(body)?;
+fn parse_batch_body(body: &[u8], stages: &Stages) -> Result<Vec<agenp_policy::Request>, String> {
+    let value = stages.time(|m| &m.json_parse, || parse_body(body))?;
     let items = value
         .get("requests")
         .and_then(Json::as_arr)
         .ok_or_else(|| "body must be {\"requests\": [...]}".to_string())?;
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            wire::request_from_json(v).map_err(|e| format!("bad request at index {i}: {e}"))
-        })
-        .collect()
+    stages.time(
+        |m| &m.request_build,
+        || {
+            items
+                .iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    wire::request_from_json(v).map_err(|e| format!("bad request at index {i}: {e}"))
+                })
+                .collect()
+        },
+    )
 }
 
 /// The obs-backed `/metrics` document: per-handle serve stats, HTTP-level
@@ -415,6 +543,7 @@ fn metrics_body(serve: ServeStats, counters: &HttpCounters) -> String {
         ("ok", count(&counters.ok)),
         ("client_errors", count(&counters.client_errors)),
         ("decisions", count(&counters.decisions)),
+        ("shed", count(&counters.shed)),
     ]);
     let serve = [
         ("decisions", serve.decisions),

@@ -374,3 +374,67 @@ fn slow_head_client_is_closed_within_the_request_deadline() {
     server.shutdown();
     assert_eq!(server.http_stats().client_errors, 1);
 }
+
+#[test]
+fn a_full_accept_queue_sheds_with_503_and_serves_the_queued() {
+    let options = deadline_options();
+    let mut server =
+        PdpdServer::bind("127.0.0.1:0", scenario_handle(), options.clone()).expect("bind");
+    let decide = post("/decide", &wire::request_to_json(&sample_request()));
+    // The holder's connection keeps the one worker busy; each of its
+    // requests also resets the worker's idle deadline.
+    let (mut holder_tx, mut holder_rx) = connect(&server);
+    let mut hold = || {
+        holder_tx.write_all(&decide).unwrap();
+        assert_eq!(holder_rx.read_response().expect("holder served").0, 200);
+    };
+    hold();
+    // These fill the accept queue. Each writes its request now, so the
+    // worker finds it buffered whenever it gets there.
+    let queued: Vec<(TcpStream, ConnBuf<TcpStream>)> = (0..options.accept_queue())
+        .map(|_| {
+            let (mut tx, rx) = connect(&server);
+            tx.write_all(&decide).unwrap();
+            (tx, rx)
+        })
+        .collect();
+    hold();
+    for _ in 0..3 {
+        let (mut stream, _) = connect(&server);
+        let mut answer = Vec::new();
+        stream.read_to_end(&mut answer).expect("a 503, then EOF");
+        let text = String::from_utf8_lossy(&answer);
+        assert!(
+            text.starts_with("HTTP/1.1 503 Service Unavailable\r\n")
+                && text.contains("\r\nConnection: close\r\n"),
+            "{text}"
+        );
+        let (status, body) = ConnBuf::new(std::io::Cursor::new(answer))
+            .read_response()
+            .expect("a whole response");
+        assert_eq!(status, 503);
+        let value = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+        assert!(value.get("error").and_then(Json::as_str).is_some());
+    }
+    hold();
+    // The holder leaves; the worker serves the queued connections in
+    // order, each until its client closes it.
+    drop((holder_tx, holder_rx));
+    let last = queued.len() - 1;
+    for (i, (mut tx, mut rx)) in queued.into_iter().enumerate() {
+        assert_eq!(rx.read_response().expect("queued served").0, 200);
+        if i == last {
+            tx.write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+                .unwrap();
+            let (status, resp) = rx.read_response().unwrap();
+            assert_eq!(status, 200);
+            let value = json::parse(std::str::from_utf8(&resp).unwrap()).unwrap();
+            let http = value.get("http").expect("http section");
+            assert_eq!(http.get("shed").and_then(Json::as_i64), Some(3));
+        }
+    }
+    server.shutdown();
+    let stats = server.http_stats();
+    assert_eq!(stats.shed, 3);
+    assert_eq!(stats.connections, 1 + options.accept_queue() as u64 + 3);
+}
