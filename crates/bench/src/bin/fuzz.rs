@@ -3,7 +3,8 @@
 //!
 //! Each case is one seed pushed through one of the harness's runners:
 //! fast-vs-reference differential checks for the ASP solver, the serving
-//! PDP (all four `decide`/`decide_batch` paths), ASG membership, the
+//! PDP (all four `decide`/`decide_batch` paths, on small sets and on
+//! large sets of 16-64 policies), ASG membership, the
 //! learner's world coverage (compiled candidate plans against brute-force
 //! stable models), and generation plus PCP screening on a learning
 //! session's worlds (against grounding every tree and string), plus the
@@ -24,7 +25,7 @@
 //!   --base N       first seed (default 0; shift to explore new ground).
 
 use agenp_refsem::{
-    run_asg_case, run_asp_case, run_generate_case, run_metamorphic_asp_case,
+    run_asg_case, run_asp_case, run_generate_case, run_large_pdp_case, run_metamorphic_asp_case,
     run_metamorphic_pdp_case, run_pdp_case, run_world_case,
 };
 use std::time::Instant;
@@ -35,9 +36,10 @@ type CaseRunner = fn(u64) -> Result<(), String>;
 /// One rotation of the case mix. ASG membership is exhaustive over all
 /// strings up to length 4 per grammar, so it rides on a fraction of seeds
 /// rather than a full rotation slot.
-const KINDS: [(&str, CaseRunner); 6] = [
+const KINDS: [(&str, CaseRunner); 7] = [
     ("asp", run_asp_case),
     ("pdp", run_pdp_case),
+    ("large-pdp", run_large_pdp_case),
     ("metamorphic-asp", run_metamorphic_asp_case),
     ("metamorphic-pdp", run_metamorphic_pdp_case),
     ("world", run_world_case),

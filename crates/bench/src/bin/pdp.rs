@@ -27,6 +27,11 @@
 //! Since schema v5 the single-connection HTTP shape runs three times, each
 //! `"http"` row records its `repeat`, and the gate reads their median.
 //!
+//! Since schema v6 each kernel size also has a `"mixed"` row
+//! (`policy_combining`), in which every policy draws its own algorithm under
+//! a deny-overrides set, so the compiled plan holds whole policies next to
+//! the rules of the policies that take the set's algorithm.
+//!
 //! Usage: `cargo run -p agenp-bench --bin pdp --release [-- --smoke]`
 //!
 //! `--smoke` runs reduced scales suitable for CI (the kernel section at its
@@ -69,6 +74,8 @@ struct KernelRow {
     rules: usize,
     policies: usize,
     combining: CombiningAlg,
+    /// Each policy draws its own algorithm instead of taking `combining`.
+    mixed: bool,
     requests: usize,
     compile_us: f64,
     p50_ns: u64,
@@ -93,6 +100,10 @@ impl KernelRow {
             ("rules", self.rules.into()),
             ("policies", self.policies.into()),
             ("combining", alg_name(self.combining).into()),
+            (
+                "policy_combining",
+                if self.mixed { "mixed" } else { "same" }.into(),
+            ),
             ("requests", self.requests.into()),
             ("compile_us", fixed(self.compile_us, 1)),
             ("p50_ns", self.p50_ns.into()),
@@ -183,7 +194,7 @@ fn main() {
     write_bench(
         "pdp",
         "pdp",
-        "agenp-bench/pdp/v5",
+        "agenp-bench/pdp/v6",
         smoke,
         vec![
             ("throughput", Json::Arr(throughput)),
@@ -222,11 +233,12 @@ fn main() {
         if row.mismatches > 0 {
             eprintln!(
                 "pdp: the policy kernel disagreed with the reference evaluator on {} of {} \
-                 requests ({} rules, {})",
+                 requests ({} rules, {}{})",
                 row.mismatches,
                 row.requests,
                 row.rules,
-                alg_name(row.combining)
+                alg_name(row.combining),
+                if row.mixed { ", mixed policies" } else { "" }
             );
             std::process::exit(1);
         }
@@ -414,9 +426,11 @@ fn run_stress(policies: &[Policy], swaps: u64, threads: usize) -> StressOutcome 
 const KERNEL_RULES: [usize; 4] = [24, 96, 384, 1536];
 const KERNEL_RULES_PER_POLICY: usize = 3;
 
-/// The kernel section: for each size and each overrides algorithm, times
-/// `DecisionSnapshot::decide_effects` on unique requests, one decision per
-/// timing, then checks every decision against the reference evaluator.
+/// The kernel section: for each size, under each overrides algorithm taken
+/// by every policy and under deny-overrides over policies that each draw
+/// their own algorithm, times `DecisionSnapshot::decide_effects` on unique
+/// requests, one decision per timing, then checks every decision against
+/// the reference evaluator.
 fn run_kernel(smoke: bool) -> Vec<KernelRow> {
     let sizes = if smoke {
         &KERNEL_RULES[..2]
@@ -427,15 +441,27 @@ fn run_kernel(smoke: bool) -> Vec<KernelRow> {
     let mut rows = Vec::new();
     for &rules in sizes {
         for combining in [CombiningAlg::DenyOverrides, CombiningAlg::PermitOverrides] {
-            rows.push(kernel_row(rules, combining, requests));
+            rows.push(kernel_row(rules, combining, false, requests));
         }
+        rows.push(kernel_row(
+            rules,
+            CombiningAlg::DenyOverrides,
+            true,
+            requests,
+        ));
     }
     rows
 }
 
-fn kernel_row(rules: usize, combining: CombiningAlg, requests: usize) -> KernelRow {
+fn kernel_row(rules: usize, combining: CombiningAlg, mixed: bool, requests: usize) -> KernelRow {
     let mut rng = gen::rng_for(0x6b65_726e ^ rules as u64);
-    let policies = kernel_policies(&mut rng, rules / KERNEL_RULES_PER_POLICY, combining);
+    let count = rules / KERNEL_RULES_PER_POLICY;
+    let policies = if mixed {
+        let algs: Vec<CombiningAlg> = (0..count).map(|_| gen::combining(&mut rng)).collect();
+        kernel_policies(&mut rng, &algs)
+    } else {
+        kernel_policies(&mut rng, &vec![combining; count])
+    };
     // Compiling happens in `DecisionSnapshot::new`; the median of five
     // builds, each from its own copy of the set.
     let mut compile_ns: Vec<u64> = (0..5)
@@ -481,6 +507,7 @@ fn kernel_row(rules: usize, combining: CombiningAlg, requests: usize) -> KernelR
         rules,
         policies: policies.len(),
         combining,
+        mixed,
         requests,
         compile_us: compile_ns[compile_ns.len() / 2] as f64 / 1000.0,
         p50_ns: percentile(&ns, 50.0),
@@ -490,11 +517,12 @@ fn kernel_row(rules: usize, combining: CombiningAlg, requests: usize) -> KernelR
     }
 }
 
-/// `count` generated policies of three rules each, combining with
-/// `combining` inside each policy as across them.
-fn kernel_policies(rng: &mut StdRng, count: usize, combining: CombiningAlg) -> Vec<Policy> {
-    (0..count)
-        .map(|p| {
+/// Generated policies of three rules each, policy `p` combining its rules
+/// with `algs[p]`.
+fn kernel_policies(rng: &mut StdRng, algs: &[CombiningAlg]) -> Vec<Policy> {
+    algs.iter()
+        .enumerate()
+        .map(|(p, &alg)| {
             let rules = (0..KERNEL_RULES_PER_POLICY)
                 .map(|r| {
                     let effect = if rng.gen_bool(0.5) {
@@ -505,7 +533,7 @@ fn kernel_policies(rng: &mut StdRng, count: usize, combining: CombiningAlg) -> V
                     PolicyRule::new(&format!("p{p}r{r}"), effect, gen::cond(rng, 2))
                 })
                 .collect();
-            Policy::new(&format!("p{p}"), rules).with_combining(combining)
+            Policy::new(&format!("p{p}"), rules).with_combining(alg)
         })
         .collect()
 }

@@ -7,7 +7,9 @@
 //! or trickles a request past [`ServerOptions::request_deadline`], so an idle
 //! or slow client holds a worker for a bounded time only. A connection that
 //! finds [`ServerOptions::accept_queue`] connections already waiting is
-//! answered `503` and closed, so a flood of connections queues no further.
+//! answered `503` and closed, its write side first and after reading away
+//! what it has already sent, so a flood of connections queues no further
+//! and a shed client reads the `503`, then EOF.
 //! While telemetry is on, each worker times the stages of about one request
 //! in 64 into the registry's `pdpd.*` histograms.
 
@@ -16,8 +18,8 @@ use crate::json::{self, Json};
 use crate::wire;
 use agenp_core::arch::{PdpHandle, PdpPin, ServeStats};
 use agenp_obs::{Histogram, Sampler};
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Read as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -27,6 +29,9 @@ use std::time::{Duration, Instant};
 /// Read timeouts a connection may wait between requests before it is
 /// closed (5 s at the default 200 ms read timeout).
 const IDLE_DEADLINE_READS: u32 = 25;
+
+/// Reads of up to 4 KiB a shed connection's drain makes at most.
+const SHED_DRAIN_READS: usize = 16;
 
 /// Read timeouts a request may take to arrive once it needs a second read,
 /// before it is answered `408` and its connection closed (10 s at the
@@ -265,9 +270,13 @@ fn accept_loop(
 }
 
 /// Answers a connection the full accept queue cannot take with `503` and
-/// `Connection: close`, then closes it. A fresh socket's send buffer
-/// takes the one write without blocking, so shedding never stalls the
-/// accept loop.
+/// `Connection: close`, then closes it cleanly: it shuts the write side,
+/// so the client reads the answer and then EOF, and reads away what the
+/// client has already sent before the socket drops. A socket closed with
+/// unread bytes sends a reset instead, which can reach the client ahead of
+/// the `503`. A fresh socket's send buffer takes the one write without
+/// blocking and the drain never waits, so shedding never stalls the accept
+/// loop; bytes that arrive after the drain can still draw a reset.
 fn shed(mut stream: TcpStream, counters: &HttpCounters) {
     counters.shed.fetch_add(1, Ordering::Relaxed);
     let _ = write_response(
@@ -276,6 +285,16 @@ fn shed(mut stream: TcpStream, counters: &HttpCounters) {
         wire::error_body("server busy: accept queue full").as_bytes(),
         true,
     );
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_ok() {
+        let mut buf = [0u8; 4096];
+        for _ in 0..SHED_DRAIN_READS {
+            // EOF, an error or `WouldBlock` (nothing more received yet).
+            if !matches!(stream.read(&mut buf), Ok(n) if n > 0) {
+                break;
+            }
+        }
+    }
 }
 
 fn worker_loop(

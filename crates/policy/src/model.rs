@@ -178,25 +178,28 @@ impl Cond {
 
     /// The attributes referenced by the condition.
     pub fn referenced(&self) -> Vec<(Category, String)> {
-        let mut out = Vec::new();
-        self.collect_refs(&mut out);
+        let mut out: Vec<(Category, String)> = Vec::new();
+        self.visit_refs(&mut |category, attr| {
+            if !out.iter().any(|(c, a)| *c == category && a == attr) {
+                out.push((category, attr.to_owned()));
+            }
+        });
         out
     }
 
-    fn collect_refs(&self, out: &mut Vec<(Category, String)>) {
+    /// Calls `f` with the attribute of every leaf, in order, repeats
+    /// included.
+    pub(crate) fn visit_refs<'a>(&'a self, f: &mut impl FnMut(Category, &'a str)) {
         match self {
             Cond::Cmp { category, attr, .. } | Cond::In { category, attr, .. } => {
-                let key = (*category, attr.clone());
-                if !out.contains(&key) {
-                    out.push(key);
-                }
+                f(*category, attr)
             }
             Cond::And(cs) | Cond::Or(cs) => {
                 for c in cs {
-                    c.collect_refs(out);
+                    c.visit_refs(f);
                 }
             }
-            Cond::Not(c) => c.collect_refs(out),
+            Cond::Not(c) => c.visit_refs(f),
         }
     }
 }
@@ -433,6 +436,17 @@ impl CombiningAlg {
             }
         }
         fallback
+    }
+
+    /// The effect whose decision overrides every other under an overrides
+    /// algorithm; `None` for first-applicable, whose result depends on
+    /// order.
+    pub(crate) fn overriding(self) -> Option<Effect> {
+        match self {
+            CombiningAlg::DenyOverrides => Some(Effect::Deny),
+            CombiningAlg::PermitOverrides => Some(Effect::Permit),
+            CombiningAlg::FirstApplicable => None,
+        }
     }
 }
 

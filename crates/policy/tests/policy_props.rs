@@ -85,6 +85,12 @@ fn arb_rule() -> impl Strategy<Value = PolicyRule> {
 /// stack slot table holds (16).
 const KERNEL_ATTRS: [&str; 5] = ["a", "b", "c", "d", "e"];
 
+/// `KERNEL_ATTRS` and twelve more: with four categories, 68 distinct
+/// `(category, attr)` pairs, more than one 64-slot mask word holds.
+const WIDER_ATTRS: [&str; 17] = [
+    "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p", "q",
+];
+
 fn arb_category() -> impl Strategy<Value = Category> {
     prop_oneof![
         Just(Category::Subject),
@@ -237,18 +243,70 @@ fn arb_wide_policy() -> impl Strategy<Value = Policy> {
         })
 }
 
+/// A policy whose rules read every `WIDER_ATTRS` pair (68 slots), and
+/// only the last four of them (slots 64-67 when it is in the set: the
+/// second word of a slot mask), so the compiled set's masks span two words.
+fn arb_wider_policy() -> impl Strategy<Value = Policy> {
+    let n = 4 * WIDER_ATTRS.len();
+    (
+        arb_alg(),
+        (arb_effect(), any::<bool>()),
+        (arb_effect(), any::<bool>()),
+        proptest::collection::vec((arb_op(), arb_value()), n..n + 1),
+    )
+        .prop_map(move |(alg, (e1, and1), (e2, and2), tests)| {
+            let pairs = Category::ALL
+                .iter()
+                .flat_map(|c| WIDER_ATTRS.iter().map(move |a| (*c, *a)));
+            let leaves: Vec<Cond> = pairs
+                .zip(tests)
+                .map(|((c, a), (op, v))| Cond::cmp(c, a, op, v))
+                .collect();
+            let join = |and: bool, leaves: &[Cond]| {
+                if and {
+                    Cond::And(leaves.to_vec())
+                } else {
+                    Cond::Or(leaves.to_vec())
+                }
+            };
+            Policy::new(
+                "wider",
+                vec![
+                    PolicyRule::new("all", e1, join(and1, &leaves)),
+                    PolicyRule::new("tail", e2, join(and2, &leaves[n - 4..])).with_penalty(2),
+                ],
+            )
+            .with_combining(alg)
+        })
+}
+
 /// Requests over the kernel's attribute pool plus one name no condition
-/// reads, with values of every type.
+/// reads, with values of every type, and up to two attributes from the
+/// wider pool, half of them among the four pairs `arb_wider_policy`'s
+/// second rule reads.
 fn arb_kernel_request() -> impl Strategy<Value = Request> {
     let name =
         (0..KERNEL_ATTRS.len() + 1).prop_map(|i| KERNEL_ATTRS.get(i).copied().unwrap_or("z"));
-    proptest::collection::vec((arb_category(), name, arb_value()), 0..10).prop_map(|attrs| {
-        let mut req = Request::new();
-        for (c, n, v) in attrs {
-            req.set(c, n, v);
-        }
-        req
-    })
+    let n = WIDER_ATTRS.len();
+    let wider = prop_oneof![
+        (arb_category(), (0..n).prop_map(|i| WIDER_ATTRS[i])),
+        (
+            Just(Category::Environment),
+            (n - 4..n).prop_map(|i| WIDER_ATTRS[i])
+        ),
+    ];
+    (
+        proptest::collection::vec((arb_category(), name, arb_value()), 0..10),
+        proptest::collection::vec((wider, arb_value()), 0..3),
+    )
+        .prop_map(|(attrs, wider)| {
+            let mut req = Request::new();
+            let wider = wider.into_iter().map(|((c, n), v)| (c, n, v));
+            for (c, n, v) in attrs.into_iter().chain(wider) {
+                req.set(c, n, v);
+            }
+            req
+        })
 }
 
 proptest! {
@@ -271,6 +329,38 @@ proptest! {
             prop_assert_eq!(
                 alg.combine(ds.iter().copied()),
                 alg.combine(shuffled.iter().copied())
+            );
+        }
+    }
+
+    /// Under deny- and permit-overrides, combining the decisions of
+    /// policies that take the set's algorithm equals combining all their
+    /// rules' decisions in one list, in any order: the compiled kernel's
+    /// plan hands such policies' rules to the set's list.
+    #[test]
+    fn same_algorithm_policies_combine_as_their_rules(
+        policies in proptest::collection::vec(
+            proptest::collection::vec(arb_decision(), 0..4),
+            0..6,
+        ),
+        swaps in proptest::collection::vec((0usize..24, 0usize..24), 0..12),
+    ) {
+        let mut rules: Vec<Decision> = policies.concat();
+        for (a, b) in swaps {
+            if !rules.is_empty() {
+                let n = rules.len();
+                rules.swap(a % n, b % n);
+            }
+        }
+        for alg in [CombiningAlg::DenyOverrides, CombiningAlg::PermitOverrides] {
+            let nested = alg.combine(policies.iter().map(|p| alg.combine(p.iter().copied())));
+            prop_assert_eq!(
+                nested,
+                alg.combine(rules.iter().copied()),
+                "{:?} over {:?} flattened to {:?}",
+                alg,
+                policies,
+                rules
             );
         }
     }
@@ -371,34 +461,45 @@ proptest! {
 
     /// The compiled kernel renders exactly what the tree walk renders:
     /// the same decision, obligations and penalty, with stack-sized and
-    /// heap-sized slot tables alike.
+    /// heap-sized slot tables alike, in sets where 8-32 policies take the
+    /// set's algorithm (so the plan holds their rules one by one) and in
+    /// sets of more than 64 slots.
     #[test]
     fn compiled_kernel_matches_the_tree_walk(
         mut policies in proptest::collection::vec(arb_kernel_policy(), 0..6),
+        same in proptest::option::of(proptest::collection::vec(arb_kernel_policy(), 8..33)),
         wide in proptest::option::of(arb_wide_policy()),
+        wider in proptest::option::weighted(0.3, arb_wider_policy()),
         at in 0usize..6,
         combining in arb_alg(),
         requests in proptest::collection::vec(arb_kernel_request(), 1..9),
     ) {
-        if let Some(w) = wide {
+        if let Some(same) = same {
+            policies.extend(same.into_iter().map(|p| p.with_combining(combining)));
+        }
+        for w in wide.into_iter().chain(wider) {
             policies.insert(at.min(policies.len()), w);
         }
-        let set = CompiledPolicies::new(policies.clone(), combining);
-        prop_assert_eq!(set.policies(), &policies[..]);
-        prop_assert_eq!(set.combining(), combining);
-        for r in &requests {
-            prop_assert_eq!(
-                set.decide(r),
-                evaluate_policies(&policies, combining, r),
-                "decision for {}",
-                r
-            );
-            prop_assert_eq!(
-                set.decide_effects(r),
-                evaluate_policies_effects(&policies, combining, r),
-                "effects for {}",
-                r
-            );
+        // The whole set, then each policy alone, where no other policy's
+        // decision can hide a wrong one of its rules.
+        for policies in std::iter::once(&policies[..]).chain(policies.chunks(1)) {
+            let set = CompiledPolicies::new(policies.to_vec(), combining);
+            prop_assert_eq!(set.policies(), policies);
+            prop_assert_eq!(set.combining(), combining);
+            for r in &requests {
+                prop_assert_eq!(
+                    set.decide(r),
+                    evaluate_policies(policies, combining, r),
+                    "decision for {}",
+                    r
+                );
+                prop_assert_eq!(
+                    set.decide_effects(r),
+                    evaluate_policies_effects(policies, combining, r),
+                    "effects for {}",
+                    r
+                );
+            }
         }
     }
 

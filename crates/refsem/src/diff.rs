@@ -264,27 +264,50 @@ pub fn decisions_via_all_paths(
 /// decision-plus-obligations-plus-penalty effects. Any mismatch is shrunk
 /// to a minimal failing case before the repro line prints.
 pub fn run_pdp_case(seed: u64) -> Result<(), String> {
-    let ctx = |msg: String| format!("seed={seed} kind=pdp: {msg} (repro: run_pdp_case({seed}))");
     let mut rng = gen::rng_for(seed);
     let (policies, combining) = gen::policy_set(&mut rng);
     let stream = gen::request_stream(&mut rng, 12);
-    let served = match decisions_via_all_paths(&policies, combining, &stream) {
+    check_pdp_case(&policies, combining, &stream)
+        .map_err(|msg| format!("seed={seed} kind=pdp: {msg} (repro: run_pdp_case({seed}))"))
+}
+
+/// Differential PDP case on a large set ([`gen::large_policy_set`]: 16-64
+/// policies, most taking the set's algorithm, so the compiled plan spans
+/// many policies' rules): the checks, shrinker and repro line of
+/// [`run_pdp_case`].
+pub fn run_large_pdp_case(seed: u64) -> Result<(), String> {
+    let mut rng = gen::rng_for(seed);
+    let (policies, combining) = gen::large_policy_set(&mut rng);
+    let stream = gen::request_stream(&mut rng, 12);
+    check_pdp_case(&policies, combining, &stream).map_err(|msg| {
+        format!("seed={seed} kind=large-pdp: {msg} (repro: run_large_pdp_case({seed}))")
+    })
+}
+
+/// Every serving path against [`reference::effects_reference`] on one
+/// case; a mismatch is shrunk before it is reported.
+fn check_pdp_case(
+    policies: &[Policy],
+    combining: CombiningAlg,
+    stream: &[Request],
+) -> Result<(), String> {
+    let served = match decisions_via_all_paths(policies, combining, stream) {
         Ok(served) => served,
         Err(msg) => {
-            return Err(ctx(format!(
+            return Err(format!(
                 "{msg}\n{}",
-                shrunk_pdp_repro(&policies, combining, &stream)
-            )))
+                shrunk_pdp_repro(policies, combining, stream)
+            ))
         }
     };
-    for (i, (got, request)) in served.iter().zip(&stream).enumerate() {
-        let want = reference::effects_reference(&policies, combining, request);
+    for (i, (got, request)) in served.iter().zip(stream).enumerate() {
+        let want = reference::effects_reference(policies, combining, request);
         if *got != want {
-            return Err(ctx(format!(
+            return Err(format!(
                 "request[{i}] served {got:?} != reference {want:?} (key {})\n{}",
                 request.canonical_key(),
-                shrunk_pdp_repro(&policies, combining, &stream)
-            )));
+                shrunk_pdp_repro(policies, combining, stream)
+            ));
         }
     }
     Ok(())

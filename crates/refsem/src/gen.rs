@@ -487,6 +487,26 @@ pub fn policy_set(rng: &mut StdRng) -> (Vec<Policy>, CombiningAlg) {
     (policies, top)
 }
 
+/// A random large policy set: 16 to 64 policies of one to three
+/// obligation-bearing rules, as [`policy_set`] draws them, under a random
+/// top-level algorithm. Each policy takes the set's algorithm with
+/// probability 3/4 and a random one otherwise, so the compiled kernel's
+/// plan holds many policies' rules one by one next to whole policies.
+pub fn large_policy_set(rng: &mut StdRng) -> (Vec<Policy>, CombiningAlg) {
+    let top = combining(rng);
+    let policies = (0..rng.gen_range(16..=64))
+        .map(|i| {
+            let alg = if rng.gen_bool(0.75) {
+                top
+            } else {
+                combining(rng)
+            };
+            policy(rng, i, alg)
+        })
+        .collect();
+    (policies, top)
+}
+
 /// A random policy set restricted to order-insensitive combining at every
 /// level, for the rule/policy-permutation metamorphic oracles.
 pub fn order_insensitive_policy_set(rng: &mut StdRng) -> (Vec<Policy>, CombiningAlg) {

@@ -50,7 +50,7 @@ pub mod reference;
 pub mod shrink;
 
 pub use diff::{
-    run_asg_case, run_asp_case, run_generate_case, run_metamorphic_asp_case,
+    run_asg_case, run_asp_case, run_generate_case, run_large_pdp_case, run_metamorphic_asp_case,
     run_metamorphic_pdp_case, run_pdp_case, run_world_case,
 };
 pub use reference::Model;
