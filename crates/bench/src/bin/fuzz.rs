@@ -7,8 +7,10 @@
 //! large sets of 16-64 policies), ASG membership, the
 //! learner's world coverage (compiled candidate plans against brute-force
 //! stable models), and generation plus PCP screening on a learning
-//! session's worlds (against grounding every tree and string), plus the
-//! metamorphic transform suites. Any mismatch
+//! session's worlds (against grounding every tree and string), pdpd's
+//! connection loop on pipelined HTTP trains with malformed requests mixed
+//! in (`wire`, driven in memory), plus the metamorphic transform suites.
+//! Any mismatch
 //! prints a one-line repro leading with the seed —
 //! `(repro: run_pdp_case(8231))` — and exits nonzero, so CI failures
 //! replay locally from a single integer.
@@ -26,7 +28,7 @@
 
 use agenp_refsem::{
     run_asg_case, run_asp_case, run_generate_case, run_large_pdp_case, run_metamorphic_asp_case,
-    run_metamorphic_pdp_case, run_pdp_case, run_world_case,
+    run_metamorphic_pdp_case, run_pdp_case, run_wire_case, run_world_case,
 };
 use std::time::Instant;
 
@@ -36,7 +38,7 @@ type CaseRunner = fn(u64) -> Result<(), String>;
 /// One rotation of the case mix. ASG membership is exhaustive over all
 /// strings up to length 4 per grammar, so it rides on a fraction of seeds
 /// rather than a full rotation slot.
-const KINDS: [(&str, CaseRunner); 7] = [
+const KINDS: [(&str, CaseRunner); 8] = [
     ("asp", run_asp_case),
     ("pdp", run_pdp_case),
     ("large-pdp", run_large_pdp_case),
@@ -44,6 +46,7 @@ const KINDS: [(&str, CaseRunner); 7] = [
     ("metamorphic-pdp", run_metamorphic_pdp_case),
     ("world", run_world_case),
     ("generate", run_generate_case),
+    ("wire", run_wire_case),
 ];
 
 /// Every `ASG_EVERY`-th case additionally runs the grammar differential.

@@ -32,6 +32,11 @@
 //! a deny-overrides set, so the compiled plan holds whole policies next to
 //! the rules of the policies that take the set's algorithm.
 //!
+//! Since schema v7 each `"http"` row records its daemon's `server_threads`,
+//! and one more row runs four keep-alive connections against a
+//! `threads: 1` daemon: its `max_us` is the longest any connection waited
+//! for an answer.
+//!
 //! Usage: `cargo run -p agenp-bench --bin pdp --release [-- --smoke]`
 //!
 //! `--smoke` runs reduced scales suitable for CI (the kernel section at its
@@ -118,13 +123,22 @@ impl KernelRow {
 /// so a stall of the shared machine fails one repeat, not the gate.
 const SINGLE_CONN_REPEATS: usize = 3;
 
-/// One HTTP load-client row: `batch` requests per body, the `repeat`-th
-/// run of its shape.
-fn http_json((batch, repeat, r): &(usize, usize, LoadReport)) -> Json {
+/// One HTTP load-client run: `batch` requests per body against a daemon
+/// of `server_threads`, the `repeat`-th run of its shape.
+struct HttpRow {
+    server_threads: usize,
+    batch: usize,
+    repeat: usize,
+    report: LoadReport,
+}
+
+fn http_json(row: &HttpRow) -> Json {
+    let r = &row.report;
     Json::obj([
+        ("server_threads", row.server_threads.into()),
         ("connections", r.connections.into()),
-        ("batch", (*batch).into()),
-        ("repeat", (*repeat).into()),
+        ("batch", row.batch.into()),
+        ("repeat", row.repeat.into()),
         ("decisions", r.decisions.into()),
         ("decisions_per_sec", fixed(r.throughput, 1)),
         ("p50_us", (r.p50_ns / 1000).into()),
@@ -187,14 +201,14 @@ fn main() {
     // `run_http` runs the single-connection repeats first.
     let mut single_conn: Vec<f64> = http_rows[..SINGLE_CONN_REPEATS]
         .iter()
-        .map(|(_, _, r)| r.throughput)
+        .map(|row| row.report.throughput)
         .collect();
     single_conn.sort_by(f64::total_cmp);
     let single_conn = percentile(&single_conn, 50.0);
     write_bench(
         "pdp",
         "pdp",
-        "agenp-bench/pdp/v6",
+        "agenp-bench/pdp/v7",
         smoke,
         vec![
             ("throughput", Json::Arr(throughput)),
@@ -250,12 +264,18 @@ fn main() {
         );
         std::process::exit(1);
     }
-    for (batch, _, row) in &http_rows {
-        if row.parity_mismatches > 0 || row.stale_epochs > 0 || row.http_errors > 0 {
+    for HttpRow {
+        server_threads,
+        batch,
+        report: r,
+        ..
+    } in &http_rows
+    {
+        if r.parity_mismatches > 0 || r.stale_epochs > 0 || r.http_errors > 0 {
             eprintln!(
-                "pdp: HTTP load run ({} conn, batch {}) was not clean: \
-                 {} mismatches, {} stale epochs, {} errors",
-                row.connections, batch, row.parity_mismatches, row.stale_epochs, row.http_errors
+                "pdp: HTTP load run ({} conn, batch {batch}, {server_threads} server \
+                 thread(s)) was not clean: {} mismatches, {} stale epochs, {} errors",
+                r.connections, r.parity_mismatches, r.stale_epochs, r.http_errors
             );
             std::process::exit(1);
         }
@@ -463,13 +483,16 @@ fn kernel_row(rules: usize, combining: CombiningAlg, mixed: bool, requests: usiz
         kernel_policies(&mut rng, &vec![combining; count])
     };
     // Compiling happens in `DecisionSnapshot::new`; the median of five
-    // builds, each from its own copy of the set.
+    // builds, each from its own copy of the set. Each snapshot is dropped
+    // after the clock read, so freeing it is not timed.
     let mut compile_ns: Vec<u64> = (0..5)
         .map(|_| {
             let copy = policies.clone();
             let started = Instant::now();
-            black_box(DecisionSnapshot::new(copy, combining));
-            nanos(started)
+            let snapshot = black_box(DecisionSnapshot::new(copy, combining));
+            let ns = nanos(started);
+            drop(snapshot);
+            ns
         })
         .collect();
     compile_ns.sort_unstable();
@@ -566,58 +589,72 @@ fn alg_name(alg: CombiningAlg) -> &'static str {
     }
 }
 
-/// Boots the `agenp-pdpd` HTTP server in-process on an ephemeral loopback
-/// port and drives it with the crate's own load client:
-/// [`SINGLE_CONN_REPEATS`] runs on one connection (the gated shape), then
-/// `cpus.min(4)` connections, then a batched run. Every response is
+/// Drives in-process `agenp-pdpd` HTTP servers with the crate's own load
+/// client: [`SINGLE_CONN_REPEATS`] runs on one connection (the gated
+/// shape), then `cpus.min(4)` connections, then a batched run, all against
+/// a daemon of `cpus` threads; then four connections against a
+/// `threads: 1` daemon, more connections than threads. Every response is
 /// parity-checked against the oracle by the client.
-fn run_http(policies: &[Policy], smoke: bool) -> Vec<(usize, usize, LoadReport)> {
+fn run_http(policies: &[Policy], smoke: bool) -> Vec<HttpRow> {
+    let cpus = std::thread::available_parallelism().map_or(2, usize::from);
+    let requests = if smoke { 20_000 } else { 100_000 };
+    let shapes: Vec<(usize, usize, usize)> = (0..SINGLE_CONN_REPEATS)
+        .map(|repeat| (1, 1, repeat))
+        .chain([(cpus.min(4), 1, 0), (1, 16, 0)])
+        .collect();
+    let mut rows = http_runs(policies, cpus, &shapes, requests);
+    rows.extend(http_runs(policies, 1, &[(4, 1, 0)], requests));
+    rows
+}
+
+/// Boots a daemon of `server_threads` on an ephemeral loopback port and
+/// runs each `(connections, batch, repeat)` shape against it.
+fn http_runs(
+    policies: &[Policy],
+    server_threads: usize,
+    shapes: &[(usize, usize, usize)],
+    requests: usize,
+) -> Vec<HttpRow> {
     let handle = PdpHandle::new();
     handle.publish(DecisionSnapshot::new(
         policies.to_vec(),
         CombiningAlg::DenyOverrides,
     ));
-    let server = PdpdServer::bind(
-        "127.0.0.1:0",
-        handle,
-        ServerOptions {
-            threads: std::thread::available_parallelism().map_or(2, usize::from),
-            ..ServerOptions::default()
-        },
-    )
-    .expect("pdp: cannot bind the in-process HTTP server on loopback");
+    let options = ServerOptions {
+        threads: server_threads,
+        ..ServerOptions::default()
+    };
+    let server = PdpdServer::bind("127.0.0.1:0", handle, options)
+        .expect("pdp: cannot bind the in-process HTTP server on loopback");
 
     let workload = build_workload(64, 1234);
     let expected: Vec<Decision> = workload
         .iter()
         .map(|r| server.handle().decide(r).decision)
         .collect();
-
-    let requests = if smoke { 20_000 } else { 100_000 };
-    let multi_conns = std::thread::available_parallelism()
-        .map_or(2, usize::from)
-        .min(4);
-    let shapes = (0..SINGLE_CONN_REPEATS)
-        .map(|repeat| (1, 1, repeat))
-        .chain([(multi_conns, 1, 0), (1, 16, 0)]);
-    let mut rows = Vec::new();
-    for (connections, batch, repeat) in shapes {
-        let report = run_load(
-            server.addr(),
-            &workload,
-            &expected,
-            &LoadOptions {
-                connections,
-                requests,
+    shapes
+        .iter()
+        .map(|&(connections, batch, repeat)| {
+            let report = run_load(
+                server.addr(),
+                &workload,
+                &expected,
+                &LoadOptions {
+                    connections,
+                    requests,
+                    batch,
+                    ..LoadOptions::default()
+                },
+            )
+            .expect("pdp: HTTP load run failed against the in-process server");
+            HttpRow {
+                server_threads,
                 batch,
-                ..LoadOptions::default()
-            },
-        )
-        .expect("pdp: HTTP load run failed against the in-process server");
-        rows.push((batch, repeat, report));
-    }
-    drop(server); // shuts down and joins the worker pool
-    rows
+                repeat,
+                report,
+            }
+        })
+        .collect()
 }
 
 fn speedup(rows: &[ServerReport], threads: usize) -> Option<f64> {

@@ -180,6 +180,11 @@ impl<R: Read> ConnBuf<R> {
                 return Err(HttpError::Malformed("connection closed mid-head".into()));
             }
         };
+        // A head that ends in the read that crossed the cap is found above
+        // before its size is checked.
+        if head_end + 4 > MAX_HEAD_BYTES {
+            return Err(HttpError::TooLarge("header block"));
+        }
         let head = match std::str::from_utf8(&self.pending()[..head_end]) {
             Ok(h) => h.to_owned(),
             Err(_) => return Err(HttpError::Malformed("head is not UTF-8".into())),
@@ -452,6 +457,24 @@ mod tests {
         );
         let mut conn = ConnBuf::new(Cursor::new(raw.into_bytes()));
         assert!(matches!(conn.read_request(), Err(HttpError::TooLarge(_))));
+    }
+
+    #[test]
+    fn oversized_head_is_too_large_however_it_arrives() {
+        let pad = "x".repeat(MAX_HEAD_BYTES);
+        let raw = format!("GET /x HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n");
+        // In one read, so the terminator is buffered with the rest.
+        let mut conn = ConnBuf::new(Cursor::new(raw.clone().into_bytes()));
+        assert!(matches!(conn.read_request(), Err(HttpError::TooLarge(_))));
+        // Never ending within the cap.
+        let mut conn = ConnBuf::new(Cursor::new(raw.as_bytes()[..MAX_HEAD_BYTES + 8].to_vec()));
+        assert!(matches!(conn.read_request(), Err(HttpError::TooLarge(_))));
+        // A head of exactly the cap is accepted.
+        let fits = "x".repeat(MAX_HEAD_BYTES - "GET /x HTTP/1.1\r\nX-Pad: \r\n\r\n".len());
+        let raw = format!("GET /x HTTP/1.1\r\nX-Pad: {fits}\r\n\r\n");
+        assert_eq!(raw.len(), MAX_HEAD_BYTES);
+        let mut conn = ConnBuf::new(Cursor::new(raw.into_bytes()));
+        assert!(conn.read_request().unwrap().is_some());
     }
 
     /// Yields its bytes one per read, sleeping `pause` before each.

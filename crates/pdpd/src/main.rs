@@ -7,7 +7,9 @@
 //! ```
 //!
 //! `serve` publishes the XACML scenario's ground-truth policy into a
-//! [`PdpHandle`] and serves it over HTTP/1.1 until killed. `load` drives
+//! [`PdpHandle`] and serves it over HTTP/1.1 until killed, one thread per
+//! connection; `--threads N` only sizes the cap on live connections
+//! (64 x N, default N = the available parallelism). `load` drives
 //! a randomized request mix against a running daemon, prints throughput
 //! and latency percentiles, and — with `--smoke` — exits nonzero unless
 //! the run is clean (zero parity mismatches, zero stale epochs, zero
@@ -35,7 +37,9 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: pdpd serve [--addr HOST:PORT] [--threads N] [--obs]\n\
                  \x20      pdpd load  [--addr HOST:PORT] [--connections N] \
-                 [--requests N] [--batch N] [--smoke]"
+                 [--requests N] [--batch N] [--smoke]\n\
+                 serve runs one thread per connection; --threads N caps live \
+                 connections at 64 x N"
             );
             ExitCode::from(2)
         }

@@ -1,29 +1,30 @@
-//! The serving loop: a blocking `TcpListener` accept thread feeding a fixed
-//! worker pool over a bounded channel (plain `std::thread` + channels,
-//! deterministic shutdown, no external runtime). Each worker owns a [`PdpPin`],
-//! so every connection it serves decides against a pinned snapshot revalidated
-//! by one epoch load per call, with no shared lock on the decision path. A
-//! worker drops a connection that idles past [`ServerOptions::idle_deadline`]
-//! or trickles a request past [`ServerOptions::request_deadline`], so an idle
-//! or slow client holds a worker for a bounded time only. A connection that
-//! finds [`ServerOptions::accept_queue`] connections already waiting is
-//! answered `503` and closed, its write side first and after reading away
-//! what it has already sent, so a flood of connections queues no further
-//! and a shed client reads the `503`, then EOF.
-//! While telemetry is on, each worker times the stages of about one request
-//! in 64 into the registry's `pdpd.*` histograms.
+//! The serving loop: a blocking `TcpListener` accept thread that serves
+//! each connection on a scoped thread of its own (plain `std::thread`,
+//! deterministic shutdown, no external runtime). Each connection thread
+//! owns a [`PdpPin`], so it decides against a pinned snapshot revalidated
+//! by one epoch load per call, with no shared lock on the decision path,
+//! and a busy keep-alive client holds its own thread only. A connection
+//! that idles past [`ServerOptions::idle_deadline`] or trickles a request
+//! past [`ServerOptions::request_deadline`] is closed, so an idle or slow
+//! client holds its thread for a bounded time. A connection that finds
+//! [`ServerOptions::max_connections`] connections already live, or whose
+//! thread fails to start, is answered `503` and closed, its write side
+//! first and after reading away what it has already sent, so a flood of
+//! connections starts no further threads and a shed client reads the
+//! `503`, then EOF.
+//! While telemetry is on, each connection thread times the stages of about
+//! one request in 64 into the registry's `pdpd.*` histograms.
 
 use crate::http::{write_response, ConnBuf, HttpError, HttpRequest};
 use crate::json::{self, Json};
 use crate::wire;
 use agenp_core::arch::{PdpHandle, PdpPin, ServeStats};
 use agenp_obs::{Histogram, Sampler};
-use std::io::{self, Read as _};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Read timeouts a connection may wait between requests before it is
@@ -38,19 +39,20 @@ const SHED_DRAIN_READS: usize = 16;
 /// default read timeout).
 const REQUEST_DEADLINE_READS: u32 = 50;
 
-/// Accepted connections that may wait for a worker, per worker thread.
-const QUEUED_PER_WORKER: usize = 64;
+/// Live connections allowed per [`ServerOptions::threads`].
+const CONNECTIONS_PER_THREAD: usize = 64;
 
 thread_local! {
-    /// Picks the requests this worker times into the `pdpd.*` stage
-    /// histograms (see [`Stages::sample`]).
+    /// Picks the requests this connection thread times into the `pdpd.*`
+    /// stage histograms (see [`Stages::sample`]).
     static STAGE_SAMPLER: Sampler = const { Sampler::new() };
 }
 
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServerOptions {
-    /// Worker threads serving connections (minimum 1).
+    /// Sizes the connection cap, [`ServerOptions::max_connections`]
+    /// (minimum 1). Every connection is served on a thread of its own.
     pub threads: usize,
     /// Socket read timeout; bounds how long shutdown can lag, and sets the
     /// idle and request deadlines.
@@ -59,26 +61,26 @@ pub struct ServerOptions {
 
 impl ServerOptions {
     /// How long a connection may wait for its next request, counted from
-    /// its accept or, after a response, from its first timed-out read:
-    /// 25 read timeouts. A worker then closes it, so an idle keep-alive
-    /// client cannot hold a worker indefinitely.
+    /// its first read that times out, on a fresh connection and after
+    /// each response: 25 read timeouts. Its thread then closes it, so an
+    /// idle keep-alive client cannot hold a thread indefinitely.
     pub fn idle_deadline(&self) -> Duration {
         self.read_timeout.saturating_mul(IDLE_DEADLINE_READS)
     }
 
     /// How long a request may take to arrive in full once it needs a
-    /// second read: 50 read timeouts. A worker then answers `408` and
+    /// second read: 50 read timeouts. Its thread then answers `408` and
     /// closes the connection, so a client trickling bytes cannot hold a
-    /// worker indefinitely either.
+    /// thread indefinitely either.
     pub fn request_deadline(&self) -> Duration {
         self.read_timeout.saturating_mul(REQUEST_DEADLINE_READS)
     }
 
-    /// How many accepted connections may wait for a worker: 64 per
-    /// worker thread. The accept loop answers any connection beyond them
-    /// `503` with `Connection: close` and closes it.
-    pub fn accept_queue(&self) -> usize {
-        QUEUED_PER_WORKER * self.threads.max(1)
+    /// How many connections may be live at once: 64 per `threads`. The
+    /// accept loop answers any connection beyond them `503` with
+    /// `Connection: close` and closes it.
+    pub fn max_connections(&self) -> usize {
+        CONNECTIONS_PER_THREAD * self.threads.max(1)
     }
 }
 
@@ -102,8 +104,8 @@ pub struct HttpStats {
     pub client_errors: u64,
     /// Decisions rendered over HTTP (batch requests count each element).
     pub decisions: u64,
-    /// Connections answered `503` because the accept queue was full
-    /// (counted in `connections` too).
+    /// Connections answered `503` because the connection cap was reached
+    /// or their thread failed to start (counted in `connections` too).
     pub shed: u64,
 }
 
@@ -116,15 +118,26 @@ struct HttpCounters {
     shed: AtomicU64,
 }
 
+impl HttpCounters {
+    fn stats(&self) -> HttpStats {
+        HttpStats {
+            connections: self.connections.load(Ordering::Relaxed),
+            ok: self.ok.load(Ordering::Relaxed),
+            client_errors: self.client_errors.load(Ordering::Relaxed),
+            decisions: self.decisions.load(Ordering::Relaxed),
+            shed: self.shed.load(Ordering::Relaxed),
+        }
+    }
+}
+
 /// A running PDP daemon. Dropping it (or calling
-/// [`PdpdServer::shutdown`]) stops the accept loop, drains the workers,
-/// and joins every thread.
+/// [`PdpdServer::shutdown`]) stops the accept loop, lets every connection
+/// thread finish, and joins them all.
 #[derive(Debug)]
 pub struct PdpdServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     counters: Arc<HttpCounters>,
     handle: PdpHandle,
 }
@@ -159,33 +172,16 @@ impl PdpdServer {
         listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(HttpCounters::default());
-        let threads = options.threads.max(1);
-        let (tx, rx) = sync_channel::<(TcpStream, Instant)>(options.accept_queue());
-        let rx = Arc::new(Mutex::new(rx));
-
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let rx = Arc::clone(&rx);
-            let shutdown = Arc::clone(&shutdown);
-            let counters = Arc::clone(&counters);
-            let pin = handle.pin();
-            let options = options.clone();
-            workers.push(std::thread::spawn(move || {
-                worker_loop(&rx, &shutdown, &counters, pin, &options);
-            }));
-        }
-
         let accept = {
             let shutdown = Arc::clone(&shutdown);
             let counters = Arc::clone(&counters);
-            std::thread::spawn(move || accept_loop(&listener, &tx, &shutdown, &counters))
+            let handle = handle.clone();
+            thread::spawn(move || accept_loop(&listener, &handle, &options, &shutdown, &counters))
         };
-
         Ok(PdpdServer {
             addr,
             shutdown,
             accept: Some(accept),
-            workers,
             counters,
             handle,
         })
@@ -203,25 +199,14 @@ impl PdpdServer {
 
     /// HTTP-level counters.
     pub fn http_stats(&self) -> HttpStats {
-        HttpStats {
-            connections: self.counters.connections.load(Ordering::Relaxed),
-            ok: self.counters.ok.load(Ordering::Relaxed),
-            client_errors: self.counters.client_errors.load(Ordering::Relaxed),
-            decisions: self.counters.decisions.load(Ordering::Relaxed),
-            shed: self.counters.shed.load(Ordering::Relaxed),
-        }
+        self.counters.stats()
     }
 
     /// Stops accepting, drains in-flight connections, joins all threads.
     /// Idempotent.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.join();
     }
 
     /// Blocks until the server is shut down from another thread (the
@@ -229,9 +214,6 @@ impl PdpdServer {
     pub fn join(&mut self) {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
         }
     }
 }
@@ -242,34 +224,90 @@ impl Drop for PdpdServer {
     }
 }
 
+/// Serves one connection's byte stream against `handle` until the stream
+/// ends, a fault closes it or a deadline passes, and returns its counters
+/// (`connections` reads 1). This is the loop every connection thread of
+/// a [`PdpdServer`] runs, so tests can drive the wire protocol in memory.
+pub fn serve_stream<S: Read + Write>(
+    stream: S,
+    handle: &PdpHandle,
+    options: &ServerOptions,
+) -> HttpStats {
+    let counters = HttpCounters {
+        connections: AtomicU64::new(1),
+        ..HttpCounters::default()
+    };
+    let shutdown = AtomicBool::new(false);
+    serve_connection(stream, options, &shutdown, &counters, &mut handle.pin());
+    counters.stats()
+}
+
+/// Accepts connections until shutdown, each served on a scoped thread of
+/// its own; returns once every connection thread has finished.
 fn accept_loop(
     listener: &TcpListener,
-    tx: &SyncSender<(TcpStream, Instant)>,
+    handle: &PdpHandle,
+    options: &ServerOptions,
     shutdown: &AtomicBool,
     counters: &HttpCounters,
 ) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                counters.connections.fetch_add(1, Ordering::Relaxed);
-                // The idle deadline counts from here, so time spent queued
-                // behind busy workers counts too.
-                match tx.try_send((stream, Instant::now())) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full((stream, _))) => shed(stream, counters),
-                    Err(TrySendError::Disconnected(_)) => return, // every worker is gone
+    let live = AtomicUsize::new(0);
+    thread::scope(|scope| {
+        while !shutdown.load(Ordering::SeqCst) {
+            let Ok((stream, _)) = listener.accept() else {
+                // `WouldBlock` (nothing to accept) or a failed accept.
+                thread::sleep(Duration::from_millis(5));
+                continue;
+            };
+            counters.connections.fetch_add(1, Ordering::Relaxed);
+            if live.load(Ordering::Relaxed) >= options.max_connections() {
+                shed(stream, counters);
+                continue;
+            }
+            let mut conn = LiveConn::new(stream, &live, counters);
+            // A thread that fails to start drops this closure, and with it
+            // `conn`, which sheds the connection.
+            let _ = thread::Builder::new().spawn_scoped(scope, move || {
+                if let Some(stream) = conn.stream.take() {
+                    let _ = stream.set_read_timeout(Some(options.read_timeout));
+                    let _ = stream.set_nodelay(true);
+                    serve_connection(stream, options, shutdown, counters, &mut handle.pin());
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            });
         }
-    }
-    // Dropping `tx` here closes the channel; workers drain and exit.
+    });
 }
 
-/// Answers a connection the full accept queue cannot take with `503` and
+/// An accepted connection, counted in `live` until it drops. One that
+/// drops still holding its stream was never served (its thread failed to
+/// start), so it is shed.
+struct LiveConn<'a> {
+    stream: Option<TcpStream>,
+    live: &'a AtomicUsize,
+    counters: &'a HttpCounters,
+}
+
+impl<'a> LiveConn<'a> {
+    fn new(stream: TcpStream, live: &'a AtomicUsize, counters: &'a HttpCounters) -> LiveConn<'a> {
+        live.fetch_add(1, Ordering::Relaxed);
+        LiveConn {
+            stream: Some(stream),
+            live,
+            counters,
+        }
+    }
+}
+
+impl Drop for LiveConn<'_> {
+    fn drop(&mut self) {
+        if let Some(stream) = self.stream.take() {
+            shed(stream, self.counters);
+        }
+        self.live.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Answers a connection the server cannot take with `503` and
 /// `Connection: close`, then closes it cleanly: it shuts the write side,
 /// so the client reads the answer and then EOF, and reads away what the
 /// client has already sent before the socket drops. A socket closed with
@@ -282,7 +320,7 @@ fn shed(mut stream: TcpStream, counters: &HttpCounters) {
     let _ = write_response(
         &mut stream,
         503,
-        wire::error_body("server busy: accept queue full").as_bytes(),
+        wire::error_body("server busy: too many connections").as_bytes(),
         true,
     );
     let _ = stream.shutdown(Shutdown::Write);
@@ -297,54 +335,19 @@ fn shed(mut stream: TcpStream, counters: &HttpCounters) {
     }
 }
 
-fn worker_loop(
-    rx: &Mutex<Receiver<(TcpStream, Instant)>>,
-    shutdown: &AtomicBool,
-    counters: &HttpCounters,
-    mut pin: PdpPin,
-    options: &ServerOptions,
-) {
-    loop {
-        // Take the next connection; recv_timeout so shutdown is noticed
-        // even when the accept loop is idle.
-        let (stream, accepted) = {
-            let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            match guard.recv_timeout(Duration::from_millis(100)) {
-                Ok(s) => s,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    continue;
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-            }
-        };
-        let _ = stream.set_read_timeout(Some(options.read_timeout));
-        let _ = stream.set_nodelay(true);
-        serve_connection(stream, accepted, options, shutdown, counters, &mut pin);
-    }
-}
-
 /// Serves one connection until close, error, shutdown, or a missed idle
 /// or request deadline.
-fn serve_connection(
-    stream: TcpStream,
-    accepted: Instant,
+fn serve_connection<S: Read + Write>(
+    stream: S,
     options: &ServerOptions,
     shutdown: &AtomicBool,
     counters: &HttpCounters,
     pin: &mut PdpPin,
 ) {
-    let write_half = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut write_half = write_half;
     let mut conn = ConnBuf::new(stream).with_request_deadline(options.request_deadline());
-    // When the connection went idle: its accept, and after each response
-    // the first read that times out (so serving reads no clock).
-    let mut idle_since = Some(accepted);
+    // When the connection went idle: its first read that times out, on a
+    // fresh connection and after each response (so serving reads no clock).
+    let mut idle_since: Option<Instant> = None;
     loop {
         let request = match conn.read_request() {
             Ok(Some(r)) => r,
@@ -361,38 +364,21 @@ fn serve_connection(
                 }
                 continue;
             }
-            Err(HttpError::DeadlineExceeded) => {
+            Err(fault) => {
+                let (status, message) = match fault {
+                    HttpError::Malformed(msg) => (400, msg),
+                    HttpError::TooLarge(what) => (
+                        if what == "body" { 413 } else { 431 },
+                        format!("{what} too large"),
+                    ),
+                    HttpError::DeadlineExceeded => (408, "request deadline exceeded".to_string()),
+                    HttpError::TimedOut | HttpError::Io(_) => return,
+                };
                 counters.client_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &mut write_half,
-                    408,
-                    wire::error_body("request deadline exceeded").as_bytes(),
-                    true,
-                );
+                let body = wire::error_body(&message);
+                let _ = write_response(conn.stream_mut(), status, body.as_bytes(), true);
                 return;
             }
-            Err(HttpError::Malformed(msg)) => {
-                counters.client_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &mut write_half,
-                    400,
-                    wire::error_body(&msg).as_bytes(),
-                    true,
-                );
-                return;
-            }
-            Err(HttpError::TooLarge(what)) => {
-                counters.client_errors.fetch_add(1, Ordering::Relaxed);
-                let status = if what == "body" { 413 } else { 431 };
-                let _ = write_response(
-                    &mut write_half,
-                    status,
-                    wire::error_body(&format!("{what} too large")).as_bytes(),
-                    true,
-                );
-                return;
-            }
-            Err(HttpError::Io(_)) => return,
         };
         idle_since = None;
         let stages = Stages::sample();
@@ -405,7 +391,7 @@ fn serve_connection(
         }
         let written = stages.time(
             |m| &m.write,
-            || write_response(&mut write_half, status, body.as_bytes(), !keep_alive),
+            || write_response(conn.stream_mut(), status, body.as_bytes(), !keep_alive),
         );
         if written.is_err() {
             return;
@@ -450,7 +436,7 @@ impl StageMetrics {
 struct Stages(Option<(u64, &'static StageMetrics)>);
 
 impl Stages {
-    /// With telemetry on, one tick of this worker's [`STAGE_SAMPLER`]:
+    /// With telemetry on, one tick of this thread's [`STAGE_SAMPLER`]:
     /// about one request in 64, at random gaps, is timed. With telemetry
     /// off, the only cost is one relaxed atomic load.
     fn sample() -> Stages {
@@ -575,4 +561,35 @@ fn metrics_body(serve: ServeStats, counters: &HttpCounters) -> String {
         ("obs", obs.into()),
     ])
     .to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_connection_whose_thread_never_starts_is_shed() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let (stream, _) = listener.accept().expect("accept");
+        let live = AtomicUsize::new(0);
+        let counters = HttpCounters::default();
+        let conn = LiveConn::new(stream, &live, &counters);
+        assert_eq!(live.load(Ordering::Relaxed), 1);
+        // A failed `spawn_scoped` drops its closure, and the connection in
+        // it, unrun.
+        drop(move || drop(conn));
+        assert_eq!(live.load(Ordering::Relaxed), 0);
+        assert_eq!(counters.stats().shed, 1);
+        let mut answer = String::new();
+        client.read_to_string(&mut answer).expect("a 503, then EOF");
+        assert!(
+            answer.starts_with("HTTP/1.1 503 Service Unavailable\r\n")
+                && answer.contains("\r\nConnection: close\r\n"),
+            "{answer}"
+        );
+    }
 }

@@ -290,7 +290,8 @@ fn snapshot_swap_mid_stream_never_serves_stale_epochs() {
     server.shutdown();
 }
 
-/// One worker with a short read timeout, so the deadlines are short too.
+/// `threads: 1` (a cap of 64 connections) and a short read timeout, so the
+/// deadlines are short too.
 fn deadline_options() -> ServerOptions {
     ServerOptions {
         threads: 1,
@@ -303,7 +304,7 @@ fn idle_connections_do_not_starve_an_active_client() {
     let options = deadline_options();
     let mut server =
         PdpdServer::bind("127.0.0.1:0", scenario_handle(), options.clone()).expect("bind");
-    // More idle keep-alive connections than workers, queued ahead of the
+    // More idle keep-alive connections than `threads`, opened ahead of the
     // active client.
     let idle: Vec<TcpStream> = (0..=options.threads)
         .map(|_| TcpStream::connect(server.addr()).expect("connect"))
@@ -376,28 +377,65 @@ fn slow_head_client_is_closed_within_the_request_deadline() {
 }
 
 #[test]
-fn a_full_accept_queue_sheds_with_503_and_serves_the_queued() {
+fn a_busy_keep_alive_client_does_not_starve_a_second() {
     let options = deadline_options();
     let mut server =
         PdpdServer::bind("127.0.0.1:0", scenario_handle(), options.clone()).expect("bind");
     let decide = post("/decide", &wire::request_to_json(&sample_request()));
-    // The holder's connection keeps the one worker busy; each of its
-    // requests also resets the worker's idle deadline.
-    let (mut holder_tx, mut holder_rx) = connect(&server);
-    let mut hold = || {
-        holder_tx.write_all(&decide).unwrap();
-        assert_eq!(holder_rx.read_response().expect("holder served").0, 200);
-    };
-    hold();
-    // These fill the accept queue. Each writes its request now, so the
-    // worker finds it buffered whenever it gets there.
-    let queued: Vec<(TcpStream, ConnBuf<TcpStream>)> = (0..options.accept_queue())
-        .map(|_| {
-            let (mut tx, rx) = connect(&server);
-            tx.write_all(&decide).unwrap();
-            (tx, rx)
-        })
+    let (mut a_tx, mut a_rx) = connect(&server);
+    a_tx.write_all(&decide).unwrap();
+    assert_eq!(a_rx.read_response().expect("A served").0, 200);
+    let b_answered = AtomicBool::new(false);
+    let waited = std::thread::scope(|scope| {
+        // A sends back to back on its one keep-alive connection until B
+        // is answered, so A is never idle.
+        scope.spawn(|| {
+            let started = Instant::now();
+            while !b_answered.load(Ordering::Relaxed) && started.elapsed() < Duration::from_secs(2)
+            {
+                a_tx.write_all(&decide).unwrap();
+                assert_eq!(a_rx.read_response().expect("A served").0, 200);
+            }
+        });
+        let started = Instant::now();
+        let (mut b_tx, mut b_rx) = connect(&server);
+        b_tx.write_all(&decide).unwrap();
+        let status = b_rx.read_response().expect("B served").0;
+        let waited = started.elapsed();
+        b_answered.store(true, Ordering::Relaxed);
+        assert_eq!(status, 200);
+        waited
+    });
+    let bound = options.read_timeout * 10;
+    assert!(
+        waited <= bound,
+        "B answered after {waited:?} (bound {bound:?})"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_full_connection_cap_sheds_with_503_and_serves_the_held() {
+    let options = deadline_options();
+    let mut server =
+        PdpdServer::bind("127.0.0.1:0", scenario_handle(), options.clone()).expect("bind");
+    let decide = post("/decide", &wire::request_to_json(&sample_request()));
+    // These fill the cap. Every one writes its request before any is read,
+    // and every one is answered at once, not after the others close.
+    let mut held: Vec<(TcpStream, ConnBuf<TcpStream>)> = (0..options.max_connections())
+        .map(|_| connect(&server))
         .collect();
+    // Sends one request on every held connection, then reads every answer.
+    // Each request also restarts its connection's 500 ms idle deadline,
+    // which would otherwise close the held connections and free the cap.
+    let mut hold = || {
+        for (tx, _) in &mut held {
+            tx.write_all(&decide).unwrap();
+        }
+        for (_, rx) in &mut held {
+            assert_eq!(rx.read_response().expect("held served").0, 200);
+        }
+    };
     hold();
     // Three shed clients send nothing; three send a request first, which
     // the server must read away before closing, or the close is a reset
@@ -421,26 +459,19 @@ fn a_full_accept_queue_sheds_with_503_and_serves_the_queued() {
         assert_eq!(status, 503);
         let value = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
         assert!(value.get("error").and_then(Json::as_str).is_some());
+        hold();
     }
-    hold();
-    // The holder leaves; the worker serves the queued connections in
-    // order, each until its client closes it.
-    drop((holder_tx, holder_rx));
-    let last = queued.len() - 1;
-    for (i, (mut tx, mut rx)) in queued.into_iter().enumerate() {
-        assert_eq!(rx.read_response().expect("queued served").0, 200);
-        if i == last {
-            tx.write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
-                .unwrap();
-            let (status, resp) = rx.read_response().unwrap();
-            assert_eq!(status, 200);
-            let value = json::parse(std::str::from_utf8(&resp).unwrap()).unwrap();
-            let http = value.get("http").expect("http section");
-            assert_eq!(http.get("shed").and_then(Json::as_i64), Some(6));
-        }
-    }
+    let (tx, rx) = held.last_mut().unwrap();
+    tx.write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let (status, resp) = rx.read_response().unwrap();
+    assert_eq!(status, 200);
+    let value = json::parse(std::str::from_utf8(&resp).unwrap()).unwrap();
+    let http = value.get("http").expect("http section");
+    assert_eq!(http.get("shed").and_then(Json::as_i64), Some(6));
+    drop(held);
     server.shutdown();
     let stats = server.http_stats();
     assert_eq!(stats.shed, 6);
-    assert_eq!(stats.connections, 1 + options.accept_queue() as u64 + 6);
+    assert_eq!(stats.connections, options.max_connections() as u64 + 6);
 }

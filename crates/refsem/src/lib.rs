@@ -28,7 +28,9 @@
 //!   `fuzz` bench binary. PDP cases compare the full
 //!   [`DecisionEffects`](agenp_policy::DecisionEffects) — decision,
 //!   obligations, penalty — through all four serving paths against
-//!   [`reference::effects_reference`]. Every failure message leads with
+//!   [`reference::effects_reference`], and [`wire`] does the same through
+//!   pdpd's connection loop, driven in memory with pipelined HTTP trains
+//!   and malformed requests. Every failure message leads with
 //!   the seed that reproduces it, and mismatches are first
 //!   [`shrink`]-minimized to the smallest failing rule subset / policy
 //!   set / request stream.
@@ -48,9 +50,11 @@ pub mod gen;
 pub mod metamorphic;
 pub mod reference;
 pub mod shrink;
+pub mod wire;
 
 pub use diff::{
     run_asg_case, run_asp_case, run_generate_case, run_large_pdp_case, run_metamorphic_asp_case,
     run_metamorphic_pdp_case, run_pdp_case, run_world_case,
 };
 pub use reference::Model;
+pub use wire::run_wire_case;
